@@ -42,10 +42,6 @@ def vec_mat(v, m) -> tuple:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def mat_vec(m, v) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def dot(u, v) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
@@ -101,41 +97,3 @@ def inverse(m) -> tuple:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
 
-
-def solve_right_nullspace(rows) -> list:
-    """Basis of {x : rows @ x^T = 0} for a list of row vectors, over Fraction."""
-    if not rows:
-        raise DimensionMismatch("empty system")
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(tuple(v))
-    return basis

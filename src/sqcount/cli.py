@@ -26,8 +26,9 @@ passed explicitly win over the file; replaying a manifest is therefore
 require --seed. SQCOUNT_THREADS sets the default worker count.
 
 Exact values appear in CSV as "num/den" strings, floats as their shortest
-round-trip representation. Column layouts are fixed per command and listed
-in the README.
+round-trip representation; the printed summary gives an exact series value
+as a float and a digit count. Column layouts are fixed per command and
+listed in README.md.
 
 Exit codes: 0 success, 2 configuration error, 3 budget or tolerance failure.
 """
@@ -321,6 +322,25 @@ def _count_row(res, ctx: SConfig):
     ]
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of n != 0, without a (quadratic-time) int -> str."""
+    n = abs(n)
+    k = int(math.log10(n))  # floor(log10 n), up to float rounding
+    while 10**k > n:
+        k -= 1
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
+
+
+def _exact_summary(value: Fraction) -> str:
+    """Float value and digit counts of an exact series value; the exact
+    value itself, which can run to 10^5 digits, goes to the CSV only."""
+    return (f"{float(value)!r} (exact value in the CSV: "
+            f"{_digits(value.numerator)}-digit numerator, "
+            f"{_digits(value.denominator)}-digit denominator)")
+
+
 def _emit(command, cfg, out_dir: Path, header, rows, summary,
           seed=None, results=None, t0=None):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -573,7 +593,7 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
     rows = [[cctx.q, sv.t_max, sv.real_bound, sv.value, float(sv.value),
              sv.tail_bound, sv.terms_used]]
     _emit("moment-rhs", cfg, out_dir, header, rows, [
-        f"series value = {frac_str(sv.value)} ~ {float(sv.value)!r}",
+        f"series value ~ {_exact_summary(sv.value)}",
         f"tail bound = {sv.tail_bound!r} over {sv.terms_used} pair terms",
     ], t0=t0)
     return 0
@@ -621,7 +641,7 @@ def _cmd_orbit(cfg, out_dir, t0):
     rows = [[cctx.q, sv.t_max, sv.value, float(sv.value), sv.tail_bound,
              sv.terms_used]]
     _emit("orbit", cfg, out_dir, header, rows, [
-        f"orbital series = {frac_str(sv.value)} ~ {float(sv.value)!r} "
+        f"orbital series ~ {_exact_summary(sv.value)} "
         f"(tail <= {sv.tail_bound:.3g}, {sv.terms_used} terms)",
     ], t0=t0)
     return 0
@@ -887,6 +907,10 @@ def _require(cfg: dict, required, command: str):
 
 
 def main(argv=None) -> int:
+    # exact series values can exceed Python's default 4300-digit limit on
+    # int -> str conversion, and every output renders them as decimal strings
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     handler, defaults, required = _COMMANDS[args.command]
     t0 = time.perf_counter()

@@ -1,10 +1,11 @@
 """Congruence-level combinatorics for shifted S-lattices.
 
-Reduction mod q, uniform sampling and exact lifting of SL_d(Z/q),
+The level data (d, q, w) of a congruence space, and uniform sampling and
+exact lifting of SL_d(Z/q), which the congruence-space sampler composes
+into a random level-q coset.  Also the orbit decomposition of Z_S^d + w/q:
 completion of primitive vectors to unimodular matrices over Z_S, the
-coordinate change sending a shift vector to the last axis, and the orbit
-invariant t = gcd(q k) of points of Z_S^d + w/q together with standard
-representatives for each value of t.
+coordinate change sending the shift to the last axis, the orbit invariant
+t = gcd(q k) and a standard representative for each value of t.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from . import _linalg as la
 from .errors import (
     ConfigError,
-    DenominatorNotInvertibleModQ,
     DimensionMismatch,
     InvariantViolation,
     NonSUnitDenominator,
@@ -27,12 +27,13 @@ from .errors import (
     ShiftMismatch,
 )
 from .sarith import (
-    INF,
     SConfig,
     SVector,
+    crt,
+    gcd_S,
     is_in_NS,
+    prime_factors,
     s_free_part,
-    sl_group_order,
     svector,
     vector_content_NS,
 )
@@ -61,65 +62,12 @@ def congruence_context(d: int, q: int, w, ctx: SConfig) -> CongruenceContext:
     coords = tuple(Fraction(x) for x in w)
     if len(coords) != d:
         raise DimensionMismatch("shift vector length != d")
-    from .sarith import gcd_S
-
     if gcd_S(q, coords, ctx) != 1:
         raise ConfigError("gcd_S(q, w) must be 1")
     return CongruenceContext(d, q, coords, ctx)
 
 
-# --- reduction mod q ----------------------------------------------------------
-
-def _entry_mod_q(x: Fraction, q: int) -> int:
-    try:
-        inv = pow(x.denominator, -1, q)
-    except ValueError:
-        raise DenominatorNotInvertibleModQ(
-            f"denominator {x.denominator} shares a factor with q={q}"
-        )
-    return (x.numerator * inv) % q
-
-
-def reduce_mod_q(gamma, q: int):
-    """Entrywise reduction of a determinant-one Z_S matrix to SL_d(Z/q)."""
-    rows = la.as_matrix(gamma)
-    if la.det(rows) != 1:
-        raise NotInSLq("matrix determinant is not 1")
-    return tuple(tuple(_entry_mod_q(x, q) for x in row) for row in rows)
-
-
 # --- uniform sampling over SL_d(Z/q) ------------------------------------------
-
-def _prime_divisors(q: int) -> list[int]:
-    out, n, p = [], q, 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, x, _ = _xgcd(m1, m2)
-    assert g == 1
-    m = m1 * m2
-    return (r1 + (r2 - r1) * x % m2 * m1) % m, m
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
 
 def _unit_coefficients(col: list[int], q: int) -> list[int]:
     """Coefficients c_1..c_{n-1} with col[0] + sum c_i col[i] a unit mod q.
@@ -129,7 +77,8 @@ def _unit_coefficients(col: list[int], q: int) -> list[int]:
     """
     n = len(col)
     picks = {}
-    for p in _prime_divisors(q):
+    primes = prime_factors(q)
+    for p in primes:
         if col[0] % p != 0:
             continue
         for i in range(1, n):
@@ -141,9 +90,10 @@ def _unit_coefficients(col: list[int], q: int) -> list[int]:
     coeffs = [0] * n
     for i, marked in picks.items():
         r, m = 0, 1
-        for p in _prime_divisors(q):
-            r, m = _crt_pair(r, m, 1 if p in marked else 0, p)
-        coeffs[i] = r % q
+        for p in primes:
+            r = crt(r, m, 1 if p in marked else 0, p)
+            m *= p
+        coeffs[i] = r
     return coeffs[1:]
 
 
@@ -281,6 +231,18 @@ def lift_slq_to_slz(m, q: int):
 
 
 # --- primitive completion -----------------------------------------------------
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    return old_r, old_s, old_t
+
 
 def _complete_pair(a: int, b: int):
     """Rows ((a, b), (x, y)) with a y - b x = 1, second row reduced so that
@@ -442,21 +404,3 @@ def representative_for_t(
             assert orbit_invariant(cctx, k) == t
             return k
     raise SearchBudgetExceeded("unreachable")
-
-
-# --- group orders -------------------------------------------------------------
-
-def stabilizer_order(d: int, q: int) -> int:
-    """Order of {g in SL_d(Z/q) : e_d g = e_d}: a free row of length d-1
-    times SL_{d-1}(Z/q)."""
-    if q < 2 or d < 2:
-        raise ConfigError("need d >= 2 and q >= 2")
-    return q ** (d - 1) * sl_group_order(d - 1, q)
-
-
-def index_gamma1(d: int, q: int) -> int:
-    """#SL_d(Z/q) / stabilizer_order(d, q): the number of primitive rows."""
-    order = sl_group_order(d, q)
-    stab = stabilizer_order(d, q)
-    assert order % stab == 0
-    return order // stab

@@ -27,7 +27,7 @@ import numpy as np
 from .congruence import CongruenceContext
 from .errors import ConfigError, DimensionMismatch, RegionTooLarge
 from .qspace import QuadraticFormS
-from .sarith import INF, SConfig, TVector, valuation
+from .sarith import INF, SConfig, TVector, crt, frac_mod, valuation
 from .volume import check_family_range, leading_constant
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -200,7 +200,8 @@ def _value_congruences(q_form: QuadraticFormS, r_hat: int, interval: SInterval):
     integer values at all.
     """
     d = q_form.dim
-    systems = []  # (p^E, D_p G_p mod p^E, target mod p^E)
+    m_val, c_val = 1, 0
+    gram_mix = [[0] * d for _ in range(d)]
     for p, (a_p, e_p) in interval.finite.items():
         gram = q_form.gram_at(p)
         d_p = math.lcm(*[Fraction(x).denominator for row in gram for x in row])
@@ -212,35 +213,15 @@ def _value_congruences(q_form: QuadraticFormS, r_hat: int, interval: SInterval):
             return None
         if exp <= 0:
             continue
+        # glue D_p G_p and the target mod p^exp onto the moduli so far
         pe = p**exp
-        t_int = target.numerator * pow(target.denominator, -1, pe) % pe
-        g_mod = tuple(
-            tuple(int(Fraction(x) * d_p) % pe for x in row) for row in gram
-        )
-        systems.append((pe, g_mod, t_int))
-    m_val = 1
-    for pe, _, _ in systems:
-        m_val *= pe
-    gram_mix = [[0] * d for _ in range(d)]
-    c_val = 0
-    for pe, g_mod, t_int in systems:
-        other = m_val // pe
-        basis = other * pow(other, -1, pe) % m_val
-        c_val = (c_val + basis * t_int) % m_val
+        c_val = crt(c_val, m_val, frac_mod(target, pe), pe)
         for i in range(d):
             for j in range(d):
-                gram_mix[i][j] = (gram_mix[i][j] + basis * g_mod[i][j]) % m_val
+                g = int(Fraction(gram[i][j]) * d_p) % pe
+                gram_mix[i][j] = crt(gram_mix[i][j], m_val, g, pe)
+        m_val *= pe
     return m_val, c_val, tuple(tuple(row) for row in gram_mix)
-
-
-def _mod_reduce(x: Fraction, m: int) -> int:
-    """x mod m for a fraction whose denominator is invertible mod m."""
-    if m == 1:
-        return 0
-    x = Fraction(x)
-    if math.gcd(x.denominator, m) != 1:
-        raise ConfigError("congruence center not reducible mod the lattice modulus")
-    return x.numerator * pow(x.denominator, -1, m) % m
 
 
 def _build_instance(
@@ -253,7 +234,7 @@ def _build_instance(
     dens = [Fraction(x).denominator for row in gram for x in row]
     d_scale = math.lcm(*dens)
     gi = [[int(Fraction(x) * d_scale) for x in row] for row in gram]
-    rho = tuple(_mod_reduce(x, l_mod) for x in xi_scaled)
+    rho = tuple(frac_mod(x, l_mod) for x in xi_scaled)
     ball2 = (Fraction(t_inf) * r_hat) ** 2
     scale = Fraction(d_scale) * r_hat * r_hat
     w_lo = _strict_ceil(scale * Fraction(interval.real[0]))

@@ -24,14 +24,6 @@ class NonSUnitDenominator(ConfigError):
     """Denominator has a prime factor outside the finite place set."""
 
 
-class ZeroDenominator(ConfigError):
-    pass
-
-
-class ZeroVector(ConfigError):
-    pass
-
-
 class DimensionMismatch(ConfigError):
     pass
 
@@ -45,7 +37,7 @@ class AnisotropicForm(ConfigError):
 
 
 class DenominatorNotInvertibleModQ(ConfigError):
-    pass
+    """A rational's denominator shares a factor with the modulus."""
 
 
 class NotInSLq(ConfigError):
@@ -53,11 +45,11 @@ class NotInSLq(ConfigError):
 
 
 class NotPrimitive(ConfigError):
-    pass
+    """Vector is not primitive over Z_S (content not an S-unit, or zero)."""
 
 
 class ShiftMismatch(ConfigError):
-    """Vector does not lie in the expected shifted lattice."""
+    """Point does not lie in the coset Z_S^d + w/q."""
 
 
 class InvariantViolation(ConfigError):
@@ -86,10 +78,6 @@ class ToleranceUnreachable(BudgetError):
     pass
 
 
-class PrecisionExhausted(BudgetError):
-    pass
-
-
 class RegionTooLarge(BudgetError):
     """Candidate set for enumeration exceeds the configured budget."""
 
@@ -98,13 +86,5 @@ class SearchBudgetExceeded(BudgetError):
     pass
 
 
-class NotStabilized(BudgetError):
-    """Residue counts did not stabilize within the precision budget."""
-
-
 class MethodDisagreement(BudgetError):
     """Two independent evaluation methods disagree beyond combined errors."""
-
-
-class BudgetExceeded(BudgetError):
-    pass

@@ -33,10 +33,9 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedExactSampler,
 )
-from .sarith import SConfig, SVector, is_in_NS, valuation
+from .sarith import SConfig, is_in_NS, valuation
 from .slattice import (
     DEFAULT_MAX_CANDIDATES,
-    AffineSLattice,
     SBox,
     TestFunction,
     affine_slattice_split,
@@ -322,12 +321,6 @@ def lattice_stream(space: SpaceSpec, rng):
         )
 
 
-def sample_lattice(space: SpaceSpec, rng) -> AffineSLattice:
-    """One draw; for mcmc spaces this burns in a fresh chain every call, so
-    prefer lattice_stream (or the estimators) for repeated draws."""
-    return next(lattice_stream(space, rng))
-
-
 # --- Monte Carlo estimators -------------------------------------------------------------
 
 
@@ -407,21 +400,6 @@ def estimate_moments(
             )
         out.append(row)
     return out
-
-
-def estimate_moment(
-    space: SpaceSpec,
-    f: TestFunction,
-    order: int = 1,
-    n: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> MCEstimate:
-    """Monte Carlo mean of the Siegel transform (order 1) or its square."""
-    return estimate_moments(
-        space, [f], (order,), n, seed, workers, max_candidates
-    )[0][0]
 
 
 def variance_check(
@@ -571,14 +549,10 @@ def _admissible_t(t_max: int, q: int, ctx: SConfig):
             yield t
 
 
-def _progression(lo: Fraction, hi: Fraction, r: int, q: int):
+def _progression(lo: Fraction, hi: Fraction, r: int, q: int) -> range:
     """Integers n in [lo, hi] with n = r mod q."""
     start = math.ceil(lo)
-    start += (r - start) % q
-    n = start
-    while n <= hi:
-        yield n
-        n += q
+    return range(start + (r - start) % q, math.floor(hi) + 1, q)
 
 
 # --- second-moment series ---------------------------------------------------------------
@@ -710,7 +684,7 @@ def inhom_series(
         raise ConfigError("the orbit series needs d >= 3")
     if t_max < 1:
         raise ConfigError("need t_max >= 1")
-    coords = y.coords if isinstance(y, SVector) else tuple(Fraction(c) for c in y)
+    coords = tuple(Fraction(c) for c in y)
     if len(coords) != d:
         raise DimensionMismatch("y has wrong dimension")
     if all(c == 0 for c in coords):

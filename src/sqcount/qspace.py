@@ -1,4 +1,4 @@
-"""Quadratic forms over the S-adic places: evaluation, isotropy, standardization.
+"""Quadratic forms over the S-adic places: evaluation, diagonalization, isotropy.
 
 A form is a collection of symmetric Gram matrices, one per place of S.  Finite
 place data is always exact (Fractions); the real Gram may carry floats, which
@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import (
-    AnisotropicForm,
-    ConfigError,
-    DegenerateForm,
-    DimensionMismatch,
-    PrecisionExhausted,
-    SearchBudgetExceeded,
-)
-from .sarith import INF, SConfig, valuation
+from .errors import ConfigError, DegenerateForm, DimensionMismatch
+from .sarith import INF, SConfig, frac_mod, valuation
 
 
 # --- form container -----------------------------------------------------------
@@ -131,23 +124,7 @@ def _exact_det(g) -> Fraction:
     return la.det(tuple(tuple(Fraction(x) for x in row) for row in g))
 
 
-def eval_form(q: QuadraticFormS, v) -> dict:
-    """Per-place values of q at the rational point v (SVector or iterable)."""
-    coords = tuple(getattr(v, "coords", v))
-    if len(coords) != q.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    return {place: q.value_at(coords, place) for place in (INF, *q.ctx.primes)}
-
-
 # --- local square classes and Hilbert symbols ----------------------------------
-
-
-def _unit_rep_mod(u: Fraction, p: int, k: int) -> int:
-    """u mod p^k for a rational with v_p(u) = 0."""
-    mod = p**k
-    num = u.numerator % mod
-    den = u.denominator % mod
-    return num * pow(den, -1, mod) % mod
 
 
 def legendre_symbol(u, p: int) -> int:
@@ -155,7 +132,7 @@ def legendre_symbol(u, p: int) -> int:
     u = Fraction(u)
     if p == 2 or valuation(u, p) != 0:
         raise ConfigError("legendre_symbol needs odd p and a p-unit")
-    r = pow(_unit_rep_mod(u, p, 1), (p - 1) // 2, p)
+    r = pow(frac_mod(u, p), (p - 1) // 2, p)
     return 1 if r == 1 else -1
 
 
@@ -171,7 +148,7 @@ def is_square_qp(a, p) -> bool:
         return False
     u = a / Fraction(p) ** v
     if p == 2:
-        return _unit_rep_mod(u, 2, 3) == 1
+        return frac_mod(u, 8) == 1
     return legendre_symbol(u, p) == 1
 
 
@@ -195,8 +172,8 @@ def hilbert_symbol(a, b, p) -> int:
         if alpha % 2 and legendre_symbol(w, p) == -1:
             sign = -sign
         return sign
-    u8 = _unit_rep_mod(u, 2, 3)
-    w8 = _unit_rep_mod(w, 2, 3)
+    u8 = frac_mod(u, 8)
+    w8 = frac_mod(w, 8)
     eps_u = (u8 % 4 - 1) // 2 % 2
     eps_w = (w8 % 4 - 1) // 2 % 2
     omega_u = (u8 * u8 - 1) // 8 % 2
@@ -214,12 +191,6 @@ def diagonalize(q: QuadraticFormS, place):
     At a finite place the diagonal entries are normalized by square scalings
     to valuation 0 or 1.
     """
-    rows, diag = _diagonal_rows(q, place)
-    return la.transpose(rows), diag
-
-
-def _diagonal_rows(q: QuadraticFormS, place):
-    """Row-convention variant: rows R with R G R^T = diag(D)."""
     g = q.gram_at(place)
     exact = tuple(tuple(Fraction(x) for x in row) for row in g)
     u, diag = _congruent_diagonal(exact)
@@ -236,7 +207,7 @@ def _diagonal_rows(q: QuadraticFormS, place):
         u = tuple(tuple(r) for r in rows)
         diag = tuple(norm)
         assert all(valuation(a, p) in (0, 1) for a in diag)
-    return u, diag
+    return la.transpose(u), diag
 
 
 def _congruent_diagonal(g):
@@ -310,375 +281,3 @@ def is_isotropic(q: QuadraticFormS, place) -> bool:
     if d == 3:
         return eps == hilbert_symbol(-1, -disc, p)
     return (not is_square_qp(disc, p)) or eps == hilbert_symbol(-1, -1, p)
-
-
-# --- p-adic square roots and Hensel lifting ----------------------------------------
-
-
-def sqrt_mod_pk(a: int, p: int, k: int) -> int:
-    """s with s^2 = a mod p^k for a a unit square mod p^k; raises otherwise."""
-    a %= p**k
-    if a % p == 0:
-        raise ConfigError("sqrt_mod_pk needs a unit")
-    if p == 2:
-        if a % min(8, 2**k) != 1 % min(8, 2**k):
-            raise ConfigError("not a square mod 2^k")
-        s = 1
-        for j in range(3, k):
-            if (s * s - a) % 2 ** (j + 1):
-                s += 2 ** (j - 1)
-        return s % 2**k
-    s = _sqrt_mod_p(a % p, p)
-    j = 1
-    while j < k:
-        # Newton step doubles the precision
-        j = min(2 * j, k)
-        mod = p**j
-        s = (s + a * pow(s, -1, mod)) * pow(2, -1, mod) % mod
-    return s
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks for odd p."""
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ConfigError("not a quadratic residue")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q 2^s with q odd
-    s, q = 0, p - 1
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-# --- isotropic vectors --------------------------------------------------------------
-
-
-def rational_isotropic_vector(q: QuadraticFormS, bound: int | None = None):
-    """Small primitive integer vector v with v G v^T = 0 at every place
-    sharing the rational Gram; None if none within the bound.
-
-    Searches sup-norm shells so the first hit is deterministic.
-    """
-    if q.has_float_real_part():
-        return None
-    g = q.gram_at(INF)
-    if any(q.gram_at(p) != g for p in q.ctx.primes):
-        return None
-    d = q.dim
-    if bound is None:
-        bound = {2: 8, 3: 6, 4: 4, 5: 3}.get(d, 2)
-    for shell in range(1, bound + 1):
-        for v in _sup_norm_shell(d, shell):
-            if la.dot(la.vec_mat(v, g), v) == 0:
-                return tuple(Fraction(x) for x in v)
-    return None
-
-
-def _sup_norm_shell(d: int, r: int):
-    from itertools import product
-
-    for v in product(range(-r, r + 1), repeat=d):
-        if max(abs(x) for x in v) == r:
-            yield v
-
-
-def padic_isotropic_vector(q: QuadraticFormS, p: int, precision: int,
-                           budget: int = 200_000):
-    """Integer vector y (mod p^precision data) with v = y U rational and
-    v_p(q(v)) >= precision; uses the exact diagonalization q = sum a_i x_i^2.
-
-    Strategy: pairs via p-adic square roots, then triples by residue search
-    plus a coordinate Hensel lift, then random larger tuples under a budget.
-    """
-    rows, diag = _diagonal_rows(q, p)
-    # denominators are p-units (valuations were normalized to 0/1), so this
-    # scaling keeps the valuations and does not move the zero set
-    mul = 1
-    for a in diag:
-        mul *= a.denominator
-    ints = [int(a * mul) for a in diag]
-    y = _diag_isotropic_int(ints, p, precision + 3, budget)
-    if y is None:
-        raise AnisotropicForm(f"no nontrivial zero found at p={p}")
-    return la.vec_mat(tuple(Fraction(c) for c in y), rows)
-
-
-def _diag_isotropic_int(a: list[int], p: int, m: int, budget: int):
-    """Primitive y with sum a_i y_i^2 = 0 mod p^m, liftable, for integer a_i."""
-    d = len(a)
-    # pairs: -a_j / a_i a square
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            r = Fraction(-a[j], a[i])
-            v = valuation(r, p)
-            if v < 0 or not is_square_qp(r, p):
-                continue  # v < 0 is covered by the (j, i) pass
-            unit = r / Fraction(p) ** v
-            k = m + 4
-            s = sqrt_mod_pk(_unit_rep_mod(unit, p, k), p, k)
-            y = [0] * d
-            y[i] = s * p ** (v // 2)
-            y[j] = 1
-            if _diag_val(a, y, p) >= m:
-                return y
-    # triples and larger: residue search at low precision + Hensel lift;
-    # a unit coordinate bounds the gradient valuation by v_p(2) + max v_p(a_i)
-    from itertools import combinations
-
-    s_max = valuation(Fraction(2), p) + max(valuation(Fraction(ai), p) for ai in a)
-    base = 2 * s_max + 1
-    spent = 0
-    for size in range(3, d + 1):
-        for idx in combinations(range(d), size):
-            sol, spent = _tuple_residue_search(a, idx, p, base, budget - spent)
-            if sol is not None:
-                lifted = _hensel_lift_diag(a, sol, p, m)
-                if lifted is not None:
-                    return lifted
-            if spent >= budget:
-                raise SearchBudgetExceeded("isotropic vector search budget hit")
-    return None
-
-
-def _diag_val(a, y, p) -> int:
-    s = sum(ai * yi * yi for ai, yi in zip(a, y))
-    if s == 0:
-        return 10**9
-    return valuation(Fraction(s), p)
-
-
-def _tuple_residue_search(a, idx, p, base, budget):
-    """Search y supported on idx, primitive, with value = 0 mod p^base and a
-    coordinate whose gradient valuation allows Hensel lifting."""
-    from itertools import product
-
-    mod = p**base
-    d = len(a)
-    spent = 0
-    for combo in product(range(mod), repeat=len(idx) - 1):
-        spent += len(idx)
-        if spent > budget:
-            return None, spent
-        y = [0] * d
-        for pos, val in zip(idx[:-1], combo):
-            y[pos] = val
-        partial = -sum(a[i] * y[i] * y[i] for i in idx[:-1]) % mod
-        last = idx[-1]
-        alast = a[last] % mod
-        for z in _solve_az2(alast, partial, p, base):
-            y[last] = z
-            if all(y[i] % p == 0 for i in idx):
-                continue
-            grad_ok = any(
-                y[i] != 0
-                and valuation(Fraction(2 * a[i] * y[i]), p) <= (base - 1) // 2
-                for i in idx
-            )
-            if grad_ok and _diag_val(a, y, p) >= base:
-                return list(y), spent
-    return None, spent
-
-
-def _solve_az2(a, target, p, base):
-    """All z mod p^base with a z^2 = target mod p^base (modulus is small)."""
-    mod = p**base
-    return [z for z in range(mod) if (a * z * z - target) % mod == 0]
-
-
-def _hensel_lift_diag(a, y, p, m):
-    """Lift a mod-p^k zero of sum a_i y_i^2 digit by digit to precision m."""
-    y = list(y)
-    while True:
-        val = _diag_val(a, y, p)
-        if val >= m:
-            return y
-        grads = [
-            (valuation(Fraction(2 * a[i] * y[i]), p), i)
-            for i in range(len(y))
-            if a[i] * y[i] != 0
-        ]
-        if not grads:
-            return None
-        s, i = min(grads)
-        if val < 2 * s + 1:
-            return None
-        # y_i += c p^{val - s} solves the next digit
-        g = 2 * a[i] * y[i]
-        gv = Fraction(g) / p**s
-        fv = Fraction(sum(ai * yi * yi for ai, yi in zip(a, y))) / p**val
-        c = (-_unit_rep_mod(fv, p, 1) * pow(_unit_rep_mod(gv, p, 1), -1, p)) % p
-        y[i] += c * p ** (val - s)
-
-
-# --- standardization ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardizationResult:
-    """Transform g with q(g x) = 2 x_1 x_d + q'(x_2..x_{d-1}), x a column.
-
-    exact=True: the matrix identity g^T G g = standard Gram holds over Q.
-    exact=False: it holds mod p^precision (the two corner diagonal entries
-    have valuation >= precision); arises when the form is locally but not
-    rationally isotropic.
-    """
-
-    place: int
-    transform: tuple
-    residual_form: tuple
-    k0: int
-    z: int
-    exact: bool
-    precision: int
-
-
-def standard_gram(d: int):
-    g = [[Fraction(0)] * d for _ in range(d)]
-    g[0][d - 1] = g[d - 1][0] = Fraction(1)
-    return g
-
-
-def standardize(q: QuadraticFormS, p: int, precision: int = 12) -> StandardizationResult:
-    """Split off a hyperbolic plane at the finite place p.
-
-    The transform's columns are [v, u_2, .., u_{d-1}, w] with v isotropic,
-    B(v,w)=1, Q(w)=0 (exactly when a rational isotropic vector exists, else
-    to p-adic precision), and the complement Gram q' normalized to
-    p-integral entries (even diagonal for p=2).
-    """
-    if p == INF or p not in q.ctx.primes:
-        raise ConfigError("standardize works at a finite place of S")
-    if q.dim < 3:
-        raise ConfigError("standardize needs dim >= 3")
-    if _exact_det(q.gram_at(p)) == 0:
-        raise DegenerateForm(f"degenerate at p={p}")
-    if not is_isotropic(q, p):
-        raise AnisotropicForm(f"form is anisotropic at p={p}")
-    v = rational_isotropic_vector(q)
-    exact = v is not None
-    work = precision
-    for _ in range(6):
-        if not exact:
-            v = padic_isotropic_vector(q, p, work)
-        try:
-            rows, qprime, achieved = _hyperbolic_split(q.gram_at(p), v, p)
-        except PrecisionExhausted:
-            if exact:
-                raise
-            work += 4
-            continue
-        if exact or achieved >= precision:
-            k0, z = _transform_exponents(rows, p)
-            return StandardizationResult(
-                p, la.transpose(rows), qprime, k0, z, exact,
-                precision if exact else achieved,
-            )
-        work += max(4, precision - achieved)
-    raise PrecisionExhausted("could not reach the requested p-adic precision")
-
-
-def _hyperbolic_split(g, v, p):
-    d = len(g)
-    eps = la.dot(la.vec_mat(v, g), v)  # Q(v), zero in the exact case
-    vg = la.vec_mat(v, g)
-    j = next((i for i, x in enumerate(vg) if x != 0), None)
-    if j is None:
-        raise DegenerateForm("isotropic vector in the radical")
-    w = tuple(Fraction(1) / vg[j] if i == j else Fraction(0) for i in range(d))
-    qw = la.dot(la.vec_mat(w, g), w)
-    w = tuple(wi - qw / 2 * vi for wi, vi in zip(w, v))  # Q(w) = (qw/2)^2 eps
-    beta = la.dot(la.vec_mat(v, g), w)  # 1 - (qw/2) eps
-    if beta == 0:
-        raise PrecisionExhausted("degenerate pairing, retry at higher precision")
-    w = tuple(wi / beta for wi in w)
-    comp = la.solve_right_nullspace([la.vec_mat(v, g), la.vec_mat(w, g)])
-    if len(comp) != d - 2:
-        raise DegenerateForm("hyperbolic complement has wrong dimension")
-    comp = _normalize_residual(comp, g, p)
-    rows = (tuple(v),) + tuple(comp) + (tuple(w),)
-    gram2 = la.mat_mul(la.mat_mul(rows, g), la.transpose(rows))
-    qprime = tuple(tuple(gram2[i][j] for j in range(1, d - 1)) for i in range(1, d - 1))
-    corner_vals = [gram2[0][0], gram2[d - 1][d - 1]]
-    achieved = min(
-        (valuation(x, p) if x != 0 else 10**9) for x in corner_vals
-    )
-    return rows, qprime, achieved
-
-
-def _normalize_residual(comp, g, p):
-    """Scale complement rows by powers of p until the restricted Gram is
-    p-integral (diagonal valuation >= 1 when p = 2)."""
-    comp = [list(r) for r in comp]
-    need_diag = 1 if p == 2 else 0
-    for _ in range(200):
-        gram = [
-            [la.dot(la.vec_mat(tuple(a), g), tuple(b)) for b in comp] for a in comp
-        ]
-        bad = None
-        for i in range(len(comp)):
-            for j in range(len(comp)):
-                x = gram[i][j]
-                if x == 0:
-                    continue
-                floor = need_diag if i == j else 0
-                if valuation(x, p) < floor:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return [tuple(r) for r in comp]
-        comp[bad] = [p * x for x in comp[bad]]
-    raise PrecisionExhausted("residual normalization did not terminate")
-
-
-def padic_smith_exponents(m, p: int) -> list[int]:
-    """Elementary divisor exponents e_1 <= ... <= e_d of a rational invertible
-    matrix viewed over Z_p, from gcd-of-minors valuations."""
-    from itertools import combinations
-
-    d = len(m)
-    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
-    prev = 0
-    out = []
-    for k in range(1, d + 1):
-        best = None
-        for ri in combinations(range(d), k):
-            for ci in combinations(range(d), k):
-                sub = tuple(tuple(rows[i][j] for j in ci) for i in ri)
-                dv = la.det(sub)
-                if dv != 0:
-                    val = valuation(dv, p)
-                    if best is None or val < best:
-                        best = val
-        if best is None:
-            raise DegenerateForm("singular matrix has no Smith exponents")
-        out.append(best - prev)
-        prev = best
-    return out
-
-
-def _transform_exponents(rows, p) -> tuple[int, int]:
-    """k0 and z for the basis-change matrix: k0 = e_max + 1 makes the image of
-    the primitive vectors stable under adding p^{k0} Z_p^d, and z = e_max gives
-    p^z Z_p^d inside the image of Z_p^d (certified by the Smith exponents,
-    which are invariant under transposition)."""
-    exps = padic_smith_exponents(rows, p)
-    e_max = max(exps)
-    return e_max + 1, e_max

@@ -1,5 +1,8 @@
 """S-arithmetic scalars: places, norms, S-integers, zeta values, group orders.
 
+Also the package's one copy of each elementary number-theory helper: prime
+factorization, CRT, and the residue of a rational mod m.
+
 Fix a finite set of primes S_f and write S = {inf} + S_f.  The ring Z_S of
 S-integers consists of rationals whose denominator is a product of primes in
 S_f.  Everything here is exact (Python ints and Fractions) except the zeta
@@ -8,10 +11,7 @@ values, which return a float together with a certified truncation bound.
 Conventions used throughout the package:
   * a "place" is either the constant INF or a prime in S_f;
   * |x|_p = p^{-v_p(x)} for finite p, |x|_inf = usual absolute value;
-  * N_S = positive integers coprime to every prime of S_f;
-  * P_S = monomials prod p_j^{z_j} with z_j in Z (all integers, so that
-    every primitive S-integral vector is an S-unit multiple of a primitive
-    integer vector).
+  * N_S = positive integers coprime to every prime of S_f.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from fractions import Fraction
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    DenominatorNotInvertibleModQ,
     NonSUnitDenominator,
     ToleranceUnreachable,
-    ZeroDenominator,
 )
 
 INF = float("inf")
@@ -43,19 +43,39 @@ _ZETA_TABLE = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# --- elementary number theory --------------------------------------------------
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for |n| <= 1."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def crt(a1: int, m1: int, a2: int, m2: int) -> int:
+    """The residue mod m1 m2 congruent to a1 mod m1 and a2 mod m2 (coprime)."""
+    return (a1 + m1 * ((a2 - a1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
+
+
+def frac_mod(x, m: int) -> int:
+    """x mod m for a rational x whose denominator is invertible mod m."""
+    x = Fraction(x)
+    try:
+        inv = pow(x.denominator, -1, m)
+    except ValueError:
+        raise DenominatorNotInvertibleModQ(
+            f"denominator {x.denominator} is not invertible mod {m}"
+        ) from None
+    return x.numerator * inv % m
 
 
 @dataclass(frozen=True)
@@ -70,15 +90,12 @@ class SConfig:
         if len(set(primes)) != len(primes):
             raise ConfigError("duplicate primes in S_f")
         for p in primes:
-            if not isinstance(p, int) or not _is_prime(p):
+            if not isinstance(p, int) or prime_factors(p) != [p]:
                 raise ConfigError(f"not a prime: {p!r}")
 
     @property
     def places(self) -> tuple:
         return (INF,) + self.primes
-
-    def contains_place(self, p) -> bool:
-        return p == INF or p in self.primes
 
 
 def valuation(x, p: int) -> int:
@@ -111,47 +128,6 @@ def padic_norm(x, p) -> Fraction:
     return Fraction(p) ** (-valuation(x, p))
 
 
-@dataclass(frozen=True)
-class SRational:
-    """Element of Z_S in lowest terms: denominator a product of S_f primes."""
-
-    num: int
-    den: int
-    ctx: SConfig
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __add__(self, other):
-        return _wrap(self.as_fraction() + _frac(other), self.ctx)
-
-    def __sub__(self, other):
-        return _wrap(self.as_fraction() - _frac(other), self.ctx)
-
-    def __mul__(self, other):
-        return _wrap(self.as_fraction() * _frac(other), self.ctx)
-
-    def __neg__(self):
-        return _wrap(-self.as_fraction(), self.ctx)
-
-    def __eq__(self, other):
-        return self.as_fraction() == _frac(other)
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, SRational):
-        return x.as_fraction()
-    return Fraction(x)
-
-
-def _wrap(x: Fraction, ctx: SConfig) -> "SRational":
-    # Ring operations keep Z_S closed, so re-checking here is cheap insurance.
-    return srational_new(x.numerator, x.denominator, ctx)
-
-
 def s_free_part(n: int, ctx: SConfig) -> int:
     """Positive n with every S_f factor removed."""
     n = abs(n)
@@ -163,18 +139,6 @@ def s_free_part(n: int, ctx: SConfig) -> int:
 
 def is_s_unit_denominator(den: int, ctx: SConfig) -> bool:
     return s_free_part(den, ctx) == 1
-
-
-def srational_new(num: int, den: int, ctx: SConfig) -> SRational:
-    """Canonical S-integer num/den; rejects denominators with primes outside S_f."""
-    if den == 0:
-        raise ZeroDenominator("denominator is zero")
-    f = Fraction(num, den)
-    if not is_s_unit_denominator(f.denominator, ctx):
-        raise NonSUnitDenominator(
-            f"denominator {f.denominator} has a prime factor outside S_f={ctx.primes}"
-        )
-    return SRational(f.numerator, f.denominator, ctx)
 
 
 @dataclass(frozen=True)
@@ -191,28 +155,8 @@ class SVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
     def is_s_integral(self) -> bool:
         return all(is_s_unit_denominator(c.denominator, self.ctx) for c in self.coords)
-
-    def __add__(self, other):
-        if isinstance(other, SVector):
-            if other.dim != self.dim:
-                raise DimensionMismatch("vector dimensions differ")
-            other = other.coords
-        return SVector(tuple(a + b for a, b in zip(self.coords, other)), self.ctx)
-
-    def __sub__(self, other):
-        if isinstance(other, SVector):
-            other = other.coords
-        return SVector(tuple(a - b for a, b in zip(self.coords, other)), self.ctx)
-
-    def scale(self, c) -> "SVector":
-        c = Fraction(c)
-        return SVector(tuple(c * a for a in self.coords), self.ctx)
 
 
 def svector(coords, ctx: SConfig) -> SVector:
@@ -267,30 +211,13 @@ def is_in_NS(n: int, ctx: SConfig) -> bool:
     return all(n % p != 0 for p in ctx.primes)
 
 
-def is_in_PS(x, ctx: SConfig) -> bool:
-    """x in P_S: positive and exactly a monomial prod p_j^{z_j}, z_j in Z."""
-    x = _frac(x)
-    if x <= 0:
-        return False
-    return (
-        s_free_part(x.numerator, ctx) == 1
-        and s_free_part(x.denominator, ctx) == 1
-    )
-
-
-def gcd_S(q: int, k, ctx: SConfig | None = None) -> int:
+def gcd_S(q: int, k, ctx: SConfig) -> int:
     """gcd(q, k) for q in N_S and a nonzero S-integral vector k.
 
     Scale k by an S-unit to an integer vector k'; the result gcd(q, gcd(k'))
     does not depend on the choice because q is coprime to every S_f prime.
     """
-    if isinstance(k, SVector):
-        ctx = k.ctx
-        coords = k.coords
-    else:
-        coords = tuple(Fraction(c) for c in k)
-    if ctx is None:
-        raise ConfigError("SConfig required")
+    coords = tuple(Fraction(c) for c in k)
     if not is_in_NS(q, ctx):
         raise ConfigError(f"q={q} not in N_S")
     if all(c == 0 for c in coords):
@@ -321,19 +248,10 @@ def vector_content_NS(k, ctx: SConfig) -> int:
 def mobius(n: int) -> int:
     if n < 1:
         raise ConfigError("mobius needs n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        else:
-            p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    primes = prime_factors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 # --- zeta values --------------------------------------------------------------
@@ -355,7 +273,7 @@ def zeta_S(d: int, ctx: SConfig, tolerance: float = 1e-9,
     if tolerance < 1e-12:
         raise ToleranceUnreachable("tolerance below double-precision resolution")
     mod = 1
-    for p in set(ctx.primes) | set(_prime_factors(coprime_to)):
+    for p in set(ctx.primes) | set(prime_factors(coprime_to)):
         mod *= p
     residues = [r for r in range(1, mod + 1) if math.gcd(r, mod) == 1]
     # choose K so the bracket width sum_r (KM+r)^{-d} stays under tolerance
@@ -390,25 +308,10 @@ def zeta_S_euler(d: int, ctx: SConfig, coprime_to: int = 1) -> float:
     value = _ZETA_TABLE[d]
     for p in ctx.primes:
         value *= 1.0 - float(p) ** (-d)
-    for p in _prime_factors(coprime_to):
+    for p in prime_factors(coprime_to):
         if p not in ctx.primes:
             value *= 1.0 - float(p) ** (-d)
     return value
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # --- group orders and the normalization identity ------------------------------
@@ -423,7 +326,7 @@ def sl_group_order(d: int, q: int) -> int:
     if q == 1 or d == 1:
         return 1
     order = Fraction(q) ** (d * d - 1)
-    for p in _prime_factors(q):
+    for p in prime_factors(q):
         for i in range(2, d + 1):
             order *= 1 - Fraction(1, p**i)
     assert order.denominator == 1
@@ -461,7 +364,7 @@ def normalization_identity_residual(
     prefactor /= sl_group_order(d, q)
     if method == "closed":
         ratio = Fraction(1)
-        for p in _prime_factors(q):
+        for p in prime_factors(q):
             ratio *= 1 - Fraction(1, p**d)
         return abs(prefactor * ratio - 1)
     if method != "series":

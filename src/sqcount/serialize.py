@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import ShrinkingFamily, shrinking_family
 from .errors import ConfigError
 from .qspace import QuadraticFormS, quadratic_form
-from .sarith import INF, SConfig, TVector
+from .sarith import SConfig, TVector
 from .slattice import (
     SBox,
     TestFunction,
@@ -111,61 +110,6 @@ def form_from_json(obj: dict, ctx: SConfig) -> QuadraticFormS:
         for p, vec in (obj.get("shift_p") or {}).items()
     }
     return quadratic_form(ctx, gram_inf, gram_p or None, shift, shift_p or None)
-
-
-def form_to_json(q_form: QuadraticFormS) -> dict:
-    out: dict = {"gram_inf": jsonable(q_form.gram[INF])}
-    gram_p = {
-        p: q_form.gram[p]
-        for p in q_form.ctx.primes
-        if q_form.gram[p] is not q_form.gram[INF]
-    }
-    if gram_p:
-        out["gram_p"] = jsonable(gram_p)
-    if q_form.shift:
-        shifts = dict(q_form.shift)
-        real = shifts.pop(INF, None)
-        if real is not None:
-            out["shift"] = jsonable(real)
-        if shifts:
-            out["shift_p"] = jsonable(shifts)
-    return out
-
-
-# --- shrinking families ---------------------------------------------------------
-
-
-def family_from_json(obj: dict, d: int) -> ShrinkingFamily:
-    """Family from {"c_inf": ..., "kappa_inf": ..., "a_inf": ...,
-    "finite": {"p": {"a": ..., "c": ..., "kappa": ...}}}."""
-    if not isinstance(obj, dict) or "c_inf" not in obj:
-        raise ConfigError("family object needs c_inf")
-    finite = {}
-    for p, part in (obj.get("finite") or {}).items():
-        finite[int(p)] = (
-            parse_frac(part.get("a", 0)),
-            int(part.get("c", 0)),
-            int(part.get("kappa", 0)),
-        )
-    return shrinking_family(
-        d,
-        parse_frac(obj["c_inf"]),
-        float(obj.get("kappa_inf", 0.0)),
-        parse_frac(obj.get("a_inf", 0)),
-        finite,
-    )
-
-
-def family_to_json(family: ShrinkingFamily) -> dict:
-    return {
-        "c_inf": jsonable(Fraction(family.c_inf)),
-        "kappa_inf": family.kappa_inf,
-        "a_inf": jsonable(Fraction(family.a_inf)),
-        "finite": {
-            str(p): {"a": frac_str(part.a), "c": part.c, "kappa": part.kappa}
-            for p, part in family.finite.items()
-        },
-    }
 
 
 # --- test functions --------------------------------------------------------------

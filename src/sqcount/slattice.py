@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _linalg as la
 from .errors import (
     ConfigError,
@@ -28,7 +30,7 @@ from .errors import (
     InvariantViolation,
     RegionTooLarge,
 )
-from .sarith import INF, SConfig, TVector, padic_norm, valuation
+from .sarith import INF, SConfig, TVector, crt, frac_mod, padic_norm, valuation
 
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
@@ -199,12 +201,6 @@ class AffineSLattice:
     depth: dict
     exact: bool
 
-    def basis_at(self, place):
-        return self.basis_inf if place == INF else self.basis_p[place]
-
-    def shift_at(self, place):
-        return self.shift_inf if place == INF else self.shift_p[place]
-
 
 @dataclass(frozen=True)
 class LatticePoint:
@@ -262,7 +258,7 @@ def affine_slattice_split(
     """Split-mode lattice: float real basis, exact p-integral finite bases."""
     d = len(basis_inf)
     b_inf = tuple(tuple(float(x) for x in row) for row in basis_inf)
-    det = _float_det(b_inf)
+    det = float(np.linalg.det(b_inf))
     if abs(abs(det) - 1.0) > 1e-6:
         raise ConfigError(f"real basis determinant {det} is not +-1")
     bp = {}
@@ -280,25 +276,6 @@ def affine_slattice_split(
     }
     dep = {p: (depth or {}).get(p) for p in ctx.primes}
     return AffineSLattice(d, ctx, b_inf, s_inf, bp, sp, dep, False)
-
-
-def _float_det(m) -> float:
-    n = len(m)
-    a = [list(row) for row in m]
-    out = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if a[piv][c] == 0:
-            return 0.0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for k in range(c, n):
-                a[r][k] -= f * a[c][k]
-    return out
 
 
 # --- integer square roots on fractions -----------------------------------------------
@@ -360,11 +337,7 @@ def enumerate_points(
         if pe == 1:
             continue
         for i in range(d):
-            target = Fraction(big_r) * w[i]
-            t_int = (
-                target.numerator * pow(target.denominator, -1, pe)
-            ) % pe
-            rem[i] = _crt(rem[i], mod, t_int, pe)
+            rem[i] = crt(rem[i], mod, frac_mod(big_r * w[i], pe), pe)
         mod *= pe
     # real place: v(n) = n . B + y0 with m = rem + mod * n
     exact_real = lat.exact and isinstance(box.t.t_inf, (int, Fraction)) and all(
@@ -407,11 +380,6 @@ def enumerate_points(
     return points
 
 
-def _crt(a1, m1, a2, m2):
-    u = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * u % m2)) % (m1 * m2)
-
-
 def _make_point(lat: AffineSLattice, k) -> LatticePoint:
     if lat.exact:
         v = tuple(
@@ -447,7 +415,7 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact):
         binv = la.inverse(b)
         nstar = tuple(-x for x in la.vec_mat(y0, binv))
     else:
-        binv = _float_inverse(b)
+        binv = np.linalg.inv(b).tolist()
         nstar = tuple(
             -sum(y0[i] * binv[i][j] for i in range(d)) for j in range(d)
         )
@@ -531,23 +499,6 @@ def _leaf_ok(n, b, y0, t2, exact) -> bool:
     return s < t2
 
 
-def _float_inverse(m):
-    n = len(m)
-    a = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if a[piv][c] == 0:
-            raise DegenerateForm("singular real basis")
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                g = a[r][c]
-                a[r] = [x - g * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
 # --- Siegel transforms and counting ------------------------------------------------
 
 
@@ -566,28 +517,3 @@ def siegel_transform(
             continue
         total += f(pt, lat.ctx)
     return total
-
-
-def count_in_set(
-    lat: AffineSLattice, target, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> int:
-    """Exact number of lattice points in an SBox or indicator target."""
-    if isinstance(target, SBox):
-        target = indicator_sbox(target)
-    return siegel_transform(target, lat, "affine", max_candidates)
-
-
-def discrepancy(
-    lat: AffineSLattice, target, vol: float | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> float:
-    """|#(lattice points in target) - vol(target)|."""
-    if vol is None:
-        if isinstance(target, SBox):
-            vol = target.volume(lat.dim)
-        elif target.kind == "sbox":
-            vol = target.box.volume(lat.dim)
-        else:
-            raise ConfigError("volume must be supplied for non-box targets")
-    n = count_in_set(lat, target, max_candidates)
-    return abs(n - vol)

@@ -1,10 +1,11 @@
 """Volumes of quadric slices intersected with S-balls.
 
-Finite places: exact Haar volumes by residue counting with a stabilization
-certificate, after an integral block-diagonalization of the Gram matrix
-over Z_p. Real place: section quadrature after orthogonal diagonalization,
-cross-checked by Monte Carlo. On top of both, the leading-constant
-extraction c_Q with a geometric T ladder and two-point extrapolation.
+Finite places: exact Haar volumes by residue counting at the modulus that
+decides the target, after an integral block-diagonalization of the Gram
+matrix over Z_p. Real place: section quadrature after orthogonal
+diagonalization, cross-checked by Monte Carlo. On top of both, the
+leading-constant extraction c_Q with a geometric T ladder and two-point
+extrapolation.
 """
 
 from __future__ import annotations
@@ -22,28 +23,22 @@ from .errors import (
     DegenerateForm,
     FamilyOutOfRange,
     MethodDisagreement,
-    NotStabilized,
 )
 from .qspace import QuadraticFormS, is_isotropic
-from .sarith import INF, valuation
+from .sarith import INF, frac_mod, valuation
 
 
 # --- p-adic volumes -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class PadicVolumeRequest:
-    """vol_p of {x in p^{-t} Z_p^d : Q(x) in a + p^c Z_p}.
-
-    m is the counting-modulus budget: the largest residue exponent tried
-    before giving up on stabilization (None picks a sufficient default).
-    """
+    """vol_p of {x in p^{-t} Z_p^d : Q(x) in a + p^c Z_p}."""
 
     p: int
     gram: tuple
     t: int = 0
     a: Fraction = Fraction(0)
     c: int = 0
-    m: int | None = None
 
 
 def _val(x: Fraction, p: int):
@@ -118,28 +113,23 @@ def _jordan_blocks(gram, p: int):
     return blocks
 
 
-def _mod_m(x: Fraction, big_m: int) -> int:
-    return x.numerator * pow(x.denominator, -1, big_m) % big_m
-
-
-def _block_histogram(block, p: int, m: int, big_m: int, lam: int):
-    """Counts of p^{-lam} Q_block(y) mod big_m over y mod p^m."""
+def _block_histogram(block, p: int, big_m: int, lam: int):
+    """Counts of p^{-lam} Q_block(y) mod big_m over y mod big_m."""
     scale = Fraction(1, 1) / Fraction(p) ** lam
-    pm = p**m
     hist = {}
     if len(block) == 1:
-        alpha = _mod_m(block[0][0] * scale, big_m)
-        for y in range(pm):
+        alpha = frac_mod(block[0][0] * scale, big_m)
+        for y in range(big_m):
             r = alpha * y * y % big_m
             hist[r] = hist.get(r, 0) + 1
     else:
-        aa = _mod_m(block[0][0] * scale, big_m)
-        bb = _mod_m(block[0][1] * scale, big_m)
-        cc = _mod_m(block[1][1] * scale, big_m)
-        for y1 in range(pm):
+        aa = frac_mod(block[0][0] * scale, big_m)
+        bb = frac_mod(block[0][1] * scale, big_m)
+        cc = frac_mod(block[1][1] * scale, big_m)
+        for y1 in range(big_m):
             base = aa * y1 * y1
             cross = 2 * bb * y1
-            for y2 in range(pm):
+            for y2 in range(big_m):
                 r = (base + cross * y2 + cc * y2 * y2) % big_m
                 hist[r] = hist.get(r, 0) + 1
     return hist
@@ -149,9 +139,10 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
     """Exact vol_p({x in p^{-t} Z_p^d : Q(x) in a + p^c Z_p}).
 
     Rescaling x = p^{-t} y turns the condition into Q(y) = b mod p^s with
-    b = p^{2t} a and s = 2t + c; the solution fraction among residues
-    mod p^m is evaluated for growing m and returned once two successive
-    values agree exactly.
+    b = p^{2t} a and s = 2t + c. With lam <= 0 below the valuations of the
+    Gram entries and of b, the condition p^{-lam} Q(y) = p^{-lam} b mod
+    p^{s - lam} depends only on y mod p^{s - lam}, so the solution fraction
+    among those residues is the exact volume.
     """
     p, t, c = req.p, req.t, req.c
     gram = la.as_matrix(req.gram)
@@ -165,35 +156,22 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
     lam = min(0, _min_val(tuple(x for row in gram for x in row), p))
     if b != 0:
         lam = min(lam, _val(b, p))
-    if s - lam <= 0:
+    m = s - lam
+    if m <= 0:
         # the target cannot exclude any integral value
         return ball
-    big_m = p ** (s - lam)
-    blocks = _jordan_blocks(gram, p)
-    target = _mod_m(b / Fraction(p) ** lam, big_m) if b else 0
-
-    def fraction_at(m):
-        combined = {0: 1}
-        for block in blocks:
-            hb = _block_histogram(block, p, m, big_m, lam)
-            nxt = {}
-            for r1, c1 in combined.items():
-                for r2, c2 in hb.items():
-                    key = (r1 + r2) % big_m
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            combined = nxt
-        return Fraction(combined.get(target, 0), p ** (d * m))
-
-    max_m = req.m if req.m is not None else max(2, s - lam + 1)
-    prev = None
-    for m in range(1, max_m + 1):
-        cur = fraction_at(m)
-        if prev is not None and cur == prev:
-            return ball * cur
-        prev = cur
-    raise NotStabilized(
-        f"residue fractions did not stabilize within m <= {max_m}"
-    )
+    big_m = p**m
+    target = frac_mod(b / Fraction(p) ** lam, big_m) if b else 0
+    combined = {0: 1}
+    for block in _jordan_blocks(gram, p):
+        hb = _block_histogram(block, p, big_m, lam)
+        nxt = {}
+        for r1, c1 in combined.items():
+            for r2, c2 in hb.items():
+                key = (r1 + r2) % big_m
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        combined = nxt
+    return ball * Fraction(combined.get(target, 0), p ** (d * m))
 
 
 # --- real volumes -------------------------------------------------------------

@@ -22,11 +22,9 @@ from sqcount.errors import (
 )
 from sqcount.moments import (
     MCEstimate,
-    estimate_moment,
     estimate_moments,
     inhom_series,
     lattice_stream,
-    sample_lattice,
     second_moment_rhs,
     space_spec,
     variance_check,
@@ -130,7 +128,9 @@ class TestSiegelSampler:
     def test_base_first_moment_matches_volume(self):
         sp = space_spec("base", 2, S0)
         box = SBox(TVector(2.0, {}, S0))
-        est = estimate_moment(sp, indicator_sbox(box), 1, n=20_000, seed=101)
+        est = estimate_moments(
+            sp, [indicator_sbox(box)], (1,), n=20_000, seed=101
+        )[0][0]
         assert est.sampler_exactness == "exact"
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
 
@@ -195,7 +195,9 @@ class TestCongruenceSampler:
         cctx = congruence_context(2, 5, (1, 0), S2)
         sp = space_spec("congruence", 2, S2, cctx=cctx)
         box = SBox(TVector(2.5, {2: 0}, S2))
-        est = estimate_moment(sp, indicator_sbox(box), 1, n=4000, seed=3)
+        est = estimate_moments(
+            sp, [indicator_sbox(box)], (1,), n=4000, seed=3
+        )[0][0]
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
 
 
@@ -203,7 +205,9 @@ class TestMCMCSampler:
     def test_flagged_and_reported(self):
         sp = space_spec("affine", 3, S2, mcmc_burn_in=200, mcmc_thin=10)
         box = SBox(TVector(1.5, {2: 0}, S2))
-        est = estimate_moment(sp, indicator_sbox(box), 1, n=400, seed=2)
+        est = estimate_moments(
+            sp, [indicator_sbox(box)], (1,), n=400, seed=2
+        )[0][0]
         assert est.sampler_exactness == "mcmc-approximate"
         # reported, not asserted: the walk should land in the right decade
         rel_err = abs(est.mean - box.volume(3)) / box.volume(3)
@@ -211,7 +215,7 @@ class TestMCMCSampler:
 
     def test_base_lattice_is_unimodular(self):
         sp = space_spec("base", 3, S2, mcmc_burn_in=100, mcmc_thin=5)
-        lat = sample_lattice(sp, np.random.default_rng(6))
+        lat = next(lattice_stream(sp, np.random.default_rng(6)))
         det = np.linalg.det(np.array(lat.basis_inf))
         assert abs(abs(det) - 1.0) < 1e-8
 
@@ -223,23 +227,23 @@ class TestEstimatorPlumbing:
     def test_deterministic_given_seed_and_workers(self):
         sp = space_spec("affine", 2, S2)
         f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
-        a = estimate_moment(sp, f, 1, n=300, seed=42, workers=3)
-        b = estimate_moment(sp, f, 1, n=300, seed=42, workers=3)
+        a = estimate_moments(sp, [f], (1,), n=300, seed=42, workers=3)[0][0]
+        b = estimate_moments(sp, [f], (1,), n=300, seed=42, workers=3)[0][0]
         assert a == b
 
     def test_orders_share_the_stream(self):
         # adding an order must not consume extra randomness
         sp = space_spec("affine", 2, S2)
         f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
-        single = estimate_moment(sp, f, 1, n=200, seed=5)
+        single = estimate_moments(sp, [f], (1,), n=200, seed=5)[0][0]
         both = estimate_moments(sp, [f], (1, 2), n=200, seed=5)
         assert single.mean == both[0][0].mean
 
     def test_worker_split_changes_stream_not_distribution(self):
         sp = space_spec("affine", 2, S2)
         f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
-        a = estimate_moment(sp, f, 1, n=2000, seed=42, workers=1)
-        b = estimate_moment(sp, f, 1, n=2000, seed=42, workers=4)
+        a = estimate_moments(sp, [f], (1,), n=2000, seed=42, workers=1)[0][0]
+        b = estimate_moments(sp, [f], (1,), n=2000, seed=42, workers=4)[0][0]
         assert a.mean != b.mean
         assert abs(a.mean - b.mean) <= 4 * math.hypot(a.stderr, b.stderr)
 
@@ -247,7 +251,7 @@ class TestEstimatorPlumbing:
         sp = space_spec("affine", 2, S2)
         f = indicator_sbox(SBox(TVector(1.5, {2: 0}, S2)))
         n = 50
-        est = estimate_moment(sp, f, 1, n=n, seed=8)
+        est = estimate_moments(sp, [f], (1,), n=n, seed=8)[0][0]
         # replay the same stream by hand
         stream = lattice_stream(sp, np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]))
         vals = [siegel_transform(f, next(stream), "affine") for _ in range(n)]
@@ -260,13 +264,13 @@ class TestEstimatorPlumbing:
         sp = space_spec("affine", 2, S2)
         f = indicator_sbox(SBox(TVector(1.0, {2: 0}, S2)))
         with pytest.raises(ConfigError):
-            estimate_moment(sp, f, 3, n=100, seed=0)
+            estimate_moments(sp, [f], (3,), n=100, seed=0)
         with pytest.raises(ConfigError):
-            estimate_moment(sp, f, 1, n=1, seed=0)
+            estimate_moments(sp, [f], (1,), n=1, seed=0)
         with pytest.raises(ConfigError):
             estimate_moments(sp, [], (1,), n=100, seed=0)
         with pytest.raises(ConfigError):
-            estimate_moment(sp, f, 1, n=10, seed=0, workers=11)
+            estimate_moments(sp, [f], (1,), n=10, seed=0, workers=11)
 
 
 # --- exact pair series -------------------------------------------------------------------

@@ -12,20 +12,14 @@ from fractions import Fraction
 import pytest
 
 from sqcount import _linalg as la
-from sqcount.errors import AnisotropicForm, ConfigError, DegenerateForm
+from sqcount.errors import ConfigError, DegenerateForm, DimensionMismatch
 from sqcount.qspace import (
     diagonalize,
-    eval_form,
     hilbert_symbol,
     is_isotropic,
     is_square_qp,
     legendre_symbol,
-    padic_smith_exponents,
     quadratic_form,
-    rational_isotropic_vector,
-    sqrt_mod_pk,
-    standard_gram,
-    standardize,
 )
 from sqcount.sarith import INF, SConfig, valuation
 
@@ -116,25 +110,21 @@ def isotropic_bruteforce(entries, p) -> bool:
 class TestEvalForm:
     def test_isotropic_vector_value_zero_everywhere(self):
         q = diag_form(S23, 1, 1, -1)
-        vals = eval_form(q, (1, 0, 1))
-        assert set(vals) == {INF, 2, 3}
-        assert all(v == 0 for v in vals.values())
+        assert all(q.value_at((1, 0, 1), place) == 0 for place in S23.places)
 
     def test_plain_value(self):
         q = diag_form(S23, 1, 1, -1)
-        assert all(v == 2 for v in eval_form(q, (1, 1, 0)).values())
+        assert all(q.value_at((1, 1, 0), place) == 2 for place in S23.places)
 
     def test_shifted_value_exact(self):
         q = diag_form(S23, 1, 1, -1, shift=(Fraction(1, 5), 0, 0))
-        vals = eval_form(q, (1, 3, 0))
-        assert vals[2] == Fraction(261, 25)
-        assert vals[3] == Fraction(261, 25)
-        assert vals[INF] == Fraction(261, 25)
+        for place in S23.places:
+            assert q.value_at((1, 3, 0), place) == Fraction(261, 25)
 
     def test_dimension_mismatch(self):
         q = diag_form(S23, 1, 1, -1)
-        with pytest.raises(Exception):
-            eval_form(q, (1, 0))
+        with pytest.raises(DimensionMismatch):
+            q.value_at((1, 0), 2)
 
     def test_float_real_gram_keeps_finite_places_exact(self):
         import math
@@ -142,9 +132,9 @@ class TestEvalForm:
         g_inf = [[math.sqrt(2), 0.0], [0.0, 1.0]]
         g_p = [[Fraction(1), 0], [0, Fraction(1)]]
         q = quadratic_form(S3, g_inf, gram_p={3: g_p})
-        vals = eval_form(q, (Fraction(1, 3), 1))
-        assert isinstance(vals[INF], float)
-        assert vals[3] == Fraction(10, 9)
+        v = (Fraction(1, 3), 1)
+        assert isinstance(q.value_at(v, INF), float)
+        assert q.value_at(v, 3) == Fraction(10, 9)
 
     def test_polarization_bilinear_exact(self):
         rng = random.Random(7)
@@ -153,9 +143,9 @@ class TestEvalForm:
         def beta(u, w):
             vals = {}
             for place in (2, 3):
-                quw = eval_form(q, tuple(a + b for a, b in zip(u, w)))[place]
-                vals[place] = (quw - eval_form(q, u)[place]
-                               - eval_form(q, w)[place]) / 2
+                quw = q.value_at(tuple(a + b for a, b in zip(u, w)), place)
+                vals[place] = (quw - q.value_at(u, place)
+                               - q.value_at(w, place)) / 2
             return vals
 
         for _ in range(25):
@@ -267,19 +257,6 @@ class TestSquareClasses:
         assert legendre_symbol(2, 7) == 1
         assert legendre_symbol(3, 7) == -1
 
-    def test_sqrt_mod_pk_roundtrip(self):
-        rng = random.Random(13)
-        for p in (2, 3, 5, 7, 13):
-            for k in range(1, 9):
-                mod = p**k
-                for _ in range(10):
-                    s0 = rng.randrange(1, mod)
-                    if s0 % p == 0:
-                        continue
-                    a = s0 * s0 % mod
-                    s = sqrt_mod_pk(a, p, k)
-                    assert s * s % mod == a % mod
-
 
 # --- diagonalization ---------------------------------------------------------------
 
@@ -385,122 +362,3 @@ class TestIsotropy:
             assert is_isotropic(q, p) == isotropic_bruteforce(entries, p), (
                 entries, p,
             )
-
-
-# --- standardization ----------------------------------------------------------------
-
-
-def _check_containments(res, gram, p, rng, trials=1000):
-    d = len(gram)
-    g = res.transform
-    ginv = la.inverse(g)
-    for _ in range(trials):
-        x = tuple(Fraction(rng.randrange(p**4)) for _ in range(d))
-        while all(c % p == 0 for c in x):
-            x = tuple(Fraction(rng.randrange(p**4)) for _ in range(d))
-        z = tuple(Fraction(rng.randrange(-(p**3), p**3)) for _ in range(d))
-        # image-stability at level k0: g x + p^{k0} z lands back in g(primitive)
-        y = la.mat_vec(g, x)
-        shifted = tuple(a + p**res.k0 * b for a, b in zip(y, z))
-        back = la.mat_vec(ginv, shifted)
-        vals = [valuation(c, p) for c in back if c != 0]
-        assert all(v >= 0 for v in vals) and min(vals) == 0, (x, z)
-        # p^z lattice containment: p^z w has an integral preimage
-        w = tuple(Fraction(rng.randrange(-(p**3), p**3)) for _ in range(d))
-        pre = la.mat_vec(ginv, tuple(p**res.z * c for c in w))
-        assert all(c == 0 or valuation(c, p) >= 0 for c in pre)
-
-
-class TestStandardize:
-    def test_already_standard(self):
-        ctx = S3
-        g = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-        q = quadratic_form(ctx, g)
-        res = standardize(q, 3)
-        assert res.exact
-        gram = q.gram_at(3)
-        gg = la.mat_mul(la.mat_mul(la.transpose(res.transform), gram), res.transform)
-        std = standard_gram(3)
-        for i in range(3):
-            for j in range(3):
-                if (i, j) in ((1, 1),):
-                    continue
-                assert gg[i][j] == std[i][j]
-        assert gg[1][1] != 0  # residual block
-        assert res.residual_form == ((gg[1][1],),)
-        assert res.z == 0
-
-    def test_exact_split_ternary(self):
-        q = diag_form(S3, 1, 1, -1)
-        res = standardize(q, 3)
-        assert res.exact
-        gram = q.gram_at(3)
-        g = res.transform
-        gg = la.mat_mul(la.mat_mul(la.transpose(g), gram), g)
-        assert gg[0][0] == 0 and gg[2][2] == 0
-        assert gg[0][2] == 1 and gg[2][0] == 1
-        assert gg[0][1] == 0 and gg[1][0] == 0
-        assert gg[1][2] == 0 and gg[2][1] == 0
-        assert valuation(gg[1][1], 3) >= 0
-
-    def test_anisotropic_rejected(self):
-        q = diag_form(SConfig((2,)), 1, 1, 1, 1)
-        with pytest.raises(AnisotropicForm):
-            standardize(q, 2)
-
-    def test_rationally_anisotropic_locally_isotropic(self):
-        # x^2 + y^2 - 3 z^2 has no rational zero but splits over Q_7
-        q = diag_form(S7, 1, 1, -3)
-        assert rational_isotropic_vector(q) is None
-        assert is_isotropic(q, 7)
-        res = standardize(q, 7, precision=8)
-        assert not res.exact
-        assert res.precision >= 8
-        gram = q.gram_at(7)
-        g = res.transform
-        gg = la.mat_mul(la.mat_mul(la.transpose(g), gram), g)
-        # off-corner structure is exact, corners vanish to precision
-        assert gg[0][2] == 1 and gg[2][0] == 1
-        assert gg[0][1] == 0 and gg[1][0] == 0 and gg[1][2] == 0 and gg[2][1] == 0
-        for corner in (gg[0][0], gg[2][2]):
-            assert corner == 0 or valuation(corner, 7) >= 8
-        assert valuation(gg[1][1], 7) >= 0
-
-    @pytest.mark.parametrize(
-        "entries,p",
-        [
-            ((1, 1, -1), 3),
-            ((1, -1, 5), 5),
-            ((2, 3, -1), 5),
-            ((1, 1, -2), 2),
-            ((1, 2, -3, 6), 3),
-            ((1, 1, -1, 7), 7),
-        ],
-    )
-    def test_residual_integrality_and_containments(self, entries, p):
-        ctx = SConfig((p,))
-        q = diag_form(ctx, *entries)
-        res = standardize(q, p, precision=8)
-        d = len(entries)
-        qp = res.residual_form
-        for i in range(d - 2):
-            for j in range(d - 2):
-                x = qp[i][j]
-                if x == 0:
-                    continue
-                floor = 1 if (p == 2 and i == j) else 0
-                assert valuation(x, p) >= floor, (i, j, x)
-        rng = random.Random(1000 * p + d)
-        _check_containments(res, q.gram_at(p), p, rng, trials=200)
-
-    def test_containment_bulk_random_points(self):
-        q = diag_form(S3, 2, 3, -5)
-        res = standardize(q, 3)
-        _check_containments(res, q.gram_at(3), 3, random.Random(99), trials=1000)
-
-    def test_smith_exponents(self):
-        m = ((Fraction(1), 0, 0), (0, Fraction(3), 0), (0, 0, Fraction(9)))
-        assert padic_smith_exponents(m, 3) == [0, 1, 2]
-        u = ((Fraction(1), Fraction(2), 0), (0, 1, Fraction(5)), (0, 0, 1))
-        prod = la.mat_mul(u, m)
-        assert padic_smith_exponents(prod, 3) == [0, 1, 2]

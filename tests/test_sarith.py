@@ -4,25 +4,22 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
 
-from sqcount import sarith
-from sqcount.errors import ConfigError, NonSUnitDenominator, ZeroDenominator
+from sqcount.errors import ConfigError
 from sqcount.sarith import (
     INF,
     SConfig,
     TVector,
     covolume_product,
+    crt,
     gcd_S,
     is_in_NS,
-    is_in_PS,
     mobius,
     normalization_identity_residual,
     padic_norm,
-    s_free_part,
+    prime_factors,
     sl_group_order,
     sl_order_mobius_check,
-    srational_new,
     svector,
     valuation,
     vector_content_NS,
@@ -58,42 +55,25 @@ def sl_order_bruteforce(d, q):
     return count
 
 
-# --- SConfig / SRational ------------------------------------------------------
+# --- SConfig and elementary number theory -------------------------------------
 
 def test_sconfig_validation():
     assert SConfig((2, 3)).places == (INF, 2, 3)
-    with pytest.raises(ConfigError):
-        SConfig((4,))
-    with pytest.raises(ConfigError):
-        SConfig((2, 2))
+    for bad in ((4,), (2, 2), (1,), (0,), (-3,)):
+        with pytest.raises(ConfigError):
+            SConfig(bad)
 
 
-def test_srational_new_examples():
-    x = srational_new(3, 4, S2)
-    assert (x.num, x.den) == (3, 4)
-    assert srational_new(2, 4, S2).as_fraction() == Fraction(1, 2)
-    with pytest.raises(NonSUnitDenominator):
-        srational_new(1, 6, S2)
-    with pytest.raises(ZeroDenominator):
-        srational_new(1, 0, S2)
-    # reduction first: 6/3 = 2 is fine even though 3 is not in S_f={2}
-    assert srational_new(6, 3, S2).as_fraction() == 2
-
-
-@given(
-    a=st.integers(-300, 300), b=st.integers(-300, 300), c=st.integers(-300, 300),
-    e=st.integers(0, 6), f=st.integers(0, 6), g=st.integers(0, 6),
-)
-def test_srational_ring_ops(a, b, c, e, f, g):
-    x = srational_new(a, 2**e, S2)
-    y = srational_new(b, 2**f, S2)
-    z = srational_new(c, 2**g, S2)
-    assert (x + y) + z == x + (y + z)
-    assert x * y == y * x
-    assert (x + y) * z == x * z + y * z
-    # closure: denominators stay powers of 2
-    w = (x * y - z).as_fraction()
-    assert s_free_part(w.denominator, S2) == 1
+def test_prime_factors_and_crt_against_bruteforce():
+    for n in range(-60, 200):
+        want = [p for p in range(2, abs(n) + 1)
+                if abs(n) % p == 0 and all(p % f for f in range(2, p))]
+        assert prime_factors(n) == want, n
+    for m1, m2 in ((1, 7), (4, 9), (5, 12), (8, 3)):
+        for a1 in range(m1):
+            for a2 in range(m2):
+                r = crt(a1, m1, a2, m2)
+                assert 0 <= r < m1 * m2 and r % m1 == a1 and r % m2 == a2
 
 
 # --- norms --------------------------------------------------------------------
@@ -150,23 +130,13 @@ def test_is_in_NS():
     assert is_in_NS(1, S23)
 
 
-def test_is_in_PS_all_integer_exponents():
-    # negative exponents are allowed: 1/2 is an S-unit for S_f={2}
-    assert is_in_PS(Fraction(1, 2), S2)
-    assert is_in_PS(Fraction(8), S2)
-    assert is_in_PS(Fraction(9, 8), S23)
-    assert not is_in_PS(Fraction(-4), S2)
-    assert not is_in_PS(Fraction(3, 2), S2)
-    assert not is_in_PS(0, S2)
-
-
 def test_gcd_S_examples():
-    assert gcd_S(7, svector([Fraction(3, 2), 5], S2)) == 1
-    assert gcd_S(7, svector([Fraction(7, 2), 21], S2)) == 7
+    assert gcd_S(7, [Fraction(3, 2), 5], S2) == 1
+    assert gcd_S(7, [Fraction(7, 2), 21], S2) == 7
     with pytest.raises(ConfigError):
-        gcd_S(4, svector([1, 1], S2))  # q not coprime to S_f
+        gcd_S(4, [1, 1], S2)  # q not coprime to S_f
     with pytest.raises(ConfigError):
-        gcd_S(7, svector([0, 0], S2))
+        gcd_S(7, [0, 0], S2)
 
 
 def test_gcd_S_scale_invariance():
@@ -176,9 +146,9 @@ def test_gcd_S_scale_invariance():
         v = [Fraction(rng.randint(-30, 30), 2 ** rng.randint(0, 4)) for _ in range(3)]
         if all(c == 0 for c in v):
             continue
-        g1 = gcd_S(q, svector(v, S2))
+        g1 = gcd_S(q, v, S2)
         unit = Fraction(2) ** rng.randint(-3, 3)
-        g2 = gcd_S(q, svector([unit * c for c in v], S2))
+        g2 = gcd_S(q, [unit * c for c in v], S2)
         assert g1 == g2
 
 
