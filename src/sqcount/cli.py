@@ -908,9 +908,19 @@ def _require(cfg: dict, required, command: str):
 
 def main(argv=None) -> int:
     # exact series values can exceed Python's default 4300-digit limit on
-    # int -> str conversion, and every output renders them as decimal strings
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # int -> str conversion, and every output renders them as decimal
+    # strings; the limit is lifted for this call only
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10
+        return _run(argv)
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     handler, defaults, required = _COMMANDS[args.command]
     t0 = time.perf_counter()

@@ -10,7 +10,14 @@ Enumeration reduces the finite-place ball conditions to one congruence
 class mod M per coordinate (the ultrametric makes multiplication by a
 GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
-wise interval pruning on an exact LDL decomposition.
+wise interval pruning on an exact LDL decomposition (Fincke-Pohst).
+
+Two front ends share that walk.  enumerate_points builds every point with
+its exact per-place images.  count_points only counts: the last coordinate
+of each row is an interval, counted in closed form, and the origin is
+located once per lattice.  siegel_transform counts SBox indicators with
+count_points; product boxes and quadric slices need the points, so they
+go through enumerate_points and test each one.
 """
 
 from __future__ import annotations
@@ -302,6 +309,52 @@ def enumerate_points(
     """All points of the lattice inside the box, sorted by their integer
     coordinate representative; exact in the finite places always, and in the
     real place too when the lattice is in exact mode."""
+    frame = _box_frame(lat, box)
+    rem, mod, big_r = frame.rem, frame.mod, frame.big_r
+    ns = []
+    _ellipsoid_integer_points(
+        frame.b, frame.y0, frame.t2, max_candidates, frame.exact, ns
+    )
+    points = []
+    for n in ns:
+        m = tuple(rem[i] + mod * n[i] for i in range(lat.dim))
+        k = tuple(Fraction(mi, big_r) for mi in m)
+        points.append(_make_point(lat, k))
+    points.sort(key=lambda pt: pt.coords)
+    return points
+
+
+def count_points(
+    lat: AffineSLattice, box: SBox, max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    homogeneous: bool = False,
+) -> int:
+    """len(enumerate_points(lat, box, max_candidates)), without the origin
+    when homogeneous, built without a single point: the last coordinate of
+    each row is counted in closed form.  Same budget, same errors."""
+    frame = _box_frame(lat, box)
+    total = _ellipsoid_integer_points(
+        frame.b, frame.y0, frame.t2, max_candidates, frame.exact
+    )
+    if homogeneous and _origin_enumerated(lat, frame):
+        total -= 1
+    return total
+
+
+@dataclass(frozen=True)
+class _BoxFrame:
+    """A box seen from the lattice: the points inside are k = m / big_r with
+    m = rem + mod * n, n an integer vector with ||n.b + y0||^2 < t2."""
+
+    big_r: int
+    mod: int
+    rem: tuple
+    b: tuple
+    y0: tuple
+    t2: object
+    exact: bool  # b, y0, t2 are Fractions (else floats)
+
+
+def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
     d = lat.dim
     ctx = lat.ctx
     center = box.center_at(d)
@@ -324,10 +377,9 @@ def enumerate_points(
                 f"need {s_p} digits at p={p}, sampled {lat.depth[p]}"
             )
         residues[p] = (r_p, s_p, w)
-    r_exp = {p: residues[p][0] for p in ctx.primes}
     big_r = 1
     for p in ctx.primes:
-        big_r *= p ** r_exp[p]
+        big_r *= p ** residues[p][0]
     # CRT the per-coordinate congruences m = R w mod p^{s_p}
     mod = 1
     rem = [0] * d
@@ -370,14 +422,36 @@ def enumerate_points(
             for bb, s, c in zip(base, lat.shift_inf, center)
         )
         t2 = float(box.t.t_inf) ** 2
-    ns = _ellipsoid_integer_points(b, y0, t2, max_candidates, exact_real)
-    points = []
-    for n in ns:
-        m = tuple(rem[i] + mod * n[i] for i in range(d))
-        k = tuple(Fraction(mi, big_r) for mi in m)
-        points.append(_make_point(lat, k))
-    points.sort(key=lambda pt: pt.coords)
-    return points
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, exact_real)
+
+
+def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
+    """Whether enumerate_points would list a point with is_origin().
+
+    An exact image k.basis + shift = 0 fixes k, at any place in exact mode
+    and at a finite place in split mode.  Without finite places the float
+    real image fixes k up to rounding, since the lattice has covolume 1.
+    So at most one k qualifies.
+    """
+    if lat.exact:
+        k = tuple(-x for x in la.vec_mat(lat.shift_inf, la.inverse(lat.basis_inf)))
+    elif lat.ctx.primes:
+        p = lat.ctx.primes[0]
+        k = tuple(-x for x in la.vec_mat(lat.shift_p[p], la.inverse(lat.basis_p[p])))
+    else:
+        k = tuple(
+            Fraction(round(-float(x)))
+            for x in np.asarray(lat.shift_inf) @ np.linalg.inv(lat.basis_inf)
+        )
+    n = []
+    for ki, ri in zip(k, frame.rem):
+        m = ki * frame.big_r
+        if m.denominator != 1 or (m.numerator - ri) % frame.mod:
+            return False
+        n.append((m.numerator - ri) // frame.mod)
+    return _make_point(lat, k).is_origin() and _leaf_ok(
+        n, frame.b, frame.y0, frame.t2, frame.exact
+    )
 
 
 def _make_point(lat: AffineSLattice, k) -> LatticePoint:
@@ -402,11 +476,15 @@ def _make_point(lat: AffineSLattice, k) -> LatticePoint:
     return LatticePoint(k, real, finite)
 
 
-def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact):
-    """Integer n with ||n.b + y0||^2 < t2, via LDL with interval pruning.
+def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int:
+    """Number of integer n with ||n.b + y0||^2 < t2, via LDL with interval
+    pruning (Fincke-Pohst); each n is appended to `out` when a list is given.
 
     The recursion peels the last coordinate first; bounds at each level are
     slightly loosened and every leaf is re-tested with the original metric.
+    The loosened range of every level, the leaf level included, is charged
+    to the max_candidates budget.  Without `out` the leaf level is counted
+    in closed form instead of point by point.
     """
     d = len(b)
     h = [[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)] for i in range(d)]
@@ -420,10 +498,70 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact):
             -sum(y0[i] * binv[i][j] for i in range(d)) for j in range(d)
         )
     diag, lower = _ldl(h, exact)
-    out = []
-    budget = [max_candidates]
-    _fp_recurse(d - 1, [0] * d, t2, diag, lower, nstar, b, y0, t2, out, budget, exact)
-    return out
+    # a level's remaining radius^2 below this has left the ellipsoid
+    rem_floor = 0 if exact else -1e-9 * float(t2)
+    n = [0] * d
+    left = max_candidates
+
+    def leaf_in(nv, rem, offset) -> bool:
+        # new_rem against its tolerance, then the original metric
+        if rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
+            return False
+        n[0] = nv
+        return _leaf_ok(n, b, y0, t2, exact)
+
+    def recurse(level, rem) -> int:
+        # In the LDL expansion Q(n - n*) = sum_i d_i (z_i + sum_{j>i} L_ji z_j)^2
+        # with z = n - n*, the term at `level` depends only on deeper
+        # coordinates, so fixing levels from d-1 downward keeps an exact
+        # remaining radius^2 `rem`.
+        nonlocal left
+        offset = sum(lower[j][level] * (n[j] - nstar[j]) for j in range(level + 1, d))
+        # d_level * (z_level + offset)^2 <= rem
+        bound2 = rem / diag[level]
+        if exact:
+            half = _isqrt_floor_fraction(bound2) + 1
+        elif bound2 < 0:
+            return 0
+        else:
+            half = math.sqrt(bound2) * (1 + 1e-12) + 1e-9
+        center = nstar[level] - offset
+        lo = math.ceil(center - half)
+        hi = math.floor(center + half)
+        left -= max(0, hi - lo + 1)
+        if left < 0:
+            raise RegionTooLarge(
+                f"enumeration budget exceeded (more than max_candidates="
+                f"{max_candidates} candidates); raise max_candidates"
+            )
+        if level == 0:
+            if out is None:
+                # The leaf test holds on an interval of n[0]: new_rem is
+                # concave and ||n.b + y0||^2 convex in n[0], and at an
+                # interior integer each sits past its worse endpoint by at
+                # least d_0 resp. ||b_0||^2, far above float rounding.  So
+                # trim the loosened ends and count what is left.
+                while lo <= hi and not leaf_in(lo, rem, offset):
+                    lo += 1
+                while hi > lo and not leaf_in(hi, rem, offset):
+                    hi -= 1
+                return max(0, hi - lo + 1)
+            found = 0
+            for nv in range(lo, hi + 1):
+                if leaf_in(nv, rem, offset):
+                    out.append(tuple(n))
+                    found += 1
+            return found
+        found = 0
+        for nv in range(lo, hi + 1):
+            new_rem = rem - diag[level] * (nv - nstar[level] + offset) ** 2
+            if new_rem < rem_floor:
+                continue
+            n[level] = nv
+            found += recurse(level - 1, new_rem)
+        return found
+
+    return recurse(d - 1, t2)
 
 
 def _ldl(h, exact):
@@ -445,53 +583,6 @@ def _ldl(h, exact):
     return diag, lower
 
 
-def _fp_recurse(level, n, rem, diag, lower, nstar, b, y0, t2, out, budget, exact):
-    """Choose n[level] given n[level+1:], with rem the remaining radius^2.
-
-    In the LDL expansion Q(n - n*) = sum_i d_i (z_i + sum_{j>i} L_ji z_j)^2
-    with z = n - n*, the term at `level` depends only on deeper coordinates,
-    so fixing levels from d-1 downward keeps an exact remaining budget.
-    """
-    d = len(n)
-    z_known = {
-        j: n[j] - nstar[j] for j in range(level + 1, d)
-    }
-    offset = sum(lower[j][level] * z_known[j] for j in range(level + 1, d))
-    # d_level * (z_level + offset)^2 <= rem
-    bound2 = rem / diag[level]
-    if exact:
-        half = _isqrt_floor_fraction(bound2) + 1
-        center = nstar[level] - offset
-        lo = math.ceil(center - half)
-        hi = math.floor(center + half)
-    else:
-        if bound2 < 0:
-            return
-        half = math.sqrt(bound2) * (1 + 1e-12) + 1e-9
-        center = nstar[level] - offset
-        lo = math.ceil(center - half)
-        hi = math.floor(center + half)
-    budget[0] -= max(0, hi - lo + 1)
-    if budget[0] < 0:
-        raise RegionTooLarge("enumeration budget exhausted")
-    for nv in range(lo, hi + 1):
-        z = nv - nstar[level]
-        term = diag[level] * (z + offset) ** 2
-        new_rem = rem - term
-        if (exact and new_rem < 0) or (not exact and new_rem < -1e-9 * float(t2)):
-            continue
-        n[level] = nv
-        if level == 0:
-            if _leaf_ok(n, b, y0, t2, exact):
-                out.append(tuple(n))
-        else:
-            _fp_recurse(
-                level - 1, n, new_rem, diag, lower, nstar, b, y0, t2, out,
-                budget, exact,
-            )
-    n[level] = 0
-
-
 def _leaf_ok(n, b, y0, t2, exact) -> bool:
     d = len(n)
     v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
@@ -507,9 +598,17 @@ def siegel_transform(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> int:
     """Sum of f over the lattice (affine) or over the nonzero points
-    (homogeneous)."""
+    (homogeneous).
+
+    For an SBox indicator that is the number of lattice points in the box,
+    taken from count_points without building a point.  Product-box and
+    quadric-slice indicators enumerate the points of their support box and
+    evaluate f on each.
+    """
     if mode not in ("affine", "homogeneous"):
         raise ConfigError("mode must be affine or homogeneous")
+    if f.kind == "sbox":
+        return count_points(lat, f.box, max_candidates, mode == "homogeneous")
     support = f.support_box(lat.ctx, lat.dim)
     total = 0
     for pt in enumerate_points(lat, support, max_candidates):

@@ -7,6 +7,7 @@ byte. Exit code 2 marks a configuration error, 3 an exhausted budget.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -100,3 +101,26 @@ def test_exhausted_budget_exits_3_and_names_it(tmp_path, capsys):
     argv = [*COUNT_D4, "--max-candidates", "100", "--out", str(tmp_path)]
     assert main(argv) == 3
     assert "max_candidates" in capsys.readouterr().err
+
+
+def test_exhausted_enumeration_budget_exits_3_and_names_it(tmp_path, capsys):
+    argv = ["moment-mc", *RUNS["moment-mc"], "--max-candidates", "5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "max_candidates=5" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.11")
+@pytest.mark.parametrize("argv, code", [
+    (["zeta", *RUNS["zeta"]], 0),
+    (["moment-mc", *RUNS["moment-mc"][:-2]], 2),
+])
+def test_int_digit_limit_is_restored(argv, code, tmp_path, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main([*argv, "--out", str(tmp_path)]) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sqcount import _linalg as la
@@ -16,9 +17,11 @@ from sqcount.errors import InsufficientPadicPrecision, RegionTooLarge
 from sqcount.qspace import quadratic_form
 from sqcount.sarith import INF, SConfig, TVector, padic_norm, valuation
 from sqcount.slattice import (
+    DEFAULT_MAX_CANDIDATES,
     SBox,
     affine_slattice,
     affine_slattice_split,
+    count_points,
     enumerate_points,
     indicator_product_box,
     indicator_quadric_slice,
@@ -110,6 +113,97 @@ def naive_points(lat, b):
     return sorted(out)
 
 
+def random_exact_lattice(rng, ctx, d, shifted=True):
+    """Sheared Z^d with a rational shift, p-integral at every prime of ctx."""
+    u = [list(r) for r in la.identity(d)]
+    # shear denominators must avoid ctx primes (basis stays p-integral)
+    shear_pool = [0, 1, -1, 2, Fraction(1, 5)]
+    if 2 not in ctx.primes:
+        shear_pool.append(Fraction(1, 2))
+    for _ in range(3):
+        i, j = rng.randrange(d), rng.randrange(d)
+        if i == j:
+            continue
+        c = Fraction(rng.choice(shear_pool))
+        for kk in range(d):
+            u[i][kk] += c * u[j][kk]
+    if not shifted:
+        return affine_slattice(ctx, u)
+    den_pool = [1, 1, 5] + list(ctx.primes)
+    shift = tuple(
+        Fraction(rng.randint(-3, 3), rng.choice(den_pool))
+        for _ in range(d)
+    )
+    return affine_slattice(ctx, u, shift)
+
+
+def random_split_lattice(rng, ctx, d, shift="random"):
+    """Float real basis of determinant 1, unit-determinant integer bases at
+    the primes of ctx.  shift is "none", "random" (unrelated rational and
+    real shifts, so the origin is no lattice point), or "lattice" (the same
+    integer vector at every place, so the origin is one)."""
+    while True:
+        g = np.array([[rng.gauss(0, 1) for _ in range(d)] for _ in range(d)])
+        det = np.linalg.det(g)
+        if abs(det) > 0.3:
+            break
+    g = (g / abs(det) ** (1 / d)).tolist()
+    basis_p = {}
+    for p in ctx.primes:
+        while True:
+            m = la.as_matrix(
+                [[rng.randrange(p**3) for _ in range(d)] for _ in range(d)]
+            )
+            if la.det(m) % p:
+                basis_p[p] = m
+                break
+    if shift == "none":
+        return affine_slattice_split(ctx, g, basis_p)
+    if shift == "lattice":
+        k = [rng.randint(-2, 2) for _ in range(d)]
+        shift_inf = [sum(k[i] * g[i][j] for i in range(d)) for j in range(d)]
+        shift_p = {p: la.vec_mat(k, basis_p[p]) for p in ctx.primes}
+    else:
+        shift_inf = [rng.uniform(-1, 1) for _ in range(d)]
+        shift_p = {
+            p: tuple(
+                Fraction(rng.randint(-4, 4), rng.choice([1, p, p * p]))
+                for _ in range(d)
+            )
+            for p in ctx.primes
+        }
+    return affine_slattice_split(ctx, g, basis_p, shift_inf, shift_p)
+
+
+def counted_points(lat, b, homogeneous, max_candidates=DEFAULT_MAX_CANDIDATES):
+    """The oracle for count_points: enumerate, then drop the origin."""
+    pts = enumerate_points(lat, b, max_candidates)
+    return sum(1 for pt in pts if not (homogeneous and pt.is_origin()))
+
+
+def budget_threshold(count):
+    """Smallest max_candidates at which count(max_candidates) does not raise."""
+
+    def enough(m):
+        try:
+            count(m)
+        except RegionTooLarge:
+            return False
+        return True
+
+    hi = 1
+    while not enough(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class TestEnumerate:
     def test_half_integer_grid(self):
         # Z_S^2 with S_f={2}: the ball of Euclidean radius 3/2 at depth
@@ -191,24 +285,7 @@ class TestEnumerate:
             attempts += 1
             ctx = rng.choice([S0, S0, S2, S3, S23])
             d = 3 if (not ctx.primes and rng.random() < 0.4) else 2
-            u = [list(r) for r in la.identity(d)]
-            # shear denominators must avoid ctx primes (basis stays p-integral)
-            shear_pool = [0, 1, -1, 2, Fraction(1, 5)]
-            if 2 not in ctx.primes:
-                shear_pool.append(Fraction(1, 2))
-            for _ in range(3):
-                i, j = rng.randrange(d), rng.randrange(d)
-                if i == j:
-                    continue
-                c = Fraction(rng.choice(shear_pool))
-                for kk in range(d):
-                    u[i][kk] += c * u[j][kk]
-            den_pool = [1, 1, 5] + list(ctx.primes)
-            shift = tuple(
-                Fraction(rng.randint(-3, 3), rng.choice(den_pool))
-                for _ in range(d)
-            )
-            lat = affine_slattice(ctx, u, shift)
+            lat = random_exact_lattice(rng, ctx, d)
             t_p = {p: rng.choice([0, 0, 1, -1]) for p in ctx.primes}
             t_inf = Fraction(2) if d == 3 else Fraction(rng.randint(2, 3))
             b = box(ctx, t_inf, t_p)
@@ -217,7 +294,7 @@ class TestEnumerate:
                 continue
             expect = naive_points(lat, b)
             got = sorted(pt.real for pt in enumerate_points(lat, b))
-            assert got == expect, (u, shift, ctx.primes, t_p)
+            assert got == expect, (lat, t_p)
             cases += 1
         assert cases == 25
 
@@ -242,6 +319,98 @@ class TestEnumerate:
                 for p in enumerate_points(neg_lat, neg_b)
             }
             assert pts == neg
+
+
+class TestCountPoints:
+    """count_points against len(enumerate_points) minus the origin."""
+
+    def assert_counts_agree(self, lat, b):
+        for homogeneous in (False, True):
+            want = counted_points(lat, b, homogeneous)
+            got = count_points(lat, b, homogeneous=homogeneous)
+            assert got == want, (lat, b, homogeneous)
+
+    def random_box(self, rng, ctx, d):
+        t_inf = rng.choice([Fraction(2), Fraction(5, 2), Fraction(3)])
+        if d == 3:
+            t_inf = rng.choice([Fraction(3, 2), Fraction(2)])
+        t_p = {p: rng.choice([-1, 0, 0, 1]) for p in ctx.primes}
+        center = None
+        if rng.random() < 0.4:
+            center = tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(d))
+        b = box(ctx, t_inf, t_p, center)
+        # keep the enumeration oracle cheap
+        return b if b.volume(d) < 600 else box(ctx, t_inf, {}, center)
+
+    @pytest.mark.parametrize("ctx", [S2, S3, S23])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_exact_lattices(self, ctx, d):
+        rng = random.Random(100 * d + len(ctx.primes) + ctx.primes[-1])
+        for case in range(8):
+            lat = random_exact_lattice(rng, ctx, d, shifted=case % 2 == 1)
+            self.assert_counts_agree(lat, self.random_box(rng, ctx, d))
+
+    @pytest.mark.parametrize("ctx", [S2, S3, S23])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_split_lattices(self, ctx, d):
+        rng = random.Random(200 * d + len(ctx.primes) + ctx.primes[-1])
+        for case in range(9):
+            shift = ("none", "random", "lattice")[case % 3]
+            lat = random_split_lattice(rng, ctx, d, shift)
+            self.assert_counts_agree(lat, self.random_box(rng, ctx, d))
+
+    def test_split_lattice_without_primes(self):
+        rng = random.Random(7)
+        for shift in ("none", "random", "lattice"):
+            lat = random_split_lattice(rng, S0, 2, shift)
+            self.assert_counts_agree(lat, box(S0, Fraction(5, 2)))
+
+    def test_origin_inside_the_box(self):
+        # split lattices that contain the origin, with and without a shift
+        rng = random.Random(11)
+        for shift in ("none", "lattice"):
+            lat = random_split_lattice(rng, S23, 2, shift)
+            b = box(S23, 2, {2: 1, 3: 0})
+            assert count_points(lat, b) - count_points(lat, b, homogeneous=True) == 1
+            self.assert_counts_agree(lat, b)
+
+    def test_shifted_exact_lattice_homogeneous(self):
+        basis = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+        b = box(S2, Fraction(5, 2), {2: 1})
+        # a shift of 1/3 is no lattice vector: no origin to drop
+        off = affine_slattice(S2, basis, (Fraction(1, 3), Fraction(0)))
+        assert count_points(off, b, homogeneous=True) == count_points(off, b)
+        # a shift by an S-integral vector keeps the origin in the lattice
+        on = affine_slattice(S2, basis, (Fraction(3, 2), Fraction(-1)))
+        assert count_points(on, b, homogeneous=True) == count_points(on, b) - 1
+        for lat in (off, on):
+            self.assert_counts_agree(lat, b)
+
+    def test_one_point_wide_rows(self):
+        # Z^2 in the disk of radius 5/4: the rows n1 = +-1 hold one point
+        lat = affine_slattice(S0, la.identity(2))
+        assert count_points(lat, box(S0, Fraction(5, 4))) == 5
+        # a long first basis vector leaves at most one point in every row
+        long = affine_slattice(S0, ((3, 1), (2, 1)))
+        for r in (Fraction(3, 2), Fraction(2), Fraction(7, 2)):
+            self.assert_counts_agree(long, box(S0, r))
+            self.assert_counts_agree(lat, box(S0, r, center=(Fraction(1, 2), 0)))
+
+    def test_same_budget_threshold(self):
+        rng = random.Random(13)
+        lats = [
+            affine_slattice(S0, la.identity(2)),
+            random_exact_lattice(rng, S2, 2),
+            random_split_lattice(rng, S2, 2, "none"),
+            random_split_lattice(rng, S23, 3, "random"),
+        ]
+        for lat in lats:
+            b = box(lat.ctx, 2, {p: 3 - lat.dim for p in lat.ctx.primes})
+            want = budget_threshold(lambda m: counted_points(lat, b, False, m))
+            assert want > 0
+            assert budget_threshold(lambda m: count_points(lat, b, m)) == want
+            with pytest.raises(RegionTooLarge, match=f"max_candidates={want - 1}"):
+                count_points(lat, b, want - 1, homogeneous=True)
 
 
 class TestSiegel:
