@@ -100,7 +100,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_exhausted_budget_exits_3_and_names_it(tmp_path, capsys):
     argv = [*COUNT_D4, "--max-candidates", "100", "--out", str(tmp_path)]
     assert main(argv) == 3
-    assert "max_candidates" in capsys.readouterr().err
+    assert "max_candidates=100" in capsys.readouterr().err
 
 
 def test_exhausted_enumeration_budget_exits_3_and_names_it(tmp_path, capsys):

@@ -10,10 +10,13 @@ by hand or by the oracle at the stated scales.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sqcount import counting
+from sqcount._linalg import det
 from sqcount.congruence import CongruenceContext, congruence_context
 from sqcount.counting import (
     FinitePart,
@@ -39,7 +42,9 @@ from sqcount.sarith import INF, SConfig, TVector, valuation
 from sqcount.volume import leading_constant
 
 S0 = SConfig(())
+S2 = SConfig((2,))
 S3 = SConfig((3,))
+S23 = SConfig((2, 3))
 
 TERN = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
 
@@ -277,68 +282,191 @@ class TestInhom:
         assert inhom_count(q, (0, 0, 0), iv, t) == oracle_count(q, iv, t)
 
 
+def _random_gram(rng, d, den_choices):
+    while True:
+        den = rng.choice(den_choices)
+        g = [[Fraction(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-2, 2), den)
+        if det(g) != 0:
+            return tuple(tuple(row) for row in g)
+
+
 class TestRandomOracleAgreement:
     """Exactness invariant: N equals the naive full-box oracle."""
 
-    def _random_gram(self, rng, d, den_choices):
-        while True:
-            den = rng.choice(den_choices)
-            g = [[Fraction(0)] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(i, d):
-                    g[i][j] = g[j][i] = Fraction(rng.randint(-2, 2), den)
-            m = [[float(x) for x in row] for row in g]
-            det = (
-                m[0][0] * m[1][1] - m[0][1] * m[1][0]
-                if d == 2
-                else m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    def _check_random_case(self, rng, d):
+        ctx = rng.choice([S0, S3])
+        g = _random_gram(rng, d, (1, 2, 3))
+        gram_p = None
+        if ctx.primes and rng.random() < 0.4:
+            gram_p = {3: _random_gram(rng, d, (1,))}
+        q = quadratic_form(ctx, g, gram_p=gram_p)
+        # families need d >= 3, raw counts take any window: build direct
+        finite = {}
+        if ctx.primes and rng.random() < 0.5:
+            finite[3] = (Fraction(rng.choice([0, 1, Fraction(1, 3)])),
+                         rng.choice([-1, 0, 1]))
+        c = Fraction(rng.choice([Fraction(1, 2), 1, 2]))
+        a = Fraction(rng.choice([0, Fraction(1, 2), -1]))
+        iv = SInterval((a - c / 2, a + c / 2), finite)
+        t3 = rng.choice([0, 1]) if ctx.primes else 0
+        t_inf = rng.choice([2, Fraction(7, 2)]) if d == 2 else Fraction(5, 2)
+        mode = rng.choice(["hom", "inhom", "cong"])
+        level, shift = 1, (0,) * d
+        if mode == "inhom":
+            shift = tuple(
+                Fraction(rng.randint(-1, 1), rng.choice([1, 2]))
+                for _ in range(d)
             )
-            if det != 0:
-                return tuple(tuple(row) for row in g)
+        elif mode == "cong":
+            level = rng.choice([2, 5])
+            shift = tuple(rng.randint(0, level - 1) for _ in range(d))
+            if math.gcd(level, *shift) != 1:
+                shift = (1,) + shift[1:]
+        if d == 4:
+            # radius 4.5 grid steps keeps the oracle box at 9^4 points
+            grid = 3**t3 * math.lcm(*(Fraction(x).denominator for x in shift))
+            t_inf = Fraction(9, 2 * grid)
+        t = tv(t_inf, {3: t3} if ctx.primes else {}, ctx)
+        if mode == "cong":
+            cctx = congruence_context(d, level, shift, ctx)
+            got = congruence_count(cctx, q, iv, t)
+        else:
+            got = inhom_count(q, shift, iv, t)
+        want = oracle_count(q, iv, t, level=level, shift=shift)
+        assert got == want, (mode, g, gram_p, finite, t)
 
     def test_random_instances(self):
         rng = random.Random(20260816)
         for _ in range(24):
-            d = rng.choice([2, 3])
-            ctx = rng.choice([S0, S3])
-            g = self._random_gram(rng, d, (1, 2, 3))
-            gram_p = None
-            if ctx.primes and rng.random() < 0.4:
-                gram_p = {3: self._random_gram(rng, d, (1,))}
-            q = quadratic_form(ctx, g, gram_p=gram_p)
-            # families need d >= 3, raw counts take any window: build direct
-            finite = {}
-            if ctx.primes and rng.random() < 0.5:
-                finite[3] = (Fraction(rng.choice([0, 1, Fraction(1, 3)])),
-                             rng.choice([-1, 0, 1]))
-            c = Fraction(rng.choice([Fraction(1, 2), 1, 2]))
-            a = Fraction(rng.choice([0, Fraction(1, 2), -1]))
-            iv = SInterval((a - c / 2, a + c / 2), finite)
-            t3 = rng.choice([0, 1]) if ctx.primes else 0
-            t_inf = rng.choice([2, Fraction(7, 2)]) if d == 2 else Fraction(5, 2)
-            t = tv(t_inf, {3: t3} if ctx.primes else {}, ctx)
-            mode = rng.choice(["hom", "inhom", "cong"])
-            if mode == "inhom":
-                xi = tuple(
-                    Fraction(rng.randint(-1, 1), rng.choice([1, 2]))
-                    for _ in range(d)
-                )
-                got = inhom_count(q, xi, iv, t)
-                want = oracle_count(q, iv, t, shift=xi)
-            elif mode == "cong":
-                lev = rng.choice([2, 5])
-                w = tuple(rng.randint(0, lev - 1) for _ in range(d))
-                if math.gcd(lev, *w) != 1:
-                    w = (1,) + w[1:]
-                cctx = congruence_context(d, lev, w, ctx)
-                got = congruence_count(cctx, q, iv, t)
-                want = oracle_count(q, iv, t, level=lev, shift=w)
-            else:
-                got = inhom_count(q, (0,) * d, iv, t)
-                want = oracle_count(q, iv, t)
-            assert got == want, (mode, g, gram_p, finite, t)
+            self._check_random_case(rng, rng.choice([2, 3]))
+
+    def test_random_instances_d4(self):
+        rng = random.Random(20261018)
+        for _ in range(8):
+            self._check_random_case(rng, 4)
+
+
+class TestChunkInvariance:
+    """Batching head rows changes neither counts nor budget failures."""
+
+    # one head per numpy pass, a few heads, the default (one pass for these
+    # small instances), and every head in one pass
+    CHUNKINGS = (1, 64, counting._CHUNK_ELEMENTS, sys.maxsize)
+    BUDGETS = (counting.DEFAULT_MAX_CANDIDATES, 300, 40)
+    NEG_LAST = {3: ((1, 0, 0), (0, 2, 1), (0, 1, -1)),
+                4: ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 2, 0), (1, 0, 0, -3))}
+    # no nonzero diagonal entry: the last coordinate enters linearly (a == 0)
+    ZERO_DIAG = {3: ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+                 4: ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))}
+
+    def _cases(self):
+        rng = random.Random(404)
+        for d, ctx, mode in itertools.product(
+            (3, 4), (S0, S3, S23), ("hom", "inhom", "cong")
+        ):
+            finite = {
+                p: (Fraction(rng.randint(0, 2)), rng.choice([0, 1]))
+                for p in ctx.primes
+            }
+            t = tv(Fraction(3) if d == 3 else Fraction(3, 2),
+                   {p: 1 for p in ctx.primes}, ctx)
+            for g in (_random_gram(rng, d, (1, 2)), self.NEG_LAST[d],
+                      self.ZERO_DIAG[d]):
+                q = quadratic_form(ctx, g)
+                a = Fraction(rng.choice([0, 1, -2]))
+                iv = SInterval((a - 2, a + 2), finite)
+                if mode == "cong":
+                    cctx = congruence_context(d, 5, (1,) + (2,) * (d - 1), ctx)
+                    yield lambda m, c=cctx, q=q, iv=iv, t=t: congruence_count(
+                        c, q, iv, t, m)
+                else:
+                    xi = (0,) * d if mode == "hom" else (
+                        (Fraction(1, 5),) + (Fraction(1, 2),) * (d - 1))
+                    yield lambda m, xi=xi, q=q, iv=iv, t=t: inhom_count(
+                        q, xi, iv, t, m)
+
+    def test_every_chunking_agrees(self, monkeypatch):
+        instances = []
+        count_instance = counting._count_instance
+
+        def spy(inst, max_candidates):
+            instances.append(inst)
+            return count_instance(inst, max_candidates)
+
+        monkeypatch.setattr(counting, "_count_instance", spy)
+        outcomes = []
+        for chunk in self.CHUNKINGS:
+            monkeypatch.setattr(counting, "_CHUNK_ELEMENTS", chunk)
+            got = []
+            for count in self._cases():
+                for budget in self.BUDGETS:
+                    try:
+                        got.append(count(budget))
+                    except RegionTooLarge as exc:
+                        got.append(str(exc))
+            outcomes.append(got)
+        assert all(got == outcomes[0] for got in outcomes[1:])
+        kinds = {type(x) for x in outcomes[0]}
+        assert kinds == {int, str}
+        assert any(x > 0 for x in outcomes[0] if isinstance(x, int))
+        live = [i for i in instances if not i.empty]
+        assert {len(i.rho) for i in live} == {3, 4}
+        assert {i.l_mod for i in live} >= {1, 5, 10}
+        mods = {i.m_val for i in live}
+        assert 1 in mods
+        assert any(m % 3 == 0 and m % 2 for m in mods)  # one prime
+        assert any(m % 6 == 0 for m in mods)  # two primes
+        assert any(i.gram[-1][-1] < 0 for i in live)
+        assert any(i.gram[-1][-1] == 0 for i in live)
+
+
+class TestBudgetThreshold:
+    def test_succeeds_at_the_prefix_count_and_raises_below(self, monkeypatch):
+        # x in Z^3 + xi: the prefixes are the pairs (x1, x2) of
+        # (1/5 + Z) x Z inside the open ball. T^2 is just above 6.2^2, so
+        # the head x1 = 6.2 lies on the ball's integer boundary and owns the
+        # one prefix (6.2, 0)
+        q = quadratic_form(S0, TERN)
+        xi = (Fraction(1, 5), 0, 0)
+        t = tv(Fraction(12401, 2000))
+        iv = interval_at(shrinking_family(3, 2), t)
+        r = range(-7, 8)
+        prefixes = sum(
+            (x1 + xi[0]) ** 2 + (x2 + xi[1]) ** 2 < t.t_inf ** 2
+            for x1 in r for x2 in r
+        )
+        want = inhom_count(q, xi, iv, t)
+        for chunk in TestChunkInvariance.CHUNKINGS:
+            monkeypatch.setattr(counting, "_CHUNK_ELEMENTS", chunk)
+            assert inhom_count(q, xi, iv, t, max_candidates=prefixes) == want
+            with pytest.raises(RegionTooLarge) as err:
+                inhom_count(q, xi, iv, t, max_candidates=prefixes - 1)
+            assert str(err.value) == (
+                f"fiber counter budget exceeded ({prefixes} prefixes, more "
+                f"than max_candidates={prefixes - 1}); raise max_candidates"
+            )
+
+
+class TestBenchmarkCounts:
+    """The counts of the benchmark's count workload (perfbench), pinned."""
+
+    def test_count_d4(self):
+        q = quadratic_form(S2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                (0, 0, 0, -1)))
+        t = tv(30, {2: 1}, S2)
+        iv = interval_at(shrinking_family(4, 1), t)
+        assert inhom_count(q, (Fraction(1, 3), 0, 0, 0), iv, t) == 11462
+
+    def test_sweep_d3(self):
+        q = quadratic_form(S23, ((1, 0, 0), (0, 1, 0), (0, 0, -2)))
+        cctx = congruence_context(3, 5, (1, 2, 0), S23)
+        fam = shrinking_family(3, 1)
+        ladder = [tv(t_inf, {2: 1, 3: 1}, S23) for t_inf in (200, 400, 800)]
+        got = [congruence_count(cctx, q, interval_at(fam, t), t) for t in ladder]
+        assert got == [432, 950, 2064]
 
 
 class TestMonotonicity:
@@ -374,10 +502,9 @@ class TestRescaleIdentity:
 
     def test_random_grid(self):
         rng = random.Random(5)
-        helper = TestRandomOracleAgreement()
         for _ in range(50):
             ctx = rng.choice([S0, S3])
-            g = helper._random_gram(rng, 3, (1, 2, 3))
+            g = _random_gram(rng, 3, (1, 2, 3))
             q = quadratic_form(ctx, g)
             lev = rng.choice([2, 5]) if ctx.primes else rng.choice([2, 3])
             w = tuple(rng.randint(0, lev - 1) for _ in range(3))
