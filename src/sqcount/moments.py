@@ -12,13 +12,18 @@ scored by slattice.siegel_transform: box (disk) indicators are counted
 without building lattice points, product-box indicators enumerate them.
 
 The exact side evaluates the coprime-pair second-moment series and the
-single-orbit series pointwise in exact rational arithmetic, truncated with
-rigorous geometric tail bounds (d >= 3, where the series converge
-absolutely).
+single-orbit series exactly, truncated with rigorous geometric tail bounds
+(d >= 3, where the series converge absolutely).  Both walk the same
+admissible (t, a = n/den) set (_admissible_walk) and work in integers: a
+pair term is an integer numerator over (L t |n|)^d times a power of each
+finite prime, and numerators with equal denominators are added before any
+Fraction is built; an orbit term is t^{-d} whenever its point passes the
+p-adic tests, so the orbit series counts those points per t.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -476,53 +481,6 @@ def _scaled_interval(lo: Fraction, hi: Fraction, s: Fraction):
     return (a, b) if a <= b else (b, a)
 
 
-def _overlap(a1, b1, a2, b2) -> Fraction:
-    lo = max(a1, a2)
-    hi = min(b1, b2)
-    return hi - lo if hi > lo else Fraction(0)
-
-
-def _ball_pair_vol(c: Fraction, e: int, t: int, a: Fraction, p: int) -> Fraction:
-    """vol_p of {x : |tx - c|_p <= p^e and |ax - c|_p <= p^e}.
-
-    The two conditions are balls B(c/t, p^e) and B(c/a, p^{e+v_p(a)}); they
-    are nested or disjoint, so the volume is p^{min exponent} or 0.
-    """
-    va = valuation(a, p)
-    r1, r2 = e, e + va
-    if c != 0 and a != t:
-        dist = c / t - c / a
-        if dist != 0 and -valuation(dist, p) > max(r1, r2):
-            return Fraction(0)
-    return Fraction(p) ** min(r1, r2)
-
-
-def _pair_term(t, a, d, intervals, exps, centers, primes) -> Fraction:
-    """Exact vol of {v : tv and av both in the box}, one (t, a) series term."""
-    total = Fraction(1)
-    for lo, hi in intervals:
-        total *= _overlap(*_scaled_interval(lo, hi, t), *_scaled_interval(lo, hi, a))
-        if total == 0:
-            return total
-    for p in primes:
-        e = exps[p]
-        for c in centers[p]:
-            total *= _ball_pair_vol(c, e, t, a, p)
-            if total == 0:
-                return total
-    return total
-
-
-def _denominator_patterns(primes, depth):
-    """All S-unit denominators prod p^{m_p} with 0 <= m_p <= depth[p]."""
-    ranges = [range(depth[p] + 1) for p in primes]
-    for ms in itertools.product(*ranges):
-        den = 1
-        for p, m in zip(primes, ms):
-            den *= p**m
-        yield den, ms
-
-
 def _tree_sum(terms) -> Fraction:
     # pairwise reduction: sequential Fraction addition makes the running
     # denominator the lcm of everything seen, which is quadratic pain
@@ -536,16 +494,47 @@ def _tree_sum(terms) -> Fraction:
     return terms[0]
 
 
-def _admissible_t(t_max: int, q: int, ctx: SConfig):
+def _largest_prime_factors(n_max: int) -> list[int]:
+    """big[k] = the largest prime factor of k for 2 <= k <= n_max."""
+    big = [0] * (n_max + 1)
+    for p in range(2, n_max + 1):
+        if not big[p]:  # no smaller prime divides p
+            big[p::p] = [p] * (n_max // p)
+    return big
+
+
+def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
+    """The (t, den, ms, n) of every term a = n/den the series truncation keeps.
+
+    t runs over N_S up to t_max coprime to q; den = prod p^{m_p} over
+    0 <= m_p <= depth[p]; n runs over the integers of [lo den, hi den],
+    (lo, hi) = window(t), with n = t den mod q, and is kept when n/den is a
+    nonzero reduced fraction coprime to t.  Every progression element is
+    charged to max_terms, kept or not.
+    """
+    ranges = [range(depth[p] + 1) for p in ctx.primes]
+    budget = max_terms
     for t in range(1, t_max + 1):
-        if math.gcd(t, q) == 1 and is_in_NS(t, ctx):
-            yield t
-
-
-def _progression(lo: Fraction, hi: Fraction, r: int, q: int) -> range:
-    """Integers n in [lo, hi] with n = r mod q."""
-    start = math.ceil(lo)
-    return range(start + (r - start) % q, math.floor(hi) + 1, q)
+        if math.gcd(t, q) != 1 or not is_in_NS(t, ctx):
+            continue
+        lo, hi = window(t)
+        for ms in itertools.product(*ranges):
+            den = math.prod(p**m for p, m in zip(ctx.primes, ms))
+            start = math.ceil(lo * den)
+            ns = range(start + (t * den - start) % q, math.floor(hi * den) + 1, q)
+            budget -= len(ns)
+            if budget < 0:
+                raise SearchBudgetExceeded(
+                    f"{what} budget exceeded (more than max_terms={max_terms} "
+                    "terms); raise max_terms"
+                )
+            # t is prime to S, so one gcd tests gcd(n, t) = 1 and, for each
+            # p with m_p > 0, p not dividing n (else n/den is not reduced and
+            # was visited at a lower depth)
+            tp = t * math.prod(p for p, m in zip(ctx.primes, ms) if m > 0)
+            for n in ns:
+                if n and math.gcd(n, tp) == 1:
+                    yield t, den, ms, n
 
 
 # --- second-moment series ---------------------------------------------------------------
@@ -584,6 +573,82 @@ def _pair_tail_bound(d, q, vol_sup, t_max, b, depth, primes) -> float:
     return vol_sup * (piece_t + piece_b + piece_d)
 
 
+def _pair_kernel(d, intervals, exps, centers, primes):
+    """The pair term at (t, a = n/den) in integers, as (numerator, denominator).
+
+    With the box's endpoints scaled by L, the lcm of their denominators, and
+    g = |n|, coordinate i contributes the overlap of [A_i g, B_i g] with the
+    image of [A_i, B_i] under x -> x t den/n, both over the common
+    denominator L t g.  At p the balls B(c/t, p^e) and B(c/a, p^{e+v_p(a)})
+    are nested or disjoint: each coordinate gives p^{e + min(0, v_p(a))}, or
+    0 when a nonzero center puts c/t and c/a farther apart than the larger
+    radius, with v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n).
+    """
+    big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
+    ends = tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
+    # only the smallest valuation of a nonzero center can fail the distance test
+    places = tuple(
+        (p, exps[p], min((valuation(c, p) for c in centers[p] if c), default=None))
+        for p in primes
+    )
+
+    def term(t, den, ms, n):
+        g = abs(n)
+        td = t * den
+        num = 1
+        for lo, hi in ends:
+            if n > 0:
+                w = min(hi * g, hi * td) - max(lo * g, lo * td)
+            else:
+                w = min(hi * g, -lo * td) - max(lo * g, -hi * td)
+            if w <= 0:
+                return 0, 1
+            num *= w
+        dnm = (big_l * t * g) ** d
+        for (p, e, v_c), m in zip(places, ms):
+            v_n = valuation(n, p) if n % p == 0 else 0
+            v_a = v_n - m
+            if v_c is not None and n != td:
+                if v_n - v_c - valuation(n - td, p) > e + max(0, v_a):
+                    return 0, 1
+            k = d * (e + min(0, v_a))
+            if k >= 0:
+                num *= p**k
+            else:
+                dnm *= p**-k
+        return num, dnm
+
+    return term
+
+
+def _pair_fractions(walk, term):
+    """(number of nonzero terms, their sums as one Fraction per denominator).
+
+    Numerators are added as integers per denominator.  The denominators are
+    (L t |n|)^d up to S-units; the fractions come ordered by the largest
+    prime factor of |n|, so that the pairwise sum meets each large prime's
+    power in one run of neighbours, not once per term all the way up.
+    """
+    by_den = {}
+    roots = array.array("q")  # |n| of the first term of each denominator
+    used = 0
+    for t, den, ms, n in walk:
+        num, dnm = term(t, den, ms, n)
+        if num:
+            used += 1
+            if dnm in by_den:
+                by_den[dnm] += num
+            else:
+                by_den[dnm] = num
+                roots.append(abs(n))
+    big = _largest_prime_factors(max(roots, default=1))
+    dens = list(by_den)  # insertion order, the order of roots
+    order = sorted(range(len(dens)), key=lambda i: big[roots[i]])
+    # entries are dropped as soon as they are used, so the dict and the
+    # Fractions built from it do not peak together
+    return used, [Fraction(by_den.pop(dens[i]), dens[i]) for i in order]
+
+
 def second_moment_rhs(
     f: TestFunction,
     cctx: CongruenceContext,
@@ -596,10 +661,12 @@ def second_moment_rhs(
 
     The series runs over t in N_S coprime to the level q and a in
     q Z_S + t with gcd(a, t) = 1; each term is the exact volume of
-    {v : tv and av in the box}, computed place by place.  Truncation keeps
-    t <= t_max, |a| <= real_bound, and the denominator of a of depth at
-    most depth[p] at each place; tail_bound covers everything cut, valid
-    for d >= 3 where the full series converges absolutely.
+    {v : tv and av in the box}, computed place by place in integers
+    (_pair_kernel).  Terms with the same denominator are added as integers,
+    and only the distinct fractions that remain are built and summed.
+    Truncation keeps t <= t_max, |a| <= real_bound, and the denominator of a
+    of depth at most depth[p] at each place; tail_bound covers everything
+    cut, valid for d >= 3 where the full series converges absolutely.
     """
     ctx = cctx.ctx
     q = cctx.q
@@ -614,46 +681,19 @@ def second_moment_rhs(
     if any(k < 0 for k in dep.values()):
         raise ConfigError("depth must be >= 0")
     b = Fraction(real_bound)
-    terms = [_integral(d, intervals, exps, centers, ctx.primes) ** 2]
-    budget = max_terms
-    for t in _admissible_t(t_max, q, ctx):
-        for den, ms in _denominator_patterns(ctx.primes, dep):
-            r = (t * den) % q
-            for n in _progression(-b * den, b * den, r, q):
-                budget -= 1
-                if budget < 0:
-                    raise SearchBudgetExceeded(
-                        f"pair series exceeded max_terms={max_terms}"
-                    )
-                if n == 0:
-                    continue
-                if any(m > 0 and n % p == 0 for p, m in zip(ctx.primes, ms)):
-                    continue  # not a reduced fraction: counted at lower depth
-                if math.gcd(abs(n), t) != 1:
-                    continue
-                term = _pair_term(
-                    t, Fraction(n, den), d, intervals, exps, centers, ctx.primes
-                )
-                if term:
-                    terms.append(term)
-    vol_sup = float(_integral(d, intervals, exps, centers, ctx.primes))
-    tail = _pair_tail_bound(d, q, vol_sup, t_max, float(b), dep, ctx.primes)
-    return SeriesValue(_tree_sum(terms), tail, len(terms) - 1, t_max, float(b), dep)
+    walk = _admissible_walk(
+        t_max, q, ctx, dep, lambda t: (-b, b), max_terms, "pair series"
+    )
+    used, fractions = _pair_fractions(
+        walk, _pair_kernel(d, intervals, exps, centers, ctx.primes)
+    )
+    integral = _integral(d, intervals, exps, centers, ctx.primes)
+    terms = [integral**2] + fractions
+    tail = _pair_tail_bound(d, q, float(integral), t_max, float(b), dep, ctx.primes)
+    return SeriesValue(_tree_sum(terms), tail, used, t_max, float(b), dep)
 
 
 # --- single-orbit series ----------------------------------------------------------------
-
-
-def _point_in_box(point, d, intervals, exps, centers, primes) -> bool:
-    for x, (lo, hi) in zip(point, intervals):
-        if not lo <= x <= hi:
-            return False
-    for p in primes:
-        e = exps[p]
-        for x, c in zip(point, centers[p]):
-            if x != c and -valuation(x - c, p) > e:
-                return False
-    return True
 
 
 def inhom_series(
@@ -668,7 +708,10 @@ def inhom_series(
     Same admissible (t, a) set as the pair series, evaluated on the single
     rational vector y (diagonally embedded).  The a-sum is finite for every
     t once y is nonzero: the real window pins |a| and the finite support
-    pins the denominator, so the only truncation is t <= t_max.
+    pins the denominator, so the only truncation is t <= t_max.  The walk
+    runs over the real window itself, so only the p-adic conditions are
+    tested, in integers; every term that passes them is t^{-d}, so the
+    series is summed as (number of such a) / t^d, one fraction per t.
     """
     ctx = cctx.ctx
     q = cctx.q
@@ -722,28 +765,29 @@ def inhom_series(
             need = lower if need is None else max(need, lower)
         dep[p] = max(0, -need)
 
-    terms = [base]
-    budget = max_terms
-    for t in _admissible_t(t_max, q, ctx):
-        weight = Fraction(1, t) ** d
-        for den, ms in _denominator_patterns(ctx.primes, dep):
-            r = (t * den) % q
-            for n in _progression(w_lo * t * den, w_hi * t * den, r, q):
-                budget -= 1
-                if budget < 0:
-                    raise SearchBudgetExceeded(
-                        f"orbit series exceeded max_terms={max_terms}"
-                    )
-                if n == 0:
-                    continue
-                if any(m > 0 and n % p == 0 for p, m in zip(ctx.primes, ms)):
-                    continue
-                if math.gcd(abs(n), t) != 1:
-                    continue
-                s = Fraction(n, den * t)
-                point = tuple(s * c for c in coords)
-                if _point_in_box(point, d, intervals, exps, centers, ctx.primes):
-                    terms.append(weight)
+    # p-adic conditions in integers: with y_i = u/w and c_i = g/h, the point
+    # (n / (t den)) y_i lies in c_i + p^{-e} Z_p iff p^{m_p + v_p(w h) - e}
+    # divides n u h - g w t den (t is a p-adic unit); zero y_i passed above
+    tests = [
+        (j, p, c.numerator * cp.denominator, cp.numerator * c.denominator,
+         valuation(c.denominator * cp.denominator, p) - exps[p])
+        for j, p in enumerate(ctx.primes)
+        for c, cp in zip(coords, centers[p])
+        if c != 0
+    ]
+    hits = {}
+    walk = _admissible_walk(
+        t_max, q, ctx, dep, lambda t: (w_lo * t, w_hi * t), max_terms,
+        "orbit series",
+    )
+    for t, den, ms, n in walk:
+        for j, p, uh, gw, shift in tests:
+            k = ms[j] + shift
+            if k > 0 and (n * uh - gw * t * den) % p**k:
+                break
+        else:
+            hits[t] = hits.get(t, 0) + 1
+    terms = [base] + [Fraction(count, t**d) for t, count in hits.items()]
     # tail: for t > t_max the a-count per denominator D is at most
     # (window length) t D / q + 1
     window = float(w_hi - w_lo)
@@ -755,5 +799,6 @@ def inhom_series(
     tail = (window * den_sum / q) * t_max ** (2 - d) / (d - 2)
     tail += den_count * t_max ** (1 - d) / (d - 1)
     return SeriesValue(
-        _tree_sum(terms), tail, len(terms) - 1, t_max, (float(w_lo), float(w_hi)), dep
+        _tree_sum(terms), tail, sum(hits.values()), t_max,
+        (float(w_lo), float(w_hi)), dep,
     )

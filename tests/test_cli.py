@@ -110,6 +110,13 @@ def test_exhausted_enumeration_budget_exits_3_and_names_it(tmp_path, capsys):
     assert "max_candidates=5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["moment-rhs", "orbit"])
+def test_exhausted_series_budget_exits_3_and_names_it(command, tmp_path, capsys):
+    argv = [command, *RUNS[command], "--max-terms", "5", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "max_terms=5" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int -> str digit limit before Python 3.11")
 @pytest.mark.parametrize("argv, code", [

@@ -6,7 +6,9 @@ Stochastic assertions use fixed seeds and 4-sigma tolerances; the seeds
 were checked against neighbors, nothing is tuned beyond that.
 """
 
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from sqcount.errors import (
     ConfigError,
     DimensionMismatch,
     NonIndicatorUnsupported,
+    SearchBudgetExceeded,
     UnsupportedExactSampler,
 )
 from sqcount.moments import (
@@ -29,7 +32,8 @@ from sqcount.moments import (
     space_spec,
     variance_check,
 )
-from sqcount.sarith import SConfig, TVector, valuation
+from sqcount.sarith import SConfig, TVector, is_in_NS, prime_factors, valuation
+from sqcount.serialize import frac_str
 from sqcount.slattice import (
     SBox,
     indicator_product_box,
@@ -38,6 +42,7 @@ from sqcount.slattice import (
 )
 
 S2 = SConfig((2,))
+S23 = SConfig((2, 3))
 S0 = SConfig(())
 
 
@@ -276,6 +281,19 @@ class TestEstimatorPlumbing:
 # --- exact pair series -------------------------------------------------------------------
 
 TERN_BOX = indicator_product_box([(-1, 1)] * 3)  # [-1,1]^3 x Z_2^3 over S2
+# nonzero centers of several valuations at 2 and 3, a negative exponent at 2
+# and a positive one at 3
+CENTERED_BOX = indicator_product_box(
+    [(Fraction(-3, 2), 1), (-1, Fraction(4, 3)), (Fraction(-1, 5), 2)],
+    finite_exponent={2: -1, 3: 1},
+    finite_center={2: (Fraction(1, 2), 0, Fraction(1, 3)),
+                   3: (Fraction(1, 2), 2, Fraction(1, 9))},
+)
+UNIT_CENTER_BOX = indicator_product_box(
+    [(Fraction(-3, 2), 1), (-1, Fraction(4, 3)), (Fraction(-1, 5), 2)],
+    finite_exponent={2: -1, 3: 1},
+    finite_center={2: (1, 0, Fraction(1, 3)), 3: (Fraction(1, 2), 2, 0)},
+)
 
 
 def _oracle_pair_series(f, cctx, t_max, bound, depth, gcd_filter=True):
@@ -335,9 +353,10 @@ def _oracle_pair_series(f, cctx, t_max, bound, depth, gcd_filter=True):
 class TestPairSeries:
     def test_worked_leading_terms(self):
         # q=5, S_f={2}, box [-1,1]^3 x Z_2^3: hand-computed leading terms
-        from sqcount.moments import _pair_term, _product_box_data
+        from sqcount.moments import _pair_kernel, _product_box_data
 
         d, ivs, exps, centers = _product_box_data(TERN_BOX, S2)
+        term = _pair_kernel(d, ivs, exps, centers, S2.primes)
         cases = {
             (1, Fraction(1)): Fraction(8),
             (1, Fraction(-4)): Fraction(1, 8),
@@ -345,7 +364,9 @@ class TestPairSeries:
             (1, Fraction(7, 2)): Fraction(4, 7) ** 3 * Fraction(1, 8),
         }
         for (t, a), want in cases.items():
-            assert _pair_term(t, a, d, ivs, exps, centers, S2.primes) == want
+            ms = (valuation(a.denominator, 2),)
+            num, den = term(t, a.denominator, ms, a.numerator)
+            assert Fraction(num, den) == want
 
     @pytest.mark.parametrize("q", [5, 7])
     def test_matches_doubled_depth_oracle(self, q):
@@ -367,10 +388,22 @@ class TestPairSeries:
     def test_same_window_oracle_agrees_exactly(self):
         # on an identical truncation window the engine and the independent
         # enumeration must agree as Fractions, not just within tails
-        cctx = congruence_context(3, 5, (1, 0, 0), S2)
-        sv = second_moment_rhs(TERN_BOX, cctx, t_max=10, real_bound=12, depth=4)
-        good = _oracle_pair_series(TERN_BOX, cctx, t_max=10, bound=12, depth={2: 4})
-        assert sv.value == good
+        cases = [  # S_f, box, q, t_max, real bound, depth
+            (S2, TERN_BOX, 5, 10, 12, 4),
+            (S2, CENTERED_BOX, 7, 10, 8, 3),
+            (S23, TERN_BOX, 5, 8, 6, 2),
+            (S23, CENTERED_BOX, 7, 8, 6, 2),
+            (S23, UNIT_CENTER_BOX, 7, 8, 6, 2),
+        ]
+        for ctx, f, q, t_max, bound, depth in cases:
+            cctx = congruence_context(3, q, (1, 0, 0), ctx)
+            sv = second_moment_rhs(f, cctx, t_max=t_max, real_bound=bound, depth=depth)
+            good = _oracle_pair_series(
+                f, cctx, t_max=t_max, bound=bound,
+                depth={p: depth for p in ctx.primes},
+            )
+            assert sv.value == good, (ctx, f)
+            assert sv.terms_used > 0
 
     def test_gcd_filter_negative_control(self):
         # dropping the gcd(a, t) = 1 filter admits the diagonal (3, 3) term
@@ -423,7 +456,80 @@ class TestPairSeries:
 # --- single-orbit series -----------------------------------------------------------------
 
 
+def _oracle_orbit_series(f, y, cctx, t_max, bound, depth):
+    """Brute-force orbit series, written independently of the engine: loops
+    over raw numerator/denominator pairs with |a| <= bound t and tests the
+    point (a/t) y against the box by direct Fraction arithmetic."""
+    ctx = cctx.ctx
+    q = cctx.q
+    ivs = [(Fraction(lo), Fraction(hi)) for lo, hi in f.intervals]
+    d = len(ivs)
+    y = [Fraction(c) for c in y]
+    total = Fraction(1)
+    for lo, hi in ivs:
+        total *= hi - lo
+    for p in ctx.primes:
+        total *= Fraction(p) ** (d * int(f.finite_exponent.get(p, 0)))
+    dens = [1]
+    for p in ctx.primes:
+        dens = [dd * p**m for dd in dens for m in range(depth[p] + 1)]
+    for t in range(1, t_max + 1):
+        if math.gcd(t, q) != 1 or any(t % p == 0 for p in ctx.primes):
+            continue
+        for den in dens:
+            for num in range(-bound * t * den, bound * t * den + 1):
+                a = Fraction(num, den)
+                if num == 0 or a.denominator != den:
+                    continue
+                if (num - t * den) % q != 0 or math.gcd(a.numerator, t) != 1:
+                    continue
+                point = [a / t * c for c in y]
+                if not all(lo <= x <= hi for x, (lo, hi) in zip(point, ivs)):
+                    continue
+                inside = True
+                for p in ctx.primes:
+                    e = int(f.finite_exponent.get(p, 0))
+                    centers = f.finite_center.get(p, (0,) * d)
+                    for x, c in zip(point, centers):
+                        if x != Fraction(c) and -valuation(x - Fraction(c), p) > e:
+                            inside = False
+                if inside:
+                    total += Fraction(1, t**d)
+    return total
+
+
 class TestInhomSeries:
+    @pytest.mark.parametrize("ctx, q", [(S2, 5), (S2, 7), (S23, 5), (S23, 7)])
+    def test_matches_brute_force_oracle(self, ctx, q):
+        # random rational y with zero, negative and non-integral coordinates
+        # against the independent enumeration, one denominator deeper than
+        # the engine's cap and over a real window wider than the box allows
+        cctx = congruence_context(3, q, (1, 0, 0), ctx)
+        boxes = [
+            CENTERED_BOX,
+            UNIT_CENTER_BOX,
+            indicator_product_box(
+                [(-3, 3), (Fraction(-3, 2), Fraction(5, 2)), (-2, 2)],
+                finite_exponent={p: 1 for p in ctx.primes},
+                finite_center={p: (Fraction(1, p), 0, 1) for p in ctx.primes},
+            ),
+        ]
+        rng = np.random.default_rng(17 * q + len(ctx.primes))
+        hits = 0
+        for f in boxes:
+            for case in range(4):
+                k = [int(v) for v in rng.integers(-4, 5, 3)]
+                k[int(rng.integers(0, 3))] = 0 if case == 0 else -1
+                y = tuple(Fraction(v, int(rng.choice([1, 2, 3, 6]))) for v in k)
+                sv = inhom_series(f, y, cctx, t_max=16)
+                depth = {p: sv.depth.get(p, 0) + 1 for p in ctx.primes}
+                bound = max(math.ceil(max(abs(lo), abs(hi)) / abs(c))
+                            for c, (lo, hi) in zip(y, f.intervals) if c)
+                oracle = _oracle_orbit_series(f, y, cctx, 16, bound + 1, depth)
+                assert sv.value == oracle, (f, y)
+                hits += sv.terms_used
+        assert hits > 0
+
     def test_tiny_support_picks_out_f_of_y(self):
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
         y = (Fraction(3), Fraction(1), Fraction(2))
@@ -501,6 +607,115 @@ class TestInhomSeries:
         stderr = vol * float(np.std(vals, ddof=1)) / math.sqrt(n)
         slack = 4 * stderr + rhs.tail_bound + vol * float(np.mean(tails))
         assert abs(mean - float(rhs.value)) <= slack
+
+
+# --- series budgets and the benchmark's series ------------------------------------------
+
+
+def _progression_elements(ctx, q, t_max, depth, window):
+    """Brute-force count of the (t, den, n) the series walk charges: every
+    integer n = t den mod q with n / den in window(t), reduced or not."""
+    count = 0
+    for t in range(1, t_max + 1):
+        if math.gcd(t, q) != 1 or not is_in_NS(t, ctx):
+            continue
+        lo, hi = window(t)
+        dens = [1]
+        for p in ctx.primes:
+            dens = [dd * p**m for dd in dens for m in range(depth[p] + 1)]
+        for den in dens:
+            count += sum(1 for n in range(math.floor(lo * den) - 1,
+                                          math.ceil(hi * den) + 2)
+                         if lo <= Fraction(n, den) <= hi and (n - t * den) % q == 0)
+    return count
+
+
+class TestSeriesBudget:
+    def test_pair_series_threshold(self):
+        cctx = congruence_context(3, 5, (1, 0, 0), S23)
+        need = _progression_elements(S23, 5, 8, {2: 2, 3: 1}, lambda t: (-4, 4))
+        kw = dict(t_max=8, real_bound=4, depth={2: 2, 3: 1})
+        assert second_moment_rhs(TERN_BOX, cctx, max_terms=need, **kw).terms_used > 0
+        with pytest.raises(SearchBudgetExceeded) as info:
+            second_moment_rhs(TERN_BOX, cctx, max_terms=need - 1, **kw)
+        assert str(info.value) == (
+            f"pair series budget exceeded (more than max_terms={need - 1} "
+            "terms); raise max_terms"
+        )
+
+    def test_orbit_series_threshold(self):
+        # exponent 1 at 2 with an integral y caps the denominators at 2^1;
+        # the real window of s = a/t is [-1/3, 1/3], set by y_3 = 3
+        cctx = congruence_context(3, 5, (1, 0, 0), S2)
+        f = indicator_product_box([(-1, 1)] * 3, finite_exponent={2: 1})
+        y = (1, 2, 3)
+        third = Fraction(1, 3)
+        need = _progression_elements(S2, 5, 40, {2: 1},
+                                     lambda t: (-third * t, third * t))
+        sv = inhom_series(f, y, cctx, t_max=40, max_terms=need)
+        assert sv.depth == {2: 1} and sv.terms_used > 0
+        with pytest.raises(SearchBudgetExceeded) as info:
+            inhom_series(f, y, cctx, t_max=40, max_terms=need - 1)
+        assert str(info.value) == (
+            f"orbit series budget exceeded (more than max_terms={need - 1} "
+            "terms); raise max_terms"
+        )
+
+
+def test_largest_prime_factor_table():
+    from sqcount.moments import _largest_prime_factors
+
+    for n_max in (1, 2, 3, 4, 9, 25, 1000, 5041):
+        big = _largest_prime_factors(n_max)
+        assert len(big) == n_max + 1
+        assert [int(big[k]) for k in range(2, n_max + 1)] == [
+            prime_factors(k)[-1] for k in range(2, n_max + 1)
+        ]
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    # the pinned values have up to 81,100-digit numerators
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _value_sha256(sv) -> str:
+    return hashlib.sha256(frac_str(sv.value).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.usefixtures("no_int_digit_limit")
+class TestBenchmarkSeries:
+    """The series of the benchmark's exact workload (perfbench), pinned: the
+    sha256 of the num/den text of each value and its terms_used."""
+
+    def test_rhs_p2(self):
+        cctx = congruence_context(3, 3, (0, 0, 1), S2)
+        sv = second_moment_rhs(TERN_BOX, cctx, t_max=64, real_bound=48)
+        assert sv.terms_used == 9827
+        assert _value_sha256(sv) == (
+            "a99554cbad4a151c86d49e27ee035dd88c429adce182ea5f2a1397c795148d2e")
+
+    def test_rhs_p23(self):
+        cctx = congruence_context(3, 5, (0, 0, 1), S23)
+        sv = second_moment_rhs(TERN_BOX, cctx, t_max=8, real_bound=48)
+        assert sv.terms_used == 46212
+        assert _value_sha256(sv) == (
+            "99aa6c942eed8199fb7e2dd1e43a62fa80d9088385cc8d18962f5ae231c33e7e")
+
+    def test_orbit_p23(self):
+        cctx = congruence_context(3, 5, (0, 0, 1), S23)
+        sv = inhom_series(TERN_BOX, (1, 2, 3), cctx, t_max=1000)
+        assert sv.terms_used == 16821
+        assert _value_sha256(sv) == (
+            "38ded6270347632a2e114b28b2216a75ebed759f67ee669c27486eae03739656")
 
 
 # --- variance / Chebyshev ----------------------------------------------------------------
