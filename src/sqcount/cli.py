@@ -23,7 +23,15 @@ byte-identical CSV. --config FILE reads parameters from a JSON object or
 from a previous run's manifest (its embedded config is reused), and flags
 passed explicitly win over the file; replaying a manifest is therefore
 `<command> --config old_manifest.json --out NEWDIR`. Stochastic commands
-require --seed. SQCOUNT_THREADS sets the default worker count.
+require --seed.
+
+Two tables drive the parameters. _KEYS declares each config key once, with
+its help text and its parser; _COMMANDS gives each command its handler,
+its keys with their defaults, and the keys it requires. The argparse
+subcommands are generated from them. A parser takes a flag string or a
+JSON value from a config file and returns the value the handler uses, so a
+value is checked the same way wherever it comes from; a null in a file, or
+an absent flag, leaves the key at its default.
 
 Exact values appear in CSV as "num/den" strings, floats as their shortest
 round-trip representation; the printed summary gives an exact series value
@@ -38,11 +46,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .congruence import congruence_context
 from .counting import (
@@ -84,153 +92,159 @@ from .serialize import (
 from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES
 from .volume import PadicVolumeRequest, leading_constant, padic_quadric_volume, real_quadric_volume
 
-ENV_THREADS = "SQCOUNT_THREADS"
+
+# --- value parsers -------------------------------------------------------------------
+# Each takes a flag string or a JSON value. A malformed value raises
+# ConfigError, ValueError or TypeError; _parse names the key in the message.
 
 
-# --- flag value parsing -----------------------------------------------------------
+def _int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError("expected an integer")
+    return int(v)
 
 
-def _parse_primes(v) -> tuple[int, ...]:
-    if isinstance(v, (list, tuple)):
-        primes = tuple(int(p) for p in v)
-    else:
-        primes = tuple(int(p) for p in str(v).split(",") if p.strip())
+def _positive(v) -> int:
+    n = _int(v)
+    if n < 1:
+        raise ConfigError("must be >= 1")
+    return n
+
+
+def _float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise TypeError("expected a number")
+    return float(v)
+
+
+def _word(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError("expected a string")
+    return v
+
+
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError("expected true or false")
+    return v
+
+
+def _items(v, sep=",") -> list:
+    """The entries of a JSON list or of a separated flag string."""
+    if isinstance(v, list):
+        return v
+    return [s for s in str(v).split(sep) if s.strip()]
+
+
+def _ints(v) -> tuple[int, ...]:
+    return tuple(_int(x) for x in _items(v))
+
+
+def _primes(v) -> tuple[int, ...]:
+    primes = _ints(v)
     if not primes:
         raise ConfigError("need at least one finite prime")
     return primes
 
 
-def _parse_fraclist(v) -> tuple[Fraction, ...]:
-    if isinstance(v, (list, tuple)):
-        return tuple(parse_frac(x) for x in v)
-    return tuple(parse_frac(x) for x in str(v).split(",") if x.strip())
+def _fracs(v) -> tuple[Fraction, ...]:
+    return tuple(parse_frac(x) for x in _items(v))
 
 
-def _parse_intdict(v) -> dict[int, int]:
+def _exponents(v) -> dict[int, int]:
     """Per-prime integers: "2=1,3=-1" or a JSON object {"2": 1}."""
-    if v is None:
-        return {}
     if isinstance(v, dict):
-        return {int(p): int(e) for p, e in v.items()}
+        return {int(p): _int(e) for p, e in v.items()}
     out = {}
-    for item in str(v).split(","):
-        if not item.strip():
-            continue
-        p, sep, e = item.partition("=")
+    for item in _items(v):
+        p, sep, e = str(item).partition("=")
         if not sep:
             raise ConfigError(f"expected p=e, got {item!r}")
         out[int(p)] = int(e)
     return out
 
 
-def _parse_depth(v):
-    if v is None:
-        return None
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str) and "=" not in v:
-        return int(v)
-    return _parse_intdict(v)
+def _depth(v):
+    """One depth k for every prime, or p=k per prime."""
+    if isinstance(v, (int, str)) and "=" not in str(v):
+        return _int(v)
+    return _exponents(v)
 
 
-def _parse_tvec(spec, ctx: SConfig) -> TVector:
+def _scale(v) -> dict:
     """Scale vector: "80", "80@3=2", or {"t_inf": ..., "t_p": {"3": 2}}."""
-    if isinstance(spec, dict):
-        t_p = {int(p): int(e) for p, e in (spec.get("t_p") or {}).items()}
-        return TVector(parse_frac(spec.get("t_inf")), t_p, ctx)
-    body = str(spec).strip()
-    t_inf, _, tail = body.partition("@")
-    return TVector(parse_frac(t_inf), _parse_intdict(tail), ctx)
-
-
-def _tvec_json(t: TVector) -> dict:
-    return {
-        "t_inf": frac_str(Fraction(t.t_inf)),
-        "t_p": {str(p): e for p, e in t.t_p.items()},
-    }
-
-
-def _parse_ladder(spec, ctx: SConfig) -> list[TVector]:
-    if isinstance(spec, (list, tuple)):
-        items = list(spec)
-    else:
-        items = [s for s in str(spec).split(";") if s.strip()]
-    if not items:
-        raise ConfigError("ladder is empty")
-    return [_parse_tvec(item, ctx) for item in items]
-
-
-def _parse_finite_parts(v) -> dict[int, tuple]:
-    """Finite family targets: "p:a:c:kappa,..." or {"p": {"a","c","kappa"}}."""
-    if v is None:
-        return {}
     if isinstance(v, dict):
-        return {
-            int(p): (
-                parse_frac(part.get("a", 0)),
-                int(part.get("c", 0)),
-                int(part.get("kappa", 0)),
-            )
-            for p, part in v.items()
-        }
-    out = {}
-    for item in str(v).split(","):
-        if not item.strip():
-            continue
-        fields = item.split(":")
-        if len(fields) != 4:
-            raise ConfigError(f"expected p:a:c:kappa, got {item!r}")
-        p, a, c, kappa = fields
-        out[int(p)] = (parse_frac(a), int(c), int(kappa))
-    return out
+        t_inf, t_p = v.get("t_inf"), v.get("t_p") or {}
+    else:
+        t_inf, _, t_p = str(v).partition("@")
+    return {"t_inf": parse_frac(t_inf), "t_p": _exponents(t_p)}
 
 
-def _parse_form(spec, ctx: SConfig):
-    """Form flag: "diag:1,1,-1", a JSON file path, or an embedded object.
+def _ladder(v) -> list[dict]:
+    rungs = [_scale(s) for s in _items(v, ";")]
+    if not rungs:
+        raise ConfigError("ladder is empty")
+    return rungs
 
-    Returns the form and its canonical JSON object for the manifest.
-    """
-    if isinstance(spec, dict):
-        return form_from_json(spec, ctx), spec
-    body = str(spec).strip()
+
+def _finite(v) -> dict[int, dict]:
+    """Finite family targets: "p:a:c:kappa,..." or {"p": {"a","c","kappa"}}."""
+    if isinstance(v, dict):
+        fields = [(p, part.get("a", 0), part.get("c", 0), part.get("kappa", 0))
+                  for p, part in v.items() if isinstance(part, dict)]
+        if len(fields) != len(v):
+            raise ConfigError("each finite target must be an object")
+    else:
+        fields = [str(item).split(":") for item in _items(v)]
+        for item in fields:
+            if len(item) != 4:
+                raise ConfigError(f"expected p:a:c:kappa, got {':'.join(item)!r}")
+    return {int(p): {"a": parse_frac(a), "c": _int(c), "kappa": _int(kappa)}
+            for p, a, c, kappa in fields}
+
+
+def _json_file(path: str) -> dict:
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return obj
+
+
+def _form(v) -> dict:
+    """Form object: "diag:1,1,-1", a JSON file path, or the object itself."""
+    if isinstance(v, dict):
+        return v
+    body = str(v).strip()
     if body.startswith("diag:"):
-        entries = _parse_fraclist(body[5:])
+        entries = _fracs(body[5:])
         if len(entries) < 2:
             raise ConfigError("diagonal form needs at least two entries")
-        rows = [
+        return {"gram_inf": [
             [frac_str(x) if i == j else "0" for j, x in enumerate(entries)]
             for i in range(len(entries))
-        ]
-        obj = {"gram_inf": rows}
-        return form_from_json(obj, ctx), obj
+        ]}
     if body.endswith(".json"):
-        try:
-            obj = json.loads(Path(body).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read form {body}: {exc}") from exc
-        return form_from_json(obj, ctx), obj
-    raise ConfigError(f"unrecognized form spec {spec!r}")
+        return _json_file(body)
+    raise ConfigError("expected diag:..., a .json file or a form object")
 
 
-def _parse_f(spec, ctx: SConfig):
-    """Test function flag: "disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]",
-    a JSON file path, or an embedded object.
-    """
-    if isinstance(spec, dict):
-        return testfn_from_json(spec, ctx), spec
-    body = str(spec).strip()
+def _testfn(v) -> dict:
+    """Test function object: "disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]",
+    a JSON file path, or the object itself."""
+    if isinstance(v, dict):
+        return v
+    body = str(v).strip()
     if body.endswith(".json"):
-        try:
-            obj = json.loads(Path(body).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read test function {body}: {exc}") from exc
-        return testfn_from_json(obj, ctx), obj
+        return _json_file(body)
     if body.startswith("disk:"):
         radius, _, tail = body[5:].partition("@")
         obj = {"kind": "disk", "radius": frac_str(parse_frac(radius))}
         if tail:
-            obj["t_p"] = {str(p): e for p, e in _parse_intdict(tail).items()}
-        return testfn_from_json(obj, ctx), obj
+            obj["t_p"] = {str(p): e for p, e in _exponents(tail).items()}
+        return obj
     if body.startswith("box:"):
         ivs, _, tail = body[4:].partition("@")
         intervals = []
@@ -241,72 +255,89 @@ def _parse_f(spec, ctx: SConfig):
             intervals.append([frac_str(parse_frac(lo)), frac_str(parse_frac(hi))])
         obj = {"kind": "box", "intervals": intervals}
         if tail:
-            obj["finite_exponent"] = {
-                str(p): e for p, e in _parse_intdict(tail).items()
-            }
-        return testfn_from_json(obj, ctx), obj
-    raise ConfigError(f"unrecognized test function spec {spec!r}")
+            obj["finite_exponent"] = {str(p): e for p, e in _exponents(tail).items()}
+        return obj
+    raise ConfigError("expected disk:..., box:..., a .json file or an object")
 
 
-# --- shared config plumbing ---------------------------------------------------------
+class _Key(NamedTuple):
+    parse: Callable
+    help: str
 
 
-def _ctx(cfg) -> SConfig:
-    primes = _parse_primes(cfg.get("primes"))
-    cfg["primes"] = list(primes)
-    return SConfig(primes)
+# every config key, declared once; the flag is --<key> with "_" as "-"
+_KEYS = {
+    "primes": _Key(_primes, "finite places, e.g. 2,3"),
+    "d": _Key(_int, "dimension"),
+    "q": _Key(_int, "congruence level"),
+    "w": _Key(_fracs, "congruence shift w (comma rationals)"),
+    "xi": _Key(_fracs, "inhomogeneous shift (comma rationals)"),
+    "y": _Key(_fracs, "evaluation point (comma rationals)"),
+    "tol": _Key(_float, "error tolerance; identity-check exits 3 above it"),
+    "zeta_tol": _Key(_float, "series truncation tolerance"),
+    "method": _Key(_word, "identity-check: series | closed; volume: "
+                          "standardized-integral | montecarlo | cross"),
+    "variant": _Key(_word, "UL | SL"),
+    "form": _Key(_form, '"diag:1,1,-1" or a form JSON file'),
+    "c_inf": _Key(parse_frac, "real interval scale c (rational)"),
+    "kappa_inf": _Key(_float, "real shrink rate kappa"),
+    "a_inf": _Key(parse_frac, "real interval center (rational)"),
+    "finite": _Key(_finite, "finite targets p:a:c:kappa[,...]"),
+    "t": _Key(_scale, 'scale "T_inf[@p=t_p,...]"'),
+    "ladder": _Key(_ladder, 'rungs "T[@p=t_p];T[@p=t_p];..."'),
+    "c_q": _Key(_float, "leading constant override"),
+    "max_candidates": _Key(_int, "candidate budget (exit 3 when spent)"),
+    "budget_s": _Key(_float, "soft wall-clock budget in seconds"),
+    "n_grid": _Key(_int, "real quadrature grid size"),
+    "n_samples": _Key(_int, "Monte Carlo volume samples"),
+    "seed": _Key(_int, "random seed"),
+    "leading": _Key(_bool, "also extrapolate the leading constant c_Q"),
+    "t0": _Key(_float, "leading-constant ladder start"),
+    "rungs": _Key(_int, "leading-constant ladder length"),
+    "space": _Key(_word, "base | affine | congruence"),
+    "f": _Key(_testfn, '"disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]" or JSON'),
+    "box": _Key(_testfn, '"disk:R[@p=e,...]"'),
+    "threshold": _Key(_float, "exceedance threshold"),
+    "order": _Key(_ints, "moment orders: 1, 2, or 1,2"),
+    "n": _Key(_int, "number of draws"),
+    "depth": _Key(_depth, "p-adic depth k or p=k[,...] (sampler depth; for "
+                          "moment-rhs the series denominator depth)"),
+    "sampler": _Key(_word, "auto | exact | mcmc"),
+    "mcmc_eps": _Key(_float, "MCMC step size"),
+    "mcmc_burn_in": _Key(_int, "MCMC burn-in steps"),
+    "mcmc_thin": _Key(_int, "MCMC steps between draws"),
+    "threads": _Key(_positive, "worker streams"),
+    "t_max": _Key(_int, "series truncation t_max"),
+    "real_bound": _Key(_float, "real-place bound of the series"),
+    "max_terms": _Key(_int, "series term budget (exit 3 when spent)"),
+}
+
+
+def _parse(key: str, value):
+    try:
+        return _KEYS[key].parse(value)
+    except (ConfigError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+
+
+# --- shared handler plumbing ---------------------------------------------------------
 
 
 def _family(cfg, d: int):
-    finite = _parse_finite_parts(cfg.get("finite"))
-    fam = shrinking_family(
-        d,
-        parse_frac(cfg.get("c_inf")),
-        float(cfg.get("kappa_inf") or 0.0),
-        parse_frac(cfg.get("a_inf") if cfg.get("a_inf") is not None else 0),
-        finite,
-    )
-    cfg["c_inf"] = frac_str(Fraction(fam.c_inf))
-    cfg["a_inf"] = frac_str(Fraction(fam.a_inf))
-    cfg["kappa_inf"] = fam.kappa_inf
-    cfg["finite"] = {
-        str(p): {"a": frac_str(part.a), "c": part.c, "kappa": part.kappa}
-        for p, part in fam.finite.items()
-    }
-    return fam
-
-
-def _threads(cfg) -> int:
-    t = cfg.get("threads")
-    if t is None:
-        t = os.environ.get(ENV_THREADS, "1")
-    try:
-        t = int(t)
-    except ValueError as exc:
-        raise ConfigError(f"thread count must be an integer, got {t!r}") from exc
-    if t < 1:
-        raise ConfigError("thread count must be >= 1")
-    cfg["threads"] = t
-    return t
+    finite = {p: (x["a"], x["c"], x["kappa"]) for p, x in cfg["finite"].items()}
+    return shrinking_family(d, cfg["c_inf"], cfg["kappa_inf"], cfg["a_inf"], finite)
 
 
 def _space(cfg, ctx: SConfig):
-    kind = str(cfg.get("space"))
-    d = int(cfg.get("d"))
+    kind, d = cfg["space"], cfg["d"]
     cctx = None
     if kind.startswith("congruence"):
-        if cfg.get("q") is None or cfg.get("w") is None:
+        if cfg["q"] is None or cfg["w"] is None:
             raise ConfigError("congruence space needs --q and --w")
-        w = _parse_fraclist(cfg["w"])
-        cfg["w"] = [frac_str(x) for x in w]
-        cctx = congruence_context(d, int(cfg["q"]), w, ctx)
-    depth = _parse_depth(cfg.get("depth"))
+        cctx = congruence_context(d, cfg["q"], cfg["w"], ctx)
     return space_spec(
-        kind, d, ctx, cctx, depth,
-        cfg.get("sampler") or "auto",
-        float(cfg.get("mcmc_eps")),
-        int(cfg.get("mcmc_burn_in")),
-        int(cfg.get("mcmc_thin")),
+        kind, d, ctx, cctx, cfg["depth"], cfg["sampler"],
+        cfg["mcmc_eps"], cfg["mcmc_burn_in"], cfg["mcmc_thin"],
     )
 
 
@@ -356,11 +387,13 @@ def _emit(command, cfg, out_dir: Path, header, rows, summary,
 
 
 # --- command handlers ------------------------------------------------------------------
+# Each handler's docstring is its subcommand's help line.
 
 
 def _cmd_zeta(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    d, tol = int(cfg["d"]), float(cfg["tol"])
+    """zeta_S series vs the Euler product"""
+    ctx = SConfig(cfg["primes"])
+    d, tol = cfg["d"], cfg["tol"]
     value, err = zeta_S(d, ctx, tol)
     euler = zeta_S_euler(d, ctx)
     delta = abs(value - euler)
@@ -378,7 +411,8 @@ def _cmd_zeta(cfg, out_dir, t0):
 
 
 def _cmd_group_order(cfg, out_dir, t0):
-    d, q = int(cfg["d"]), int(cfg["q"])
+    """#SL_d(Z/q) with the Mobius cross-check"""
+    d, q = cfg["d"], cfg["q"]
     order = sl_group_order(d, q)
     ok = sl_order_mobius_check(d, q) if d >= 2 else True
     header = ["d", "q", "order", "mobius_ok"]
@@ -391,12 +425,10 @@ def _cmd_group_order(cfg, out_dir, t0):
 
 
 def _cmd_identity_check(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    d, q = int(cfg["d"]), int(cfg["q"])
-    method, tol = str(cfg["method"]), float(cfg["tol"])
-    residual = normalization_identity_residual(
-        d, q, ctx, float(cfg["zeta_tol"]), method
-    )
+    """normalization identity residual"""
+    ctx = SConfig(cfg["primes"])
+    d, q, method, tol = cfg["d"], cfg["q"], cfg["method"], cfg["tol"]
+    residual = normalization_identity_residual(d, q, ctx, cfg["zeta_tol"], method)
     header = ["d", "q", "primes", "method", "residual"]
     rows = [[d, q, ";".join(map(str, ctx.primes)), method, residual]]
     _emit("identity-check", cfg, out_dir, header, rows, [
@@ -408,9 +440,10 @@ def _cmd_identity_check(cfg, out_dir, t0):
 
 
 def _cmd_covolume(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    d, variant = int(cfg["d"]), str(cfg["variant"])
-    value, err = covolume_product(d, ctx, variant, float(cfg["tol"]))
+    """covolume constant"""
+    ctx = SConfig(cfg["primes"])
+    d, variant = cfg["d"], cfg["variant"]
+    value, err = covolume_product(d, ctx, variant, cfg["tol"])
     header = ["d", "primes", "variant", "value", "error_bound"]
     rows = [[d, ";".join(map(str, ctx.primes)), variant, value, err]]
     _emit("covolume", cfg, out_dir, header, rows, [
@@ -421,35 +454,29 @@ def _cmd_covolume(cfg, out_dir, t0):
 
 def _target_from_cfg(cfg, ctx, d):
     """Congruence (q, w) or inhomogeneous shift xi, exactly one of the two."""
-    has_cong = cfg.get("q") is not None
-    has_xi = cfg.get("xi") is not None
-    if has_cong == has_xi:
+    has_cong = cfg["q"] is not None
+    if has_cong == (cfg["xi"] is not None):
         raise ConfigError("need exactly one of --q/--w or --xi")
-    if has_cong:
-        if cfg.get("w") is None:
-            raise ConfigError("--q needs --w")
-        w = _parse_fraclist(cfg["w"])
-        cfg["w"] = [frac_str(x) for x in w]
-        return congruence_context(d, int(cfg["q"]), w, ctx)
-    xi = _parse_fraclist(cfg["xi"])
-    cfg["xi"] = [frac_str(x) for x in xi]
-    return xi
+    if not has_cong:
+        return cfg["xi"]
+    if cfg["w"] is None:
+        raise ConfigError("--q needs --w")
+    return congruence_context(d, cfg["q"], cfg["w"], ctx)
 
 
 def _cmd_count(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    q_form, form_obj = _parse_form(cfg["form"], ctx)
-    cfg["form"] = form_obj
+    """one exact count vs its prediction"""
+    ctx = SConfig(cfg["primes"])
+    q_form = form_from_json(cfg["form"], ctx)
     family = _family(cfg, q_form.dim)
-    t = _parse_tvec(cfg["t"], ctx)
-    cfg["t"] = _tvec_json(t)
+    # the manifest records every exponent of the resolved scale
+    t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
     target = _target_from_cfg(cfg, ctx, q_form.dim)
-    c_q = cfg.get("c_q")
-    budget = int(cfg["max_candidates"])
+    budget = cfg["max_candidates"]
     if isinstance(target, tuple):
-        res = count_inhom(q_form, target, family, t, c_q, budget)
+        res = count_inhom(q_form, target, family, t, cfg["c_q"], budget)
     else:
-        res = count_congruence(target, q_form, family, t, c_q, budget)
+        res = count_congruence(target, q_form, family, t, cfg["c_q"], budget)
     _emit("count", cfg, out_dir, _count_header(ctx), [_count_row(res, ctx)], [
         f"N = {res.n}, prediction = {res.prediction!r}, ratio = {res.ratio!r}",
     ], results={"wall_ms": res.wall_ms}, t0=t0)
@@ -457,19 +484,14 @@ def _cmd_count(cfg, out_dir, t0):
 
 
 def _cmd_sweep(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    q_form, form_obj = _parse_form(cfg["form"], ctx)
-    cfg["form"] = form_obj
+    """counts along a T ladder"""
+    ctx = SConfig(cfg["primes"])
+    q_form = form_from_json(cfg["form"], ctx)
     family = _family(cfg, q_form.dim)
-    ladder = _parse_ladder(cfg["ladder"], ctx)
-    cfg["ladder"] = [_tvec_json(t) for t in ladder]
+    ladder = cfg["ladder"] = [TVector(**t, ctx=ctx) for t in cfg["ladder"]]
     target = _target_from_cfg(cfg, ctx, q_form.dim)
-    budget_s = cfg.get("budget_s")
-    res = sweep(
-        q_form, target, family, ladder,
-        float(budget_s) if budget_s is not None else None,
-        int(cfg["max_candidates"]),
-    )
+    budget_s = cfg["budget_s"]
+    res = sweep(q_form, target, family, ladder, budget_s, cfg["max_candidates"])
     rows = [_count_row(r, ctx) for r in res.results]
     summary = [f"{len(res.results)}/{len(ladder)} rungs"]
     if res.results:
@@ -486,20 +508,18 @@ def _cmd_sweep(cfg, out_dir, t0):
 
 
 def _cmd_volume(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    q_form, form_obj = _parse_form(cfg["form"], ctx)
-    cfg["form"] = form_obj
+    """real x p-adic quadric volumes"""
+    ctx = SConfig(cfg["primes"])
+    q_form = form_from_json(cfg["form"], ctx)
     family = _family(cfg, q_form.dim)
-    t = _parse_tvec(cfg["t"], ctx)
-    cfg["t"] = _tvec_json(t)
-    method = str(cfg["method"])
-    seed = cfg.get("seed")
+    t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
+    method, seed = cfg["method"], cfg["seed"]
     if method != "standardized-integral" and seed is None:
         raise ConfigError(f"--seed is required for method {method!r}")
     v_real, err = real_quadric_volume(
         q_form.gram_at(INF), float(t.t_inf), family.real_interval(t.t_inf),
-        method=method, n_grid=cfg.get("n_grid"),
-        n_samples=int(cfg["n_samples"]), seed=int(seed) if seed is not None else 0,
+        method=method, n_grid=cfg["n_grid"], n_samples=cfg["n_samples"],
+        seed=seed if seed is not None else 0,
     )
     finite = {}
     for p in ctx.primes:
@@ -509,10 +529,10 @@ def _cmd_volume(cfg, out_dir, t0):
         )
     total = v_real * math.prod(float(v) for v in finite.values())
     c_q = c_q_err = None
-    if cfg.get("leading"):
+    if cfg["leading"]:
         asym = leading_constant(
-            q_form, family, t_p=t.t_p, t0=float(cfg["t0"]),
-            ladder=int(cfg["rungs"]), n_grid=cfg.get("n_grid"),
+            q_form, family, t_p=t.t_p, t0=cfg["t0"], ladder=cfg["rungs"],
+            n_grid=cfg["n_grid"],
         )
         c_q, c_q_err = asym.c_q, asym.error
     header = (
@@ -539,22 +559,16 @@ def _cmd_volume(cfg, out_dir, t0):
 
 
 def _cmd_moment_mc(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    if cfg.get("seed") is None:
+    """Monte Carlo transform moments"""
+    ctx = SConfig(cfg["primes"])
+    seed = cfg["seed"]
+    if seed is None:
         raise ConfigError("--seed is required for moment-mc")
-    seed = int(cfg["seed"])
     space = _space(cfg, ctx)
-    f, f_obj = _parse_f(cfg["f"], ctx)
-    cfg["f"] = f_obj
-    orders = cfg.get("order")
-    if not isinstance(orders, (list, tuple)):
-        orders = [x for x in str(orders).split(",") if x.strip()]
-    orders = tuple(int(x) for x in orders)
-    cfg["order"] = list(orders)
-    n = int(cfg["n"])
-    workers = _threads(cfg)
+    f = testfn_from_json(cfg["f"], ctx)
+    orders = cfg["order"]
     estimates = estimate_moments(
-        space, [f], orders, n, seed, workers, int(cfg["max_candidates"])
+        space, [f], orders, cfg["n"], seed, cfg["threads"], cfg["max_candidates"]
     )[0]
     header = ["space", "d", "order", "mean", "stderr", "n", "seed", "sampler"]
     rows = [
@@ -572,22 +586,19 @@ def _cmd_moment_mc(cfg, out_dir, t0):
 
 
 def _cmd_moment_rhs(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    w = _parse_fraclist(cfg["w"])
-    cfg["w"] = [frac_str(x) for x in w]
-    cctx = congruence_context(len(w), int(cfg["q"]), w, ctx)
-    f, f_obj = _parse_f(cfg["f"], ctx)
-    cfg["f"] = f_obj
+    """exact second-moment series"""
+    ctx = SConfig(cfg["primes"])
+    w = cfg["w"]
+    cctx = congruence_context(len(w), cfg["q"], w, ctx)
+    f = testfn_from_json(cfg["f"], ctx)
     if f.kind == "product-box" and len(f.intervals) != cctx.d:
         raise ConfigError(
             f"test function has {len(f.intervals)} coordinates, w has {cctx.d}"
         )
-    depth = _parse_depth(cfg.get("depth"))
     sv = second_moment_rhs(
-        f, cctx, int(cfg["t_max"]), float(cfg["real_bound"]), depth,
-        int(cfg["max_terms"]),
+        f, cctx, cfg["t_max"], cfg["real_bound"], cfg["depth"], cfg["max_terms"]
     )
-    cfg["depth"] = {str(p): k for p, k in sv.depth.items()}
+    cfg["depth"] = sv.depth
     header = ["q", "t_max", "real_bound", "value", "value_float",
               "tail_bound", "terms_used"]
     rows = [[cctx.q, sv.t_max, sv.real_bound, sv.value, float(sv.value),
@@ -600,27 +611,28 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
 
 
 def _cmd_variance(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    if cfg.get("seed") is None:
+    """empirical exceedance vs the Chebyshev bound"""
+    ctx = SConfig(cfg["primes"])
+    seed = cfg["seed"]
+    if seed is None:
         raise ConfigError("--seed is required for variance")
-    seed = int(cfg["seed"])
     space = _space(cfg, ctx)
-    f, box_obj = _parse_f(cfg["box"], ctx)
-    cfg["box"] = box_obj
+    f = testfn_from_json(cfg["box"], ctx)
     if f.kind != "sbox":
         raise ConfigError("variance needs a disk:R box")
+    threshold = cfg["threshold"]
     check = variance_check(
-        space, f.box, float(cfg["threshold"]), int(cfg["n"]), seed,
-        _threads(cfg), int(cfg["max_candidates"]),
+        space, f.box, threshold, cfg["n"], seed, cfg["threads"],
+        cfg["max_candidates"],
     )
     vol = f.box.volume(space.d)
     header = ["space", "d", "volume", "threshold", "empirical_prob", "bound",
               "stderr", "observed_constant", "n", "seed"]
-    rows = [[space.kind, space.d, vol, float(cfg["threshold"]),
+    rows = [[space.kind, space.d, vol, threshold,
              check.empirical_prob, check.bound, check.stderr,
              check.observed_constant, check.n_samples, check.seed]]
     _emit("variance", cfg, out_dir, header, rows, [
-        f"P(|count - vol| > {float(cfg['threshold'])!r}) = "
+        f"P(|count - vol| > {threshold!r}) = "
         f"{check.empirical_prob!r} vs bound {check.bound!r} "
         f"(binomial stderr {check.stderr:.3g})",
     ], seed=seed, t0=t0)
@@ -628,15 +640,12 @@ def _cmd_variance(cfg, out_dir, t0):
 
 
 def _cmd_orbit(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    w = _parse_fraclist(cfg["w"])
-    cfg["w"] = [frac_str(x) for x in w]
-    cctx = congruence_context(len(w), int(cfg["q"]), w, ctx)
-    f, f_obj = _parse_f(cfg["f"], ctx)
-    cfg["f"] = f_obj
-    y = _parse_fraclist(cfg["y"])
-    cfg["y"] = [frac_str(x) for x in y]
-    sv = inhom_series(f, y, cctx, int(cfg["t_max"]), int(cfg["max_terms"]))
+    """exact orbital series at a rational point"""
+    ctx = SConfig(cfg["primes"])
+    w = cfg["w"]
+    cctx = congruence_context(len(w), cfg["q"], w, ctx)
+    f = testfn_from_json(cfg["f"], ctx)
+    sv = inhom_series(f, cfg["y"], cctx, cfg["t_max"], cfg["max_terms"])
     header = ["q", "t_max", "value", "value_float", "tail_bound", "terms_used"]
     rows = [[cctx.q, sv.t_max, sv.value, float(sv.value), sv.tail_bound,
              sv.terms_used]]
@@ -648,23 +657,17 @@ def _cmd_orbit(cfg, out_dir, t0):
 
 
 def _cmd_rescale_check(cfg, out_dir, t0):
-    ctx = _ctx(cfg)
-    q_form, form_obj = _parse_form(cfg["form"], ctx)
-    cfg["form"] = form_obj
+    """congruence/inhomogeneous rescaling identity"""
+    ctx = SConfig(cfg["primes"])
+    q_form = form_from_json(cfg["form"], ctx)
     family = _family(cfg, q_form.dim)
-    t = _parse_tvec(cfg["t"], ctx)
-    cfg["t"] = _tvec_json(t)
-    q = int(cfg["q"])
-    w = (
-        _parse_fraclist(cfg["w"]) if cfg.get("w") is not None
-        else (Fraction(0),) * q_form.dim
-    )
+    t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
+    q, w = cfg["q"], cfg["w"]
+    if w is None:
+        w = cfg["w"] = (Fraction(0),) * q_form.dim
     if len(w) != q_form.dim:
         raise ConfigError(f"w has {len(w)} entries, the form has {q_form.dim}")
-    cfg["w"] = [frac_str(x) for x in w]
-    ok = rescale_identity_check(
-        (q, w), q_form, family, t, int(cfg["max_candidates"])
-    )
+    ok = rescale_identity_check((q, w), q_form, family, t, cfg["max_candidates"])
     header = ["q", "t_inf"] + [f"t_{p}" for p in ctx.primes] + ["ok"]
     rows = [[q, Fraction(t.t_inf)] + [t.t_p[p] for p in ctx.primes] + [ok]]
     _emit("rescale-check", cfg, out_dir, header, rows, [
@@ -675,90 +678,62 @@ def _cmd_rescale_check(cfg, out_dir, t0):
     return 0
 
 
+# --- commands ----------------------------------------------------------------------------
+
+_REQ = object()  # marks a command key that has no default
+
+
+def _command(handler, **keys):
+    """(handler, defaults, required) of a command whose keys map to their
+    default values, or to _REQ."""
+    defaults = {k: None if v is _REQ else v for k, v in keys.items()}
+    return handler, defaults, [k for k, v in keys.items() if v is _REQ]
+
+
+_FAMILY = {"c_inf": _REQ, "kappa_inf": 0.0, "a_inf": "0", "finite": {}}
+_MCMC = {"sampler": "auto", "mcmc_eps": 0.25, "mcmc_burn_in": 1000,
+         "mcmc_thin": 30, "depth": None, "threads": 1}
+
+_COMMANDS = {
+    "zeta": _command(_cmd_zeta, d=_REQ, primes=_REQ, tol=1e-9),
+    "group-order": _command(_cmd_group_order, d=_REQ, q=_REQ),
+    "identity-check": _command(
+        _cmd_identity_check, d=_REQ, q=_REQ, primes=_REQ, method="series",
+        tol=1e-6, zeta_tol=1e-9),
+    "covolume": _command(
+        _cmd_covolume, d=_REQ, primes=_REQ, variant="UL", tol=1e-9),
+    "count": _command(
+        _cmd_count, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
+        **_FAMILY, t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES, c_q=None),
+    "sweep": _command(
+        _cmd_sweep, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
+        **_FAMILY, ladder=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES,
+        budget_s=None),
+    "volume": _command(
+        _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ,
+        method="standardized-integral", n_grid=None, n_samples=400_000,
+        seed=None, leading=False, t0=24.0, rungs=5),
+    "moment-mc": _command(
+        _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
+        f=_REQ, order="1,2", n=10_000, seed=None,
+        max_candidates=ENUM_MAX_CANDIDATES, **_MCMC),
+    "moment-rhs": _command(
+        _cmd_moment_rhs, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, t_max=16,
+        real_bound=24.0, depth=None, max_terms=5_000_000),
+    "variance": _command(
+        _cmd_variance, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
+        box=_REQ, threshold=_REQ, n=10_000, seed=None,
+        max_candidates=ENUM_MAX_CANDIDATES, **_MCMC),
+    "orbit": _command(
+        _cmd_orbit, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, y=_REQ, t_max=32,
+        max_terms=5_000_000),
+    "rescale-check": _command(
+        _cmd_rescale_check, form=_REQ, primes=_REQ, q=1, w=None, **_FAMILY,
+        t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),
+}
+
+
 # --- argument parsing -------------------------------------------------------------------
-
-
-_COMMANDS: dict = {}
-
-
-def _register(name, handler, defaults, required):
-    _COMMANDS[name] = (handler, defaults, required)
-
-
-_register("zeta", _cmd_zeta, {"d": None, "primes": None, "tol": 1e-9},
-          ["d", "primes"])
-_register("group-order", _cmd_group_order, {"d": None, "q": None}, ["d", "q"])
-_register("identity-check", _cmd_identity_check,
-          {"d": None, "q": None, "primes": None, "method": "series",
-           "tol": 1e-6, "zeta_tol": 1e-9},
-          ["d", "q", "primes"])
-_register("covolume", _cmd_covolume,
-          {"d": None, "primes": None, "variant": "UL", "tol": 1e-9},
-          ["d", "primes"])
-
-_FAMILY_DEFAULTS = {"c_inf": None, "kappa_inf": 0.0, "a_inf": "0", "finite": None}
-_register("count", _cmd_count,
-          {"form": None, "primes": None, "q": None, "w": None, "xi": None,
-           "c_q": None, "t": None, "max_candidates": DEFAULT_MAX_CANDIDATES,
-           **_FAMILY_DEFAULTS},
-          ["form", "primes", "c_inf", "t"])
-_register("sweep", _cmd_sweep,
-          {"form": None, "primes": None, "q": None, "w": None, "xi": None,
-           "ladder": None, "budget_s": None,
-           "max_candidates": DEFAULT_MAX_CANDIDATES, **_FAMILY_DEFAULTS},
-          ["form", "primes", "c_inf", "ladder"])
-_register("volume", _cmd_volume,
-          {"form": None, "primes": None, "t": None,
-           "method": "standardized-integral", "n_grid": None,
-           "n_samples": 400_000, "seed": None, "leading": False, "t0": 24.0,
-           "rungs": 5, **_FAMILY_DEFAULTS},
-          ["form", "primes", "c_inf", "t"])
-
-_MCMC_DEFAULTS = {"sampler": "auto", "mcmc_eps": 0.25, "mcmc_burn_in": 1000,
-                  "mcmc_thin": 30, "depth": None, "threads": None}
-_register("moment-mc", _cmd_moment_mc,
-          {"space": None, "d": None, "primes": None, "q": None, "w": None,
-           "f": None, "order": "1,2", "n": 10_000, "seed": None,
-           "max_candidates": ENUM_MAX_CANDIDATES, **_MCMC_DEFAULTS},
-          ["space", "d", "primes", "f"])
-_register("moment-rhs", _cmd_moment_rhs,
-          {"primes": None, "q": None, "w": None, "f": None, "t_max": 16,
-           "real_bound": 24.0, "depth": None, "max_terms": 5_000_000},
-          ["primes", "q", "w", "f"])
-_register("variance", _cmd_variance,
-          {"space": None, "d": None, "primes": None, "q": None, "w": None,
-           "box": None, "threshold": None, "n": 10_000, "seed": None,
-           "max_candidates": ENUM_MAX_CANDIDATES, **_MCMC_DEFAULTS},
-          ["space", "d", "primes", "box", "threshold"])
-_register("orbit", _cmd_orbit,
-          {"primes": None, "q": None, "w": None, "f": None, "y": None,
-           "t_max": 32, "max_terms": 5_000_000},
-          ["primes", "q", "w", "f", "y"])
-_register("rescale-check", _cmd_rescale_check,
-          {"form": None, "primes": None, "q": 1, "w": None, "t": None,
-           "max_candidates": DEFAULT_MAX_CANDIDATES, **_FAMILY_DEFAULTS},
-          ["form", "primes", "c_inf", "t"])
-
-
-def _add_family_flags(sp):
-    sp.add_argument("--c-inf", help="real interval scale c (rational)")
-    sp.add_argument("--kappa-inf", type=float, help="real shrink rate kappa")
-    sp.add_argument("--a-inf", help="real interval center (rational)")
-    sp.add_argument("--finite", help="finite targets p:a:c:kappa[,...]")
-
-
-def _add_space_flags(sp):
-    sp.add_argument("--space", help="base | affine | congruence")
-    sp.add_argument("--d", type=int, help="dimension")
-    sp.add_argument("--q", type=int, help="congruence level")
-    sp.add_argument("--w", help="congruence shift w (comma rationals)")
-    sp.add_argument("--depth", help="sampler depth k or p=k[,...]")
-    sp.add_argument("--sampler", choices=["auto", "exact", "mcmc"])
-    sp.add_argument("--mcmc-eps", type=float)
-    sp.add_argument("--mcmc-burn-in", type=int)
-    sp.add_argument("--mcmc-thin", type=int)
-    sp.add_argument("--threads", type=int,
-                    help=f"worker streams (default ${ENV_THREADS} or 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -768,142 +743,37 @@ def _build_parser() -> argparse.ArgumentParser:
                     "JSON manifest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    for name, (handler, defaults, required) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("--config", help="JSON config or a previous manifest")
         sp.add_argument("--out", help="output directory (default: .)")
-        return sp
-
-    sp = new("zeta", "zeta_S series vs the Euler product")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--primes", help="finite places, e.g. 2,3")
-    sp.add_argument("--tol", type=float)
-
-    sp = new("group-order", "#SL_d(Z/q) with the Mobius cross-check")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--q", type=int)
-
-    sp = new("identity-check", "normalization identity residual")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--primes")
-    sp.add_argument("--method", choices=["series", "closed"])
-    sp.add_argument("--tol", type=float, help="residual tolerance (exit 3 above)")
-    sp.add_argument("--zeta-tol", type=float, help="series truncation tolerance")
-
-    sp = new("covolume", "covolume constant")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--primes")
-    sp.add_argument("--variant", choices=["UL", "SL"])
-    sp.add_argument("--tol", type=float)
-
-    def counting_flags(sp, with_t=True):
-        sp.add_argument("--form", help='"diag:1,1,-1" or a form JSON file')
-        sp.add_argument("--primes")
-        sp.add_argument("--q", type=int, help="congruence level")
-        sp.add_argument("--w", help="congruence shift (comma rationals)")
-        sp.add_argument("--xi", help="inhomogeneous shift (comma rationals)")
-        _add_family_flags(sp)
-        if with_t:
-            sp.add_argument("--t", help='scale "T_inf[@p=t_p,...]"')
-        sp.add_argument("--max-candidates", type=int)
-
-    sp = new("count", "one exact count vs its prediction")
-    counting_flags(sp)
-    sp.add_argument("--c-q", type=float, help="leading constant override")
-
-    sp = new("sweep", "counts along a T ladder")
-    counting_flags(sp, with_t=False)
-    sp.add_argument("--ladder", help='rungs "T[@p=t_p];T[@p=t_p];..."')
-    sp.add_argument("--budget-s", type=float, help="soft wall-clock budget")
-
-    sp = new("volume", "real x p-adic quadric volumes")
-    sp.add_argument("--form")
-    sp.add_argument("--primes")
-    _add_family_flags(sp)
-    sp.add_argument("--t", help='scale "T_inf[@p=t_p,...]"')
-    sp.add_argument("--method",
-                    choices=["standardized-integral", "montecarlo", "cross"])
-    sp.add_argument("--n-grid", type=int)
-    sp.add_argument("--n-samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--leading", action="store_const", const=True,
-                    help="also extrapolate the leading constant c_Q")
-    sp.add_argument("--t0", type=float, help="leading-constant ladder start")
-    sp.add_argument("--rungs", type=int, help="leading-constant ladder length")
-
-    sp = new("moment-mc", "Monte Carlo transform moments")
-    _add_space_flags(sp)
-    sp.add_argument("--primes")
-    sp.add_argument("--f", help='"disk:R[@p=e]", "box:lo..hi,...[@p=e]", or JSON')
-    sp.add_argument("--order", help="1, 2, or 1,2")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--max-candidates", type=int)
-
-    sp = new("moment-rhs", "exact second-moment series")
-    sp.add_argument("--primes")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--w")
-    sp.add_argument("--f")
-    sp.add_argument("--t-max", type=int)
-    sp.add_argument("--real-bound", type=float)
-    sp.add_argument("--depth", help="series denominator depth k or p=k[,...]")
-    sp.add_argument("--max-terms", type=int)
-
-    sp = new("variance", "empirical exceedance vs the Chebyshev bound")
-    _add_space_flags(sp)
-    sp.add_argument("--primes")
-    sp.add_argument("--box", help='"disk:R[@p=e,...]"')
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--max-candidates", type=int)
-
-    sp = new("orbit", "exact orbital series at a rational point")
-    sp.add_argument("--primes")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--w")
-    sp.add_argument("--f")
-    sp.add_argument("--y", help="evaluation point (comma rationals)")
-    sp.add_argument("--t-max", type=int)
-    sp.add_argument("--max-terms", type=int)
-
-    sp = new("rescale-check", "congruence/inhomogeneous rescaling identity")
-    sp.add_argument("--form")
-    sp.add_argument("--primes")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--w")
-    _add_family_flags(sp)
-    sp.add_argument("--t")
-    sp.add_argument("--max-candidates", type=int)
-
+        for key in defaults:
+            text = _KEYS[key].help + (" (required)" if key in required else "")
+            # a boolean flag takes no value; absent, it leaves the key alone
+            switch = {"action": "store_const", "const": True}
+            sp.add_argument("--" + key.replace("_", "-"), help=text,
+                            **(switch if _KEYS[key].parse is _bool else {}))
     return parser
 
 
-def _resolve(args, defaults: dict, command: str) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args, defaults: dict, required, command: str) -> dict:
+    """Defaults, then the --config file, then flags; every value parsed."""
+    raw = dict(defaults)
+    if args.config:
         file_cfg = load_config(args.config)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(
                 f"unknown config keys for {command}: {sorted(unknown)}"
             )
-        cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
-
-
-def _require(cfg: dict, required, command: str):
-    missing = [key for key in required if cfg.get(key) is None]
+        raw.update((k, v) for k, v in file_cfg.items() if v is not None)
+    raw.update((k, getattr(args, k)) for k in defaults
+               if getattr(args, k) is not None)
+    missing = [key for key in required if raw[key] is None]
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
         raise ConfigError(f"{command} needs {flags}")
+    return {k: None if v is None else _parse(k, v) for k, v in raw.items()}
 
 
 def main(argv=None) -> int:
@@ -925,8 +795,7 @@ def _run(argv) -> int:
     handler, defaults, required = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        cfg = _resolve(args, defaults, args.command)
-        _require(cfg, required, args.command)
+        cfg = _resolve(args, defaults, required, args.command)
         return handler(cfg, Path(args.out or "."), t0)
     except ConfigError as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)

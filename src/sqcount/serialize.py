@@ -71,9 +71,12 @@ def cell(x) -> str:
 
 
 def jsonable(x):
-    """Recursive conversion to JSON-encodable values; Fractions to strings."""
+    """Recursive conversion to JSON-encodable values; Fractions to strings,
+    a scale vector to {"t_inf": ..., "t_p": {"p": e}}."""
     if isinstance(x, Fraction):
         return frac_str(x)
+    if isinstance(x, TVector):
+        return {"t_inf": frac_str(x.t_inf), "t_p": jsonable(x.t_p)}
     if isinstance(x, (np.floating,)):
         return float(x)
     if isinstance(x, (np.integer,)):

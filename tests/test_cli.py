@@ -7,6 +7,7 @@ byte. Exit code 2 marks a configuration error, 3 an exhausted budget.
 
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -43,6 +44,27 @@ RUNS = {
                       "--w", "0,0,1", "--c-inf", "1", "--t", "10@2=1"],
 }
 
+# each command's config keys; dropping or renaming one breaks the replay of
+# manifests written by earlier versions
+CONFIG_KEYS = {
+    "zeta": "d primes tol",
+    "group-order": "d q",
+    "identity-check": "d method primes q tol zeta_tol",
+    "covolume": "d primes tol variant",
+    "count": "a_inf c_inf c_q finite form kappa_inf max_candidates primes q t w xi",
+    "sweep": "a_inf budget_s c_inf finite form kappa_inf ladder max_candidates "
+             "primes q w xi",
+    "volume": "a_inf c_inf finite form kappa_inf leading method n_grid n_samples "
+              "primes rungs seed t t0",
+    "moment-mc": "d depth f max_candidates mcmc_burn_in mcmc_eps mcmc_thin n "
+                 "order primes q sampler seed space threads w",
+    "moment-rhs": "depth f max_terms primes q real_bound t_max w",
+    "variance": "box d depth max_candidates mcmc_burn_in mcmc_eps mcmc_thin n "
+                "primes q sampler seed space threads threshold w",
+    "orbit": "f max_terms primes q t_max w y",
+    "rescale-check": "a_inf c_inf finite form kappa_inf max_candidates primes q t w",
+}
+
 COUNT_D4 = ["count", "--form", "diag:1,1,1,-1", "--primes", "2",
             "--xi", "1/3,0,0,0", "--c-inf", "1", "--t", "30@2=1"]
 
@@ -51,8 +73,36 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def without(args: list, key: str) -> list:
+    """RUNS arguments with the flag of one key and its value left out."""
+    if flag(key) not in args:
+        return args
+    i = args.index(flag(key))
+    return args[:i] + args[i + 2:]
+
+
 def test_every_subcommand_is_covered():
     assert set(RUNS) == set(_COMMANDS)
+
+
+def test_config_keys_are_pinned():
+    keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
+    assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
+    assert sum(len(k) for k in keys.values()) == 110
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_help_lists_every_key(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in _COMMANDS[command][1]:
+        assert re.search(re.escape(flag(key)) + r"(?![\w-])", out), key
 
 
 @pytest.mark.parametrize("command", sorted(RUNS))
@@ -95,6 +145,50 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"d": 3, "primes": [2], "bogus": 1}))
     assert main(["zeta", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value, via", [
+    ("zeta", "d", "abc", "file"),
+    ("zeta", "tol", "x", "file"),
+    ("group-order", "q", "five", "file"),
+    ("moment-mc", "n", "many", "file"),
+    ("count", "max_candidates", "lots", "file"),
+    ("sweep", "budget_s", "lots", "file"),
+    # a boolean in a file is JSON true or false, never a string
+    ("volume", "leading", "false", "file"),
+    ("zeta", "primes", "2,x", "flag"),
+    ("moment-mc", "order", "1,x", "flag"),
+])
+def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
+                                                 tmp_path, capsys):
+    args = without(RUNS[command], key)
+    if via == "file":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args = [*args, "--config", str(config)]
+    else:
+        args = [*args, flag(key), value]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert f"bad {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("count", "c_q", "1.5"),
+    ("volume", "n_grid", "64"),
+])
+def test_file_value_reads_like_its_flag(command, key, value, tmp_path, capsys):
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert main([command, *RUNS[command], flag(key), value,
+                 "--out", str(by_flag)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert main([command, *RUNS[command], "--config", str(config),
+                 "--out", str(by_file)]) == 0
+    csv = f"{command}.csv"
+    assert (by_file / csv).read_bytes() == (by_flag / csv).read_bytes()
+    manifests = [json.loads((out / f"{command}_manifest.json").read_text())
+                 for out in (by_flag, by_file)]
+    assert manifests[0]["config"] == manifests[1]["config"]
 
 
 def test_exhausted_budget_exits_3_and_names_it(tmp_path, capsys):
