@@ -46,11 +46,6 @@ def dot(u, v) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
-def scale(m, c) -> tuple:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def det(m) -> Fraction:
     """Fraction Gaussian elimination with partial pivoting by exact nonzero."""
     n = len(m)

@@ -85,6 +85,8 @@ from .serialize import (
     frac_str,
     load_config,
     parse_frac,
+    read_form,
+    read_testfn,
     testfn_from_json,
     write_csv,
     write_manifest,
@@ -260,6 +262,15 @@ def _testfn(v) -> dict:
     raise ConfigError("expected disk:..., box:..., a .json file or an object")
 
 
+def _shaped(parse: Callable, read: Callable) -> Callable:
+    """parse, then reject an object whose shape read does not accept."""
+    def parse_shaped(v):
+        obj = parse(v)
+        read(obj)
+        return obj
+    return parse_shaped
+
+
 class _Key(NamedTuple):
     parse: Callable
     help: str
@@ -278,7 +289,7 @@ _KEYS = {
     "method": _Key(_word, "identity-check: series | closed; volume: "
                           "standardized-integral | montecarlo | cross"),
     "variant": _Key(_word, "UL | SL"),
-    "form": _Key(_form, '"diag:1,1,-1" or a form JSON file'),
+    "form": _Key(_shaped(_form, read_form), '"diag:1,1,-1" or a form JSON file'),
     "c_inf": _Key(parse_frac, "real interval scale c (rational)"),
     "kappa_inf": _Key(_float, "real shrink rate kappa"),
     "a_inf": _Key(parse_frac, "real interval center (rational)"),
@@ -295,8 +306,9 @@ _KEYS = {
     "t0": _Key(_float, "leading-constant ladder start"),
     "rungs": _Key(_int, "leading-constant ladder length"),
     "space": _Key(_word, "base | affine | congruence"),
-    "f": _Key(_testfn, '"disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]" or JSON'),
-    "box": _Key(_testfn, '"disk:R[@p=e,...]"'),
+    "f": _Key(_shaped(_testfn, read_testfn),
+              '"disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]" or JSON'),
+    "box": _Key(_shaped(_testfn, read_testfn), '"disk:R[@p=e,...]"'),
     "threshold": _Key(_float, "exceedance threshold"),
     "order": _Key(_ints, "moment orders: 1, 2, or 1,2"),
     "n": _Key(_int, "number of draws"),

@@ -2,41 +2,18 @@
 
 The level data (d, q, w) of a congruence space, and uniform sampling and
 exact lifting of SL_d(Z/q), which the congruence-space sampler composes
-into a random level-q coset.  Also the orbit decomposition of Z_S^d + w/q:
-completion of primitive vectors to unimodular matrices over Z_S, the
-coordinate change sending the shift to the last axis, the orbit invariant
-t = gcd(q k) and a standard representative for each value of t.
+into a random level-q coset.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    InvariantViolation,
-    NonSUnitDenominator,
-    NotInSLq,
-    NotPrimitive,
-    SearchBudgetExceeded,
-    ShiftMismatch,
-)
-from .sarith import (
-    SConfig,
-    SVector,
-    crt,
-    gcd_S,
-    is_in_NS,
-    prime_factors,
-    s_free_part,
-    svector,
-    vector_content_NS,
-)
+from .errors import ConfigError, DimensionMismatch, InvariantViolation, NotInSLq
+from .sarith import SConfig, crt, gcd_S, is_in_NS, prime_factors
 
 
 @dataclass(frozen=True)
@@ -228,179 +205,3 @@ def lift_slq_to_slz(m, q: int):
     ):
         raise InvariantViolation("lift is not congruent to the input")
     return lifted
-
-
-# --- primitive completion -----------------------------------------------------
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
-def _complete_pair(a: int, b: int):
-    """Rows ((a, b), (x, y)) with a y - b x = 1, second row reduced so that
-    0 <= x < |a| when a is nonzero."""
-    g, s, t = _xgcd(a, b)
-    if abs(g) != 1:
-        raise NotPrimitive(f"gcd({a}, {b}) = {abs(g)}")
-    # a(sg) + b(tg) = g^2 = 1, so (x, y) = (-tg, sg) gives a y - b x = 1
-    x, y = -t * g, s * g
-    if a != 0:
-        xn = x % abs(a)
-        k = (xn - x) // a  # (x, y) += k (a, b) keeps the determinant
-        x, y = xn, y + k * b
-    return [[a, b], [x, y]]
-
-
-def _complete_integer_primitive(v: tuple[int, ...]):
-    """Integer matrix with determinant 1 whose first row is primitive v."""
-    d = len(v)
-    if d == 1:
-        if v[0] != 1:
-            raise NotPrimitive("1-dimensional completion needs v = (1)")
-        return [[1]]
-    if d == 2:
-        return _complete_pair(v[0], v[1])
-    rest = v[1:]
-    g = math.gcd(*rest)
-    if g == 0:
-        # v = (+-1, 0, ..., 0)
-        rows = [[0] * d for _ in range(d)]
-        rows[0][0] = v[0]
-        rows[1][1] = v[0]
-        for i in range(2, d):
-            rows[i][i] = 1
-        return rows
-    u = tuple(x // g for x in rest)
-    sub = _complete_integer_primitive(u)
-    gg, s, t = _xgcd(v[0], g)
-    assert abs(gg) == 1
-    s, t = s * gg, t * gg
-    rows = [list(v)]
-    rows.append([-t] + [s * x for x in u])
-    for i in range(1, d - 1):
-        rows.append([0] + list(sub[i]))
-    return rows
-
-
-def _integer_primitive_part(coords, ctx: SConfig):
-    """(v0, alpha): primitive integer v0 and alpha in P_S with coords = alpha v0."""
-    den = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * den) for c in coords]
-    g = math.gcd(*ints)
-    if g == 0:
-        raise NotPrimitive("zero vector")
-    if s_free_part(g, ctx) != 1:
-        raise NotPrimitive(f"content {g} is not an S-unit")
-    return tuple(x // g for x in ints), Fraction(g, den)
-
-
-def complete_primitive(v: SVector):
-    """Matrix over Z_S with determinant exactly 1 and first row v."""
-    if not v.is_s_integral():
-        raise NonSUnitDenominator("vector is not S-integral")
-    v0, alpha = _integer_primitive_part(v.coords, v.ctx)
-    rows = _complete_integer_primitive(v0)
-    out = [tuple(alpha * Fraction(x) for x in rows[0])]
-    out.append(tuple(Fraction(x) / alpha for x in rows[1]))
-    out.extend(tuple(Fraction(x) for x in row) for row in rows[2:])
-    result = tuple(out)
-    assert la.det(result) == 1
-    return result
-
-
-def gamma_w(cctx: CongruenceContext):
-    """Integer unimodular matrix sending the shift direction to the last
-    axis: w * gamma^{-1} is a Z_S multiple of e_d."""
-    coords = cctx.w
-    den = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * den) for c in coords]
-    g = math.gcd(*ints)
-    if g == 0:
-        raise NotPrimitive("zero shift vector")
-    w0 = tuple(x // g for x in ints)
-    d = cctx.d
-    if w0 == tuple(0 if i < d - 1 else 1 for i in range(d)):
-        return la.identity(d)
-    m = _complete_integer_primitive(w0)
-    rows = [list(r) for r in m[1:]] + [list(m[0])]
-    if (d - 1) % 2 == 1:
-        rows[0] = [-x for x in rows[0]]
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    assert la.det(out) == 1
-    return out
-
-
-# --- orbit invariant and representatives --------------------------------------
-
-def orbit_invariant(cctx: CongruenceContext, k) -> int:
-    """The unique t in N_S with q k in t * Prim(Z_S^d), for k in Z_S^d + w/q."""
-    coords = k.coords if isinstance(k, SVector) else tuple(Fraction(x) for x in k)
-    if len(coords) != cctx.d:
-        raise DimensionMismatch("point dimension != d")
-    diff = svector(
-        tuple(c - w / cctx.q for c, w in zip(coords, cctx.w)), cctx.ctx
-    )
-    if not diff.is_s_integral():
-        raise ShiftMismatch("point is not in Z_S^d + w/q")
-    qk = tuple(cctx.q * c for c in coords)
-    t = vector_content_NS(qk, cctx.ctx)
-    if math.gcd(t, cctx.q) != 1:
-        raise InvariantViolation("invariant shares a factor with q")
-    return t
-
-
-def _l1_shells(d: int):
-    r = 0
-    while True:
-        shell = [
-            delta
-            for delta in itertools.product(range(-r, r + 1), repeat=d)
-            if sum(abs(x) for x in delta) == r
-        ]
-        yield from sorted(shell, reverse=True)
-        r += 1
-
-
-def representative_for_t(
-    cctx: CongruenceContext, t: int, max_candidates: int = 100_000
-) -> SVector:
-    """A point k_t of Z_S^d + w/q with orbit invariant exactly t.
-
-    k_t = t m / (q p_unit) where p_unit w is a q-coprime integer vector and
-    m is a primitive integer vector congruent to t* p_unit w mod q
-    (t t* = 1 mod q), found by a deterministic gcd sieve.
-    """
-    if not is_in_NS(t, cctx.ctx) or math.gcd(t, cctx.q) != 1:
-        raise ConfigError("t must lie in N_S and be coprime to q")
-    q = cctx.q
-    den = math.lcm(*(c.denominator for c in cctx.w))
-    ints = [int(c * den) for c in cctx.w]
-    g = math.gcd(*ints)
-    g_s = g // s_free_part(g, cctx.ctx)
-    pw = tuple(x // g_s for x in ints)
-    p_unit = Fraction(den, g_s)
-    tstar = pow(t, -1, q)
-    base = tuple(tstar * x for x in pw)
-    tried = 0
-    for delta in _l1_shells(cctx.d):
-        if tried >= max_candidates:
-            raise SearchBudgetExceeded(
-                f"no primitive vector within {max_candidates} candidates"
-            )
-        tried += 1
-        m = tuple(b + q * dd for b, dd in zip(base, delta))
-        if any(m) and math.gcd(*m) == 1:
-            k = svector(
-                tuple(Fraction(t * mi, 1) / (q * p_unit) for mi in m), cctx.ctx
-            )
-            assert orbit_invariant(cctx, k) == t
-            return k
-    raise SearchBudgetExceeded("unreachable")

@@ -44,14 +44,6 @@ class NotInSLq(ConfigError):
     pass
 
 
-class NotPrimitive(ConfigError):
-    """Vector is not primitive over Z_S (content not an S-unit, or zero)."""
-
-
-class ShiftMismatch(ConfigError):
-    """Point does not lie in the coset Z_S^d + w/q."""
-
-
 class InvariantViolation(ConfigError):
     """A derived quantity violated a structural constraint (e.g. gcd(t,q) != 1)."""
 

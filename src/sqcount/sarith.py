@@ -142,28 +142,6 @@ def is_s_unit_denominator(den: int, ctx: SConfig) -> bool:
 
 
 @dataclass(frozen=True)
-class SVector:
-    """Vector of exact rationals sharing one SConfig.
-
-    Entries are plain Fractions: vectors are also used for points of shifted
-    lattices Z_S^d + w/q whose entries need not be S-integral.
-    """
-
-    coords: tuple[Fraction, ...]
-    ctx: SConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    def is_s_integral(self) -> bool:
-        return all(is_s_unit_denominator(c.denominator, self.ctx) for c in self.coords)
-
-
-def svector(coords, ctx: SConfig) -> SVector:
-    return SVector(tuple(Fraction(c) for c in coords), ctx)
-
-
-@dataclass(frozen=True)
 class TVector:
     """Box scales: real radius t_inf > 0 and one integer exponent per prime.
 
@@ -227,22 +205,6 @@ def gcd_S(q: int, k, ctx: SConfig) -> int:
         raise NonSUnitDenominator("vector entries are not S-integral")
     ints = [int(c * scale) for c in coords]
     return math.gcd(q, math.gcd(*ints))
-
-
-def vector_content_NS(k, ctx: SConfig) -> int:
-    """The unique t in N_S with k in t * Prim(Z_S^d), for nonzero S-integral k.
-
-    Clear denominators by an S-unit, take the gcd of the entries, strip its
-    S_f part (absorbed by the S-unit group).
-    """
-    coords = k.coords if isinstance(k, SVector) else tuple(Fraction(c) for c in k)
-    if all(c == 0 for c in coords):
-        raise ConfigError("content of the zero vector")
-    scale = math.lcm(*(c.denominator for c in coords))
-    if not is_s_unit_denominator(scale, ctx):
-        raise NonSUnitDenominator("vector entries are not S-integral")
-    g = math.gcd(*(int(c * scale) for c in coords))
-    return s_free_part(g, ctx)
 
 
 def mobius(n: int) -> int:

@@ -89,60 +89,84 @@ def jsonable(x):
 
 
 # --- quadratic forms ----------------------------------------------------------
+# read_* checks an object's shape and parses its entries without the
+# S-configuration, so the CLI rejects a malformed object while it parses the
+# config; *_from_json builds the domain object from the parsed fields.
 
 
-def _matrix_from_json(rows) -> tuple:
-    return tuple(tuple(parse_frac(x) for x in row) for row in rows)
+def _typed(v, kind: type, what: str):
+    if not isinstance(v, kind):
+        name = "object" if kind is dict else "list"
+        raise ConfigError(f"{what} must be a JSON {name}, got {v!r}")
+    return v
+
+
+def _per_prime(obj: dict, key: str) -> dict:
+    """obj[key], an object keyed by prime; null or absent means empty."""
+    return {int(p): x for p, x in _typed(obj.get(key) or {}, dict, key).items()}
+
+
+def _vector(v, what: str) -> tuple:
+    return tuple(parse_frac(x) for x in _typed(v, list, what))
+
+
+def _matrix(rows, what: str) -> tuple:
+    out = tuple(_vector(row, what) for row in _typed(rows, list, what))
+    if any(len(row) != len(out) for row in out):
+        raise ConfigError(f"{what} must be a square matrix")
+    return out
+
+
+def read_form(obj) -> tuple:
+    """(gram_inf, gram_p, shift, shift_p) of {"gram_inf": [[...]],
+    "gram_p": {"p": [[...]]}, "shift": [...], "shift_p": {"p": [...]}};
+    entries are rationals."""
+    if not isinstance(obj, dict) or "gram_inf" not in obj:
+        raise ConfigError("form object needs a gram_inf matrix")
+    gram_p = {p: _matrix(m, "gram_p") for p, m in _per_prime(obj, "gram_p").items()}
+    shift = obj.get("shift")
+    if shift is not None:
+        shift = _vector(shift, "shift")
+    shift_p = {p: _vector(v, "shift_p") for p, v in _per_prime(obj, "shift_p").items()}
+    return _matrix(obj["gram_inf"], "gram_inf"), gram_p or None, shift, shift_p or None
 
 
 def form_from_json(obj: dict, ctx: SConfig) -> QuadraticFormS:
-    """Form from {"gram_inf": [[...]], "gram_p": {"p": [[...]]},
-    "shift": [...], "shift_p": {"p": [...]}}; entries are rationals."""
-    if not isinstance(obj, dict) or "gram_inf" not in obj:
-        raise ConfigError("form object needs a gram_inf matrix")
-    gram_inf = _matrix_from_json(obj["gram_inf"])
-    gram_p = {
-        int(p): _matrix_from_json(rows)
-        for p, rows in (obj.get("gram_p") or {}).items()
-    }
-    shift = obj.get("shift")
-    if shift is not None:
-        shift = tuple(parse_frac(x) for x in shift)
-    shift_p = {
-        int(p): tuple(parse_frac(x) for x in vec)
-        for p, vec in (obj.get("shift_p") or {}).items()
-    }
-    return quadratic_form(ctx, gram_inf, gram_p or None, shift, shift_p or None)
+    return quadratic_form(ctx, *read_form(obj))
 
 
 # --- test functions --------------------------------------------------------------
 
 
-def testfn_from_json(obj: dict, ctx: SConfig) -> TestFunction:
-    """Indicator from {"kind": "disk", "radius": ..., "t_p": {"p": e}} or
-    {"kind": "box", "intervals": [[lo, hi], ...],
-     "finite_exponent": {"p": e}, "finite_center": {"p": [c1, ...]}}."""
-    kind = obj.get("kind")
+def read_testfn(obj) -> tuple:
+    """(kind, fields) of {"kind": "disk", "radius": ..., "t_p": {"p": e},
+    "center": [...]} or {"kind": "box", "intervals": [[lo, hi], ...],
+    "finite_exponent": {"p": e}, "finite_center": {"p": [c1, ...]}}."""
+    kind = _typed(obj, dict, "a test function").get("kind")
     if kind == "disk":
-        t_p = {int(p): int(e) for p, e in (obj.get("t_p") or {}).items()}
-        t = TVector(parse_frac(obj.get("radius", 1)), t_p, ctx)
+        t_p = {p: int(e) for p, e in _per_prime(obj, "t_p").items()}
         center = obj.get("center")
         if center is not None:
-            center = tuple(parse_frac(x) for x in center)
-        return indicator_sbox(SBox(t, center))
+            center = _vector(center, "center")
+        return kind, (parse_frac(obj.get("radius", 1)), t_p, center)
     if kind == "box":
-        intervals = [
-            (parse_frac(lo), parse_frac(hi)) for lo, hi in obj["intervals"]
-        ]
-        exponent = {
-            int(p): int(e) for p, e in (obj.get("finite_exponent") or {}).items()
-        }
-        center = {
-            int(p): tuple(parse_frac(x) for x in vec)
-            for p, vec in (obj.get("finite_center") or {}).items()
-        }
-        return indicator_product_box(intervals, exponent, center)
+        intervals = [_vector(iv, "an interval")
+                     for iv in _typed(obj.get("intervals"), list, "intervals")]
+        if any(len(iv) != 2 for iv in intervals):
+            raise ConfigError("each interval must be [lo, hi]")
+        exponent = {p: int(e) for p, e in _per_prime(obj, "finite_exponent").items()}
+        center = {p: _vector(v, "finite_center")
+                  for p, v in _per_prime(obj, "finite_center").items()}
+        return kind, (intervals, exponent, center)
     raise ConfigError(f"unknown test function kind {kind!r}")
+
+
+def testfn_from_json(obj: dict, ctx: SConfig) -> TestFunction:
+    kind, fields = read_testfn(obj)
+    if kind == "disk":
+        radius, t_p, center = fields
+        return indicator_sbox(SBox(TVector(radius, t_p, ctx), center))
+    return indicator_product_box(*fields)
 
 
 # --- CSV and manifests ------------------------------------------------------------

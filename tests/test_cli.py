@@ -8,13 +8,16 @@ byte. Exit code 2 marks a configuration error, 3 an exhausted budget.
 import hashlib
 import json
 import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from sqcount.cli import _COMMANDS, _digits, main
 
 BOX3 = "box:-1..1,-1..1,-1..1"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # one small config per subcommand; together they run in about a second
 RUNS = {
@@ -89,6 +92,16 @@ def test_every_subcommand_is_covered():
     assert set(RUNS) == set(_COMMANDS)
 
 
+def test_readme_examples_are_the_tested_runs():
+    examples = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip().strip("`") for c in line.split("|")]
+        if len(cells) > 2 and cells[2].startswith("sqcount "):
+            _, command, *args = shlex.split(cells[2])
+            examples[command] = args
+    assert examples == RUNS
+
+
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
@@ -156,6 +169,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ("sweep", "budget_s", "lots", "file"),
     # a boolean in a file is JSON true or false, never a string
     ("volume", "leading", "false", "file"),
+    # a form or test-function object of the wrong shape
+    ("orbit", "f", {"kind": "box"}, "file"),
+    ("count", "form", {"gram_inf": 7}, "file"),
     ("zeta", "primes", "2,x", "flag"),
     ("moment-mc", "order", "1,x", "flag"),
 ])

@@ -1,9 +1,10 @@
 """Every top-level function and class in src/sqcount has a caller in the package.
 
 Code whose only callers are tests is deleted rather than kept. This scan
-stops it from growing back: a definition counts as used when its name
-appears, as a name or an attribute, somewhere in src/sqcount outside its
-own body.
+stops it from growing back. A definition counts as used when, outside its
+own body, its name appears in its own module, another module of the
+package imports it by name, or the package reaches it as an attribute. A
+local variable of the same name in another module does not count.
 """
 
 import ast
@@ -19,38 +20,48 @@ ALLOWED = {
                        "enumerator is tested against in exact arithmetic",
     "indicator_quadric_slice": "only constructor of the quadric-slice "
                                "indicator, the reference for slice counts",
-    # the orbit decomposition of Z_S^d + w/q by t = gcd(q k); no command uses
-    # it yet, and its removal is open on ROADMAP item 5a
-    "complete_primitive": "orbit decomposition: unimodular completion over Z_S",
-    "gamma_w": "orbit decomposition: coordinate change sending w to e_d",
-    "representative_for_t": "orbit decomposition: a point with invariant t",
 }
 
 
 def _modules():
-    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _references(tree) -> Counter:
-    """How often each identifier appears as a name or an attribute."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
+def _names(tree) -> Counter:
+    return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+
+
+def _attributes(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def _imported(modules) -> set:
+    """(module, name) for every `from .module import name` in the package."""
+    return {
+        (node.module, alias.name)
+        for tree in modules.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
 
 
 def test_every_definition_has_a_package_caller():
     modules = _modules()
-    everywhere = sum((_references(tree) for tree in modules.values()), Counter())
+    imported = _imported(modules)
+    names = {module: _names(tree) for module, tree in modules.items()}
+    attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
     unused = [
-        f"{module}:{node.lineno} {node.name}"
+        f"{module}.py:{node.lineno} {node.name}"
         for module, tree in modules.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in ALLOWED
-        and everywhere[node.name] == _references(node)[node.name]
+        and (module, node.name) not in imported
+        and names[module][node.name] == _names(node)[node.name]
+        and attributes[node.name] == _attributes(node)[node.name]
     ]
     assert not unused, "defined but never used in src/sqcount: " + ", ".join(unused)
 

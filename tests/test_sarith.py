@@ -20,9 +20,7 @@ from sqcount.sarith import (
     prime_factors,
     sl_group_order,
     sl_order_mobius_check,
-    svector,
     valuation,
-    vector_content_NS,
     zeta_S,
     zeta_S_euler,
 )
@@ -150,13 +148,6 @@ def test_gcd_S_scale_invariance():
         unit = Fraction(2) ** rng.randint(-3, 3)
         g2 = gcd_S(q, [unit * c for c in v], S2)
         assert g1 == g2
-
-
-def test_vector_content():
-    assert vector_content_NS(svector([Fraction(6, 5)* 5, 15, 0], S2), S2) == 3
-    # content strips S_f primes: (4, 8) has integer gcd 4 = 2^2 -> content 1
-    assert vector_content_NS(svector([4, 8], S2), S2) == 1
-    assert vector_content_NS(svector([Fraction(21, 2), 35], S2), S2) == 7
 
 
 # --- zeta ----------------------------------------------------------------------
