@@ -3,6 +3,8 @@
 Group orders are checked against brute-force enumeration of matrices mod
 q, the sampler against exhaustive element lists, and lifting against its
 defining identities: determinant 1 over Z and congruence to the input.
+The orbit invariant t = gcd(q k) of a point k of Z_S^d + w/q is read
+through gcd_S and checked on sample points and under unimodular moves.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from sqcount.errors import (
     NonSUnitDenominator,
     NotInSLq,
 )
-from sqcount.sarith import SConfig, frac_mod, sl_group_order
+from sqcount.sarith import SConfig, frac_mod, gcd_S, sl_group_order
 
 S0 = SConfig(())
 S2 = SConfig((2,))
@@ -117,6 +119,44 @@ class TestLift:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotInSLq):
             lift_slq_to_slz(((2, 0), (0, 2)), 5)
+
+
+class TestOrbitInvariant:
+    """t = gcd(q k) in N_S, read as gcd_S at a level in N_S that t divides."""
+
+    LEVEL = 3**3 * 5 * 7 * 11 * 13
+
+    def setup_method(self):
+        self.cc = congruence_context(3, 5, (1, 0, 0), S2)
+
+    def invariant(self, k):
+        return gcd_S(self.LEVEL, [self.cc.q * Fraction(x) for x in k], self.cc.ctx)
+
+    def test_primitive_case(self):
+        assert self.invariant((Fraction(6, 5), 2, 1)) == 1
+
+    def test_content_three(self):
+        assert self.invariant((Fraction(6, 5), 3, 0)) == 3
+
+    def test_gcd_constant_on_unimodular_orbits(self):
+        rng = random.Random(29)
+        cc = self.cc
+        for _ in range(100):
+            k = [w / cc.q for w in cc.w]
+            for i in range(3):
+                k[i] += Fraction(
+                    rng.randint(-8, 8), rng.choice([1, 2, 4])
+                )
+            gamma = [list(r) for r in la.identity(3)]
+            for _ in range(4):
+                i, j = rng.randrange(3), rng.randrange(3)
+                if i == j:
+                    continue
+                c = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+                for t in range(3):
+                    gamma[i][t] += c * gamma[j][t]
+            moved = la.vec_mat(tuple(k), la.as_matrix(gamma))
+            assert self.invariant(moved) == self.invariant(k)
 
 
 class TestOrders:

@@ -150,6 +150,15 @@ def test_gcd_S_scale_invariance():
         assert g1 == g2
 
 
+def test_vector_content():
+    # gcd_S at a level the content divides reads the content in N_S
+    q = 3 * 5 * 7
+    assert gcd_S(q, [6, 15, 0], S2) == 3
+    # content strips S_f primes: (4, 8) has integer gcd 4 = 2^2 -> content 1
+    assert gcd_S(q, [4, 8], S2) == 1
+    assert gcd_S(q, [Fraction(21, 2), 35], S2) == 7
+
+
 # --- zeta ----------------------------------------------------------------------
 
 def test_zeta_spec_values():
