@@ -85,6 +85,7 @@ from .serialize import (
     frac_str,
     load_config,
     parse_frac,
+    parse_int as _int,
     read_form,
     read_testfn,
     testfn_from_json,
@@ -98,12 +99,6 @@ from .volume import PadicVolumeRequest, leading_constant, padic_quadric_volume, 
 # --- value parsers -------------------------------------------------------------------
 # Each takes a flag string or a JSON value. A malformed value raises
 # ConfigError, ValueError or TypeError; _parse names the key in the message.
-
-
-def _int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError("expected an integer")
-    return int(v)
 
 
 def _positive(v) -> int:
@@ -162,7 +157,7 @@ def _exponents(v) -> dict[int, int]:
         p, sep, e = str(item).partition("=")
         if not sep:
             raise ConfigError(f"expected p=e, got {item!r}")
-        out[int(p)] = int(e)
+        out[int(p)] = _int(e)
     return out
 
 

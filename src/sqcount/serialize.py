@@ -48,6 +48,14 @@ def parse_frac(x) -> Fraction:
         raise ConfigError(f"not a rational: {x!r}") from exc
 
 
+def parse_int(v) -> int:
+    """Integer from an int or a decimal string; a float, a bool or a
+    non-integral string raises rather than truncating."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError("expected an integer")
+    return int(v)
+
+
 def frac_str(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -106,6 +114,17 @@ def _per_prime(obj: dict, key: str) -> dict:
     return {int(p): x for p, x in _typed(obj.get(key) or {}, dict, key).items()}
 
 
+def _exponents(obj: dict, key: str) -> dict:
+    """obj[key], integer exponents keyed by prime."""
+    out = {}
+    for p, e in _per_prime(obj, key).items():
+        try:
+            out[p] = parse_int(e)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} exponent {e!r}: {exc}") from exc
+    return out
+
+
 def _vector(v, what: str) -> tuple:
     return tuple(parse_frac(x) for x in _typed(v, list, what))
 
@@ -144,7 +163,7 @@ def read_testfn(obj) -> tuple:
     "finite_exponent": {"p": e}, "finite_center": {"p": [c1, ...]}}."""
     kind = _typed(obj, dict, "a test function").get("kind")
     if kind == "disk":
-        t_p = {p: int(e) for p, e in _per_prime(obj, "t_p").items()}
+        t_p = _exponents(obj, "t_p")
         center = obj.get("center")
         if center is not None:
             center = _vector(center, "center")
@@ -154,7 +173,7 @@ def read_testfn(obj) -> tuple:
                      for iv in _typed(obj.get("intervals"), list, "intervals")]
         if any(len(iv) != 2 for iv in intervals):
             raise ConfigError("each interval must be [lo, hi]")
-        exponent = {p: int(e) for p, e in _per_prime(obj, "finite_exponent").items()}
+        exponent = _exponents(obj, "finite_exponent")
         center = {p: _vector(v, "finite_center")
                   for p, v in _per_prime(obj, "finite_center").items()}
         return kind, (intervals, exponent, center)

@@ -1,8 +1,12 @@
 """Volumes of quadric slices intersected with S-balls.
 
-Finite places: exact Haar volumes by residue counting at the modulus that
-decides the target, after an integral block-diagonalization of the Gram
-matrix over Z_p. Real place: section quadrature after orthogonal
+Finite places: exact Haar volumes after an integral block-diagonalization
+of the Gram matrix over Z_p, by Hensel reduction of the local density.
+Solutions whose unit-scale coordinates are not all divisible by p lift
+uniformly from residues mod p (mod 8 at p = 2), so they are counted there;
+the rest are p times a solution of a rescaled form, which the next pass
+handles. The work is O(m) small counts, not a count at the full modulus
+p^m. Real place: section quadrature after orthogonal
 diagonalization, cross-checked by Monte Carlo. On top of both, the
 leading-constant extraction c_Q with a geometric T ladder and two-point
 extrapolation.
@@ -113,26 +117,53 @@ def _jordan_blocks(gram, p: int):
     return blocks
 
 
-def _block_histogram(block, p: int, big_m: int, lam: int):
-    """Counts of p^{-lam} Q_block(y) mod big_m over y mod big_m."""
-    scale = Fraction(1, 1) / Fraction(p) ** lam
+def _block_histogram(block, big_m: int):
+    """Counts of Q_block(y) mod big_m over y mod big_m, for a block whose
+    form a y1^2 + 2b y1 y2 + c y2^2 (or a y^2) has p-integral
+    coefficients, p the prime of big_m."""
     hist = {}
     if len(block) == 1:
-        alpha = frac_mod(block[0][0] * scale, big_m)
+        alpha = frac_mod(block[0][0], big_m)
         for y in range(big_m):
             r = alpha * y * y % big_m
             hist[r] = hist.get(r, 0) + 1
     else:
-        aa = frac_mod(block[0][0] * scale, big_m)
-        bb = frac_mod(block[0][1] * scale, big_m)
-        cc = frac_mod(block[1][1] * scale, big_m)
+        aa = frac_mod(block[0][0], big_m)
+        bb2 = frac_mod(2 * block[0][1], big_m)
+        cc = frac_mod(block[1][1], big_m)
         for y1 in range(big_m):
             base = aa * y1 * y1
-            cross = 2 * bb * y1
+            cross = bb2 * y1
             for y2 in range(big_m):
                 r = (base + cross * y2 + cc * y2 * y2) % big_m
                 hist[r] = hist.get(r, 0) + 1
     return hist
+
+
+def _residue_counts(blocks, big_m: int) -> dict:
+    """Counts of Q(y) mod big_m over y mod big_m, Q the sum of the blocks."""
+    combined = {0: 1}
+    for block in blocks:
+        hb = _block_histogram(block, big_m)
+        nxt = {}
+        for r1, c1 in combined.items():
+            for r2, c2 in hb.items():
+                key = (r1 + r2) % big_m
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        combined = nxt
+    return combined
+
+
+def _block_scale(block, p: int) -> int:
+    """v_p of a block's quadratic form: the least valuation among the
+    coefficients a, 2b, c of a y1^2 + 2b y1 y2 + c y2^2 (or of a y^2)."""
+    if len(block) == 1:
+        return valuation(block[0][0], p)
+    return _min_val((block[0][0], 2 * block[0][1], block[1][1]), p)
+
+
+def _scaled(block, f: Fraction) -> tuple:
+    return tuple(tuple(f * x for x in row) for row in block)
 
 
 def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
@@ -141,8 +172,22 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
     Rescaling x = p^{-t} y turns the condition into Q(y) = b mod p^s with
     b = p^{2t} a and s = 2t + c. With lam <= 0 below the valuations of the
     Gram entries and of b, the condition p^{-lam} Q(y) = p^{-lam} b mod
-    p^{s - lam} depends only on y mod p^{s - lam}, so the solution fraction
-    among those residues is the exact volume.
+    p^m, m = s - lam, has an integral form and target, and the volume is
+    p^{dt} times the Haar measure of its solutions y in Z_p^d.
+
+    That measure is found by Hensel reduction over the Jordan blocks, in
+    O(m) passes that each count residues mod p (mod 8 at p = 2) only:
+
+    - every block has scale e >= 1: Q = p^k Q' with k = min(e, m), so the
+      condition is Q' = b / p^k mod p^(m - k), or has no solution when
+      p^k does not divide b;
+    - some block has scale 0: a "good" y, one with a unit-scale coordinate
+      nonzero mod p, has a gradient of valuation at most 1, so its
+      solutions lift uniformly from modulus p^m0 (m0 = 1, or 3 at p = 2)
+      and their measure is the count at p^m0 times p^-(m - m0). A "bad" y
+      is p z on the unit-scale blocks, which weights the rest by p^-u (u
+      unit-scale coordinates) and multiplies those blocks by p^2 for the
+      next pass. When m <= m0 the residues mod p^m are counted directly.
     """
     p, t, c = req.p, req.t, req.c
     gram = la.as_matrix(req.gram)
@@ -160,18 +205,43 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
     if m <= 0:
         # the target cannot exclude any integral value
         return ball
-    big_m = p**m
-    target = frac_mod(b / Fraction(p) ** lam, big_m) if b else 0
-    combined = {0: 1}
-    for block in _jordan_blocks(gram, p):
-        hb = _block_histogram(block, p, big_m, lam)
-        nxt = {}
-        for r1, c1 in combined.items():
-            for r2, c2 in hb.items():
-                key = (r1 + r2) % big_m
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        combined = nxt
-    return ball * Fraction(combined.get(target, 0), p ** (d * m))
+    unscale = Fraction(p) ** -lam
+    blocks = tuple(_scaled(block, unscale) for block in _jordan_blocks(gram, p))
+    target = frac_mod(b * unscale, p**m) if b else 0
+    m0 = 3 if p == 2 else 1
+    counts = {}
+
+    def density(blocks, target, k):
+        """Measure of {y : Q(y) = target mod p^k}, counted mod p^k."""
+        if (blocks, k) not in counts:
+            counts[blocks, k] = _residue_counts(blocks, p**k)
+        return Fraction(counts[blocks, k].get(target % p**k, 0), p ** (d * k))
+
+    total, weight = Fraction(0), Fraction(1)
+    while m > 0:
+        scales = [_block_scale(block, p) for block in blocks]
+        k = min(min(scales), m)
+        if k > 0:
+            if target % p**k:
+                return ball * total
+            down = Fraction(1, p**k)
+            blocks = tuple(_scaled(block, down) for block in blocks)
+            target //= p**k
+            m -= k
+            continue
+        if m <= m0:
+            return ball * (total + weight * density(blocks, target, m))
+        bad = tuple(
+            _scaled(block, Fraction(p * p)) if e == 0 else block
+            for block, e in zip(blocks, scales)
+        )
+        units = sum(len(block) for block, e in zip(blocks, scales) if e == 0)
+        drop = Fraction(1, p**units)
+        good = density(blocks, target, m0) - drop * density(bad, target, m0)
+        total += weight * good / p ** (m - m0)
+        weight *= drop
+        blocks = bad
+    return ball * (total + weight)
 
 
 # --- real volumes -------------------------------------------------------------

@@ -68,6 +68,12 @@ CONFIG_KEYS = {
     "rescale-check": "a_inf c_inf finite form kappa_inf max_candidates primes q t w",
 }
 
+# the benchmark's deepest p-adic targets: 2-adic modulus 2^10, 3-adic 3^7
+VOLUME_DEEP = ["volume", "--form", "diag:1,1,1,-1", "--primes", "2,3",
+               "--c-inf", "1", "--finite", "2:1:1:1,3:0:1:1",
+               "--t", "30@2=3,3=2"]
+DISK_T_P = {"kind": "disk", "radius": "2", "t_p": {"2": 1.5}}
+
 COUNT_D4 = ["count", "--form", "diag:1,1,1,-1", "--primes", "2",
             "--xi", "1/3,0,0,0", "--c-inf", "1", "--t", "30@2=1"]
 
@@ -172,6 +178,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     # a form or test-function object of the wrong shape
     ("orbit", "f", {"kind": "box"}, "file"),
     ("count", "form", {"gram_inf": 7}, "file"),
+    # a per-prime exponent is an integer; neither path truncates 1.5 to 1
+    ("moment-mc", "f", {**DISK_T_P, "t_p": {"2": "1.5"}}, "file"),
+    ("moment-mc", "f", {**DISK_T_P, "t_p": {"2": True}}, "file"),
+    ("orbit", "f", {"kind": "box", "intervals": [[-1, 1]] * 3,
+                    "finite_exponent": {"2": 0.5}}, "file"),
+    ("moment-mc", "f", "disk:2@2=1.5", "flag"),
     ("zeta", "primes", "2,x", "flag"),
     ("moment-mc", "order", "1,x", "flag"),
 ])
@@ -186,6 +198,21 @@ def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
         args = [*args, flag(key), value]
     assert main([command, *args, "--out", str(tmp_path)]) == 2
     assert f"bad {key} {value!r}" in capsys.readouterr().err
+
+
+def test_float_exponent_from_file_names_its_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"f": DISK_T_P}))
+    args = [*without(RUNS["moment-mc"], "f"), "--config", str(config)]
+    assert main(["moment-mc", *args, "--out", str(tmp_path)]) == 2
+    assert "t_p exponent 1.5" in capsys.readouterr().err
+
+
+def test_deep_volume_is_exact(tmp_path, capsys):
+    assert main([*VOLUME_DEEP, "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "volume.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["vol_2"], cells["vol_3"]) == ("129/32", "5467/2187")
 
 
 @pytest.mark.parametrize("command, key, value", [

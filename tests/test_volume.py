@@ -1,10 +1,12 @@
 """Tests for quadric slice volumes.
 
-The p-adic engine (Jordan blocks + histogram convolution) is checked
-against a direct-count oracle that clears denominators with an integer
-scale and evaluates the quadratic form on every residue vector mod the
-exact modulus of that integer condition; the two share no counting
-machinery.  Real
+The p-adic engine (Jordan blocks, then a Hensel reduction that counts
+residues mod p, or mod 8 at p = 2) is checked against two slow oracles:
+a direct count that clears denominators with an integer scale and
+evaluates the quadratic form on every residue vector mod the exact modulus
+of that integer condition, sharing no counting machinery with the engine;
+and a per-block histogram convolution at the full modulus p^m, which
+counts every residue the reduction skips.  Real
 volumes are checked against closed-form section lengths in cylindrical /
 polar coordinates, which differ from the engine's eigenbasis quadrature.
 """
@@ -24,9 +26,10 @@ from sqcount.errors import (
     MethodDisagreement,
 )
 from sqcount.qspace import quadratic_form
-from sqcount.sarith import SConfig, valuation
+from sqcount.sarith import SConfig, frac_mod, valuation
 from sqcount.volume import (
     PadicVolumeRequest,
+    _jordan_blocks,
     leading_constant,
     padic_quadric_volume,
     real_quadric_volume,
@@ -39,6 +42,9 @@ S3 = SConfig((3,))
 TERN = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
 QUAT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 HYP2 = ((0, 1), (1, 0))  # Q = 2 x1 x2
+# ball depths t whose full modulus p^(2t + c) no residue count reaches
+DEEP = {2: 1000, 3: 400, 5: 200}
+QUAT31 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))  # diag:1,1,1,-1
 
 
 def frac_gram(rows):
@@ -47,29 +53,31 @@ def frac_gram(rows):
 
 # --- independent p-adic oracle --------------------------------------------------
 
-def oracle_fraction(gram, p, b, s_eff):
-    """Fraction of y in Z_p^d with v_p(Q(y) - b) >= s_eff, by direct count.
-
-    Denominators are cleared first: with D the lcm of all denominators,
-    the condition becomes D*Q(y) = D*b mod p^E with E = s_eff + v_p(D), all
-    integer, so it depends only on y mod p^E and the count runs over those
-    residues.
-    """
-    d = len(gram)
+def _cleared(gram, p, b, s_eff):
+    """(integer Gram, integer target, exponent E) of the condition
+    D*Q(y) = D*b mod p^E, D the lcm of all denominators and
+    E = s_eff + v_p(D)."""
     dens = [F(x).denominator for row in gram for x in row]
     dens.append(F(b).denominator)
     big_d = math.lcm(*dens)
-    mod_exp = s_eff + valuation(F(big_d), p)
+    g_int = [[int(F(x) * big_d) for x in row] for row in gram]
+    return g_int, int(F(b) * big_d), s_eff + valuation(F(big_d), p)
+
+
+def oracle_fraction(gram, p, b, s_eff):
+    """Fraction of y in Z_p^d with v_p(Q(y) - b) >= s_eff, by direct count.
+
+    With denominators cleared the condition depends only on y mod p^E, and
+    the count runs over those residues.
+    """
+    d = len(gram)
+    g_int, b_int, mod_exp = _cleared(gram, p, b, s_eff)
     if mod_exp <= 0:
         return F(1)
-    g_int = np.array(
-        [[int(F(x) * big_d) for x in row] for row in gram], dtype=np.int64
-    )
-    b_int = int(F(b) * big_d)
     pm = p**mod_exp
     assert pm**d <= 700_000, "oracle instance too large"
     grid = np.indices((pm,) * d).reshape(d, -1).T.astype(np.int64)
-    qv = np.einsum("ij,jk,ik->i", grid, g_int, grid)
+    qv = np.einsum("ij,jk,ik->i", grid, np.array(g_int, dtype=np.int64), grid)
     hits = int(np.count_nonzero((qv - b_int) % pm == 0))
     return F(hits, pm**d)
 
@@ -77,6 +85,60 @@ def oracle_fraction(gram, p, b, s_eff):
 def oracle_volume(gram, p, t=0, a=F(0), c=0):
     b = F(p) ** (2 * t) * F(a)
     return F(p) ** (len(gram) * t) * oracle_fraction(gram, p, b, 2 * t + c)
+
+
+def histogram_volume(gram, p, t=0, a=F(0), c=0):
+    """vol_p by convolving per-Jordan-block residue histograms at the full
+    modulus M = p^m that decides the target: O(M^2) work per block."""
+    d = len(gram)
+    ball = F(p) ** (d * t)
+    b = F(p) ** (2 * t) * F(a)
+    vals = [valuation(x, p) for row in gram for x in row if x != 0]
+    lam = min([0, *vals] + ([valuation(b, p)] if b else []))
+    m = 2 * t + c - lam
+    if m <= 0:
+        return ball
+    big_m = p**m
+    scale = F(1) / F(p) ** lam
+    combined = {0: 1}
+    for block in _jordan_blocks(gram, p):
+        coeffs = [frac_mod(x * scale, big_m) for row in block for x in row]
+        if len(block) == 1:
+            values = (coeffs[0] * y * y for y in range(big_m))
+        else:
+            aa, bb, _, cc = coeffs
+            values = (aa * y1 * y1 + 2 * bb * y1 * y2 + cc * y2 * y2
+                      for y1 in range(big_m) for y2 in range(big_m))
+        hist = {}
+        for v in values:
+            hist[v % big_m] = hist.get(v % big_m, 0) + 1
+        nxt = {}
+        for r1, c1 in combined.items():
+            for r2, c2 in hist.items():
+                key = (r1 + r2) % big_m
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        combined = nxt
+    target = frac_mod(b * scale, big_m) if b else 0
+    return ball * F(combined.get(target, 0), p ** (d * m))
+
+
+def _random_request(rng):
+    """(gram, p, t, a, c): fractional Gram entries, biased at p = 2 toward
+    2x2 Jordan blocks (even diagonal, odd off-diagonal), and centers a whose
+    valuation is often negative."""
+    p = rng.choice([2, 3, 5, 7])
+    d = rng.choice([2, 3, 4])
+    even_diagonal = p == 2 and rng.random() < 0.4
+    g = [[F(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            num = rng.randrange(-6, 7)
+            if i == j and even_diagonal:
+                num *= 2
+            g[i][j] = g[j][i] = F(num, rng.choice([1, 1, 1, 2, 3, p]))
+    a = F(rng.randrange(-9, 10), rng.choice([1, 1, p, p * p]))
+    t, c = rng.choice([-1, 0, 1, 2]), rng.choice(range(-1, 4))
+    return tuple(map(tuple, g)), p, t, a, c
 
 
 class TestPadicVolume:
@@ -189,7 +251,7 @@ class TestPadicVolume:
         for p, u in [(3, F(5)), (3, F(1, 5)), (2, F(7)), (5, F(2, 3))]:
             gram = frac_gram(TERN)
             scaled = tuple(tuple(u * u * x for x in row) for row in gram)
-            for t, c in [(0, 1), (1, 1)]:
+            for t, c in [(0, 1), (1, 1), (DEEP[p], 1)]:
                 base = padic_quadric_volume(
                     PadicVolumeRequest(p, gram, t=t, a=F(0), c=c)
                 )
@@ -203,7 +265,7 @@ class TestPadicVolume:
         for p in (2, 3):
             gram = frac_gram(TERN)
             scaled = tuple(tuple(p * p * x for x in row) for row in gram)
-            for t, c in [(0, 3), (1, 1), (1, 2)]:
+            for t, c in [(0, 3), (1, 1), (1, 2), (DEEP[p], 2)]:
                 lhs = padic_quadric_volume(
                     PadicVolumeRequest(p, scaled, t=t, a=F(0), c=c)
                 )
@@ -226,6 +288,41 @@ class TestPadicVolume:
         gram = frac_gram(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)))
         req = PadicVolumeRequest(2, gram, t=3, a=F(1), c=4)
         assert padic_quadric_volume(req) == F(129, 32)
+
+    def test_random_requests_match_both_oracles(self):
+        import random
+
+        rng = random.Random(20261018)
+        cases = two_by_two = negative_center = 0
+        while cases < 500:
+            gram, p, t, a, c = _random_request(rng)
+            b = F(p) ** (2 * t) * a
+            pm = p ** _cleared(gram, p, b, 2 * t + c)[2]
+            if pm > 3**7 or pm ** len(gram) > 700_000:
+                continue  # keep both oracles small
+            try:
+                got = padic_quadric_volume(PadicVolumeRequest(p, gram, t=t, a=a, c=c))
+            except DegenerateForm:
+                continue
+            assert got == histogram_volume(gram, p, t, a, c), (gram, p, t, a, c)
+            assert got == oracle_volume(gram, p, t, a, c), (gram, p, t, a, c)
+            cases += 1
+            two_by_two += any(len(bl) == 2 for bl in _jordan_blocks(gram, p))
+            negative_center += a != 0 and valuation(a, p) < 0
+        assert two_by_two >= 25 and negative_center >= 100
+
+    @pytest.mark.parametrize("p, t, want", [
+        (2, 4, F(513, 64)),
+        (2, 5, F(2049, 128)),  # full modulus 2^16
+        (3, 3, F(147623, 19683)),  # full modulus 3^10
+    ])
+    def test_deep_targets_of_the_quaternary_family(self, p, t, want):
+        # the volume family 2:1:1:1,3:0:1:1 of diag:1,1,1,-1 at depth t_p,
+        # i.e. the target a_p + p^(1 + t_p) Z_p; values from an independent
+        # numpy cyclic convolution of residue counts at the full modulus
+        a = F(1) if p == 2 else F(0)
+        req = PadicVolumeRequest(p, frac_gram(QUAT31), t=t, a=a, c=1 + t)
+        assert padic_quadric_volume(req) == want
 
     def test_degenerate_form_rejected(self):
         req = PadicVolumeRequest(3, frac_gram(((1, 0), (0, 0))), t=0, c=1)
