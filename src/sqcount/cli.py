@@ -309,10 +309,6 @@ _KEYS = {
     "n": _Key(_int, "number of draws"),
     "depth": _Key(_depth, "p-adic depth k or p=k[,...] (sampler depth; for "
                           "moment-rhs the series denominator depth)"),
-    "sampler": _Key(_word, "auto | exact | mcmc"),
-    "mcmc_eps": _Key(_float, "MCMC step size"),
-    "mcmc_burn_in": _Key(_int, "MCMC burn-in steps"),
-    "mcmc_thin": _Key(_int, "MCMC steps between draws"),
     "threads": _Key(_positive, "worker streams"),
     "t_max": _Key(_int, "series truncation t_max"),
     "real_bound": _Key(_float, "real-place bound of the series"),
@@ -338,14 +334,16 @@ def _family(cfg, d: int):
 def _space(cfg, ctx: SConfig):
     kind, d = cfg["space"], cfg["d"]
     cctx = None
-    if kind.startswith("congruence"):
+    if kind == "congruence":
         if cfg["q"] is None or cfg["w"] is None:
             raise ConfigError("congruence space needs --q and --w")
         cctx = congruence_context(d, cfg["q"], cfg["w"], ctx)
-    return space_spec(
-        kind, d, ctx, cctx, cfg["depth"], cfg["sampler"],
-        cfg["mcmc_eps"], cfg["mcmc_burn_in"], cfg["mcmc_thin"],
-    )
+    else:
+        given = ["--" + key for key in ("q", "w") if cfg[key] is not None]
+        if given:
+            raise ConfigError(f"--space {kind} takes no {' or '.join(given)} "
+                              "(only --space congruence does)")
+    return space_spec(kind, d, ctx, cctx, cfg["depth"])
 
 
 def _count_header(ctx: SConfig):
@@ -698,8 +696,7 @@ def _command(handler, **keys):
 
 
 _FAMILY = {"c_inf": _REQ, "kappa_inf": 0.0, "a_inf": "0", "finite": {}}
-_MCMC = {"sampler": "auto", "mcmc_eps": 0.25, "mcmc_burn_in": 1000,
-         "mcmc_thin": 30, "depth": None, "threads": 1}
+_SAMPLING = {"depth": None, "threads": 1}
 
 _COMMANDS = {
     "zeta": _command(_cmd_zeta, d=_REQ, primes=_REQ, tol=1e-9),
@@ -723,14 +720,14 @@ _COMMANDS = {
     "moment-mc": _command(
         _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         f=_REQ, order="1,2", n=10_000, seed=None,
-        max_candidates=ENUM_MAX_CANDIDATES, **_MCMC),
+        max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
     "moment-rhs": _command(
         _cmd_moment_rhs, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, t_max=16,
         real_bound=24.0, depth=None, max_terms=5_000_000),
     "variance": _command(
         _cmd_variance, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         box=_REQ, threshold=_REQ, n=10_000, seed=None,
-        max_candidates=ENUM_MAX_CANDIDATES, **_MCMC),
+        max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
     "orbit": _command(
         _cmd_orbit, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, y=_REQ, t_max=32,
         max_terms=5_000_000),

@@ -131,18 +131,13 @@ def sample_slq_uniform(d: int, q: int, rng):
 
 # --- exact lifting to SL_d(Z) -------------------------------------------------
 
-def _det_mod_q(m, q: int) -> int:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
-    return int(la.det(rows)) % q
-
-
 def lift_slq_to_slz(m, q: int):
     """Lift of SL_d(Z/q) to SL_d(Z): factor into elementary matrices over
     Z/q by two-sided row reduction, lift each factor by its centered
     integer representative, multiply exactly."""
     d = len(m)
     a = [[int(x) % q for x in row] for row in m]
-    if _det_mod_q(a, q) != 1 % q:
+    if la.det(la.as_matrix(a)) % q != 1 % q:
         raise NotInSLq("determinant is not 1 mod q")
     left, right = [], []
 

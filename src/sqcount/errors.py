@@ -56,10 +56,6 @@ class NonIndicatorUnsupported(ConfigError):
     """Operation only supports indicator test functions of product sets."""
 
 
-class UnsupportedExactSampler(ConfigError):
-    """No exact sampler available for the requested space."""
-
-
 class InsufficientPadicPrecision(ConfigError):
     """Stored p-adic precision cannot decide the requested congruence."""
 

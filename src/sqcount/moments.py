@@ -7,9 +7,12 @@ for d = 2: the real factor comes from an inverse-CDF rejection sampler on
 the standard fundamental domain composed with a uniform rotation, the
 finite factors from uniform unit-determinant matrices mod p^{k_p}, which
 is Haar to depth k_p.  For d >= 3 the real factor falls back to a matrix
-random walk and every estimate is flagged mcmc-approximate.  Each draw is
-scored by slattice.siegel_transform: box (disk) indicators are counted
-without building lattice points, product-box indicators enumerate them.
+random walk (step MCMC_STEP, MCMC_BURN_IN steps of burn-in, every
+MCMC_THIN-th state kept) and every estimate is flagged mcmc-approximate;
+d alone picks the sampler.  Each draw is scored by slattice.siegel_transform:
+box (disk) indicators are counted without building lattice points,
+product-box indicators enumerate them.  Both Monte Carlo estimators read
+the same per-draw transform values (_transform_values).
 
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
@@ -38,7 +41,6 @@ from .errors import (
     DimensionMismatch,
     NonIndicatorUnsupported,
     SearchBudgetExceeded,
-    UnsupportedExactSampler,
 )
 from .sarith import SConfig, is_in_NS, valuation
 from .slattice import (
@@ -58,6 +60,12 @@ SPACE_KINDS = ("base", "affine", "congruence")
 # finite sampler resolution: exact Haar on the unit group mod p^DEPTH
 DEFAULT_SAMPLER_DEPTH = 8
 
+# real-factor random walk for d >= 3: step size, burn-in steps, and the
+# number of steps between yielded states
+MCMC_STEP = 0.25
+MCMC_BURN_IN = 1000
+MCMC_THIN = 30
+
 # denominator depth of the exact series truncations; deeper costs real money
 # in exact arithmetic (every term of a 0-centered box is nonzero), while the
 # cut mass decays like p^{(1-d)(K_p+1)} and is reported in tail_bound
@@ -71,13 +79,13 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Which homogeneous space to sample, and how.
+    """Which homogeneous space to sample.
 
     kind "base" is the space of unimodular S-lattices Z_S^d g, "affine" adds
     a translate drawn from the torus fiber, "congruence" pins the translate
     to (w/q) gamma g over the level data in cctx.  depth maps each finite
-    place to the sampling resolution k_p.  sampler is "exact", "mcmc", or
-    "auto" (exact when available, i.e. d = 2).
+    place to the sampling resolution k_p.  The real sampler follows from d:
+    exact at d = 2, the random walk at d >= 3 (exactness names which).
     """
 
     kind: str
@@ -85,16 +93,10 @@ class SpaceSpec:
     ctx: SConfig
     cctx: CongruenceContext | None = None
     depth: dict[int, int] = field(default_factory=dict)
-    sampler: str = "auto"
-    mcmc_eps: float = 0.25
-    mcmc_burn_in: int = 1000
-    mcmc_thin: int = 30
 
     @property
     def exactness(self) -> str:
-        if self.d == 2 and self.sampler != "mcmc":
-            return "exact"
-        return "mcmc-approximate"
+        return "exact" if self.d == 2 else "mcmc-approximate"
 
 
 def space_spec(
@@ -103,19 +105,12 @@ def space_spec(
     ctx: SConfig,
     cctx: CongruenceContext | None = None,
     depth: dict[int, int] | int | None = None,
-    sampler: str = "auto",
-    mcmc_eps: float = 0.25,
-    mcmc_burn_in: int = 1000,
-    mcmc_thin: int = 30,
 ) -> SpaceSpec:
-    name = str(kind).lower()
-    if name in ("congruence-y", "congruence_y"):
-        name = "congruence"
-    if name not in SPACE_KINDS:
+    if kind not in SPACE_KINDS:
         raise ConfigError(f"unknown space kind {kind!r}")
     if not isinstance(d, int) or d < 2:
         raise ConfigError("need dimension d >= 2")
-    if name == "congruence":
+    if kind == "congruence":
         if cctx is None:
             raise ConfigError("congruence space needs a CongruenceContext")
         if cctx.d != d:
@@ -123,13 +118,7 @@ def space_spec(
         if cctx.ctx != ctx:
             raise ConfigError("cctx uses a different set of finite places")
     elif cctx is not None:
-        raise ConfigError(f"{name} space takes no CongruenceContext")
-    if sampler not in ("auto", "exact", "mcmc"):
-        raise ConfigError(f"unknown sampler {sampler!r}")
-    if sampler == "exact" and d >= 3:
-        raise UnsupportedExactSampler(
-            "no exact real-factor sampler for d >= 3; use sampler='mcmc'"
-        )
+        raise ConfigError(f"{kind} space takes no CongruenceContext")
     if isinstance(depth, int):
         depth = {p: depth for p in ctx.primes}
     dep = {p: int((depth or {}).get(p, DEFAULT_SAMPLER_DEPTH)) for p in ctx.primes}
@@ -137,13 +126,7 @@ def space_spec(
         raise ConfigError("depth given for a prime outside S_f")
     if any(k < 1 for k in dep.values()):
         raise ConfigError("sampler depth must be >= 1")
-    if not mcmc_eps > 0:
-        raise ConfigError("mcmc_eps must be positive")
-    if mcmc_burn_in < 0 or mcmc_thin < 1:
-        raise ConfigError("mcmc_burn_in >= 0 and mcmc_thin >= 1 required")
-    return SpaceSpec(
-        name, d, ctx, cctx, dep, sampler, mcmc_eps, mcmc_burn_in, mcmc_thin
-    )
+    return SpaceSpec(kind, d, ctx, cctx, dep)
 
 
 @dataclass(frozen=True)
@@ -272,20 +255,20 @@ def _real_basis_stream(space: SpaceSpec, rng):
             yield _siegel_real_basis_2d(rng)
     else:
         g = np.eye(space.d)
-        for _ in range(space.mcmc_burn_in):
-            g = _mcmc_step(g, space.mcmc_eps, rng)
+        for _ in range(MCMC_BURN_IN):
+            g = _mcmc_step(g, MCMC_STEP, rng)
         while True:
-            for _ in range(space.mcmc_thin):
-                g = _mcmc_step(g, space.mcmc_eps, rng)
+            for _ in range(MCMC_THIN):
+                g = _mcmc_step(g, MCMC_STEP, rng)
             yield g
 
 
 def lattice_stream(space: SpaceSpec, rng):
     """Generator of lattices distributed per the space's normalized measure.
 
-    Exact kinds yield independent draws; the mcmc fallback burns in one
-    chain and yields every mcmc_thin-th state, so consecutive draws are
-    only approximately independent.
+    At d = 2 the draws are independent; at d >= 3 the random walk burns in
+    one chain and yields every MCMC_THIN-th state, so consecutive draws
+    are only approximately independent.
     """
     ctx = space.ctx
     d = space.d
@@ -333,14 +316,22 @@ def lattice_stream(space: SpaceSpec, rng):
 # --- Monte Carlo estimators -------------------------------------------------------------
 
 
-def _transform_mode(space: SpaceSpec) -> str:
+def _transform_values(space: SpaceSpec, fs, n, seed, workers, max_candidates):
+    """The Siegel transform of each of fs on each of n draws, one list per draw.
+
+    Each worker gets an independent substream spawned from the master seed
+    and its share of n; the workers' draws come one worker after another,
+    so the values depend on (seed, workers) but not on scheduling.
+    """
     # base lattices contain the origin; the transform excludes it there
-    return "homogeneous" if space.kind == "base" else "affine"
-
-
-def _worker_counts(n: int, workers: int) -> list:
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+    mode = "homogeneous" if space.kind == "base" else "affine"
+    share, extra = divmod(n, workers)
+    children = np.random.SeedSequence(seed).spawn(workers)
+    for i, child in enumerate(children):
+        stream = lattice_stream(space, np.random.default_rng(child))
+        for _ in range(share + (i < extra)):
+            lat = next(stream)
+            yield [siegel_transform(f, lat, mode, max_candidates) for f in fs]
 
 
 def estimate_moments(
@@ -355,9 +346,8 @@ def estimate_moments(
     """Moment estimates for several test functions from one sample stream.
 
     Returns a list of rows, one per test function, each a list of
-    MCEstimate per requested order.  Worker streams get independent
-    spawned substreams of the master seed and are merged by count-weighted
-    averaging, so the result depends on (seed, workers) but not on
+    MCEstimate per requested order.  The draws come from
+    _transform_values, so the result depends on (seed, workers) but not on
     scheduling.
     """
     fs = list(fs)
@@ -370,23 +360,14 @@ def estimate_moments(
         raise ConfigError("need n >= 2 samples")
     if not 1 <= workers <= n:
         raise ConfigError("need 1 <= workers <= n")
-    mode = _transform_mode(space)
     sums = [[0.0] * len(orders) for _ in fs]
     sq_sums = [[0.0] * len(orders) for _ in fs]
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for n_w, child in zip(_worker_counts(n, workers), children):
-        if n_w == 0:
-            continue
-        rng = np.random.default_rng(child)
-        stream = lattice_stream(space, rng)
-        for _ in range(n_w):
-            lat = next(stream)
-            for i, f in enumerate(fs):
-                count = siegel_transform(f, lat, mode, max_candidates)
-                for j, order in enumerate(orders):
-                    v = float(count) ** order
-                    sums[i][j] += v
-                    sq_sums[i][j] += v * v
+    for counts in _transform_values(space, fs, n, seed, workers, max_candidates):
+        for i, count in enumerate(counts):
+            for j, order in enumerate(orders):
+                v = float(count) ** order
+                sums[i][j] += v
+                sq_sums[i][j] += v * v
     out = []
     for i in range(len(fs)):
         row = []
@@ -422,18 +403,12 @@ def variance_check(
         raise ConfigError("need n >= 1 and 1 <= workers <= n")
     f = indicator_sbox(box)
     vol = box.volume(space.d)
-    mode = _transform_mode(space)
-    hits = 0
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for n_w, child in zip(_worker_counts(n, workers), children):
-        if n_w == 0:
-            continue
-        rng = np.random.default_rng(child)
-        stream = lattice_stream(space, rng)
-        for _ in range(n_w):
-            count = siegel_transform(f, next(stream), mode, max_candidates)
-            if abs(count - vol) > threshold:
-                hits += 1
+    hits = sum(
+        abs(count - vol) > threshold
+        for (count,) in _transform_values(
+            space, [f], n, seed, workers, max_candidates
+        )
+    )
     empirical = hits / n
     bound = vol / threshold**2
     stderr = math.sqrt(empirical * (1.0 - empirical) / n)

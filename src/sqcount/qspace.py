@@ -115,13 +115,9 @@ def quadratic_form(
     if shift_p:
         for p, s in shift_p.items():
             shifts[p] = tuple(Fraction(x) for x in s)
-    nondeg = all(_exact_det(g) != 0 for g in gram.values())
-    return QuadraticFormS(d, ctx, gram, shifts, nondeg)
-
-
-def _exact_det(g) -> Fraction:
     # float entries are dyadic rationals, so this decision is exact
-    return la.det(tuple(tuple(Fraction(x) for x in row) for row in g))
+    nondeg = all(la.det(la.as_matrix(g)) != 0 for g in gram.values())
+    return QuadraticFormS(d, ctx, gram, shifts, nondeg)
 
 
 # --- local square classes and Hilbert symbols ----------------------------------

@@ -450,7 +450,7 @@ def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
             return False
         n.append((m.numerator - ri) // frame.mod)
     return _make_point(lat, k).is_origin() and _leaf_ok(
-        n, frame.b, frame.y0, frame.t2, frame.exact
+        n, frame.b, frame.y0, frame.t2
     )
 
 
@@ -508,7 +508,7 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int
         if rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
             return False
         n[0] = nv
-        return _leaf_ok(n, b, y0, t2, exact)
+        return _leaf_ok(n, b, y0, t2)
 
     def recurse(level, rem) -> int:
         # In the LDL expansion Q(n - n*) = sum_i d_i (z_i + sum_{j>i} L_ji z_j)^2
@@ -583,7 +583,7 @@ def _ldl(h, exact):
     return diag, lower
 
 
-def _leaf_ok(n, b, y0, t2, exact) -> bool:
+def _leaf_ok(n, b, y0, t2) -> bool:
     d = len(n)
     v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
     s = sum(x * x for x in v)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sqcount.cli import _COMMANDS, _digits, main
+from sqcount.cli import _COMMANDS, _KEYS, _digits, main
 
 BOX3 = "box:-1..1,-1..1,-1..1"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -59,11 +59,10 @@ CONFIG_KEYS = {
              "primes q w xi",
     "volume": "a_inf c_inf finite form kappa_inf leading method n_grid n_samples "
               "primes rungs seed t t0",
-    "moment-mc": "d depth f max_candidates mcmc_burn_in mcmc_eps mcmc_thin n "
-                 "order primes q sampler seed space threads w",
+    "moment-mc": "d depth f max_candidates n order primes q seed space threads w",
     "moment-rhs": "depth f max_terms primes q real_bound t_max w",
-    "variance": "box d depth max_candidates mcmc_burn_in mcmc_eps mcmc_thin n "
-                "primes q sampler seed space threads threshold w",
+    "variance": "box d depth max_candidates n primes q seed space threads "
+                "threshold w",
     "orbit": "f max_terms primes q t_max w y",
     "rescale-check": "a_inf c_inf finite form kappa_inf max_candidates primes q t w",
 }
@@ -111,7 +110,12 @@ def test_readme_examples_are_the_tested_runs():
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
-    assert sum(len(k) for k in keys.values()) == 110
+    assert sum(len(k) for k in keys.values()) == 102
+
+
+def test_every_parser_key_belongs_to_a_command():
+    used = set().union(*(defaults for _, defaults, _ in _COMMANDS.values()))
+    assert set(_KEYS) == used
 
 
 @pytest.mark.parametrize("command", sorted(RUNS))
@@ -164,6 +168,48 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"d": 3, "primes": [2], "bogus": 1}))
     assert main(["zeta", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_manifest_with_sampler_keys_exits_2_on_replay(tmp_path, capsys):
+    # manifests written while the sampler was configurable carry these keys
+    assert main(["moment-mc", *RUNS["moment-mc"], "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / "moment-mc_manifest.json"
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    recorded["config"].update(sampler="auto", mcmc_eps=0.25, mcmc_burn_in=1000,
+                              mcmc_thin=30)
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    argv = ["moment-mc", "--config", str(manifest), "--out", str(tmp_path / "again")]
+    assert main(argv) == 2
+    assert ("unknown config keys for moment-mc: "
+            "['mcmc_burn_in', 'mcmc_eps', 'mcmc_thin', 'sampler']"
+            in capsys.readouterr().err)
+
+
+def test_sampler_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment-mc", *RUNS["moment-mc"], "--sampler", "mcmc",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sampler mcmc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, rejected", [
+    ("moment-mc", ["--space", "affine", "--d", "2", "--q", "5", "--w", "0,1",
+                   "--primes", "2", "--f", "disk:2", "--n", "20", "--seed", "1"],
+     "--space affine takes no --q or --w"),
+    ("variance", [*RUNS["variance"], "--q", "5"], "--space affine takes no --q "),
+    ("variance", [*RUNS["variance"], "--w", "0,1"], "--space affine takes no --w "),
+    # the space kind is the exact word; no case folding, no alias
+    ("moment-mc", [*without(RUNS["moment-mc"], "space"), "--space", "congruence-y"],
+     "--space congruence-y takes no --q or --w"),
+    ("moment-mc", ["--space", "congruence-y", "--d", "2", "--primes", "2",
+                   "--f", "disk:2", "--n", "20", "--seed", "1"],
+     "unknown space kind 'congruence-y'"),
+])
+def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, capsys):
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert rejected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key, value, via", [

@@ -21,7 +21,6 @@ from sqcount.errors import (
     DimensionMismatch,
     NonIndicatorUnsupported,
     SearchBudgetExceeded,
-    UnsupportedExactSampler,
 )
 from sqcount.moments import (
     MCEstimate,
@@ -50,12 +49,13 @@ S0 = SConfig(())
 
 
 class TestSpaceSpec:
-    def test_kinds_and_alias(self):
+    def test_kinds_are_exact_names(self):
         assert space_spec("base", 2, S2).kind == "base"
-        assert space_spec("Congruence-Y", 2, S2,
-                          cctx=congruence_context(2, 5, (1, 0), S2)).kind == "congruence"
-        with pytest.raises(ConfigError):
-            space_spec("projective", 2, S2)
+        cctx = congruence_context(2, 5, (1, 0), S2)
+        assert space_spec("congruence", 2, S2, cctx=cctx).kind == "congruence"
+        for kind in ("projective", "Base", "congruence-y"):
+            with pytest.raises(ConfigError, match="unknown space kind"):
+                space_spec(kind, 2, S2, cctx=cctx)
 
     def test_congruence_needs_context(self):
         with pytest.raises(ConfigError):
@@ -65,12 +65,10 @@ class TestSpaceSpec:
         with pytest.raises(ConfigError):
             space_spec("affine", 2, S2, cctx=congruence_context(2, 5, (1, 0), S2))
 
-    def test_exact_demand_needs_d2(self):
-        with pytest.raises(UnsupportedExactSampler):
-            space_spec("base", 3, S2, sampler="exact")
-        assert space_spec("base", 3, S2).exactness == "mcmc-approximate"
+    def test_exactness_follows_d(self):
         assert space_spec("base", 2, S2).exactness == "exact"
-        assert space_spec("base", 2, S2, sampler="mcmc").exactness == "mcmc-approximate"
+        for d in (3, 4):
+            assert space_spec("base", d, S2).exactness == "mcmc-approximate"
 
     def test_depth_validation(self):
         assert space_spec("base", 2, S2, depth=4).depth == {2: 4}
@@ -208,7 +206,7 @@ class TestCongruenceSampler:
 
 class TestMCMCSampler:
     def test_flagged_and_reported(self):
-        sp = space_spec("affine", 3, S2, mcmc_burn_in=200, mcmc_thin=10)
+        sp = space_spec("affine", 3, S2)
         box = SBox(TVector(1.5, {2: 0}, S2))
         est = estimate_moments(
             sp, [indicator_sbox(box)], (1,), n=400, seed=2
@@ -219,7 +217,7 @@ class TestMCMCSampler:
         assert rel_err < 0.5
 
     def test_base_lattice_is_unimodular(self):
-        sp = space_spec("base", 3, S2, mcmc_burn_in=100, mcmc_thin=5)
+        sp = space_spec("base", 3, S2)
         lat = next(lattice_stream(sp, np.random.default_rng(6)))
         det = np.linalg.det(np.array(lat.basis_inf))
         assert abs(abs(det) - 1.0) < 1e-8
