@@ -42,10 +42,6 @@ def vec_mat(v, m) -> tuple:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def det(m) -> Fraction:
     """Fraction Gaussian elimination with partial pivoting by exact nonzero."""
     n = len(m)

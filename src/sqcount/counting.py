@@ -34,7 +34,7 @@ import numpy as np
 from .congruence import CongruenceContext
 from .errors import ConfigError, DimensionMismatch, RegionTooLarge
 from .qspace import QuadraticFormS
-from .sarith import INF, SConfig, TVector, crt, frac_mod, valuation
+from .sarith import INF, SConfig, TVector, crt, frac_mod, is_in_NS, valuation
 from .volume import check_family_range, leading_constant
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -129,19 +129,6 @@ class SInterval:
             for p, (a, e) in self.finite.items()
         }
         return SInterval((lo, hi) if factor > 0 else (hi, lo), finite)
-
-    def contains(self, real_value, finite_values: dict) -> bool:
-        lo, hi = self.real
-        if isinstance(real_value, Fraction) and isinstance(lo, Fraction):
-            if not lo < real_value < hi:
-                return False
-        elif not float(lo) < float(real_value) < float(hi):
-            return False
-        for p, (a, e) in self.finite.items():
-            diff = Fraction(finite_values[p]) - a
-            if diff != 0 and valuation(diff, p) < e:
-                return False
-        return True
 
 
 def interval_at(family: ShrinkingFamily, t: TVector) -> SInterval:
@@ -462,20 +449,6 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
 
 # --- raw counters ----------------------------------------------------------------
 
-def _require_plain_form(q_form: QuadraticFormS, d: int):
-    if q_form.dim != d:
-        raise DimensionMismatch("form dimension mismatch")
-    for place in (INF, *q_form.ctx.primes):
-        if any(x != 0 for x in q_form.shift_at(place)):
-            raise ConfigError(
-                "counters take the shift separately; pass a plain form"
-            )
-    for place in (INF, *q_form.ctx.primes):
-        gram = q_form.gram_at(place)
-        if any(not isinstance(x, (int, Fraction)) for row in gram for x in row):
-            raise ConfigError("counting needs exact rational Gram matrices")
-
-
 def _depth_scale(ctx: SConfig, t: TVector) -> int:
     r = 1
     for p, tp in t.t_p.items():
@@ -490,7 +463,8 @@ def congruence_count(
     t: TVector, max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> int:
     """#{k in q Z_S^d + w : Q(k) in interval, k in B_T}, exactly."""
-    _require_plain_form(q_form, cctx.d)
+    if q_form.dim != cctx.d:
+        raise DimensionMismatch("form dimension mismatch")
     r = _depth_scale(cctx.ctx, t)
     # n = r k runs over n = r w mod q
     inst = _build_instance(
@@ -505,10 +479,8 @@ def inhom_count(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> int:
     """#{x in Z_S^d + xi : Q(x) in interval, x in B_T}, exactly."""
-    d = q_form.dim
-    _require_plain_form(q_form, d)
     xi = tuple(Fraction(x) for x in xi)
-    if len(xi) != d:
+    if len(xi) != q_form.dim:
         raise DimensionMismatch("shift dimension mismatch")
     r = _depth_scale(q_form.ctx, t)
     # l_mod is the prime-to-S part of the denominators of xi; S-place poles
@@ -580,22 +552,25 @@ def count_inhom(
 
 
 def rescale_identity_check(
-    cctx, q_form: QuadraticFormS, family: ShrinkingFamily,
+    level: tuple, q_form: QuadraticFormS, family: ShrinkingFamily,
     t: TVector, max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> bool:
     """N(q, w; Q, I, T) = N(Q_{w/q}, I/q^2, (T_inf/q, t_p)) exactly.
 
     The left side counts k = q k1 directly; the right side counts k1 on the
     shifted grid, so the equality exercises the interval and radius scaling
-    plumbing end to end. cctx may be a CongruenceContext or a plain (q, w)
-    pair; the latter admits the trivial q = 1 case.
+    plumbing end to end. level is the pair (q, w); it admits the trivial
+    q = 1, w = 0 case that congruence_context rejects.
     """
-    if not isinstance(cctx, CongruenceContext):
-        q, w = cctx
-        cctx = CongruenceContext(
-            q_form.dim, int(q), tuple(Fraction(x) for x in w), q_form.ctx
+    q, w = level
+    # |q|_p = 1 at every finite place keeps t_p unchanged on the right side
+    if not is_in_NS(q, q_form.ctx):
+        raise ConfigError(
+            f"q must be a positive integer coprime to the finite places, got {q}"
         )
-    q = cctx.q
+    cctx = CongruenceContext(
+        q_form.dim, q, tuple(Fraction(x) for x in w), q_form.ctx
+    )
     interval = interval_at(family, t)
     lhs = congruence_count(cctx, q_form, interval, t, max_candidates)
     t_small = TVector(Fraction(t.t_inf) / q, dict(t.t_p), t.ctx)

@@ -1,9 +1,9 @@
-"""Quadratic forms over the S-adic places: evaluation, diagonalization, isotropy.
+"""Quadratic forms over the S-adic places: diagonalization and isotropy.
 
-A form is a collection of symmetric Gram matrices, one per place of S.  Finite
-place data is always exact (Fractions); the real Gram may carry floats, which
-are dyadic rationals, so determinant and signature decisions are still made
-exactly by converting entries to Fractions.
+A form is a collection of exact symmetric Gram matrices (Fractions), one per
+place of S, so determinant, signature and square-class decisions are exact.
+An inhomogeneous shift is never part of the form: the counters take it as a
+separate argument.
 
 Row-vector convention everywhere: q(v) = v G v^T, a change of basis with row
 matrix U transforms the Gram to U G U^T, and q^U(x) = q(x U).
@@ -22,12 +22,6 @@ from .sarith import INF, SConfig, frac_mod, valuation
 # --- form container -----------------------------------------------------------
 
 
-def _freeze_matrix(m, exact: bool):
-    if exact:
-        return tuple(tuple(Fraction(x) for x in row) for row in m)
-    return tuple(tuple(float(x) for x in row) for row in m)
-
-
 def _is_symmetric(m) -> bool:
     n = len(m)
     return all(len(row) == n for row in m) and all(
@@ -37,87 +31,34 @@ def _is_symmetric(m) -> bool:
 
 @dataclass(frozen=True)
 class QuadraticFormS:
-    """Per-place quadratic form q(v) = (v + shift) G_place (v + shift)^T."""
+    """Per-place quadratic form q(v) = v G_place v^T."""
 
     dim: int
     ctx: SConfig
     gram: dict
-    shift: dict
     nondegenerate: bool
 
     def gram_at(self, place):
         return self.gram[place]
 
-    def shift_at(self, place):
-        s = self.shift.get(place)
-        if s is None:
-            return (Fraction(0),) * self.dim
-        return s
-
-    def has_float_real_part(self) -> bool:
-        return any(isinstance(x, float) for row in self.gram[INF] for x in row)
-
-    def value_at(self, v, place):
-        g = self.gram[place]
-        s = self.shift_at(place)
-        if place == INF and self.has_float_real_part():
-            w = [float(a) + float(b) for a, b in zip(v, s)]
-            return sum(
-                w[i] * g[i][j] * w[j] for i in range(self.dim) for j in range(self.dim)
-            )
-        w = tuple(Fraction(a) + Fraction(b) for a, b in zip(v, s))
-        return la.dot(la.vec_mat(w, g), w)
-
 
 def quadratic_form(
-    ctx: SConfig,
-    gram_inf,
-    gram_p: dict | None = None,
-    shift=None,
-    shift_p: dict | None = None,
+    ctx: SConfig, gram_inf, gram_p: dict | None = None
 ) -> QuadraticFormS:
-    """Build a form; finite-place Grams default to gram_inf when it is rational.
-
-    gram_p maps primes of ctx to exact Gram matrices; shift/shift_p likewise
-    (shift is the real-place shift, also the default for finite places when
-    exact).
-    """
+    """Build a form from exact Grams; a finite place without an entry in
+    gram_p takes gram_inf.  Entries are read with Fraction, so a float entry
+    stands for the dyadic rational it is."""
     d = len(gram_inf)
     if d < 2:
         raise ConfigError("forms need dim >= 2")
-    inf_is_exact = all(
-        isinstance(x, (int, Fraction)) for row in gram_inf for x in row
-    )
-    gram = {INF: _freeze_matrix(gram_inf, inf_is_exact)}
+    gram = {INF: la.as_matrix(gram_inf)}
     for p in ctx.primes:
-        if gram_p and p in gram_p:
-            gram[p] = _freeze_matrix(gram_p[p], True)
-        elif inf_is_exact:
-            gram[p] = gram[INF]
-        else:
-            raise ConfigError(
-                f"finite place {p} needs an exact Gram when the real Gram is float"
-            )
+        gram[p] = la.as_matrix(gram_p[p]) if gram_p and p in gram_p else gram[INF]
     for place, g in gram.items():
         if len(g) != d or not _is_symmetric(g):
             raise DimensionMismatch(f"Gram at place {place} not symmetric {d}x{d}")
-    shifts = {}
-    if shift is not None:
-        if len(shift) != d:
-            raise DimensionMismatch("shift dimension mismatch")
-        shift_is_exact = all(isinstance(x, (int, Fraction)) for x in shift)
-        if shift_is_exact:
-            frozen = tuple(Fraction(x) for x in shift)
-            for place in (INF, *ctx.primes):
-                shifts[place] = frozen
-        else:
-            shifts[INF] = tuple(float(x) for x in shift)
-    if shift_p:
-        for p, s in shift_p.items():
-            shifts[p] = tuple(Fraction(x) for x in s)
-    # float entries are dyadic rationals, so this decision is exact
-    nondeg = all(la.det(la.as_matrix(g)) != 0 for g in gram.values())
-    return QuadraticFormS(d, ctx, gram, shifts, nondeg)
+    nondeg = all(la.det(g) != 0 for g in gram.values())
+    return QuadraticFormS(d, ctx, gram, nondeg)
 
 
 # --- local square classes and Hilbert symbols ----------------------------------
@@ -187,9 +128,7 @@ def diagonalize(q: QuadraticFormS, place):
     At a finite place the diagonal entries are normalized by square scalings
     to valuation 0 or 1.
     """
-    g = q.gram_at(place)
-    exact = tuple(tuple(Fraction(x) for x in row) for row in g)
-    u, diag = _congruent_diagonal(exact)
+    u, diag = _congruent_diagonal(q.gram_at(place))
     if any(x == 0 for x in diag):
         raise DegenerateForm(f"form degenerate at place {place}")
     if place != INF:

@@ -93,10 +93,6 @@ class SConfig:
             if not isinstance(p, int) or prime_factors(p) != [p]:
                 raise ConfigError(f"not a prime: {p!r}")
 
-    @property
-    def places(self) -> tuple:
-        return (INF,) + self.primes
-
 
 def valuation(x, p: int) -> int:
     """v_p(x) for a nonzero int or Fraction.  Raises on x == 0."""

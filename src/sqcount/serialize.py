@@ -136,18 +136,26 @@ def _matrix(rows, what: str) -> tuple:
     return out
 
 
+def _known_keys(obj: dict, keys: tuple, what: str):
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} in {what}; expected {', '.join(keys)}"
+        )
+
+
 def read_form(obj) -> tuple:
-    """(gram_inf, gram_p, shift, shift_p) of {"gram_inf": [[...]],
-    "gram_p": {"p": [[...]]}, "shift": [...], "shift_p": {"p": [...]}};
-    entries are rationals."""
+    """(gram_inf, gram_p) of {"gram_inf": [[...]], "gram_p": {"p": [[...]]}};
+    entries are rationals.  The shift of an inhomogeneous count is --xi,
+    never part of the form."""
     if not isinstance(obj, dict) or "gram_inf" not in obj:
         raise ConfigError("form object needs a gram_inf matrix")
+    for key in ("shift", "shift_p"):
+        if key in obj:
+            raise ConfigError(f"a form has no {key}; pass the shift as --xi")
+    _known_keys(obj, ("gram_inf", "gram_p"), "a form")
     gram_p = {p: _matrix(m, "gram_p") for p, m in _per_prime(obj, "gram_p").items()}
-    shift = obj.get("shift")
-    if shift is not None:
-        shift = _vector(shift, "shift")
-    shift_p = {p: _vector(v, "shift_p") for p, v in _per_prime(obj, "shift_p").items()}
-    return _matrix(obj["gram_inf"], "gram_inf"), gram_p or None, shift, shift_p or None
+    return _matrix(obj["gram_inf"], "gram_inf"), gram_p or None
 
 
 def form_from_json(obj: dict, ctx: SConfig) -> QuadraticFormS:
@@ -163,12 +171,15 @@ def read_testfn(obj) -> tuple:
     "finite_exponent": {"p": e}, "finite_center": {"p": [c1, ...]}}."""
     kind = _typed(obj, dict, "a test function").get("kind")
     if kind == "disk":
+        _known_keys(obj, ("kind", "radius", "t_p", "center"), "a disk")
         t_p = _exponents(obj, "t_p")
         center = obj.get("center")
         if center is not None:
             center = _vector(center, "center")
         return kind, (parse_frac(obj.get("radius", 1)), t_p, center)
     if kind == "box":
+        _known_keys(obj, ("kind", "intervals", "finite_exponent", "finite_center"),
+                    "a box")
         intervals = [_vector(iv, "an interval")
                      for iv in _typed(obj.get("intervals"), list, "intervals")]
         if any(len(iv) != 2 for iv in intervals):

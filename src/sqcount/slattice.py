@@ -1,23 +1,22 @@
 """Affine S-lattices and point enumeration inside S-adic boxes.
 
-A lattice is Z_S^d . basis + shift, stored per place.  In exact diagonal
-mode every place shares one rational unimodular basis and one rational
-shift, and all arithmetic is exact.  In split mode the real basis carries
-floats (Haar samples) while the finite-place bases stay rational and
-p-integral with unit determinant, tagged with the sampled digit depth.
+A lattice is Z_S^d . basis + shift, stored per place.  The real basis and
+shift carry floats (Haar samples); the finite-place bases stay rational and
+p-integral with unit determinant, tagged with the sampled digit depth, and
+the finite-place shifts are rational.
 
 Enumeration reduces the finite-place ball conditions to one congruence
 class mod M per coordinate (the ultrametric makes multiplication by a
 GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
-wise interval pruning on an exact LDL decomposition (Fincke-Pohst).
+wise interval pruning on an LDL decomposition (Fincke-Pohst).
 
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts: the last coordinate
 of each row is an interval, counted in closed form, and the origin is
 located once per lattice.  siegel_transform counts SBox indicators with
-count_points; product boxes and quadric slices need the points, so they
-go through enumerate_points and test each one.
+count_points; product boxes need the points, so they go through
+enumerate_points and test each one.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from . import _linalg as la
 from .errors import (
     ConfigError,
     DegenerateForm,
-    DimensionMismatch,
     InsufficientPadicPrecision,
-    InvariantViolation,
     RegionTooLarge,
 )
 from .sarith import INF, SConfig, TVector, crt, frac_mod, padic_norm, valuation
@@ -71,12 +68,12 @@ class SBox:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Indicator test functions: an SBox, a product box, or a quadric slice.
+    """Indicator test functions: an SBox or a product box.
 
+    sbox: the indicator of `box`, counted by siegel_transform without
+    building a point.
     product-box: real part is a product of closed intervals, finite part a
     ball |v_i - c_i|_p <= p^{e_p} per place.
-    quadric-slice: Q(v) in a real open interval and in a_p + p^{c_p} Z_p per
-    finite place, intersected with a bounding SBox.
     """
 
     kind: str
@@ -84,13 +81,9 @@ class TestFunction:
     intervals: tuple | None = None
     finite_center: dict | None = None
     finite_exponent: dict | None = None
-    form: object = None
-    real_interval: tuple | None = None
-    finite_target: dict | None = None
 
     def support_box(self, ctx: SConfig, d: int) -> SBox:
-        if self.kind in ("sbox", "quadric-slice"):
-            return self.box
+        """An SBox holding the support of a product-box indicator."""
         lo = [Fraction(x) for x, _ in self.intervals]
         hi = [Fraction(x) for _, x in self.intervals]
         center = tuple((a + b) / 2 for a, b in zip(lo, hi))
@@ -115,37 +108,20 @@ class TestFunction:
         return SBox(TVector(t_inf, t_p, ctx), center)
 
     def __call__(self, point, ctx: SConfig) -> int:
-        if self.kind == "sbox":
-            return 1 if _point_in_sbox(point, self.box, ctx) else 0
-        if self.kind == "product-box":
-            real = point.image(INF)
-            for x, (lo, hi) in zip(real, self.intervals):
-                if not (lo <= x <= hi):
-                    return 0
-            for p in ctx.primes:
-                # an omitted place constrains to the unit ball Z_p^d, which
-                # keeps the support compact in Q_S^d
-                e = (self.finite_exponent or {}).get(p, 0)
-                c = (self.finite_center or {}).get(p, (0,) * len(real))
-                for x, ci in zip(point.image(p), c):
-                    if padic_norm(Fraction(x) - Fraction(ci), p) > Fraction(p) ** e:
-                        return 0
-            return 1
-        if self.kind == "quadric-slice":
-            if not _point_in_sbox(point, self.box, ctx):
+        """The product-box indicator at a lattice point."""
+        real = point.image(INF)
+        for x, (lo, hi) in zip(real, self.intervals):
+            if not (lo <= x <= hi):
                 return 0
-            lo, hi = self.real_interval
-            real = point.image(INF)
-            qv = self.form.value_at(real, INF)
-            if not (lo < qv < hi):
-                return 0
-            for p, (a_p, c_p) in (self.finite_target or {}).items():
-                qp = self.form.value_at(point.image(p), p)
-                diff = qp - Fraction(a_p)
-                if padic_norm(diff, p) > Fraction(p) ** (-c_p):
+        for p in ctx.primes:
+            # an omitted place constrains to the unit ball Z_p^d, which
+            # keeps the support compact in Q_S^d
+            e = (self.finite_exponent or {}).get(p, 0)
+            c = (self.finite_center or {}).get(p, (0,) * len(real))
+            for x, ci in zip(point.image(p), c):
+                if padic_norm(Fraction(x) - Fraction(ci), p) > Fraction(p) ** e:
                     return 0
-            return 1
-        raise ConfigError(f"unknown test function kind {self.kind}")
+        return 1
 
 
 def indicator_sbox(box: SBox) -> TestFunction:
@@ -159,37 +135,6 @@ def indicator_product_box(intervals, finite_exponent=None, finite_center=None):
         finite_exponent=dict(finite_exponent or {}),
         finite_center=dict(finite_center or {}),
     )
-
-
-def indicator_quadric_slice(form, real_interval, finite_target, box: SBox):
-    return TestFunction(
-        kind="quadric-slice",
-        form=form,
-        real_interval=tuple(real_interval),
-        finite_target=dict(finite_target or {}),
-        box=box,
-    )
-
-
-def _point_in_sbox(point, box: SBox, ctx: SConfig) -> bool:
-    real = point.image(INF)
-    d = len(real)
-    c = box.center_at(d)
-    if all(isinstance(x, (int, Fraction)) for x in real) and isinstance(
-        box.t.t_inf, (int, Fraction)
-    ):
-        s = sum((Fraction(x) - Fraction(ci)) ** 2 for x, ci in zip(real, c))
-        if s >= Fraction(box.t.t_inf) ** 2:
-            return False
-    else:
-        s = sum((float(x) - float(ci)) ** 2 for x, ci in zip(real, c))
-        if s >= float(box.t.t_inf) ** 2:
-            return False
-    for p, tp in box.t.t_p.items():
-        for x, ci in zip(point.image(p), c):
-            if padic_norm(Fraction(x) - Fraction(ci), p) > Fraction(p) ** tp:
-                return False
-    return True
 
 
 # --- lattices ---------------------------------------------------------------------
@@ -206,7 +151,6 @@ class AffineSLattice:
     basis_p: dict
     shift_p: dict
     depth: dict
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -215,54 +159,23 @@ class LatticePoint:
 
     coords: tuple
     real: tuple
-    finite: dict | None  # None: all finite images equal `real` (exact mode)
+    finite: dict
 
     def image(self, place):
-        if place == INF or self.finite is None:
-            return self.real
-        return self.finite[place]
+        return self.real if place == INF else self.finite[place]
 
     def is_origin(self) -> bool:
-        if self.finite is None:
-            return all(x == 0 for x in self.real)
         finite_zero = all(
             all(x == 0 for x in img) for img in self.finite.values()
         )
         return finite_zero and all(abs(float(x)) < 1e-12 for x in self.real)
 
 
-def affine_slattice(ctx: SConfig, basis, shift=None) -> AffineSLattice:
-    """Exact diagonal-mode lattice: one rational unimodular basis (rows)."""
-    d = len(basis)
-    rows = la.as_matrix(basis)
-    # det = +-1 makes |det|_p = 1 at every place at once
-    if abs(la.det(rows)) != 1:
-        raise ConfigError("exact lattice basis must have determinant +-1")
-    for p in ctx.primes:
-        # enumeration maps balls through the basis; that needs the basis in
-        # GL_d(Z_p).  Any Z_S-lattice has such a presentation: re-basis by
-        # GL_d(Z_S) before constructing.
-        if any(x.denominator % p == 0 for row in rows for x in row):
-            raise InvariantViolation(
-                f"basis entries must be {p}-integral; re-basis the lattice"
-            )
-    if shift is None:
-        shift = (Fraction(0),) * d
-    shift = tuple(Fraction(x) for x in shift)
-    if len(shift) != d:
-        raise DimensionMismatch("shift dimension mismatch")
-    return AffineSLattice(
-        d, ctx, rows, shift,
-        {p: rows for p in ctx.primes}, {p: shift for p in ctx.primes},
-        {p: None for p in ctx.primes}, True,
-    )
-
-
 def affine_slattice_split(
     ctx: SConfig, basis_inf, basis_p, shift_inf=None, shift_p=None,
     depth=None,
 ) -> AffineSLattice:
-    """Split-mode lattice: float real basis, exact p-integral finite bases."""
+    """A lattice with a float real basis and exact p-integral finite bases."""
     d = len(basis_inf)
     b_inf = tuple(tuple(float(x) for x in row) for row in basis_inf)
     det = float(np.linalg.det(b_inf))
@@ -282,21 +195,15 @@ def affine_slattice_split(
         for p in ctx.primes
     }
     dep = {p: (depth or {}).get(p) for p in ctx.primes}
-    return AffineSLattice(d, ctx, b_inf, s_inf, bp, sp, dep, False)
+    return AffineSLattice(d, ctx, b_inf, s_inf, bp, sp, dep)
 
 
 # --- integer square roots on fractions -----------------------------------------------
 
 
-def _isqrt_floor_fraction(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    if x < 0:
-        raise ConfigError("negative radicand")
-    return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def _isqrt_ceil_fraction(x: Fraction) -> int:
-    f = _isqrt_floor_fraction(x)
+    """ceil(sqrt(x)) for x >= 0."""
+    f = math.isqrt(x.numerator * x.denominator) // x.denominator
     return f if Fraction(f) * f == x else f + 1
 
 
@@ -307,14 +214,11 @@ def enumerate_points(
     lat: AffineSLattice, box: SBox, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ):
     """All points of the lattice inside the box, sorted by their integer
-    coordinate representative; exact in the finite places always, and in the
-    real place too when the lattice is in exact mode."""
+    coordinate representative; the finite-place images are exact."""
     frame = _box_frame(lat, box)
     rem, mod, big_r = frame.rem, frame.mod, frame.big_r
     ns = []
-    _ellipsoid_integer_points(
-        frame.b, frame.y0, frame.t2, max_candidates, frame.exact, ns
-    )
+    _ellipsoid_integer_points(frame.b, frame.y0, frame.t2, max_candidates, ns)
     points = []
     for n in ns:
         m = tuple(rem[i] + mod * n[i] for i in range(lat.dim))
@@ -332,9 +236,7 @@ def count_points(
     when homogeneous, built without a single point: the last coordinate of
     each row is counted in closed form.  Same budget, same errors."""
     frame = _box_frame(lat, box)
-    total = _ellipsoid_integer_points(
-        frame.b, frame.y0, frame.t2, max_candidates, frame.exact
-    )
+    total = _ellipsoid_integer_points(frame.b, frame.y0, frame.t2, max_candidates)
     if homogeneous and _origin_enumerated(lat, frame):
         total -= 1
     return total
@@ -350,8 +252,7 @@ class _BoxFrame:
     rem: tuple
     b: tuple
     y0: tuple
-    t2: object
-    exact: bool  # b, y0, t2 are Fractions (else floats)
+    t2: float
 
 
 def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
@@ -392,50 +293,27 @@ def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
             rem[i] = crt(rem[i], mod, frac_mod(big_r * w[i], pe), pe)
         mod *= pe
     # real place: v(n) = n . B + y0 with m = rem + mod * n
-    exact_real = lat.exact and isinstance(box.t.t_inf, (int, Fraction)) and all(
-        isinstance(x, (int, Fraction)) for x in center
+    scale = mod / big_r
+    b = tuple(tuple(scale * float(x) for x in row) for row in lat.basis_inf)
+    base = [
+        sum(rem[i] / big_r * float(lat.basis_inf[i][j]) for i in range(d))
+        for j in range(d)
+    ]
+    y0 = tuple(
+        bb + float(s) - float(c) for bb, s, c in zip(base, lat.shift_inf, center)
     )
-    if exact_real:
-        scale = Fraction(mod, big_r)
-        b = tuple(
-            tuple(scale * x for x in row) for row in lat.basis_inf
-        )
-        base = la.vec_mat(
-            tuple(Fraction(r, big_r) for r in rem), lat.basis_inf
-        )
-        y0 = tuple(
-            bb + s - Fraction(c)
-            for bb, s, c in zip(base, lat.shift_inf, center)
-        )
-        t2 = Fraction(box.t.t_inf) ** 2
-    else:
-        scale = mod / big_r
-        b = tuple(
-            tuple(scale * float(x) for x in row) for row in lat.basis_inf
-        )
-        base = [
-            sum(rem[i] / big_r * float(lat.basis_inf[i][j]) for i in range(d))
-            for j in range(d)
-        ]
-        y0 = tuple(
-            bb + float(s) - float(c)
-            for bb, s, c in zip(base, lat.shift_inf, center)
-        )
-        t2 = float(box.t.t_inf) ** 2
-    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, exact_real)
+    t2 = float(box.t.t_inf) ** 2
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2)
 
 
 def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
     """Whether enumerate_points would list a point with is_origin().
 
-    An exact image k.basis + shift = 0 fixes k, at any place in exact mode
-    and at a finite place in split mode.  Without finite places the float
-    real image fixes k up to rounding, since the lattice has covolume 1.
-    So at most one k qualifies.
+    The exact image k.basis + shift = 0 at a finite place fixes k.  Without
+    finite places the float real image fixes k up to rounding, since the
+    lattice has covolume 1.  So at most one k qualifies.
     """
-    if lat.exact:
-        k = tuple(-x for x in la.vec_mat(lat.shift_inf, la.inverse(lat.basis_inf)))
-    elif lat.ctx.primes:
+    if lat.ctx.primes:
         p = lat.ctx.primes[0]
         k = tuple(-x for x in la.vec_mat(lat.shift_p[p], la.inverse(lat.basis_p[p])))
     else:
@@ -455,12 +333,6 @@ def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
 
 
 def _make_point(lat: AffineSLattice, k) -> LatticePoint:
-    if lat.exact:
-        v = tuple(
-            x + s
-            for x, s in zip(la.vec_mat(k, lat.basis_inf), lat.shift_inf)
-        )
-        return LatticePoint(k, v, None)
     real = tuple(
         sum(float(k[i]) * lat.basis_inf[i][j] for i in range(lat.dim))
         + lat.shift_inf[j]
@@ -476,7 +348,7 @@ def _make_point(lat: AffineSLattice, k) -> LatticePoint:
     return LatticePoint(k, real, finite)
 
 
-def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int:
+def _ellipsoid_integer_points(b, y0, t2, max_candidates, out=None) -> int:
     """Number of integer n with ||n.b + y0||^2 < t2, via LDL with interval
     pruning (Fincke-Pohst); each n is appended to `out` when a list is given.
 
@@ -489,17 +361,11 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int
     d = len(b)
     h = [[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)] for i in range(d)]
     # affine center: n* = -y0 . b^{-1}
-    if exact:
-        binv = la.inverse(b)
-        nstar = tuple(-x for x in la.vec_mat(y0, binv))
-    else:
-        binv = np.linalg.inv(b).tolist()
-        nstar = tuple(
-            -sum(y0[i] * binv[i][j] for i in range(d)) for j in range(d)
-        )
-    diag, lower = _ldl(h, exact)
+    binv = np.linalg.inv(b).tolist()
+    nstar = tuple(-sum(y0[i] * binv[i][j] for i in range(d)) for j in range(d))
+    diag, lower = _ldl(h)
     # a level's remaining radius^2 below this has left the ellipsoid
-    rem_floor = 0 if exact else -1e-9 * float(t2)
+    rem_floor = -1e-9 * t2
     n = [0] * d
     left = max_candidates
 
@@ -519,12 +385,9 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int
         offset = sum(lower[j][level] * (n[j] - nstar[j]) for j in range(level + 1, d))
         # d_level * (z_level + offset)^2 <= rem
         bound2 = rem / diag[level]
-        if exact:
-            half = _isqrt_floor_fraction(bound2) + 1
-        elif bound2 < 0:
+        if bound2 < 0:
             return 0
-        else:
-            half = math.sqrt(bound2) * (1 + 1e-12) + 1e-9
+        half = math.sqrt(bound2) * (1 + 1e-12) + 1e-9
         center = nstar[level] - offset
         lo = math.ceil(center - half)
         hi = math.floor(center + half)
@@ -564,16 +427,16 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, exact, out=None) -> int
     return recurse(d - 1, t2)
 
 
-def _ldl(h, exact):
-    """h = L D L^T with L unit lower triangular; entries Fraction or float."""
+def _ldl(h):
+    """h = L D L^T with L unit lower triangular, in floats."""
     d = len(h)
-    lower = [[(Fraction(0) if exact else 0.0)] * d for _ in range(d)]
-    diag = [Fraction(0) if exact else 0.0] * d
+    lower = [[0.0] * d for _ in range(d)]
+    diag = [0.0] * d
     for i in range(d):
-        lower[i][i] = Fraction(1) if exact else 1.0
+        lower[i][i] = 1.0
     for j in range(d):
         s = h[j][j] - sum(diag[k] * lower[j][k] * lower[j][k] for k in range(j))
-        if (exact and s <= 0) or (not exact and s <= 0.0):
+        if s <= 0.0:
             raise DegenerateForm("lattice Gram not positive definite")
         diag[j] = s
         for i in range(j + 1, d):
@@ -601,9 +464,9 @@ def siegel_transform(
     (homogeneous).
 
     For an SBox indicator that is the number of lattice points in the box,
-    taken from count_points without building a point.  Product-box and
-    quadric-slice indicators enumerate the points of their support box and
-    evaluate f on each.
+    taken from count_points without building a point.  A product-box
+    indicator enumerates the points of its support box and evaluates f on
+    each.
     """
     if mode not in ("affine", "homogeneous"):
         raise ConfigError("mode must be affine or homogeneous")

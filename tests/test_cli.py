@@ -72,6 +72,9 @@ VOLUME_DEEP = ["volume", "--form", "diag:1,1,1,-1", "--primes", "2,3",
                "--c-inf", "1", "--finite", "2:1:1:1,3:0:1:1",
                "--t", "30@2=3,3=2"]
 DISK_T_P = {"kind": "disk", "radius": "2", "t_p": {"2": 1.5}}
+FORM3 = {"gram_inf": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]}
+FORM4 = {"gram_inf": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                      ["0", "0", "1", "0"], ["0", "0", "0", "-1"]]}
 
 COUNT_D4 = ["count", "--form", "diag:1,1,1,-1", "--primes", "2",
             "--xi", "1/3,0,0,0", "--c-inf", "1", "--t", "30@2=1"]
@@ -229,6 +232,13 @@ def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, caps
     ("moment-mc", "f", {**DISK_T_P, "t_p": {"2": True}}, "file"),
     ("orbit", "f", {"kind": "box", "intervals": [[-1, 1]] * 3,
                     "finite_exponent": {"2": 0.5}}, "file"),
+    # an unknown key in a form or test-function object, a shift included
+    ("volume", "form", {**FORM4, "shift": ["1/3", "0", "0", "0"]}, "file"),
+    ("count", "form", {**FORM3, "shift_p": {"2": ["1/3", "0", "0"]}}, "file"),
+    ("count", "form", {**FORM3, "gram_q": {"2": FORM3["gram_inf"]}}, "file"),
+    ("moment-mc", "f", {"kind": "disk", "radus": "3"}, "file"),
+    ("orbit", "f", {"kind": "box", "intervals": [[-1, 1]] * 3,
+                    "finite_centre": {"2": [0, 0, 0]}}, "file"),
     ("moment-mc", "f", "disk:2@2=1.5", "flag"),
     ("zeta", "primes", "2,x", "flag"),
     ("moment-mc", "order", "1,x", "flag"),
@@ -244,6 +254,33 @@ def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
         args = [*args, flag(key), value]
     assert main([command, *args, "--out", str(tmp_path)]) == 2
     assert f"bad {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, obj, named", [
+    ("volume", "form", {**FORM4, "shift": ["1/3", "0", "0", "0"]},
+     "a form has no shift; pass the shift as --xi"),
+    ("count", "form", {**FORM3, "gram_q": {}}, "unknown key 'gram_q' in a form"),
+    ("moment-mc", "f", {"kind": "disk", "radus": "3"},
+     "unknown key 'radus' in a disk"),
+])
+def test_object_file_with_an_unknown_key_names_it(command, key, obj, named,
+                                                  tmp_path, capsys):
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(obj))
+    args = [*without(RUNS[command], key), flag(key), str(path)]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+# 4 shares the prime 2 with --primes 2, so |q|_2 != 1 and the rescaling
+# identity does not apply
+@pytest.mark.parametrize("level", ["0", "-3", "4"])
+def test_rescale_check_rejects_a_level_outside_n_s(level, tmp_path, capsys):
+    args = [*without(RUNS["rescale-check"], "q"), "--q", level]
+    assert main(["rescale-check", *args, "--out", str(tmp_path)]) == 2
+    assert (f"q must be a positive integer coprime to the finite places, got {level}"
+            in capsys.readouterr().err)
 
 
 def test_float_exponent_from_file_names_its_key(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Every top-level function and class in src/sqcount has a caller in the package.
+"""Every function, class and method in src/sqcount has a caller in the package.
 
 Code whose only callers are tests is deleted rather than kept. This scan
-stops it from growing back. A definition counts as used when, outside its
-own body, its name appears in its own module, another module of the
-package imports it by name, or the package reaches it as an attribute. A
-local variable of the same name in another module does not count.
+stops it from growing back. A top-level definition counts as used when,
+outside its own body, its name appears in its own module, another module
+of the package imports it by name, or the package reaches it as an
+attribute. A local variable of the same name in another module does not
+count. A method other than a dunder counts as used when, outside its own
+body, the package reaches its name as an attribute.
 """
 
 import ast
@@ -16,10 +18,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqcount"
 # definitions kept without a caller in the package, each with its reason
 ALLOWED = {
     "main": "console-script entry point declared in pyproject.toml",
-    "affine_slattice": "exact real-place lattice mode, the reference the "
-                       "enumerator is tested against in exact arithmetic",
-    "indicator_quadric_slice": "only constructor of the quadric-slice "
-                               "indicator, the reference for slice counts",
 }
 
 
@@ -64,6 +62,23 @@ def test_every_definition_has_a_package_caller():
         and attributes[node.name] == _attributes(node)[node.name]
     ]
     assert not unused, "defined but never used in src/sqcount: " + ", ".join(unused)
+
+
+def test_every_method_has_a_package_caller():
+    modules = _modules()
+    attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
+    unused = [
+        f"{module}.py:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in ALLOWED
+        and attributes[node.name] == _attributes(node)[node.name]
+    ]
+    assert not unused, "methods never called in src/sqcount: " + ", ".join(unused)
 
 
 def test_allowlist_names_existing_definitions():

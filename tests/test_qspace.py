@@ -29,11 +29,17 @@ S7 = SConfig((7,))
 S235 = SConfig((2, 3, 5))
 
 
-def diag_form(ctx, *entries, shift=None):
+def diag_form(ctx, *entries):
     d = len(entries)
     g = [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(d)]
          for i in range(d)]
-    return quadratic_form(ctx, g, shift=shift)
+    return quadratic_form(ctx, g)
+
+
+def value_at(q, v, place):
+    """q(v) = v G v^T with the Gram of one place, exactly."""
+    g = q.gram_at(place)
+    return sum(v[i] * g[i][j] * v[j] for i in range(q.dim) for j in range(q.dim))
 
 
 # --- brute-force local solubility oracle ---------------------------------------
@@ -108,56 +114,35 @@ def isotropic_bruteforce(entries, p) -> bool:
 
 
 class TestEvalForm:
+    """Every place holds its own exact Gram; finite places default to the
+    real one."""
+
     def test_isotropic_vector_value_zero_everywhere(self):
         q = diag_form(S23, 1, 1, -1)
-        assert all(q.value_at((1, 0, 1), place) == 0 for place in S23.places)
+        assert all(value_at(q, (1, 0, 1), place) == 0 for place in (INF, 2, 3))
 
     def test_plain_value(self):
         q = diag_form(S23, 1, 1, -1)
-        assert all(q.value_at((1, 1, 0), place) == 2 for place in S23.places)
-
-    def test_shifted_value_exact(self):
-        q = diag_form(S23, 1, 1, -1, shift=(Fraction(1, 5), 0, 0))
-        for place in S23.places:
-            assert q.value_at((1, 3, 0), place) == Fraction(261, 25)
+        assert all(value_at(q, (1, 1, 0), place) == 2 for place in (INF, 2, 3))
 
     def test_dimension_mismatch(self):
-        q = diag_form(S23, 1, 1, -1)
         with pytest.raises(DimensionMismatch):
-            q.value_at((1, 0), 2)
+            quadratic_form(S23, [[1, 0], [0, 1]], gram_p={3: la.identity(3)})
+        with pytest.raises(DimensionMismatch):
+            quadratic_form(S23, [[1, 2], [0, 1]])
 
     def test_float_real_gram_keeps_finite_places_exact(self):
+        # a float entry is read as the dyadic rational it is
         import math
 
         g_inf = [[math.sqrt(2), 0.0], [0.0, 1.0]]
-        g_p = [[Fraction(1), 0], [0, Fraction(1)]]
+        g_p = [[Fraction(1), 0], [0, Fraction(1, 3)]]
         q = quadratic_form(S3, g_inf, gram_p={3: g_p})
+        assert q.gram_at(INF) == la.as_matrix(g_inf)
+        assert q.gram_at(INF)[0][0] == Fraction(math.sqrt(2))
+        assert q.gram_at(3) == la.as_matrix(g_p)
         v = (Fraction(1, 3), 1)
-        assert isinstance(q.value_at(v, INF), float)
-        assert q.value_at(v, 3) == Fraction(10, 9)
-
-    def test_polarization_bilinear_exact(self):
-        rng = random.Random(7)
-        q = diag_form(S23, 2, -3, 5)
-
-        def beta(u, w):
-            vals = {}
-            for place in (2, 3):
-                quw = q.value_at(tuple(a + b for a, b in zip(u, w)), place)
-                vals[place] = (quw - q.value_at(u, place)
-                               - q.value_at(w, place)) / 2
-            return vals
-
-        for _ in range(25):
-            u1 = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-                       for _ in range(3))
-            u2 = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-                       for _ in range(3))
-            w = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-                      for _ in range(3))
-            left = beta(tuple(a + b for a, b in zip(u1, u2)), w)
-            for place in (2, 3):
-                assert left[place] == beta(u1, w)[place] + beta(u2, w)[place]
+        assert value_at(q, v, 3) == Fraction(4, 9)
 
     def test_degenerate_flag(self):
         q = diag_form(S23, 1, 0, 1)

@@ -56,7 +56,7 @@ def sl_order_bruteforce(d, q):
 # --- SConfig and elementary number theory -------------------------------------
 
 def test_sconfig_validation():
-    assert SConfig((2, 3)).places == (INF, 2, 3)
+    assert SConfig([2, 3]).primes == (2, 3)
     for bad in ((4,), (2, 2), (1,), (0,), (-3,)):
         with pytest.raises(ConfigError):
             SConfig(bad)
