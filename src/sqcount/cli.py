@@ -291,15 +291,12 @@ _KEYS = {
     "finite": _Key(_finite, "finite targets p:a:c:kappa[,...]"),
     "t": _Key(_scale, 'scale "T_inf[@p=t_p,...]"'),
     "ladder": _Key(_ladder, 'rungs "T[@p=t_p];T[@p=t_p];..."'),
-    "c_q": _Key(_float, "leading constant override"),
     "max_candidates": _Key(_int, "candidate budget (exit 3 when spent)"),
     "budget_s": _Key(_float, "soft wall-clock budget in seconds"),
     "n_grid": _Key(_int, "real quadrature grid size"),
     "n_samples": _Key(_int, "Monte Carlo volume samples"),
     "seed": _Key(_int, "random seed"),
-    "leading": _Key(_bool, "also extrapolate the leading constant c_Q"),
-    "t0": _Key(_float, "leading-constant ladder start"),
-    "rungs": _Key(_int, "leading-constant ladder length"),
+    "leading": _Key(_bool, "also compute the leading constant c_Q"),
     "space": _Key(_word, "base | affine | congruence"),
     "f": _Key(_shaped(_testfn, read_testfn),
               '"disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]" or JSON'),
@@ -479,9 +476,9 @@ def _cmd_count(cfg, out_dir, t0):
     target = _target_from_cfg(cfg, ctx, q_form.dim)
     budget = cfg["max_candidates"]
     if isinstance(target, tuple):
-        res = count_inhom(q_form, target, family, t, cfg["c_q"], budget)
+        res = count_inhom(q_form, target, family, t, budget)
     else:
-        res = count_congruence(target, q_form, family, t, cfg["c_q"], budget)
+        res = count_congruence(target, q_form, family, t, budget)
     _emit("count", cfg, out_dir, _count_header(ctx), [_count_row(res, ctx)], [
         f"N = {res.n}, prediction = {res.prediction!r}, ratio = {res.ratio!r}",
     ], results={"wall_ms": res.wall_ms}, t0=t0)
@@ -535,11 +532,7 @@ def _cmd_volume(cfg, out_dir, t0):
     total = v_real * math.prod(float(v) for v in finite.values())
     c_q = c_q_err = None
     if cfg["leading"]:
-        asym = leading_constant(
-            q_form, family, t_p=t.t_p, t0=cfg["t0"], ladder=cfg["rungs"],
-            n_grid=cfg["n_grid"],
-        )
-        c_q, c_q_err = asym.c_q, asym.error
+        c_q, c_q_err = leading_constant(q_form, family, t_p=t.t_p)
     header = (
         ["t_inf"] + [f"t_{p}" for p in ctx.primes]
         + ["vol_real", "vol_real_err"]
@@ -708,7 +701,7 @@ _COMMANDS = {
         _cmd_covolume, d=_REQ, primes=_REQ, variant="UL", tol=1e-9),
     "count": _command(
         _cmd_count, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
-        **_FAMILY, t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES, c_q=None),
+        **_FAMILY, t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),
     "sweep": _command(
         _cmd_sweep, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
         **_FAMILY, ladder=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES,
@@ -716,7 +709,7 @@ _COMMANDS = {
     "volume": _command(
         _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ,
         method="standardized-integral", n_grid=None, n_samples=400_000,
-        seed=None, leading=False, t0=24.0, rungs=5),
+        seed=None, leading=False),
     "moment-mc": _command(
         _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         f=_REQ, order="1,2", n=10_000, seed=None,

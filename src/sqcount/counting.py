@@ -34,7 +34,10 @@ import numpy as np
 from .congruence import CongruenceContext
 from .errors import ConfigError, DimensionMismatch, RegionTooLarge
 from .qspace import QuadraticFormS
-from .sarith import INF, SConfig, TVector, crt, frac_mod, is_in_NS, valuation
+from .sarith import (
+    INF, SConfig, TVector, crt, frac_mod, is_in_NS, is_s_unit_denominator,
+    s_free_part, valuation,
+)
 from .volume import check_family_range, leading_constant
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -485,13 +488,7 @@ def inhom_count(
     r = _depth_scale(q_form.ctx, t)
     # l_mod is the prime-to-S part of the denominators of xi; S-place poles
     # of xi need no special casing because Z_S shifts can absorb them
-    l_mod = 1
-    for x in xi:
-        den = x.denominator
-        for p in q_form.ctx.primes:
-            while den % p == 0:
-                den //= p
-        l_mod = math.lcm(l_mod, den)
+    l_mod = math.lcm(*(s_free_part(x.denominator, q_form.ctx) for x in xi))
     r_hat = r * l_mod
     scaled = tuple(Fraction(r_hat) * x for x in xi)
     inst = _build_instance(q_form, scaled, l_mod, r_hat, t.t_inf, interval)
@@ -510,45 +507,38 @@ class CountResult:
     wall_ms: float
 
 
-def _prediction(c_q: float, interval: SInterval, t: TVector, d: int,
-                q_power: int) -> float:
-    return c_q * interval.volume() * t.size() ** (d - 2) / q_power
-
-
-def _ratio(n: int, prediction: float) -> float:
-    return n / prediction if prediction > 0 else math.nan
+def _result(n: int, q_form: QuadraticFormS, family: ShrinkingFamily,
+            interval: SInterval, t: TVector, q_power: int,
+            start: float) -> CountResult:
+    """n with the prediction c_Q vol(I) |T|^(d-2) / q_power, c_Q at t_p."""
+    c_q, _ = leading_constant(q_form, family, t_p=t.t_p)
+    pred = c_q * interval.volume() * t.size() ** (q_form.dim - 2) / q_power
+    ratio = n / pred if pred > 0 else math.nan
+    wall = (time.perf_counter() - start) * 1000.0
+    return CountResult(n, pred, ratio, t, interval.volume(), wall)
 
 
 def count_congruence(
     cctx: CongruenceContext, q_form: QuadraticFormS, family: ShrinkingFamily,
-    t: TVector, c_q: float | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    t: TVector, max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> CountResult:
     """Exact N(q, w; Q, I_T, T) with the c_Q (1/q^d) vol(I) |T|^(d-2)
     prediction."""
     start = time.perf_counter()
     interval = interval_at(family, t)
     n = congruence_count(cctx, q_form, interval, t, max_candidates)
-    if c_q is None:
-        c_q = leading_constant(q_form, family, t_p=t.t_p).c_q
-    pred = _prediction(c_q, interval, t, q_form.dim, cctx.q**q_form.dim)
-    wall = (time.perf_counter() - start) * 1000.0
-    return CountResult(n, pred, _ratio(n, pred), t, interval.volume(), wall)
+    return _result(n, q_form, family, interval, t, cctx.q**q_form.dim, start)
 
 
 def count_inhom(
     q_form: QuadraticFormS, xi, family: ShrinkingFamily, t: TVector,
-    c_q: float | None = None, max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> CountResult:
     """Exact N(Q_xi, I_T, T) with the c_Q vol(I) |T|^(d-2) prediction."""
     start = time.perf_counter()
     interval = interval_at(family, t)
     n = inhom_count(q_form, xi, interval, t, max_candidates)
-    if c_q is None:
-        c_q = leading_constant(q_form, family, t_p=t.t_p).c_q
-    pred = _prediction(c_q, interval, t, q_form.dim, 1)
-    wall = (time.perf_counter() - start) * 1000.0
-    return CountResult(n, pred, _ratio(n, pred), t, interval.volume(), wall)
+    return _result(n, q_form, family, interval, t, 1, start)
 
 
 def rescale_identity_check(
@@ -568,9 +558,13 @@ def rescale_identity_check(
         raise ConfigError(
             f"q must be a positive integer coprime to the finite places, got {q}"
         )
-    cctx = CongruenceContext(
-        q_form.dim, q, tuple(Fraction(x) for x in w), q_form.ctx
-    )
+    w = tuple(Fraction(x) for x in w)
+    # the identity holds on q Z_S^d + w, so w itself must be S-integral
+    bad = [x for x in w if not is_s_unit_denominator(x.denominator, q_form.ctx)]
+    if bad:
+        raise ConfigError(f"w must be S-integral; its entry {bad[0]} has a "
+                          "denominator outside the finite places")
+    cctx = CongruenceContext(q_form.dim, q, w, q_form.ctx)
     interval = interval_at(family, t)
     lhs = congruence_count(cctx, q_form, interval, t, max_candidates)
     t_small = TVector(Fraction(t.t_inf) / q, dict(t.t_p), t.ctx)
@@ -600,10 +594,9 @@ def sweep(
     exponent delta_hat from |N - prediction| ~ |T|^(d - 2 - kappa - delta).
 
     target: a CongruenceContext for congruence counts, or a shift vector
-    for inhomogeneous counts. One c_Q is extracted at the largest ladder
-    scale and reused on every rung, so volume error stays decoupled from
-    counting error. A wall-clock budget stops the sweep early (soft:
-    partial results return with complete=False).
+    for inhomogeneous counts. Each rung's prediction is the one its own
+    count makes, with c_Q at that rung's t_p. A wall-clock budget stops
+    the sweep early (soft: partial results return with complete=False).
     """
     check_family_range(q_form.dim, family)
     ladder = list(ladder)
@@ -612,8 +605,6 @@ def sweep(
             raise ConfigError("ladder must be increasing componentwise")
     if not ladder:
         return SweepResult((), None, True)
-    congruent = isinstance(target, CongruenceContext)
-    c_q = leading_constant(q_form, family, t_p=ladder[-1].t_p).c_q
     results = []
     complete = True
     start = time.monotonic()
@@ -621,14 +612,11 @@ def sweep(
         if budget_s is not None and time.monotonic() - start > budget_s:
             complete = False
             break
-        if congruent:
-            results.append(
-                count_congruence(target, q_form, family, t, c_q, max_candidates)
-            )
-        else:
-            results.append(
-                count_inhom(q_form, target, family, t, c_q, max_candidates)
-            )
+        results.append(
+            count_congruence(target, q_form, family, t, max_candidates)
+            if isinstance(target, CongruenceContext)
+            else count_inhom(q_form, target, family, t, max_candidates)
+        )
     return SweepResult(tuple(results), _fit_delta(q_form.dim, family, results),
                        complete)
 

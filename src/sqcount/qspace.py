@@ -46,12 +46,16 @@ def quadratic_form(
     ctx: SConfig, gram_inf, gram_p: dict | None = None
 ) -> QuadraticFormS:
     """Build a form from exact Grams; a finite place without an entry in
-    gram_p takes gram_inf.  Entries are read with Fraction, so a float entry
-    stands for the dyadic rational it is."""
+    gram_p takes gram_inf, and an entry at a prime outside S is an error.
+    Entries are read with Fraction, so a float entry stands for the dyadic
+    rational it is."""
     d = len(gram_inf)
     if d < 2:
         raise ConfigError("forms need dim >= 2")
     gram = {INF: la.as_matrix(gram_inf)}
+    for p in gram_p or {}:
+        if p not in ctx.primes:
+            raise ConfigError(f"gram_p has a Gram at {p}, which is not in S")
     for p in ctx.primes:
         gram[p] = la.as_matrix(gram_p[p]) if gram_p and p in gram_p else gram[INF]
     for place, g in gram.items():

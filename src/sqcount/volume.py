@@ -7,9 +7,9 @@ uniformly from residues mod p (mod 8 at p = 2), so they are counted there;
 the rest are p times a solution of a rescaled form, which the next pass
 handles. The work is O(m) small counts, not a count at the full modulus
 p^m. Real place: section quadrature after orthogonal
-diagonalization, cross-checked by Monte Carlo. On top of both, the
-leading-constant extraction c_Q with a geometric T ladder and two-point
-extrapolation.
+diagonalization, cross-checked by Monte Carlo. The leading constant c_Q is
+the real light-cone integral over the two eigen-spheres, by a Gauss-Legendre
+product rule, times the exact finite-place volumes.
 """
 
 from __future__ import annotations
@@ -396,11 +396,10 @@ def real_quadric_volume(
 
 # --- leading constant ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class VolumeAsymptotics:
-    c_q: float
-    error: float
-    table: tuple  # rows (t_inf, volume, ratio)
+# c_inf's product rule starts at START_NODES Gauss-Legendre nodes per angle
+# and doubles them, up to MAX_NODES, until two rules agree to C_INF_RTOL;
+# CHUNK bounds the integrand values held at once
+START_NODES, MAX_NODES, C_INF_RTOL, CHUNK = 12, 96, 1e-10, 1 << 18
 
 
 def check_family_range(d: int, family) -> None:
@@ -415,67 +414,82 @@ def check_family_range(d: int, family) -> None:
             raise FamilyOutOfRange("kappa_p must be 0 in dimension 3")
 
 
+def _orthant_rule(inv, theta, w):
+    """(values of sum_i inv[i] x_i^2, weights) of the product rule with
+    angle nodes theta in [0, pi/2] and weights w on the unit sphere of R^k,
+    k = len(inv). The values are even in each coordinate, so the rule covers
+    one orthant and each coordinate doubles the weights; k = 1 is S^0."""
+    vals, wts = np.array([inv[-1]]), np.array([2.0])
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    for m, x in enumerate(inv[-2::-1], start=1):
+        # (cos t, sin t * y) for y on S^(m-1) has measure sin^(m-1) t dt dy
+        vals = ((cos2 * x)[:, None] + sin2[:, None] * vals).ravel()
+        wts = ((2.0 * w * np.sin(theta) ** (m - 1))[:, None] * wts).ravel()
+    return vals, wts
+
+
+def _light_cone(lam, nu, n: int) -> float:
+    """The rule with n nodes per angle for the integral over S^(p-1) x
+    S^(q-1) of (sum w_i^2/lam_i + sum e_j^2/nu_j)^(-(d-2)/2), summed in
+    chunks over the first angle of the larger sphere."""
+    if len(lam) < len(nu):
+        lam, nu = nu, lam
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta, w = np.pi / 4 * (x + 1.0), np.pi / 4 * w
+    a, wa = _orthant_rule(1.0 / lam[1:], theta, w)
+    b, wb = _orthant_rule(1.0 / nu, theta, w)
+    w1 = 2.0 * w * np.sin(theta) ** (len(lam) - 2)
+    cos2, sin2 = np.cos(theta) ** 2 / lam[0], np.sin(theta) ** 2
+    power = 1.0 - (len(lam) + len(nu)) / 2
+    step = max(1, CHUNK // (len(a) * len(b)))
+    total = 0.0
+    for s in (slice(i, i + step) for i in range(0, n, step)):
+        f = ((cos2[s, None] + sin2[s, None] * a)[:, :, None] + b) ** power
+        total += w1[s] @ (f @ wb @ wa)
+    return float(total)
+
+
+def _c_inf(gram_inf) -> tuple[float, float]:
+    """(c, error) for c = lim vol{|x| < T : Q(x) in I} / (|I| T^(d-2)), the
+    light-cone density of Siegel and of Eskin-Margulis-Mozes. In the
+    eigenbasis (eigenvalues lam_i > 0 and -nu_j < 0 of G), u = sqrt(lam) y
+    and v = sqrt(nu) z give c = _light_cone / (2 (d-2) sqrt|det G|). The
+    integrand is analytic, so the rules converge geometrically; the error
+    is the gap between the last two."""
+    mu = np.linalg.eigvalsh(np.array(gram_inf, dtype=float))
+    lam, nu = mu[mu > 0], -mu[mu < 0]
+    scale = 2.0 * (len(mu) - 2) * math.sqrt(np.prod(lam) * np.prod(nu))
+    n, value, gap = START_NODES, _light_cone(lam, nu, START_NODES), math.inf
+    while gap > C_INF_RTOL * value and 2 * n <= MAX_NODES:
+        n *= 2
+        finer = _light_cone(lam, nu, n)
+        gap, value = abs(finer - value), finer
+    return value / scale, gap / scale
+
+
 def leading_constant(
-    q_form: QuadraticFormS,
-    family,
-    t_p: dict | None = None,
-    t0: float = 24.0,
-    ladder: int = 5,
-    n_grid: int | None = None,
-) -> VolumeAsymptotics:
-    """c_Q from vol(Q^{-1}(I_T) cap B_T) / (vol(I_T) |T|^{d-2}) along a
-    geometric ladder in T_inf, extrapolated by a two-point rule.
-
-    The default ladder starts at T = 24: the finite-T correction decays
-    like 1/T, so smaller starting points leave a visible slope in the
-    ratio table that the two-point extrapolation then has to absorb.
-
-    The family argument follows the shrinking-family protocol: fields
-    kappa_inf and finite (mapping p to a part with a, c, kappa), methods
-    real_interval(T_inf) and finite_target(p, t_p).
+    q_form: QuadraticFormS, family, t_p: dict | None = None
+) -> tuple[float, float]:
+    """(c_Q, error), c_Q the limit of vol(Q^{-1}(I_T) cap B_T) / (vol(I_T)
+    |T|^(d-2)): c_inf times the exact factor prod_p vol_p / p^(t_p (d-2) -
+    e_p) at the given t_p, with c_inf's error scaled alike. The family
+    follows the shrinking-family protocol: kappa_inf, finite (p to a part
+    with a, c, kappa) and finite_target(p, t_p).
     """
     d = q_form.dim
     if d < 3:
         raise ConfigError("leading constant needs d >= 3")
-    if ladder < 2:
-        raise ConfigError("ladder needs at least two rungs")
     if not q_form.nondegenerate:
         raise DegenerateForm("form is degenerate")
     if not is_isotropic(q_form, None):
         raise AnisotropicForm("form must be isotropic at every place")
     check_family_range(d, family)
-    t_p = dict(t_p or {})
-    finite_volume = Fraction(1)
-    interval_finite = Fraction(1)
-    size_finite = Fraction(1)
+    finite = Fraction(1)
     for p in q_form.ctx.primes:
-        tp = t_p.get(p, 0)
+        tp = (t_p or {}).get(p, 0)
         a_p, e_p = family.finite_target(p, tp)
-        finite_volume *= padic_quadric_volume(
+        finite *= padic_quadric_volume(
             PadicVolumeRequest(p, q_form.gram_at(p), t=tp, a=a_p, c=e_p)
-        )
-        interval_finite *= Fraction(p) ** (-e_p)
-        size_finite *= Fraction(p) ** tp
-    gram_inf = q_form.gram_at(INF)
-    rows = []
-    rel_err = 0.0
-    for k in range(ladder):
-        t_inf = t0 * 2.0**k
-        alpha, beta = family.real_interval(t_inf)
-        v_real, err = real_quadric_volume(
-            gram_inf, t_inf, (alpha, beta),
-            method="standardized-integral", n_grid=n_grid,
-        )
-        vol = v_real * float(finite_volume)
-        denom = (
-            (beta - alpha)
-            * float(interval_finite)
-            * (t_inf * float(size_finite)) ** (d - 2)
-        )
-        ratio = vol / denom
-        rel_err = max(rel_err, err / max(v_real, 1e-300))
-        rows.append((t_inf, vol, ratio))
-    r_last, r_prev = rows[-1][2], rows[-2][2]
-    c_q = 2.0 * r_last - r_prev
-    error = abs(r_last - r_prev) + rel_err * abs(c_q)
-    return VolumeAsymptotics(c_q, error, tuple(rows))
+        ) / Fraction(p) ** (tp * (d - 2) - e_p)
+    c_inf, err = _c_inf(q_form.gram_at(INF))
+    return c_inf * float(finite), err * float(finite)

@@ -54,11 +54,11 @@ CONFIG_KEYS = {
     "group-order": "d q",
     "identity-check": "d method primes q tol zeta_tol",
     "covolume": "d primes tol variant",
-    "count": "a_inf c_inf c_q finite form kappa_inf max_candidates primes q t w xi",
+    "count": "a_inf c_inf finite form kappa_inf max_candidates primes q t w xi",
     "sweep": "a_inf budget_s c_inf finite form kappa_inf ladder max_candidates "
              "primes q w xi",
     "volume": "a_inf c_inf finite form kappa_inf leading method n_grid n_samples "
-              "primes rungs seed t t0",
+              "primes seed t",
     "moment-mc": "d depth f max_candidates n order primes q seed space threads w",
     "moment-rhs": "depth f max_terms primes q real_bound t_max w",
     "variance": "box d depth max_candidates n primes q seed space threads "
@@ -113,7 +113,7 @@ def test_readme_examples_are_the_tested_runs():
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
-    assert sum(len(k) for k in keys.values()) == 102
+    assert sum(len(k) for k in keys.values()) == 99
 
 
 def test_every_parser_key_belongs_to_a_command():
@@ -187,6 +187,31 @@ def test_manifest_with_sampler_keys_exits_2_on_replay(tmp_path, capsys):
     assert ("unknown config keys for moment-mc: "
             "['mcmc_burn_in', 'mcmc_eps', 'mcmc_thin', 'sampler']"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, old_keys", [
+    ("count", {"c_q": None}),
+    ("volume", {"t0": 24.0, "rungs": 5}),
+])
+def test_manifest_with_ladder_keys_exits_2_on_replay(command, old_keys,
+                                                    tmp_path, capsys):
+    # manifests written while c_Q came from a T ladder carry these keys
+    assert main([command, *RUNS[command], "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / f"{command}_manifest.json"
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    recorded["config"].update(old_keys)
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    argv = [command, "--config", str(manifest), "--out", str(tmp_path / "again")]
+    assert main(argv) == 2
+    assert (f"unknown config keys for {command}: {sorted(old_keys)}"
+            in capsys.readouterr().err)
+    for key in old_keys:
+        del recorded["config"][key]
+    manifest.write_text(json.dumps(recorded))
+    assert main(argv) == 0
+    csv = f"{command}.csv"
+    assert (tmp_path / "again" / csv).read_bytes() == (tmp_path / csv).read_bytes()
 
 
 def test_sampler_flag_exits_2(tmp_path, capsys):
@@ -283,6 +308,21 @@ def test_rescale_check_rejects_a_level_outside_n_s(level, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_rescale_check_rejects_a_shift_outside_z_s(tmp_path, capsys):
+    # 1/5 has a denominator prime to S = {2}, so w is not in Z_S^d
+    args = [*without(RUNS["rescale-check"], "w"), "--w", "1/5,0,0"]
+    assert main(["rescale-check", *args, "--out", str(tmp_path)]) == 2
+    assert "w must be S-integral; its entry 1/5" in capsys.readouterr().err
+
+
+def test_form_gram_at_a_prime_outside_s_exits_2(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({**FORM3, "gram_p": {"3": FORM3["gram_inf"]}}))
+    args = [*without(RUNS["count"], "form"), "--form", str(path)]
+    assert main(["count", *args, "--out", str(tmp_path)]) == 2
+    assert "gram_p has a Gram at 3, which is not in S" in capsys.readouterr().err
+
+
 def test_float_exponent_from_file_names_its_key(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"f": DISK_T_P}))
@@ -299,7 +339,7 @@ def test_deep_volume_is_exact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("count", "c_q", "1.5"),
+    ("count", "max_candidates", "1000000"),
     ("volume", "n_grid", "64"),
 ])
 def test_file_value_reads_like_its_flag(command, key, value, tmp_path, capsys):

@@ -48,6 +48,7 @@ S3 = SConfig((3,))
 S23 = SConfig((2, 3))
 
 TERN = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+QUAT31 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 
 
 def tv(t_inf, t_p=None, ctx=S0):
@@ -592,10 +593,14 @@ class TestCountResults:
         cctx = congruence_context(3, 2, (1, 1, 0), S0)
         fam = shrinking_family(3, 1, a_inf=2)
         t = tv(3.0)
-        res = count_congruence(cctx, q, fam, t, c_q=8.0)
+        res = count_congruence(cctx, q, fam, t)
         iv = interval_at(fam, t)
+        c_q, _ = leading_constant(q, fam)
         assert res.n == 4
-        assert res.prediction == pytest.approx(iv.volume() * float(t.size()))
+        assert c_q == pytest.approx(math.sqrt(2) * math.pi, rel=1e-12)
+        assert res.prediction == pytest.approx(
+            c_q * iv.volume() * float(t.size()) / 8
+        )
         assert res.ratio == pytest.approx(res.n / res.prediction)
         assert res.vol_interval == pytest.approx(iv.volume())
         assert res.wall_ms >= 0
@@ -604,8 +609,11 @@ class TestCountResults:
         q = quadratic_form(S0, TERN)
         fam = shrinking_family(3, 1)
         t = tv(3.0)
-        res = count_inhom(q, (Fraction(1, 5), 0, 0), fam, t, c_q=1.0)
-        assert res.prediction == pytest.approx(interval_at(fam, t).volume() * 3.0)
+        res = count_inhom(q, (Fraction(1, 5), 0, 0), fam, t)
+        c_q, _ = leading_constant(q, fam)
+        assert res.prediction == pytest.approx(
+            c_q * interval_at(fam, t).volume() * 3.0
+        )
         assert res.n >= 0
 
 
@@ -646,14 +654,29 @@ class TestSweep:
         assert 0.9 < res.results[-1].ratio < 1.15
         assert res.delta_hat is not None and math.isfinite(res.delta_hat)
 
-    def test_congruence_sweep_uses_final_rung_constant(self):
-        q = quadratic_form(S3, TERN)
+    def test_every_rung_predicts_like_count(self):
+        q3, q4 = quadratic_form(S3, TERN), quadratic_form(S2, QUAT31)
         cctx = congruence_context(3, 2, (1, 0, 1), S3)
-        fam = shrinking_family(3, 4)
-        lad = [tv(8.0, {3: 0}, S3), tv(16.0, {3: 1}, S3)]
-        res = sweep(q, cctx, fam, lad)
-        c_q = leading_constant(q, fam, t_p=lad[-1].t_p).c_q
-        for r, t in zip(res.results, lad):
-            iv = interval_at(fam, t)
-            want = c_q * iv.volume() * float(t.size()) / 8
-            assert r.prediction == pytest.approx(want)
+        fam3 = shrinking_family(3, 4)
+        lad3 = [tv(8.0, {3: 0}, S3), tv(16.0, {3: 1}, S3)]
+        # the 2-adic target shrinks with t_2, so c_Q differs from rung to rung
+        xi = (Fraction(1, 3), 0, 0, 0)
+        fam4 = shrinking_family(4, 1, finite={2: (1, 1, 1)})
+        lad4 = [tv(16.0, {2: t}, S2) for t in (0, 1, 2)]
+        inhom = sweep(q4, xi, fam4, lad4)
+        cases = [
+            (sweep(q3, cctx, fam3, lad3), lad3,
+             lambda t: count_congruence(cctx, q3, fam3, t)),
+            (inhom, lad4, lambda t: count_inhom(q4, xi, fam4, t)),
+        ]
+        for res, lad, count in cases:
+            assert len(res.results) == len(lad)
+            for r, t in zip(res.results, lad):
+                alone = count(t)
+                assert (r.n, r.prediction, r.ratio) == (
+                    alone.n, alone.prediction, alone.ratio
+                )
+        # one constant taken at the last rung predicted 414.68 and 829.35
+        assert [r.prediction for r in inhom.results[:2]] == pytest.approx(
+            [402.11, 904.75], rel=1e-4
+        )
