@@ -317,7 +317,8 @@ class _ClassTables:
         return gids[inv]
 
     def count(self, ids, lo, hi) -> int:
-        """Sum over rows of #{n in [lo[i], hi[i]] : class ok}, empty rows 0."""
+        """Sum over pieces k and rows i of #{n in [lo[k, i], hi[k, i]] :
+        class ids[i] ok}; an empty piece counts 0."""
         m = self.m_big
         ks = self._tot_arr[ids]
         lo1 = lo - 1
@@ -326,16 +327,72 @@ class _ClassTables:
         return int(np.sum(np.where(hi >= lo, c_hi - c_lo, 0)))
 
 
+def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
+    """(keep, lo, hi): the prefixes, given by their coefficients b and c,
+    whose window {n : w_lo <= a n^2 + b n + c <= w_hi} holds an integer, and
+    on each kept prefix that window as two pieces [lo[k], hi[k]], k = 0, 1,
+    of shape (2, len(keep)); an empty piece has lo > hi.
+
+    a >= 0. For a > 0, n is in the window iff u = 2 a n + b has
+    sqrt(disc_lo) < |u| <= sqrt(disc_hi): a piece on either side of the
+    vertex, or one piece when disc_lo < 0. An integer u needs a square in
+    (disc_lo, disc_hi], which one exact square root per prefix tests, so
+    the pieces are solved only on the prefixes that pass. For a == 0 the
+    window is linear in n and is one piece; a prefix with b == 0 and c in
+    the window holds every n, and [-unbounded, unbounded] stands for it.
+    """
+    if a == 0:
+        keep = np.arange(len(b))
+        nz = b != 0
+        lin_lo = np.where(b > 0, w_lo - c, w_hi - c)
+        lin_hi = np.where(b > 0, w_hi - c, w_lo - c)
+        b_safe = np.where(nz, b, 1)
+        const_ok = (c >= w_lo) & (c <= w_hi)
+        lo1 = np.where(nz, -((-lin_lo) // b_safe),
+                       np.where(const_ok, -unbounded, 1))
+        hi1 = np.where(nz, lin_hi // b_safe, np.where(const_ok, unbounded, 0))
+        lo = np.stack([lo1, np.ones_like(lo1)])
+        hi = np.stack([hi1, np.zeros_like(hi1)])
+    else:
+        disc_hi = b * b - 4 * a * (c - w_hi)
+        s_o = _visqrt(np.maximum(disc_hi, 0))
+        # the guard keeps |disc_hi| below 2^62, so a gap capped at 2^62
+        # leaves disc_lo negative wherever the true one is, and in int64
+        disc_lo = disc_hi - min(4 * a * (w_hi - w_lo + 1), 1 << 62)
+        keep = np.flatnonzero((disc_hi >= 0) & (s_o * s_o > disc_lo))
+        b, s_o, disc_lo = b[keep], s_o[keep], disc_lo[keep]
+        cut = disc_lo >= 0
+        s_e = _visqrt(np.maximum(disc_lo, 0))
+        o_lo = -((b + s_o) // (2 * a))
+        o_hi = (-b + s_o) // (2 * a)
+        e_lo = -((b + s_e) // (2 * a))
+        e_hi = (-b + s_e) // (2 * a)
+        lo = np.stack([o_lo, np.where(cut, np.maximum(e_hi + 1, o_lo), 1)])
+        hi = np.stack([np.where(cut, np.minimum(e_lo - 1, o_hi), o_hi),
+                       np.where(cut, o_hi, 0)])
+    some = (lo <= hi).any(axis=0)
+    return keep[some], lo[:, some], hi[:, some]
+
+
 def _count_instance(inst: _Instance, max_candidates: int) -> int:
     """Exact point count of one instance, batched over head rows.
 
     A row is a fixed head (the first d-2 coordinates) together with the
-    progression of the (d-1)-th coordinate x inside the ball. Heads come in
-    itertools.product order, in chunks of about _CHUNK_ELEMENTS candidate
-    (row, x) elements, so one numpy pass covers many rows and memory stays
-    bounded. Each chunk charges its row lengths to the budget, in row order,
-    before it counts anything: RegionTooLarge reports the running prefix
-    total at the first row that crosses max_candidates.
+    progression of the (d-1)-th coordinate x inside the ball; each (head, x)
+    prefix leaves the last coordinate n_d, on which the form is a quadratic
+    (or linear) a n_d^2 + b n_d + c. Heads come in itertools.product order,
+    in chunks of about _CHUNK_ELEMENTS prefixes, so one numpy pass covers
+    many rows and memory stays bounded. Each chunk charges its row lengths
+    to the budget, in row order, before it counts anything: RegionTooLarge
+    reports the running prefix total at the first row that crosses
+    max_candidates. A chunk is then counted in two stages:
+
+    1. every prefix: the real window alone gives the n_d pieces
+       (_window_pieces), and prefixes whose pieces hold no integer drop out,
+       which in a narrow window is nearly all of them;
+    2. the kept prefixes only: the pieces are clipped to the ball, and the
+       congruence class tables count the admissible n_d on both pieces in
+       one lookup.
     """
     if inst.empty:
         return 0
@@ -404,49 +461,19 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
         c_hx = 2 * (h @ g_arr[j, :j])
         b = b_h[row] + b_x * x
         c = c_h[row] + c_hx[row] * x + c_xx * x * x
-        ball_rhs = big_n - s_head[row] - x * x
-        sb = _visqrt(ball_rhs)
-        if a != 0:
-            disc_hi = b * b - 4 * a * (c - w_hi)
-            has = disc_hi >= 0
-            s_o = _visqrt(np.maximum(disc_hi, 0))
-            o_lo = -((b + s_o) // (2 * a))
-            o_hi = (-b + s_o) // (2 * a)
-            disc_lo = b * b - 4 * a * (c - (w_lo - 1))
-            cut = disc_lo >= 0
-            s_e = _visqrt(np.maximum(disc_lo, 0))
-            e_lo = -((b + s_e) // (2 * a))
-            e_hi = (-b + s_e) // (2 * a)
-            lo1 = np.maximum(o_lo, -sb)
-            hi1 = np.where(cut, np.minimum(e_lo - 1, o_hi), o_hi)
-            hi1 = np.minimum(hi1, sb)
-            lo2 = np.where(cut, np.maximum(e_hi + 1, o_lo), 1)
-            lo2 = np.maximum(lo2, -sb)
-            hi2 = np.where(cut, np.minimum(o_hi, sb), 0)
-            lo1, hi1 = np.where(has, lo1, 1), np.where(has, hi1, 0)
-            lo2, hi2 = np.where(has, lo2, 1), np.where(has, hi2, 0)
-        else:
-            nz = b != 0
-            lin_lo = np.where(b > 0, w_lo - c, w_hi - c)
-            lin_hi = np.where(b > 0, w_hi - c, w_lo - c)
-            b_safe = np.where(nz, b, 1)
-            lo1 = -((-lin_lo) // b_safe)
-            hi1 = lin_hi // b_safe
-            const_ok = (c >= w_lo) & (c <= w_hi)
-            lo1 = np.where(nz, lo1, np.where(const_ok, -sb, 1))
-            hi1 = np.where(nz, hi1, np.where(const_ok, sb, 0))
-            lo1, hi1 = np.maximum(lo1, -sb), np.minimum(hi1, sb)
-            lo2 = np.ones_like(lo1)
-            hi2 = np.zeros_like(hi1)
+        keep, lo, hi = _window_pieces(a, b, c, w_lo, w_hi, n_max)
+        if len(keep) == 0:
+            continue
+        row, x = row[keep], x[keep]
+        sb = _visqrt(big_n - s_head[row] - x * x)
+        lo, hi = np.maximum(lo, -sb), np.minimum(hi, sb)
         hm, xm = h % m_val, x % m_val
         bm_h = (2 * (hm @ gm_arr[d - 1, :j])) % m_val
         cm_h = np.einsum("ri,ik,rk->r", hm, gm_arr[:j, :j], hm) % m_val
         cm_hx = (2 * (hm @ gm_arr[j, :j])) % m_val
         b_mix = (bm_h[row] + bm_x * xm) % m_val
         c_mix = (cm_h[row] + cm_hx[row] * xm + cm_xx * xm * xm) % m_val
-        ids = tables.ids_for(b_mix, c_mix)
-        total += tables.count(ids, lo1, hi1)
-        total += tables.count(ids, lo2, hi2)
+        total += tables.count(tables.ids_for(b_mix, c_mix), lo, hi)
     return total
 
 
@@ -595,12 +622,20 @@ def sweep(
 
     target: a CongruenceContext for congruence counts, or a shift vector
     for inhomogeneous counts. Each rung's prediction is the one its own
-    count makes, with c_Q at that rung's t_p. A wall-clock budget stops
-    the sweep early (soft: partial results return with complete=False).
+    count makes, with c_Q at that rung's t_p. The ladder increases
+    componentwise, and a rung equal to the one before it is rejected: it
+    would feed the delta_hat fit the same count twice. A wall-clock budget
+    stops the sweep early (soft: partial results return with
+    complete=False).
     """
     check_family_range(q_form.dim, family)
     ladder = list(ladder)
-    for prev, nxt in zip(ladder, ladder[1:]):
+    for k, (prev, nxt) in enumerate(zip(ladder, ladder[1:]), start=2):
+        if nxt == prev:
+            exps = ",".join(f"{p}={e}" for p, e in nxt.t_p.items())
+            rung = f"{nxt.t_inf}@{exps}" if exps else f"{nxt.t_inf}"
+            raise ConfigError(f"ladder rung {k} ({rung}) repeats the rung "
+                              "before it")
         if not nxt.dominates(prev):
             raise ConfigError("ladder must be increasing componentwise")
     if not ladder:

@@ -10,6 +10,7 @@ a valid --config input for the command that wrote it.
 from __future__ import annotations
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -56,11 +57,46 @@ def parse_int(v) -> int:
     return int(v)
 
 
+# CPython's int -> str takes time quadratic in the length, and refuses ints
+# past sys.get_int_max_str_digits() (4300 digits by default, ~14,000 bits);
+# longer ints are rebuilt as a Decimal from halves split on bits, so that
+# libmpdec does the large multiplies in subquadratic time
+_STR_BITS = 4096
+
+
+def _int_str(n: int) -> str:
+    """str(n), exactly, for ints of any length."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    powers = {}
+
+    def pow2(k):
+        if k not in powers:
+            powers[k] = decimal.Decimal(2) ** k
+        return powers[k]
+
+    def to_dec(m, bits):
+        if bits <= _STR_BITS:
+            return decimal.Decimal(m)
+        half = bits // 2
+        top = m >> half
+        return to_dec(top, bits - half) * pow2(half) + to_dec(m - (top << half), half)
+
+    with decimal.localcontext() as ctx:
+        # every partial value is at most |n|, of fewer than 0.31 digits per
+        # bit; a tight precision holds less memory than MAX_PREC does
+        ctx.prec = n.bit_length() * 31 // 100 + 10
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(to_dec(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def frac_str(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def cell(x) -> str:

@@ -403,6 +403,11 @@ START_NODES, MAX_NODES, C_INF_RTOL, CHUNK = 12, 96, 1e-10, 1 << 18
 
 
 def check_family_range(d: int, family) -> None:
+    if d < 3:
+        # kappa_inf < d - 2 and the main term c_Q vol(I) T^(d-2) need d >= 3
+        raise FamilyOutOfRange(
+            f"shrinking targets need a form in d >= 3 variables, got d = {d}"
+        )
     if not 0 <= family.kappa_inf < d - 2:
         raise FamilyOutOfRange(
             f"kappa_inf = {family.kappa_inf} outside [0, {d - 2})"

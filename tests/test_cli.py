@@ -315,6 +315,27 @@ def test_rescale_check_rejects_a_shift_outside_z_s(tmp_path, capsys):
     assert "w must be S-integral; its entry 1/5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, shift", [
+    ("count", ["--xi", "1/3,0"]), ("sweep", ["--w", "1,2"]),
+    ("volume", []), ("rescale-check", ["--w", "0,1"]),
+])
+def test_binary_form_exits_2_naming_d(command, shift, tmp_path, capsys):
+    args = without(without(without(RUNS[command], "form"), "xi"), "w")
+    args = [*args, "--form", "diag:1,-2", *shift]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert ("shrinking targets need a form in d >= 3 variables, got d = 2"
+            in capsys.readouterr().err)
+
+
+def test_sweep_rejects_a_repeated_rung(tmp_path, capsys):
+    args = [*without(RUNS["sweep"], "ladder"), "--ladder",
+            "20@2=1,3=1;40@2=1,3=1;40@2=1,3=1"]
+    assert main(["sweep", *args, "--out", str(tmp_path)]) == 2
+    assert ("ladder rung 3 (40@2=1,3=1) repeats the rung before it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_form_gram_at_a_prime_outside_s_exits_2(tmp_path, capsys):
     path = tmp_path / "form.json"
     path.write_text(json.dumps({**FORM3, "gram_p": {"3": FORM3["gram_inf"]}}))

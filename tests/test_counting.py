@@ -13,6 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sqcount import counting
@@ -455,6 +456,65 @@ class TestBudgetThreshold:
             )
 
 
+class TestWindowFilter:
+    """The counter drops every (head, x) prefix whose real window holds no
+    integer n_d before it clips to the ball and runs the class tables. At
+    each edge of that filter the count still equals the oracle's, and a spy
+    checks that the edge is really reached."""
+
+    # a 21^3 oracle grid. Per form, the narrow window holds one value w and
+    # the 3-adic target asks Q = w mod 3; the wide window holds every value
+    # in the ball; the shell (60, 90) has window pieces outside the ball.
+    # The narrow window keeps a prefix of the linear (zero-diagonal) form
+    # with odds about 1/|b|, so at this scale it keeps far more of them.
+    # On the zero-diagonal form, w = 4 lets the prefixes with b == 0 and
+    # n1 prime to 3 count every n3 of the ball in the wide window.
+    T = tv(10, {3: 0}, S3)
+    FORMS = {"neg_last": (TestChunkInvariance.NEG_LAST[3], 1, 0.05),
+             "zero_diag": (TestChunkInvariance.ZERO_DIAG[3], 4, 0.3)}
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("window", ["narrow", "wide", "shell"])
+    def test_filter_edges_match_the_oracle(self, form, window, monkeypatch):
+        gram, w, narrow_share = self.FORMS[form]
+        q = quadratic_form(S3, gram)
+        real = {"narrow": (w - Fraction(1, 2), w + Fraction(1, 2)),
+                "wide": (-1000, 1000), "shell": (60, 90)}[window]
+        iv = SInterval(real, {3: (Fraction(w), 1)})
+        seen = {"prefixes": 0, "kept": 0, "clipped_empty": 0}
+        pieces, table_count = counting._window_pieces, counting._ClassTables.count
+
+        def pieces_spy(a, b, *args):
+            assert (a == 0) == (form == "zero_diag")
+            keep, lo, hi = pieces(a, b, *args)
+            seen["prefixes"] += len(b)
+            seen["kept"] += len(keep)
+            return keep, lo, hi
+
+        def count_spy(tables, ids, lo, hi):
+            seen["clipped_empty"] += int(np.sum((lo > hi).all(axis=0)))
+            return table_count(tables, ids, lo, hi)
+
+        monkeypatch.setattr(counting, "_window_pieces", pieces_spy)
+        monkeypatch.setattr(counting._ClassTables, "count", count_spy)
+        got = inhom_count(q, (0, 0, 0), iv, self.T)
+        assert got == oracle_count(q, iv, self.T) > 0
+        if window == "narrow":
+            assert 0 < seen["kept"] < narrow_share * seen["prefixes"]
+        elif window == "wide":
+            assert seen["kept"] == seen["prefixes"] > 0
+        else:
+            assert seen["clipped_empty"] > 0
+
+    def test_widest_window_the_guard_admits(self):
+        # only the origin is in the ball; 12 M = 2^62 - 4 is just inside the
+        # 64-bit guard, while the window's disc gap 12 (2 M + 1) is past 2^63
+        m = (2**60 - 1) // 3
+        q = quadratic_form(S0, ((1, 0, 0), (0, 1, 0), (0, 0, 3)))
+        iv = SInterval((-m - 1, m + 1), {})
+        assert inhom_count(q, (0, 0, 0), iv, tv(Fraction(1, 2))) == 1
+
+
 class TestBenchmarkCounts:
     """The counts of the benchmark's count workload (perfbench), pinned."""
 
@@ -472,6 +532,38 @@ class TestBenchmarkCounts:
         ladder = [tv(t_inf, {2: 1, 3: 1}, S23) for t_inf in (200, 400, 800)]
         got = [congruence_count(cctx, q, interval_at(fam, t), t) for t in ladder]
         assert got == [432, 950, 2064]
+
+    def test_few_sweep_d3_prefixes_reach_the_class_tables(self, monkeypatch):
+        # a deterministic work count: of the ~2.9M (n1, n2) prefixes that the
+        # T = 800 rung charges to the budget, about 1% have an integer n3 in
+        # the real window and go on to the congruence class tables
+        q = quadratic_form(S23, ((1, 0, 0), (0, 1, 0), (0, 0, -2)))
+        cctx = congruence_context(3, 5, (1, 2, 0), S23)
+        t = tv(800, {2: 1, 3: 1}, S23)
+        iv = interval_at(shrinking_family(3, 1), t)
+        insts, reached = [], []
+        count_instance, ids_for = counting._count_instance, counting._ClassTables.ids_for
+
+        def instance_spy(inst, max_candidates):
+            insts.append(inst)
+            return count_instance(inst, max_candidates)
+
+        def ids_spy(tables, b_mod, c_mod):
+            reached.append(len(b_mod))
+            return ids_for(tables, b_mod, c_mod)
+
+        monkeypatch.setattr(counting, "_count_instance", instance_spy)
+        monkeypatch.setattr(counting._ClassTables, "ids_for", ids_spy)
+        assert congruence_count(cctx, q, iv, t) == 2064
+        (inst,), n_reached = insts, sum(reached)
+        big_n = math.ceil(inst.ball2) - 1
+        ns = np.arange(-math.isqrt(big_n), math.isqrt(big_n) + 1)
+        n1, n2 = (ns[ns % inst.l_mod == r] for r in inst.rho[:2])
+        charged = sum(int(np.count_nonzero(n2 * n2 <= big_n - a * a))
+                      for a in n1.tolist())
+        with pytest.raises(RegionTooLarge, match=rf"\({charged} prefixes"):
+            congruence_count(cctx, q, iv, t, max_candidates=charged - 1)
+        assert 0 < n_reached < 0.02 * charged
 
 
 class TestMonotonicity:
