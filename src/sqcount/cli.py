@@ -281,8 +281,7 @@ _KEYS = {
     "y": _Key(_fracs, "evaluation point (comma rationals)"),
     "tol": _Key(_float, "error tolerance; identity-check exits 3 above it"),
     "zeta_tol": _Key(_float, "series truncation tolerance"),
-    "method": _Key(_word, "identity-check: series | closed; volume: "
-                          "standardized-integral | montecarlo | cross"),
+    "method": _Key(_word, "identity-check: series | closed"),
     "variant": _Key(_word, "UL | SL"),
     "form": _Key(_shaped(_form, read_form), '"diag:1,1,-1" or a form JSON file'),
     "c_inf": _Key(parse_frac, "real interval scale c (rational)"),
@@ -293,8 +292,6 @@ _KEYS = {
     "ladder": _Key(_ladder, 'rungs "T[@p=t_p];T[@p=t_p];..."'),
     "max_candidates": _Key(_int, "candidate budget (exit 3 when spent)"),
     "budget_s": _Key(_float, "soft wall-clock budget in seconds"),
-    "n_grid": _Key(_int, "real quadrature grid size"),
-    "n_samples": _Key(_int, "Monte Carlo volume samples"),
     "seed": _Key(_int, "random seed"),
     "leading": _Key(_bool, "also compute the leading constant c_Q"),
     "space": _Key(_word, "base | affine | congruence"),
@@ -515,13 +512,8 @@ def _cmd_volume(cfg, out_dir, t0):
     q_form = form_from_json(cfg["form"], ctx)
     family = _family(cfg, q_form.dim)
     t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
-    method, seed = cfg["method"], cfg["seed"]
-    if method != "standardized-integral" and seed is None:
-        raise ConfigError(f"--seed is required for method {method!r}")
     v_real, err = real_quadric_volume(
-        q_form.gram_at(INF), float(t.t_inf), family.real_interval(t.t_inf),
-        method=method, n_grid=cfg["n_grid"], n_samples=cfg["n_samples"],
-        seed=seed if seed is not None else 0,
+        q_form.gram_at(INF), float(t.t_inf), family.real_interval(t.t_inf)
     )
     finite = {}
     for p in ctx.primes:
@@ -552,7 +544,7 @@ def _cmd_volume(cfg, out_dir, t0):
     ]
     if c_q is not None:
         summary.append(f"leading constant c_Q = {c_q!r} (error <= {c_q_err:.3g})")
-    _emit("volume", cfg, out_dir, header, [row], summary, seed=seed, t0=t0)
+    _emit("volume", cfg, out_dir, header, [row], summary, t0=t0)
     return 0
 
 
@@ -707,9 +699,7 @@ _COMMANDS = {
         **_FAMILY, ladder=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES,
         budget_s=None),
     "volume": _command(
-        _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ,
-        method="standardized-integral", n_grid=None, n_samples=400_000,
-        seed=None, leading=False),
+        _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ, leading=False),
     "moment-mc": _command(
         _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         f=_REQ, order="1,2", n=10_000, seed=None,
@@ -774,20 +764,6 @@ def _resolve(args, defaults: dict, required, command: str) -> dict:
 
 
 def main(argv=None) -> int:
-    # exact series values can exceed Python's default 4300-digit limit on
-    # int -> str conversion, and every output renders them as decimal
-    # strings; the limit is lifted for this call only
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10
-        return _run(argv)
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(old_limit)
-
-
-def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     handler, defaults, required = _COMMANDS[args.command]
     t0 = time.perf_counter()

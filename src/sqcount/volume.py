@@ -6,28 +6,26 @@ Solutions whose unit-scale coordinates are not all divisible by p lift
 uniformly from residues mod p (mod 8 at p = 2), so they are counted there;
 the rest are p times a solution of a rescaled form, which the next pass
 handles. The work is O(m) small counts, not a count at the full modulus
-p^m. Real place: section quadrature after orthogonal
-diagonalization, cross-checked by Monte Carlo. The leading constant c_Q is
-the real light-cone integral over the two eigen-spheres, by a Gauss-Legendre
-product rule, times the exact finite-place volumes.
+p^m.
+
+Real place: one Gauss-Legendre product rule over the two eigen-spheres of
+the Gram matrix serves both the volume at finite T, whose integrand is a
+piecewise-smooth radial integral, and the light-cone constant, whose
+integrand is its T -> infinity limit. The leading constant c_Q is that
+constant times the exact finite-place volumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
 
 from . import _linalg as la
-from .errors import (
-    AnisotropicForm,
-    ConfigError,
-    DegenerateForm,
-    FamilyOutOfRange,
-    MethodDisagreement,
-)
+from .errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
 from .qspace import QuadraticFormS, is_isotropic
 from .sarith import INF, frac_mod, valuation
 
@@ -244,162 +242,138 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
     return ball * (total + weight)
 
 
-# --- real volumes -------------------------------------------------------------
+# --- real volumes and the leading constant ------------------------------------
 
-def _ball_volume(d: int, radius: float) -> float:
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
-
-
-def _half_turn_band_integral(a, b, lo, hi, r2):
-    """integral over theta in [0, pi/2] of the radial measure of
-    {s in [0, r2) : s g(theta) in (lo, hi)} restricted to angles where
-    g = a cos^2 + b sin^2 is positive; a < 0 < b, arrays lo/hi/r2.
-
-    Splitting at the clamp thresholds g = lo/r2 and g = hi/r2 leaves
-    integrands r2 and const/g, whose theta antiderivatives are elementary
-    (arcsin in g, and a logarithm for 1/g). The g < 0 half is obtained by
-    calling this again with (a, b, lo, hi) -> (-b, -a, -hi, -lo).
-    """
-    sqab = math.sqrt(-a * b)
-    sqb = math.sqrt(b)
-    sqna = math.sqrt(-a)
-    lo_pos = np.maximum(lo, 0.0)
-    g1 = np.clip(lo_pos / r2, 0.0, b)
-    g2 = np.clip(hi / r2, 0.0, b)
-    g2_safe = np.where(hi > 0.0, g2, b)
-    g1_safe = np.where(lo_pos > 0.0, g1, g2_safe)
-
-    def theta_at(g):
-        return np.arcsin(np.sqrt((g - a) / (b - a)))
-
-    def log_antideriv(g):
-        # normalized so the value at g = b is exactly 0
-        with np.errstate(divide="ignore"):
-            t = np.sqrt((g - a) / np.maximum(b - g, 0.0))
-            return (
-                np.log(g * (b - a) / (g - a)) - 2.0 * np.log(sqb + sqna / t)
-            ) / (2.0 * sqab)
-
-    j1 = log_antideriv(g1_safe)
-    j2 = log_antideriv(g2_safe)
-    out = r2 * (theta_at(g2) - theta_at(g1)) - hi * j2 + lo_pos * j1
-    return np.where(hi > 0.0, out, 0.0)
+# a sphere rule starts at START_NODES Gauss-Legendre nodes per angle and
+# doubles them until two rules agree to RTOL, or until the next rule would
+# need more than MAX_NODES nodes or MAX_EVALS integrand values; CHUNK bounds
+# the integrand values held at once, and ROUNDING floors the relative error
+# at float rounding
+START_NODES, RTOL, ROUNDING = 12, 1e-10, 1e-12
+MAX_NODES, MAX_EVALS, CHUNK = 1536, 96**4, 1 << 16
 
 
-def _band_areas(a, b, lo, hi, r2):
-    """Areas of {a u^2 + b v^2 in (lo, hi), u^2 + v^2 < r2} for a < 0 < b,
-    exactly, vectorized over the level/radius arrays."""
-    positive = _half_turn_band_integral(a, b, lo, hi, r2)
-    negative = _half_turn_band_integral(-b, -a, -hi, -lo, r2)
-    return 2.0 * (positive + negative)
+@cache
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]. numpy's weights are off
+    by up to 1e-9 relative at the ends, where an ill-conditioned form puts
+    its mass, so they are recomputed from P_n' at the refined nodes."""
+    leg = np.polynomial.legendre
+    x, _ = leg.leggauss(n)
+    dp = leg.legval(x, leg.legder([0] * n + [1]))
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    return x, 2.0 * w / w.sum()
 
 
-def _integral_volume_once(mu, t_inf, alpha, beta, n):
-    """One quadrature pass: the extreme eigen pair is integrated in closed
-    form (uniformly accurate in t_inf, unlike a product grid around the
-    thinning light-cone band), the middle d-2 coordinates on a midpoint
-    grid."""
-    d = len(mu)
-    a, b = mu[0], mu[-1]
-    if d == 2:
-        area = _band_areas(
-            a, b, np.array([alpha]), np.array([beta]), np.array([t_inf**2])
-        )
-        return float(area[0])
-    h = 2.0 * t_inf / n
-    axis = -t_inf + h * (np.arange(n) + 0.5)
-    grids = np.meshgrid(*([axis] * (d - 2)), indexing="ij")
-    q_mid = sum(m * g**2 for m, g in zip(mu[1:-1], grids)).ravel()
-    r2 = t_inf**2 - sum(g**2 for g in grids).ravel()
-    mask = r2 > 0
-    q_mid, r2 = q_mid[mask], r2[mask]
-    areas = _band_areas(a, b, alpha - q_mid, beta - q_mid, r2)
-    return float(np.sum(areas)) * h ** (d - 2)
+def _orthant_rule(inv, theta, w, index):
+    """(values of sum_i inv[i] x_i^2, weights) at the flat indices index of
+    the product rule with angle nodes theta in [0, pi/2] and weights w on the
+    unit sphere of R^k, k = len(inv), which has len(theta)^(k-1) points. The
+    values are even in each coordinate, so the rule covers one orthant and
+    each coordinate doubles the weights; k = 1 is S^0."""
+    vals = np.full(len(index), inv[-1])
+    wts = np.full(len(index), 2.0)
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    for m, x in enumerate(inv[-2::-1], start=1):
+        # (cos t, sin t * y) for y on S^(m-1) has measure sin^(m-1) t dt dy
+        index, i = np.divmod(index, len(theta))
+        vals = cos2[i] * x + sin2[i] * vals
+        wts = (2.0 * w * np.sin(theta) ** (m - 1))[i] * wts
+    return vals, wts
 
 
-def _integral_volume(mu, t_inf, alpha, beta, n):
-    coarse = _integral_volume_once(mu, t_inf, alpha, beta, n)
-    fine = _integral_volume_once(mu, t_inf, alpha, beta, 2 * n)
-    err = 1.5 * abs(fine - coarse) + 1e-12
-    return fine, err
-
-
-def _montecarlo_volume(gram, t_inf, alpha, beta, n, seed):
-    d = len(gram)
-    rng = np.random.default_rng(seed)
-    g = np.array(gram, dtype=float)
-    total_hits = 0
-    block = 200_000
-    done = 0
-    while done < n:
-        k = min(block, n - done)
-        x = rng.standard_normal((k, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        x *= t_inf * rng.random(k)[:, None] ** (1.0 / d)
-        vals = np.einsum("ij,jk,ik->i", x, g, x)
-        total_hits += int(np.count_nonzero((vals > alpha) & (vals < beta)))
-        done += k
-    frac = total_hits / n
-    vb = _ball_volume(d, t_inf)
-    stderr = vb * math.sqrt(max(frac * (1.0 - frac), 1e-12) / n)
-    return vb * frac, 3.0 * stderr
-
-
-def real_quadric_volume(
-    gram_inf,
-    t_inf: float,
-    interval,
-    method: str = "cross",
-    n_grid: int | None = None,
-    n_samples: int = 400_000,
-    seed: int = 0,
-    tol_factor: float = 1.5,
-):
-    """vol{||x|| < T_inf : Q(x) in (alpha, beta)} with an error estimate.
-
-    method "standardized-integral": section quadrature in the eigenbasis;
-    "montecarlo": uniform ball sampling; "cross": both, raising
-    MethodDisagreement if they differ beyond tol_factor times the combined
-    errors. The default slack keeps an honest three-sigma Monte Carlo draw
-    from tripping the check; tighten tol_factor to make it strict.
-    """
-    alpha, beta = float(interval[0]), float(interval[1])
-    if beta <= alpha:
-        return 0.0, 0.0
-    g = np.array([[float(x) for x in row] for row in gram_inf], dtype=float)
-    d = g.shape[0]
-    mu = np.linalg.eigvalsh(0.5 * (g + g.T))
+def _sphere_integral(gram, integrand) -> tuple[float, float]:
+    """(I, error) for I = |det G|^(-1/2) times the integral over S^(p-1) x
+    S^(q-1) of f(A, B), where G has eigenvalues lam_1..lam_p > 0 and
+    -nu_1..-nu_q < 0, A = sum w_i^2/lam_i and B = sum e_j^2/nu_j, and S^0 =
+    {+-1} has counting measure. integrand(n, p, q) gives f for the rule with
+    n nodes per angle, which takes the arrays of A and B at a chunk of the
+    rule's pairs, and the number of values f computes per pair. The error
+    is the gap between the last two rules, floored at float rounding."""
+    mu = np.linalg.eigvalsh(np.array(gram, dtype=float))
     if min(abs(mu)) < 1e-12 * max(abs(mu)):
         raise DegenerateForm("real Gram matrix is singular")
     if mu[0] > 0 or mu[-1] < 0:
         raise AnisotropicForm("real form must be indefinite")
-    if n_grid is None:
-        n_grid = {2: 1, 3: 2000, 4: 200}.get(d, 40)
-    if method == "standardized-integral":
-        return _integral_volume(mu, float(t_inf), alpha, beta, n_grid)
-    if method == "montecarlo":
-        return _montecarlo_volume(
-            tuple(map(tuple, g)), float(t_inf), alpha, beta, n_samples, seed
-        )
-    if method != "cross":
-        raise ConfigError(f"unknown method {method!r}")
-    vi, ei = _integral_volume(mu, float(t_inf), alpha, beta, n_grid)
-    vm, em = _montecarlo_volume(
-        tuple(map(tuple, g)), float(t_inf), alpha, beta, n_samples, seed
-    )
-    if abs(vi - vm) > tol_factor * (ei + em) + 1e-12:
-        raise MethodDisagreement(
-            f"integral {vi}+-{ei} vs montecarlo {vm}+-{em}"
-        )
-    return vi, ei
+    lam, nu = mu[mu > 0], -mu[mu < 0]
+    p, q = len(lam), len(nu)
+
+    def rule(n):
+        f, width = integrand(n, p, q)
+        x, w = _gauss_legendre(n)
+        theta, w = np.pi / 4 * (x + 1.0), np.pi / 4 * w
+        pairs, nb = n ** (p + q - 2), n ** (q - 1)
+        step = max(1, CHUNK // width)
+        total = 0.0
+        for start in range(0, pairs, step):
+            i, j = np.divmod(np.arange(start, min(start + step, pairs)), nb)
+            a, wa = _orthant_rule(1.0 / lam, theta, w, i)
+            b, wb = _orthant_rule(1.0 / nu, theta, w, j)
+            total += (wa * wb) @ f(a, b)
+        return float(total)
+
+    n, value, gap = START_NODES, rule(START_NODES), math.inf
+    while (
+        gap > RTOL * abs(value)
+        and 2 * n <= MAX_NODES
+        and integrand(2 * n, p, q)[1] * (2 * n) ** (p + q - 2) <= MAX_EVALS
+    ):
+        n *= 2
+        finer = rule(n)
+        gap, value = abs(finer - value), finer
+    scale = math.sqrt(np.prod(lam) * np.prod(nu))
+    return value / scale, max(gap, ROUNDING * abs(value)) / scale
 
 
-# --- leading constant ---------------------------------------------------------
+def real_quadric_volume(gram_inf, t_inf: float, interval) -> tuple[float, float]:
+    """(vol, error) for vol{||x|| < T : Q(x) in (alpha, beta)}.
 
-# c_inf's product rule starts at START_NODES Gauss-Legendre nodes per angle
-# and doubles them, up to MAX_NODES, until two rules agree to C_INF_RTOL;
-# CHUNK bounds the integrand values held at once
-START_NODES, MAX_NODES, C_INF_RTOL, CHUNK = 12, 96, 1e-10, 1 << 18
+    In the eigenbasis put u = sqrt(lam) y = r w and v = sqrt(nu) z = s e, w
+    and e on the unit spheres. Then Q = r^2 - s^2 and ||x||^2 = A r^2 + B
+    s^2, so the volume is the sphere integral of _sphere_integral with
+
+        F(A, B) = int_0^inf s^(q-1) [(r_hi^p - r_lo^p) / p]_+ ds,
+
+    r_lo^2 = max(0, alpha + s^2), r_hi^2 = min(beta + s^2, (T^2 - B s^2)/A).
+    The s-integrand is smooth between the breakpoints sqrt(-alpha),
+    sqrt(-beta), sqrt((T^2 - A beta)/(A + B)) and sqrt((T^2 - A alpha)/(A +
+    B)) or T/sqrt(B), where it ends. On each piece a Gauss-Legendre rule in
+    t, with s = u0 + (u1 - u0)(3t^2 - 2t^3), absorbs the (.)^(p/2) endpoint
+    singularities. Its branch points off the real axis, at s = +-i sqrt|alpha|
+    and +-i sqrt|beta|, lie close to a long piece when T^2 >> |alpha|, so the
+    s-rule has twice the nodes of the angle rule and is refined with it.
+    """
+    alpha, beta = float(interval[0]), float(interval[1])
+    if beta <= alpha:
+        return 0.0, 0.0
+    t2 = float(t_inf) ** 2
+    fixed = [c for c in (-alpha, -beta) if c > 0.0]
+
+    def radial(n, p, q):
+        x, w = _gauss_legendre(min(2 * n, MAX_NODES))
+        t = (x + 1.0) / 2.0
+        ramp, jac = t * t * (3.0 - 2.0 * t), 3.0 * t * (1.0 - t) * w
+
+        def f(a, b):
+            a, b = a[:, None, None], b[:, None, None]
+            # past end the s-interval is empty: r_lo has met r_hi, or the
+            # ball ends first when T/sqrt(B) < sqrt(-alpha)
+            meet = (t2 - a * alpha) / (a + b)
+            end = np.where(t2 + b * alpha >= 0.0, meet, t2 / b)
+            cuts = np.broadcast_arrays(0.0, *fixed, (t2 - a * beta) / (a + b), end)
+            cuts = np.clip(np.concatenate(cuts, axis=1), 0.0, end)
+            knots = np.sqrt(np.sort(cuts, axis=1))
+            h = np.diff(knots, axis=1)
+            s = knots[:, :-1] + h * ramp
+            s2 = s * s
+            lo = np.maximum(alpha + s2, 0.0)
+            hi = np.maximum(np.minimum(beta + s2, t2 / a - b / a * s2), 0.0)
+            g = np.maximum(hi ** (p / 2) - lo ** (p / 2), 0.0) * s ** (q - 1)
+            return ((g * h) @ jac).sum(axis=1) / p
+
+        return f, (len(fixed) + 2) * len(x)
+
+    return _sphere_integral(gram_inf, radial)
 
 
 def check_family_range(d: int, family) -> None:
@@ -419,57 +393,19 @@ def check_family_range(d: int, family) -> None:
             raise FamilyOutOfRange("kappa_p must be 0 in dimension 3")
 
 
-def _orthant_rule(inv, theta, w):
-    """(values of sum_i inv[i] x_i^2, weights) of the product rule with
-    angle nodes theta in [0, pi/2] and weights w on the unit sphere of R^k,
-    k = len(inv). The values are even in each coordinate, so the rule covers
-    one orthant and each coordinate doubles the weights; k = 1 is S^0."""
-    vals, wts = np.array([inv[-1]]), np.array([2.0])
-    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    for m, x in enumerate(inv[-2::-1], start=1):
-        # (cos t, sin t * y) for y on S^(m-1) has measure sin^(m-1) t dt dy
-        vals = ((cos2 * x)[:, None] + sin2[:, None] * vals).ravel()
-        wts = ((2.0 * w * np.sin(theta) ** (m - 1))[:, None] * wts).ravel()
-    return vals, wts
-
-
-def _light_cone(lam, nu, n: int) -> float:
-    """The rule with n nodes per angle for the integral over S^(p-1) x
-    S^(q-1) of (sum w_i^2/lam_i + sum e_j^2/nu_j)^(-(d-2)/2), summed in
-    chunks over the first angle of the larger sphere."""
-    if len(lam) < len(nu):
-        lam, nu = nu, lam
-    x, w = np.polynomial.legendre.leggauss(n)
-    theta, w = np.pi / 4 * (x + 1.0), np.pi / 4 * w
-    a, wa = _orthant_rule(1.0 / lam[1:], theta, w)
-    b, wb = _orthant_rule(1.0 / nu, theta, w)
-    w1 = 2.0 * w * np.sin(theta) ** (len(lam) - 2)
-    cos2, sin2 = np.cos(theta) ** 2 / lam[0], np.sin(theta) ** 2
-    power = 1.0 - (len(lam) + len(nu)) / 2
-    step = max(1, CHUNK // (len(a) * len(b)))
-    total = 0.0
-    for s in (slice(i, i + step) for i in range(0, n, step)):
-        f = ((cos2[s, None] + sin2[s, None] * a)[:, :, None] + b) ** power
-        total += w1[s] @ (f @ wb @ wa)
-    return float(total)
-
-
 def _c_inf(gram_inf) -> tuple[float, float]:
     """(c, error) for c = lim vol{|x| < T : Q(x) in I} / (|I| T^(d-2)), the
-    light-cone density of Siegel and of Eskin-Margulis-Mozes. In the
-    eigenbasis (eigenvalues lam_i > 0 and -nu_j < 0 of G), u = sqrt(lam) y
-    and v = sqrt(nu) z give c = _light_cone / (2 (d-2) sqrt|det G|). The
-    integrand is analytic, so the rules converge geometrically; the error
-    is the gap between the last two."""
-    mu = np.linalg.eigvalsh(np.array(gram_inf, dtype=float))
-    lam, nu = mu[mu > 0], -mu[mu < 0]
-    scale = 2.0 * (len(mu) - 2) * math.sqrt(np.prod(lam) * np.prod(nu))
-    n, value, gap = START_NODES, _light_cone(lam, nu, START_NODES), math.inf
-    while gap > C_INF_RTOL * value and 2 * n <= MAX_NODES:
-        n *= 2
-        finer = _light_cone(lam, nu, n)
-        gap, value = abs(finer - value), finer
-    return value / scale, gap / scale
+    light-cone density of Siegel and of Eskin-Margulis-Mozes: the limit of
+    real_quadric_volume's F(A, B) / (|I| T^(d-2)) is (A + B)^(1 - d/2) /
+    (2 (d - 2)). The integrand is analytic, so the rules converge
+    geometrically."""
+    def light_cone(n, p, q):
+        power = 1 - (p + q) / 2
+        return (lambda a, b: (a + b) ** power), 1
+
+    value, err = _sphere_integral(gram_inf, light_cone)
+    scale = 2.0 * (len(gram_inf) - 2)
+    return value / scale, err / scale
 
 
 def leading_constant(

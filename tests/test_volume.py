@@ -7,9 +7,12 @@ evaluates the quadratic form on every residue vector mod the exact modulus
 of that integer condition, sharing no counting machinery with the engine;
 and a per-block histogram convolution at the full modulus p^m, which
 counts every residue the reduction skips.  Real
-volumes are checked against closed-form section lengths in cylindrical /
-polar coordinates, which differ from the engine's eigenbasis quadrature.
-The light-cone constant c_Q is checked against five closed forms, under a
+volumes, which the engine integrates over the two eigen-spheres, are
+checked against section integrals in cylindrical, polar and shell
+coordinates, against a band-area quadrature (closed-form areas for the
+extreme eigen pair, a midpoint grid for the rest) and against Monte Carlo;
+each reported error must cover the distance to an exact value.
+The light-cone constant c_Q is checked against six closed forms, under a
 rational rotation, and against real volumes as T doubles.
 """
 
@@ -21,13 +24,8 @@ import numpy as np
 import pytest
 
 from sqcount import _linalg as la
-from sqcount.errors import (
-    AnisotropicForm,
-    ConfigError,
-    DegenerateForm,
-    FamilyOutOfRange,
-    MethodDisagreement,
-)
+from sqcount.cli import main
+from sqcount.errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
 from sqcount.qspace import quadratic_form
 from sqcount.sarith import INF, SConfig, frac_mod, valuation
 from sqcount.volume import (
@@ -372,34 +370,183 @@ def polar_oracle_hyperbola(delta, n=1_000_000):
     return total * h
 
 
+def shell_oracle(p, t_inf, alpha, beta, n=400):
+    """vol{||x|| < T : x_1^2 + ... + x_p^2 - x_(p+1)^2 in (alpha, beta)}: for
+    fixed |x_(p+1)| = s the first p coordinates fill a shell of radii lo =
+    sqrt(s^2 + alpha) .. hi = min(sqrt(s^2 + beta), sqrt(T^2 - s^2)), so the
+    volume is 2 |S^(p-1)| / p times the integral over s > 0 of hi^p - lo^p,
+    here by n-node Gauss-Legendre rules between the kinks."""
+    t2 = t_inf * t_inf
+    kinks = sorted({0.0, math.sqrt(max(0.0, -alpha)), math.sqrt(max(0.0, -beta)),
+                    math.sqrt((t2 - beta) / 2), math.sqrt((t2 - alpha) / 2)})
+    x, w = np.polynomial.legendre.leggauss(n)
+    total = 0.0
+    for u0, u1 in zip(kinks, kinks[1:]):
+        s = u0 + (u1 - u0) * (x + 1.0) / 2.0
+        lo = np.maximum(s * s + alpha, 0.0)
+        hi = np.maximum(np.minimum(s * s + beta, t2 - s * s), 0.0)
+        total += (u1 - u0) / 2.0 * w @ np.maximum(hi ** (p / 2) - lo ** (p / 2), 0.0)
+    sphere = 2.0 * math.pi ** (p / 2) / math.gamma(p / 2)
+    return 2.0 * sphere / p * total
+
+
+def _half_turn_band_integral(a, b, lo, hi, r2):
+    """integral over theta in [0, pi/2] of the radial measure of
+    {s in [0, r2) : s g(theta) in (lo, hi)} restricted to angles where
+    g = a cos^2 + b sin^2 is positive; a < 0 < b, arrays lo/hi/r2.
+
+    Splitting at the clamp thresholds g = lo/r2 and g = hi/r2 leaves
+    integrands r2 and const/g, whose theta antiderivatives are elementary
+    (arcsin in g, and a logarithm for 1/g). The g < 0 half is obtained by
+    calling this again with (a, b, lo, hi) -> (-b, -a, -hi, -lo).
+    """
+    sqab = math.sqrt(-a * b)
+    sqb = math.sqrt(b)
+    sqna = math.sqrt(-a)
+    lo_pos = np.maximum(lo, 0.0)
+    g1 = np.clip(lo_pos / r2, 0.0, b)
+    g2 = np.clip(hi / r2, 0.0, b)
+    g2_safe = np.where(hi > 0.0, g2, b)
+    g1_safe = np.where(lo_pos > 0.0, g1, g2_safe)
+
+    def theta_at(g):
+        return np.arcsin(np.sqrt((g - a) / (b - a)))
+
+    def log_antideriv(g):
+        # normalized so the value at g = b is exactly 0
+        with np.errstate(divide="ignore"):
+            t = np.sqrt((g - a) / np.maximum(b - g, 0.0))
+            return (
+                np.log(g * (b - a) / (g - a)) - 2.0 * np.log(sqb + sqna / t)
+            ) / (2.0 * sqab)
+
+    j1 = log_antideriv(g1_safe)
+    j2 = log_antideriv(g2_safe)
+    out = r2 * (theta_at(g2) - theta_at(g1)) - hi * j2 + lo_pos * j1
+    return np.where(hi > 0.0, out, 0.0)
+
+
+def _band_grid_volume(mu, t_inf, alpha, beta, n):
+    """One pass of the band-area oracle: the areas of {a u^2 + b v^2 in
+    (lo, hi), u^2 + v^2 < r2} for the extreme eigen pair a < 0 < b in closed
+    form, the middle d-2 coordinates on an n^(d-2) midpoint grid."""
+    d = len(mu)
+    a, b = mu[0], mu[-1]
+    h = 2.0 * t_inf / n
+    axis = -t_inf + h * (np.arange(n) + 0.5)
+    grids = np.meshgrid(*([axis] * (d - 2)), indexing="ij")
+    q_mid = sum(m * g**2 for m, g in zip(mu[1:-1], grids)).ravel()
+    r2 = t_inf**2 - sum(g**2 for g in grids).ravel()
+    mask = r2 > 0
+    q_mid, r2 = q_mid[mask], r2[mask]
+    lo, hi = alpha - q_mid, beta - q_mid
+    areas = 2.0 * (_half_turn_band_integral(a, b, lo, hi, r2)
+                   + _half_turn_band_integral(-b, -a, -hi, -lo, r2))
+    return float(np.sum(areas)) * h ** (d - 2)
+
+
+def band_oracle(gram, t_inf, alpha, beta, n=2000):
+    """(vol, error) of the band-area oracle at n and 2n grid points per
+    middle coordinate, for d >= 3; the error is 1.5 times their gap."""
+    mu = np.linalg.eigvalsh(np.array(gram, dtype=float))
+    coarse = _band_grid_volume(mu, t_inf, alpha, beta, n)
+    fine = _band_grid_volume(mu, t_inf, alpha, beta, 2 * n)
+    return fine, 1.5 * abs(fine - coarse) + 1e-12
+
+
+def montecarlo_oracle(gram, t_inf, alpha, beta, n=400_000, seed=0):
+    """(vol, three standard errors) from n points uniform in the ball."""
+    d = len(gram)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x *= t_inf * rng.random(n)[:, None] ** (1.0 / d) / np.linalg.norm(
+        x, axis=1, keepdims=True)
+    vals = np.einsum("ij,jk,ik->i", x, np.array(gram, dtype=float), x)
+    frac = np.count_nonzero((vals > alpha) & (vals < beta)) / n
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * t_inf**d
+    return ball * frac, 3.0 * ball * math.sqrt(frac * (1.0 - frac) / n)
+
+
+# vol{||x|| < 30 : |x1^2 + x2^2 + x3^2 - x4^2| < 1/2}, the shell integral in
+# closed form evaluated to 40 digits
+QUAT31_T30 = 2827.433242786702848
+
+
 class TestRealVolume:
     def test_zero_length_interval(self):
         assert real_quadric_volume(TERN, 10.0, (0.5, 0.5)) == (0.0, 0.0)
         assert real_quadric_volume(TERN, 10.0, (0.5, 0.2)) == (0.0, 0.0)
 
     def test_ternary_example_cross_methods(self):
-        v, e = real_quadric_volume(TERN, 10.0, (-0.5, 0.5), method="cross")
+        v, e = real_quadric_volume(TERN, 10.0, (-0.5, 0.5))
+        assert e / v < 1e-10
         want = cylindrical_oracle_ternary(10.0, 0.5)
-        assert e / v < 0.01
-        assert abs(v - want) < e + 1e-3 * want
+        assert abs(v - want) < e + 1e-6 * want
+        vm, em = montecarlo_oracle(TERN, 10.0, -0.5, 0.5, seed=11)
+        assert abs(v - vm) < em
+        vb, eb = band_oracle(TERN, 10.0, -0.5, 0.5)
+        assert abs(v - vb) < e + eb
 
     def test_hyperbola_band_against_polar_oracle(self):
+        # d = 2: both spheres are S^0, so only the radial rule is left
         want = polar_oracle_hyperbola(0.1)
-        vi, ei = real_quadric_volume(
-            HYP2, 1.0, (-0.1, 0.1), method="standardized-integral"
-        )
-        assert abs(vi - want) < ei + 1e-3
-        vm, em = real_quadric_volume(
-            HYP2, 1.0, (-0.1, 0.1), method="montecarlo", seed=11
-        )
-        assert abs(vm - want) < em
+        v, e = real_quadric_volume(HYP2, 1.0, (-0.1, 0.1))
+        assert abs(v - want) < e + 1e-9
+        vm, em = montecarlo_oracle(HYP2, 1.0, -0.1, 0.1, seed=11)
+        assert abs(v - vm) < em
 
-    def test_method_disagreement_with_zero_slack(self):
-        with pytest.raises(MethodDisagreement):
-            real_quadric_volume(
-                TERN, 10.0, (-0.5, 0.5), method="cross",
-                n_samples=20_000, tol_factor=0.0,
-            )
+    @pytest.mark.parametrize("p, sign, t_inf, alpha, beta", [
+        (2, 1, 7.0, 1.5, 4.0), (3, 1, 12.0, -2.0, 0.5), (4, 1, 5.0, -3.0, -0.25),
+        # -Q has one positive square, so the rule integrates sqrt(s^2 + c)
+        # over pieces 1000 times longer than sqrt|c|
+        (2, -1, 192.0, -0.3, -0.1),
+    ])
+    def test_shells_against_closed_form_sections(self, p, sign, t_inf, alpha, beta):
+        gram = diag_gram([sign] * p + [-sign])
+        interval = sorted((sign * alpha, sign * beta))
+        v, e = real_quadric_volume(gram, t_inf, interval)
+        want = shell_oracle(p, t_inf, alpha, beta)
+        assert abs(v - want) <= e
+        assert e <= 1e-11 * v
+
+    def test_error_covers_the_closed_form(self):
+        # the benchmark's deep target; the float closed form it checks
+        # against is 5.5e-10 below QUAT31_T30, so the error must not be
+        v, e = real_quadric_volume(QUAT31, 30.0, (-0.5, 0.5))
+        assert abs(v - QUAT31_T30) <= e
+        assert 5.5e-10 < e <= 1e-11 * v
+
+    def test_ill_conditioned_form_against_band_oracle(self):
+        # eigenvalue ratio 1e4 inside one sign block: the angle rule runs to
+        # its node ceiling, and its error is the last gap
+        gram = diag_gram((1, F(1, 10000), -1))
+        v, e = real_quadric_volume(gram, 10.0, (-0.5, 0.5))
+        vb, eb = band_oracle(gram, 10.0, -0.5, 0.5)
+        assert abs(v - vb) <= e + eb
+        assert e < 1e-7 * v
+
+    @pytest.mark.parametrize("d, n_grid", [(3, 2000), (4, 200), (5, 40)])
+    def test_random_forms_against_band_oracle(self, d, n_grid):
+        # non-diagonal Grams with distinct eigenvalues, so the integrand
+        # varies over both spheres; windows above, below and across zero
+        rng = np.random.default_rng(20261018 + d)
+        for alpha, beta in ((-0.5, 0.5), (1.0, 2.5), (-3.0, -1.0)):
+            gram = random_isotropic_gram(rng, d)
+            v, e = real_quadric_volume(gram, 6.0, (alpha, beta))
+            vb, eb = band_oracle(gram, 6.0, alpha, beta, n_grid)
+            assert abs(v - vb) <= e + eb, (gram, alpha, beta)
+            assert e <= 1e-9 * v
+
+    def test_d6_volume_through_the_cli(self, tmp_path, capsys):
+        argv = ["volume", "--form", "diag:1,1,1,1,1,-1", "--primes", "2",
+                "--c-inf", "1", "--t", "10@2=0", "--leading",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header, row = (tmp_path / "volume.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        v, e = float(cells["vol_real"]), float(cells["vol_real_err"])
+        assert abs(v - shell_oracle(5, 10.0, -0.5, 0.5)) <= e
+        assert abs(float(cells["c_q"]) - math.pi**2 / 6) <= float(cells["c_q_err"])
 
     def test_definite_form_rejected(self):
         with pytest.raises(AnisotropicForm):
@@ -408,10 +555,6 @@ class TestRealVolume:
     def test_singular_gram_rejected(self):
         with pytest.raises(DegenerateForm):
             real_quadric_volume(((1, 1), (1, 1)), 1.0, (-0.1, 0.1))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            real_quadric_volume(TERN, 1.0, (-0.1, 0.1), method="nope")
 
 
 # --- leading constant -----------------------------------------------------------
@@ -471,8 +614,24 @@ class TestLeadingConstant:
             c_q, err = leading_constant(quadratic_form(S0, diag_gram(entries)),
                                         _Family(0.0))
             assert type(c_q) is float and type(err) is float
-            assert abs(c_q - want) <= 1e-10 * want
+            assert abs(c_q - want) <= min(err, 1e-10 * want)
             assert err <= 1e-10
+
+    def test_ill_conditioned_form_reaches_its_tolerance(self):
+        # eigenvalues 1 and 1e-6 in one sign block put the mass in a band of
+        # width 1e-3 at one end of the angle; at d = 3 the sphere integral is
+        # 2 pi / (AGM(sqrt(1/l1 + 1/n), sqrt(1/l2 + 1/n)) sqrt(l1 l2 n))
+        def agm(x, y):
+            while abs(x - y) > 1e-15 * x:
+                x, y = (x + y) / 2, math.sqrt(x * y)
+            return x
+
+        want = 2 * math.pi / (agm(math.sqrt(2.0), math.sqrt(1e6 + 1)) * 1e-3)
+        assert abs(want - 31.789904199) < 1e-9
+        q = quadratic_form(S0, diag_gram((1, F(1, 10**6), -1)))
+        c_q, err = leading_constant(q, _Family(0.0))
+        assert abs(c_q - want) <= min(err, 1e-10 * want)
+        assert err <= 1e-10 * want
 
     def test_rational_rotation_invariance(self):
         # a rational orthogonal U leaves the eigenvalues, hence c_Q, alone
@@ -486,32 +645,27 @@ class TestLeadingConstant:
         assert abs(turned - base) <= 1e-10 * base
 
     def test_deviation_shrinks_along_ladder(self):
-        # slow oracle: vol / (|I| T^(d-2)) from the section quadrature of
-        # real_quadric_volume tends to c_Q; at d = 3 the gap halves with each
-        # doubling of T, at d = 4 it is already below the quadrature error
+        # vol / (|I| T^(d-2)) from real_quadric_volume tends to c_Q; at d = 3
+        # the gap is O(1/T), so it halves with each doubling of T
         rng = np.random.default_rng(5)
         for d in (3, 3, 4, 4):
             q = quadratic_form(S0, random_isotropic_gram(rng, d))
             c_q, _ = leading_constant(q, _Family(0.0))
             gaps = []
             for t_inf in (48.0, 96.0, 192.0):
-                v, err = real_quadric_volume(
-                    q.gram_at(INF), t_inf, (-0.5, 0.5),
-                    method="standardized-integral",
-                )
-                gap = abs(v / t_inf ** (d - 2) / c_q - 1.0)
-                assert gap < 5e-3
-                gaps.append(gap - err / v)
+                v, _ = real_quadric_volume(q.gram_at(INF), t_inf, (-0.5, 0.5))
+                gaps.append(abs(v / t_inf ** (d - 2) / c_q - 1.0))
+            assert max(gaps) < 5e-3
             if d == 3:
-                assert gaps[0] > gaps[1] > gaps[2]
+                assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.01)
+                assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.01)
             else:
                 assert max(gaps) < 1e-4
 
     def test_volume_doubles_with_t(self):
         c_q, _ = leading_constant(self.ternary(), _Family(0.0))
         vols = [
-            real_quadric_volume(TERN, t_inf, (-0.5, 0.5),
-                                method="standardized-integral")[0]
+            real_quadric_volume(TERN, t_inf, (-0.5, 0.5))[0]
             for t_inf in (48.0, 96.0)
         ]
         assert abs(vols[1] / vols[0] - 2.0) < 0.01  # 2^(d-2) with d = 3
@@ -521,8 +675,7 @@ class TestLeadingConstant:
         # c_Q takes no interval: the volume it predicts is linear in |I|
         c_q, _ = leading_constant(self.ternary(), _Family(0.0))
         for half in (0.25, 0.5):
-            v, _ = real_quadric_volume(TERN, 96.0, (-half, half),
-                                       method="standardized-integral")
+            v, _ = real_quadric_volume(TERN, 96.0, (-half, half))
             assert abs(v / (2 * half * 96.0 * c_q) - 1.0) < 0.01
 
     def test_finite_place_factors_cancel_at_level_zero(self):
