@@ -416,7 +416,7 @@ def _cmd_group_order(cfg, out_dir, t0):
     ok = sl_order_mobius_check(d, q) if d >= 2 else True
     header = ["d", "q", "order", "mobius_ok"]
     _emit("group-order", cfg, out_dir, header, [[d, q, order, ok]], [
-        f"#SL_{d}(Z/{q}) = {order}" + ("" if ok else "  [Mobius check FAILED]"),
+        f"#SL_{d}(Z/{q}) = {frac_str(order)}" + ("" if ok else "  [Mobius check FAILED]"),
     ], t0=t0)
     if not ok:
         raise MethodDisagreement("closed form and Mobius recursion disagree")

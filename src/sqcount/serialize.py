@@ -110,7 +110,7 @@ def cell(x) -> str:
     if isinstance(x, (np.floating, float)):
         return repr(float(x))
     if isinstance(x, (np.integer, int)):
-        return str(int(x))
+        return _int_str(int(x))
     return str(x)
 
 

@@ -282,14 +282,14 @@ def _orthant_rule(inv, theta, w, index):
     return vals, wts
 
 
-def _sphere_integral(gram, integrand) -> tuple[float, float]:
+def _sphere_integral(gram, integrand, width=lambda n: 1) -> tuple[float, float]:
     """(I, error) for I = |det G|^(-1/2) times the integral over S^(p-1) x
     S^(q-1) of f(A, B), where G has eigenvalues lam_1..lam_p > 0 and
     -nu_1..-nu_q < 0, A = sum w_i^2/lam_i and B = sum e_j^2/nu_j, and S^0 =
     {+-1} has counting measure. integrand(n, p, q) gives f for the rule with
     n nodes per angle, which takes the arrays of A and B at a chunk of the
-    rule's pairs, and the number of values f computes per pair. The error
-    is the gap between the last two rules, floored at float rounding."""
+    rule's pairs; f computes width(n) values per pair. The error is the gap
+    between the last two rules, floored at float rounding."""
     mu = np.linalg.eigvalsh(np.array(gram, dtype=float))
     if min(abs(mu)) < 1e-12 * max(abs(mu)):
         raise DegenerateForm("real Gram matrix is singular")
@@ -299,11 +299,11 @@ def _sphere_integral(gram, integrand) -> tuple[float, float]:
     p, q = len(lam), len(nu)
 
     def rule(n):
-        f, width = integrand(n, p, q)
+        f = integrand(n, p, q)
         x, w = _gauss_legendre(n)
         theta, w = np.pi / 4 * (x + 1.0), np.pi / 4 * w
         pairs, nb = n ** (p + q - 2), n ** (q - 1)
-        step = max(1, CHUNK // width)
+        step = max(1, CHUNK // width(n))
         total = 0.0
         for start in range(0, pairs, step):
             i, j = np.divmod(np.arange(start, min(start + step, pairs)), nb)
@@ -316,7 +316,7 @@ def _sphere_integral(gram, integrand) -> tuple[float, float]:
     while (
         gap > RTOL * abs(value)
         and 2 * n <= MAX_NODES
-        and integrand(2 * n, p, q)[1] * (2 * n) ** (p + q - 2) <= MAX_EVALS
+        and width(2 * n) * (2 * n) ** (p + q - 2) <= MAX_EVALS
     ):
         n *= 2
         finer = rule(n)
@@ -349,8 +349,11 @@ def real_quadric_volume(gram_inf, t_inf: float, interval) -> tuple[float, float]
     t2 = float(t_inf) ** 2
     fixed = [c for c in (-alpha, -beta) if c > 0.0]
 
+    def s_nodes(n):
+        return min(2 * n, MAX_NODES)
+
     def radial(n, p, q):
-        x, w = _gauss_legendre(min(2 * n, MAX_NODES))
+        x, w = _gauss_legendre(s_nodes(n))
         t = (x + 1.0) / 2.0
         ramp, jac = t * t * (3.0 - 2.0 * t), 3.0 * t * (1.0 - t) * w
 
@@ -371,9 +374,10 @@ def real_quadric_volume(gram_inf, t_inf: float, interval) -> tuple[float, float]
             g = np.maximum(hi ** (p / 2) - lo ** (p / 2), 0.0) * s ** (q - 1)
             return ((g * h) @ jac).sum(axis=1) / p
 
-        return f, (len(fixed) + 2) * len(x)
+        return f
 
-    return _sphere_integral(gram_inf, radial)
+    pieces = len(fixed) + 2
+    return _sphere_integral(gram_inf, radial, lambda n: pieces * s_nodes(n))
 
 
 def check_family_range(d: int, family) -> None:
@@ -401,7 +405,7 @@ def _c_inf(gram_inf) -> tuple[float, float]:
     geometrically."""
     def light_cone(n, p, q):
         power = 1 - (p + q) / 2
-        return (lambda a, b: (a + b) ** power), 1
+        return lambda a, b: (a + b) ** power
 
     value, err = _sphere_integral(gram_inf, light_cone)
     scale = 2.0 * (len(gram_inf) - 2)

@@ -10,6 +10,7 @@ import json
 import re
 import shlex
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -415,3 +416,29 @@ def test_int_digit_limit_is_restored(argv, code, tmp_path, capsys):
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
     if code == 0:
         assert "5034-digit numerator" in capsys.readouterr().out
+
+
+def _sl_order_mod_prime(d, p):
+    """#SL_d(F_p) = p^(d(d-1)/2) prod_{i=2}^{d} (p^i - 1)."""
+    order = p ** (d * (d - 1) // 2)
+    for i in range(2, d + 1):
+        order *= p**i - 1
+    return order
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.11")
+def test_group_order_past_the_digit_limit(tmp_path, capsys):
+    # #SL_70(Z/10) has about 4,900 digits, past the default int -> str
+    # limit; the CSV cell and the summary carry it exactly all the same.
+    # Decimal reads and converts ints without that limit.
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    argv = ["group-order", "--d", "70", "--q", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    expected = Decimal(_sl_order_mod_prime(70, 2) * _sl_order_mod_prime(70, 5))
+    header, row = (tmp_path / "group-order.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert len(cells["order"]) > sys.int_info.default_max_str_digits
+    assert Decimal(cells["order"]) == expected
+    assert cells["mobius_ok"] == "true"
+    assert f"#SL_70(Z/10) = {cells['order']}" in capsys.readouterr().out
