@@ -1,11 +1,6 @@
 """Batch experiment front door: seeded reproducible runs, CSV + manifest out.
 
 Subcommands
-    zeta            zeta_S by truncated series, cross-checked against the
-                    Euler product
-    group-order     #SL_d(Z/q) closed form plus the Mobius-recursion check
-    identity-check  normalization identity residual (series or closed form)
-    covolume        covolume constant of the lattice space
     count           one exact count against its volume prediction
     sweep           counts along a T ladder with a fitted residual exponent
     volume          real x p-adic quadric volumes, optional leading constant
@@ -61,7 +56,7 @@ from .counting import (
     shrinking_family,
     sweep,
 )
-from .errors import BudgetError, ConfigError, MethodDisagreement, ToleranceUnreachable
+from .errors import BudgetError, ConfigError, DimensionMismatch, MethodDisagreement
 from .moments import (
     estimate_moments,
     inhom_series,
@@ -69,23 +64,14 @@ from .moments import (
     space_spec,
     variance_check,
 )
-from .sarith import (
-    INF,
-    SConfig,
-    TVector,
-    covolume_product,
-    normalization_identity_residual,
-    sl_group_order,
-    sl_order_mobius_check,
-    zeta_S,
-    zeta_S_euler,
-)
+from .sarith import INF, SConfig, TVector
 from .serialize import (
     form_from_json,
     frac_str,
     load_config,
     parse_frac,
     parse_int as _int,
+    parse_real,
     read_form,
     read_testfn,
     testfn_from_json,
@@ -98,20 +84,27 @@ from .volume import PadicVolumeRequest, leading_constant, padic_quadric_volume, 
 
 # --- value parsers -------------------------------------------------------------------
 # Each takes a flag string or a JSON value. A malformed value raises
-# ConfigError, ValueError or TypeError; _parse names the key in the message.
+# ConfigError, ValueError, TypeError or OverflowError; _parse names the key
+# in the message.
 
 
-def _positive(v) -> int:
-    n = _int(v)
-    if n < 1:
-        raise ConfigError("must be >= 1")
-    return n
+def _at_least(lo: int) -> Callable:
+    """A parser of integers >= lo."""
+    def parse_bounded(v) -> int:
+        n = _int(v)
+        if n < lo:
+            raise ConfigError(f"must be >= {lo}")
+        return n
+    return parse_bounded
 
 
 def _float(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise TypeError("expected a number")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ConfigError("must be finite")
+    return x
 
 
 def _word(v) -> str:
@@ -135,6 +128,13 @@ def _items(v, sep=",") -> list:
 
 def _ints(v) -> tuple[int, ...]:
     return tuple(_int(x) for x in _items(v))
+
+
+def _orders(v) -> tuple[int, ...]:
+    orders = _ints(v)
+    if len(set(orders)) != len(orders):
+        raise ConfigError("an order is repeated")
+    return orders
 
 
 def _primes(v) -> tuple[int, ...]:
@@ -174,7 +174,7 @@ def _scale(v) -> dict:
         t_inf, t_p = v.get("t_inf"), v.get("t_p") or {}
     else:
         t_inf, _, t_p = str(v).partition("@")
-    return {"t_inf": parse_frac(t_inf), "t_p": _exponents(t_p)}
+    return {"t_inf": parse_real(t_inf), "t_p": _exponents(t_p)}
 
 
 def _ladder(v) -> list[dict]:
@@ -238,7 +238,7 @@ def _testfn(v) -> dict:
         return _json_file(body)
     if body.startswith("disk:"):
         radius, _, tail = body[5:].partition("@")
-        obj = {"kind": "disk", "radius": frac_str(parse_frac(radius))}
+        obj = {"kind": "disk", "radius": frac_str(parse_real(radius))}
         if tail:
             obj["t_p"] = {str(p): e for p, e in _exponents(tail).items()}
         return obj
@@ -249,7 +249,7 @@ def _testfn(v) -> dict:
             lo, sep, hi = part.partition("..")
             if not sep:
                 raise ConfigError(f"interval {part!r} needs the form lo..hi")
-            intervals.append([frac_str(parse_frac(lo)), frac_str(parse_frac(hi))])
+            intervals.append([frac_str(parse_real(lo)), frac_str(parse_real(hi))])
         obj = {"kind": "box", "intervals": intervals}
         if tail:
             obj["finite_exponent"] = {str(p): e for p, e in _exponents(tail).items()}
@@ -279,41 +279,37 @@ _KEYS = {
     "w": _Key(_fracs, "congruence shift w (comma rationals)"),
     "xi": _Key(_fracs, "inhomogeneous shift (comma rationals)"),
     "y": _Key(_fracs, "evaluation point (comma rationals)"),
-    "tol": _Key(_float, "error tolerance; identity-check exits 3 above it"),
-    "zeta_tol": _Key(_float, "series truncation tolerance"),
-    "method": _Key(_word, "identity-check: series | closed"),
-    "variant": _Key(_word, "UL | SL"),
     "form": _Key(_shaped(_form, read_form), '"diag:1,1,-1" or a form JSON file'),
-    "c_inf": _Key(parse_frac, "real interval scale c (rational)"),
+    "c_inf": _Key(parse_real, "real interval scale c (rational)"),
     "kappa_inf": _Key(_float, "real shrink rate kappa"),
-    "a_inf": _Key(parse_frac, "real interval center (rational)"),
+    "a_inf": _Key(parse_real, "real interval center (rational)"),
     "finite": _Key(_finite, "finite targets p:a:c:kappa[,...]"),
     "t": _Key(_scale, 'scale "T_inf[@p=t_p,...]"'),
     "ladder": _Key(_ladder, 'rungs "T[@p=t_p];T[@p=t_p];..."'),
-    "max_candidates": _Key(_int, "candidate budget (exit 3 when spent)"),
+    "max_candidates": _Key(_at_least(1), "candidate budget (exit 3 when spent)"),
     "budget_s": _Key(_float, "soft wall-clock budget in seconds"),
-    "seed": _Key(_int, "random seed"),
+    "seed": _Key(_at_least(0), "random seed"),
     "leading": _Key(_bool, "also compute the leading constant c_Q"),
     "space": _Key(_word, "base | affine | congruence"),
     "f": _Key(_shaped(_testfn, read_testfn),
               '"disk:R[@p=e,...]", "box:lo..hi,...[@p=e,...]" or JSON'),
     "box": _Key(_shaped(_testfn, read_testfn), '"disk:R[@p=e,...]"'),
     "threshold": _Key(_float, "exceedance threshold"),
-    "order": _Key(_ints, "moment orders: 1, 2, or 1,2"),
+    "order": _Key(_orders, "moment orders: 1, 2, or 1,2"),
     "n": _Key(_int, "number of draws"),
     "depth": _Key(_depth, "p-adic depth k or p=k[,...] (sampler depth; for "
                           "moment-rhs the series denominator depth)"),
-    "threads": _Key(_positive, "worker streams"),
+    "threads": _Key(_at_least(1), "worker streams"),
     "t_max": _Key(_int, "series truncation t_max"),
     "real_bound": _Key(_float, "real-place bound of the series"),
-    "max_terms": _Key(_int, "series term budget (exit 3 when spent)"),
+    "max_terms": _Key(_at_least(1), "series term budget (exit 3 when spent)"),
 }
 
 
 def _parse(key: str, value):
     try:
         return _KEYS[key].parse(value)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
 
@@ -338,6 +334,23 @@ def _space(cfg, ctx: SConfig):
             raise ConfigError(f"--space {kind} takes no {' or '.join(given)} "
                               "(only --space congruence does)")
     return space_spec(kind, d, ctx, cctx, cfg["depth"])
+
+
+def _test_function(obj, ctx: SConfig, d: int, source: str):
+    """The test function of obj, checked to have the d coordinates that
+    source ("w" or "the space") gives the run."""
+    f = testfn_from_json(obj, ctx)
+    if f.kind == "sbox":
+        vectors = {"test function": f.box.center}
+    else:
+        vectors = {"test function": f.intervals}
+        vectors.update((f"finite_center at {p} of the test function", c)
+                       for p, c in f.finite_center.items())
+    for what, v in vectors.items():
+        if v is not None and len(v) != d:
+            raise DimensionMismatch(
+                f"{what} has {len(v)} coordinates, {source} has {d}")
+    return f
 
 
 def _count_header(ctx: SConfig):
@@ -387,68 +400,6 @@ def _emit(command, cfg, out_dir: Path, header, rows, summary,
 
 # --- command handlers ------------------------------------------------------------------
 # Each handler's docstring is its subcommand's help line.
-
-
-def _cmd_zeta(cfg, out_dir, t0):
-    """zeta_S series vs the Euler product"""
-    ctx = SConfig(cfg["primes"])
-    d, tol = cfg["d"], cfg["tol"]
-    value, err = zeta_S(d, ctx, tol)
-    euler = zeta_S_euler(d, ctx)
-    delta = abs(value - euler)
-    header = ["d", "primes", "series_value", "series_error", "euler_value", "delta"]
-    rows = [[d, ";".join(map(str, ctx.primes)), value, err, euler, delta]]
-    _emit("zeta", cfg, out_dir, header, rows, [
-        f"zeta_S({d}) over S_f={set(ctx.primes)}: {value!r} (series error <= {err:.3g})",
-        f"euler cross-check delta = {delta:.3g}",
-    ], t0=t0)
-    if delta > tol + err:
-        raise MethodDisagreement(
-            f"series and Euler product differ by {delta:.3g} > {tol + err:.3g}"
-        )
-    return 0
-
-
-def _cmd_group_order(cfg, out_dir, t0):
-    """#SL_d(Z/q) with the Mobius cross-check"""
-    d, q = cfg["d"], cfg["q"]
-    order = sl_group_order(d, q)
-    ok = sl_order_mobius_check(d, q) if d >= 2 else True
-    header = ["d", "q", "order", "mobius_ok"]
-    _emit("group-order", cfg, out_dir, header, [[d, q, order, ok]], [
-        f"#SL_{d}(Z/{q}) = {frac_str(order)}" + ("" if ok else "  [Mobius check FAILED]"),
-    ], t0=t0)
-    if not ok:
-        raise MethodDisagreement("closed form and Mobius recursion disagree")
-    return 0
-
-
-def _cmd_identity_check(cfg, out_dir, t0):
-    """normalization identity residual"""
-    ctx = SConfig(cfg["primes"])
-    d, q, method, tol = cfg["d"], cfg["q"], cfg["method"], cfg["tol"]
-    residual = normalization_identity_residual(d, q, ctx, cfg["zeta_tol"], method)
-    header = ["d", "q", "primes", "method", "residual"]
-    rows = [[d, q, ";".join(map(str, ctx.primes)), method, residual]]
-    _emit("identity-check", cfg, out_dir, header, rows, [
-        f"normalization residual d={d} q={q} ({method}): {float(residual):.3g}",
-    ], t0=t0)
-    if float(residual) > tol:
-        raise ToleranceUnreachable(f"residual {float(residual):.3g} > {tol:.3g}")
-    return 0
-
-
-def _cmd_covolume(cfg, out_dir, t0):
-    """covolume constant"""
-    ctx = SConfig(cfg["primes"])
-    d, variant = cfg["d"], cfg["variant"]
-    value, err = covolume_product(d, ctx, variant, cfg["tol"])
-    header = ["d", "primes", "variant", "value", "error_bound"]
-    rows = [[d, ";".join(map(str, ctx.primes)), variant, value, err]]
-    _emit("covolume", cfg, out_dir, header, rows, [
-        f"covolume constant ({variant}, d={d}): {value!r} (error <= {err:.3g})",
-    ], t0=t0)
-    return 0
 
 
 def _target_from_cfg(cfg, ctx, d):
@@ -555,7 +506,7 @@ def _cmd_moment_mc(cfg, out_dir, t0):
     if seed is None:
         raise ConfigError("--seed is required for moment-mc")
     space = _space(cfg, ctx)
-    f = testfn_from_json(cfg["f"], ctx)
+    f = _test_function(cfg["f"], ctx, space.d, "the space")
     orders = cfg["order"]
     estimates = estimate_moments(
         space, [f], orders, cfg["n"], seed, cfg["threads"], cfg["max_candidates"]
@@ -580,11 +531,7 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     w = cfg["w"]
     cctx = congruence_context(len(w), cfg["q"], w, ctx)
-    f = testfn_from_json(cfg["f"], ctx)
-    if f.kind == "product-box" and len(f.intervals) != cctx.d:
-        raise ConfigError(
-            f"test function has {len(f.intervals)} coordinates, w has {cctx.d}"
-        )
+    f = _test_function(cfg["f"], ctx, cctx.d, "w")
     sv = second_moment_rhs(
         f, cctx, cfg["t_max"], cfg["real_bound"], cfg["depth"], cfg["max_terms"]
     )
@@ -607,7 +554,7 @@ def _cmd_variance(cfg, out_dir, t0):
     if seed is None:
         raise ConfigError("--seed is required for variance")
     space = _space(cfg, ctx)
-    f = testfn_from_json(cfg["box"], ctx)
+    f = _test_function(cfg["box"], ctx, space.d, "the space")
     if f.kind != "sbox":
         raise ConfigError("variance needs a disk:R box")
     threshold = cfg["threshold"]
@@ -634,7 +581,7 @@ def _cmd_orbit(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     w = cfg["w"]
     cctx = congruence_context(len(w), cfg["q"], w, ctx)
-    f = testfn_from_json(cfg["f"], ctx)
+    f = _test_function(cfg["f"], ctx, cctx.d, "w")
     sv = inhom_series(f, cfg["y"], cctx, cfg["t_max"], cfg["max_terms"])
     header = ["q", "t_max", "value", "value_float", "tail_bound", "terms_used"]
     rows = [[cctx.q, sv.t_max, sv.value, float(sv.value), sv.tail_bound,
@@ -684,13 +631,6 @@ _FAMILY = {"c_inf": _REQ, "kappa_inf": 0.0, "a_inf": "0", "finite": {}}
 _SAMPLING = {"depth": None, "threads": 1}
 
 _COMMANDS = {
-    "zeta": _command(_cmd_zeta, d=_REQ, primes=_REQ, tol=1e-9),
-    "group-order": _command(_cmd_group_order, d=_REQ, q=_REQ),
-    "identity-check": _command(
-        _cmd_identity_check, d=_REQ, q=_REQ, primes=_REQ, method="series",
-        tol=1e-6, zeta_tol=1e-9),
-    "covolume": _command(
-        _cmd_covolume, d=_REQ, primes=_REQ, variant="UL", tol=1e-9),
     "count": _command(
         _cmd_count, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
         **_FAMILY, t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),

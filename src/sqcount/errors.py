@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised by the public API is a subclass of SQCountError, so callers
-(and the CLI) can distinguish configuration problems from budget and tolerance
-failures with two except clauses.
+(and the CLI) can distinguish configuration problems from budget failures
+with two except clauses.
 """
 
 
@@ -15,7 +15,7 @@ class ConfigError(SQCountError):
 
 
 class BudgetError(SQCountError):
-    """A computation exceeded its search, precision, or tolerance budget."""
+    """A computation exceeded its search or precision budget."""
 
 
 # --- configuration-type errors ---------------------------------------------
@@ -60,11 +60,7 @@ class InsufficientPadicPrecision(ConfigError):
     """Stored p-adic precision cannot decide the requested congruence."""
 
 
-# --- budget / tolerance errors ----------------------------------------------
-
-class ToleranceUnreachable(BudgetError):
-    pass
-
+# --- budget errors --------------------------------------------------------
 
 class RegionTooLarge(BudgetError):
     """Candidate set for enumeration exceeds the configured budget."""

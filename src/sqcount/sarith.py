@@ -1,12 +1,11 @@
-"""S-arithmetic scalars: places, norms, S-integers, zeta values, group orders.
+"""S-arithmetic scalars: places, norms, S-integers.
 
 Also the package's one copy of each elementary number-theory helper: prime
 factorization, CRT, and the residue of a rational mod m.
 
 Fix a finite set of primes S_f and write S = {inf} + S_f.  The ring Z_S of
 S-integers consists of rationals whose denominator is a product of primes in
-S_f.  Everything here is exact (Python ints and Fractions) except the zeta
-values, which return a float together with a certified truncation bound.
+S_f.  Everything here is exact (Python ints and Fractions).
 
 Conventions used throughout the package:
   * a "place" is either the constant INF or a prime in S_f;
@@ -25,22 +24,9 @@ from .errors import (
     DimensionMismatch,
     DenominatorNotInvertibleModQ,
     NonSUnitDenominator,
-    ToleranceUnreachable,
 )
 
 INF = float("inf")
-
-# Riemann zeta at integer arguments, 20 significant digits.  Used by the
-# Euler-product route so it stays independent of the truncated direct sum.
-_ZETA_TABLE = {
-    2: 1.64493406684822643647,
-    3: 1.20205690315959428540,
-    4: 1.08232323371113819152,
-    5: 1.03692775514336992633,
-    6: 1.01734306198444913971,
-    7: 1.00834927738192282684,
-    8: 1.00407735619794433938,
-}
 
 
 # --- elementary number theory --------------------------------------------------
@@ -201,157 +187,3 @@ def gcd_S(q: int, k, ctx: SConfig) -> int:
         raise NonSUnitDenominator("vector entries are not S-integral")
     ints = [int(c * scale) for c in coords]
     return math.gcd(q, math.gcd(*ints))
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ConfigError("mobius needs n >= 1")
-    primes = prime_factors(n)
-    if any(n % (p * p) == 0 for p in primes):
-        return 0
-    return (-1) ** len(primes)
-
-
-# --- zeta values --------------------------------------------------------------
-
-def zeta_S(d: int, ctx: SConfig, tolerance: float = 1e-9,
-           coprime_to: int = 1) -> tuple[float, float]:
-    """zeta_S(d) = sum over t in N_S (optionally gcd(t, coprime_to) = 1) of t^{-d}.
-
-    Truncated direct sum with an integral-test tail: the admissible t are
-    periodic mod M = prod of the relevant primes, and for each residue class
-    r the tail sum_{k >= K} (kM + r)^{-d} is bracketed by integral tests, so
-    the midpoint certifies an error of half the bracket width, which decays
-    like M^{-d} K^{-d} per class.  Returns (value, error_bound).
-    """
-    if d < 2:
-        raise ConfigError("zeta_S needs d >= 2")
-    if tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
-    if tolerance < 1e-12:
-        raise ToleranceUnreachable("tolerance below double-precision resolution")
-    mod = 1
-    for p in set(ctx.primes) | set(prime_factors(coprime_to)):
-        mod *= p
-    residues = [r for r in range(1, mod + 1) if math.gcd(r, mod) == 1]
-    # choose K so the bracket width sum_r (KM+r)^{-d} stays under tolerance
-    k_cut = 1
-    while len(residues) * float(k_cut * mod) ** (-d) > tolerance:
-        k_cut *= 2
-        if k_cut * mod > 50_000_000:
-            raise ToleranceUnreachable(
-                "direct sum would need too many terms; loosen the tolerance"
-            )
-    n_cut = k_cut * mod
-    total = 0.0
-    for block in range(0, n_cut, mod):
-        for r in residues:
-            total += float(block + r) ** (-d)
-    lo = hi = 0.0
-    for r in residues:
-        integral = float(k_cut * mod + r) ** (1 - d) / (mod * (d - 1))
-        lo += integral
-        hi += integral + float(k_cut * mod + r) ** (-d)
-    return total + (lo + hi) / 2.0, (hi - lo) / 2.0
-
-
-def zeta_S_euler(d: int, ctx: SConfig, coprime_to: int = 1) -> float:
-    """Euler-product route: zeta(d) * prod_{p in S_f} (1 - p^{-d}),
-    additionally times (1 - p^{-d}) for each prime p | coprime_to.
-
-    Independent of zeta_S: uses the embedded 20-digit zeta table.
-    """
-    if d not in _ZETA_TABLE:
-        raise ConfigError(f"zeta table covers d in 2..8, got {d}")
-    value = _ZETA_TABLE[d]
-    for p in ctx.primes:
-        value *= 1.0 - float(p) ** (-d)
-    for p in prime_factors(coprime_to):
-        if p not in ctx.primes:
-            value *= 1.0 - float(p) ** (-d)
-    return value
-
-
-# --- group orders and the normalization identity ------------------------------
-
-def sl_group_order(d: int, q: int) -> int:
-    """#SL_d(Z/qZ) = q^{d^2-1} prod_{p|q} prod_{i=2}^{d} (1 - p^{-i}).
-
-    Exact integer; #SL_d(Z/1) = 1 and #SL_1(Z/q) = 1.
-    """
-    if d < 1 or q < 1:
-        raise ConfigError("need d >= 1 and q >= 1")
-    if q == 1 or d == 1:
-        return 1
-    order = Fraction(q) ** (d * d - 1)
-    for p in prime_factors(q):
-        for i in range(2, d + 1):
-            order *= 1 - Fraction(1, p**i)
-    assert order.denominator == 1
-    return int(order)
-
-
-def sl_order_mobius_check(d: int, q: int) -> bool:
-    """Exact recursion #SL_d(Z/q) = q^{2d-1} #SL_{d-1}(Z/q) sum_{e|q} mu(e) e^{-d}."""
-    rhs = Fraction(q) ** (2 * d - 1) * sl_group_order(d - 1, q)
-    s = Fraction(0)
-    for e in range(1, q + 1):
-        if q % e == 0:
-            s += Fraction(mobius(e), e**d)
-    return sl_group_order(d, q) == rhs * s
-
-
-def normalization_identity_residual(
-    d: int,
-    q: int,
-    ctx: SConfig,
-    tolerance: float = 1e-8,
-    method: str = "series",
-):
-    """Residual of q^{2d-1} #SL_{d-1}(Z/q) / (#SL_d(Z/q) zeta_S(d)) *
-    sum_{t in N_S, gcd(t,q)=1} t^{-d}  minus 1.
-
-    method="series": both zeta values from truncated direct sums (float residual).
-    method="closed": exact Fraction residual using
-    sum_coprime / zeta_S = prod_{p|q, p not in S_f} (1 - p^{-d}); this is 0
-    identically, which is the point of the cross-check.
-    """
-    if not is_in_NS(q, ctx):
-        raise ConfigError(f"q={q} must be coprime to S_f={ctx.primes}")
-    prefactor = Fraction(q) ** (2 * d - 1) * sl_group_order(d - 1, q)
-    prefactor /= sl_group_order(d, q)
-    if method == "closed":
-        ratio = Fraction(1)
-        for p in prime_factors(q):
-            ratio *= 1 - Fraction(1, p**d)
-        return abs(prefactor * ratio - 1)
-    if method != "series":
-        raise ConfigError(f"unknown method {method!r}")
-    z_plain, err_plain = zeta_S(d, ctx, tolerance)
-    z_coprime, err_coprime = zeta_S(d, ctx, tolerance, coprime_to=q)
-    value = float(prefactor) * z_coprime / z_plain
-    return abs(value - 1.0)
-
-
-def covolume_product(
-    d: int, ctx: SConfig, variant: str = "UL", tolerance: float = 1e-9
-) -> tuple[float, float]:
-    """Covolume constant: prod_{p in S_f}(1 - 1/p) * zeta_S(d) * ... * zeta_S(2)
-    for variant="UL"; variant="SL" omits the (1 - 1/p) prefactor.
-
-    Returns (value, error_bound); zeta truncation errors propagate first order.
-    """
-    if d < 2:
-        raise ConfigError("covolume needs d >= 2")
-    if variant not in ("UL", "SL"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    value = 1.0
-    rel_err = 0.0
-    if variant == "UL":
-        for p in ctx.primes:
-            value *= 1.0 - 1.0 / p
-    for j in range(2, d + 1):
-        z, e = zeta_S(j, ctx, tolerance)
-        value *= z
-        rel_err += e / z
-    return value, abs(value) * rel_err

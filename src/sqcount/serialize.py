@@ -49,6 +49,19 @@ def parse_frac(x) -> Fraction:
         raise ConfigError(f"not a rational: {x!r}") from exc
 
 
+def parse_real(x) -> Fraction:
+    """parse_frac of a rational that float code also reads: it must fit in
+    a float, neither overflowing nor, when nonzero, rounding to 0."""
+    value = parse_frac(x)
+    try:
+        fits = value == 0 or float(value) != 0
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ConfigError(f"{x} does not fit in a float")
+    return value
+
+
 def parse_int(v) -> int:
     """Integer from an int or a decimal string; a float, a bool or a
     non-integral string raises rather than truncating."""
@@ -161,8 +174,8 @@ def _exponents(obj: dict, key: str) -> dict:
     return out
 
 
-def _vector(v, what: str) -> tuple:
-    return tuple(parse_frac(x) for x in _typed(v, list, what))
+def _vector(v, what: str, parse=parse_frac) -> tuple:
+    return tuple(parse(x) for x in _typed(v, list, what))
 
 
 def _matrix(rows, what: str) -> tuple:
@@ -211,12 +224,12 @@ def read_testfn(obj) -> tuple:
         t_p = _exponents(obj, "t_p")
         center = obj.get("center")
         if center is not None:
-            center = _vector(center, "center")
-        return kind, (parse_frac(obj.get("radius", 1)), t_p, center)
+            center = _vector(center, "center", parse_real)
+        return kind, (parse_real(obj.get("radius", 1)), t_p, center)
     if kind == "box":
         _known_keys(obj, ("kind", "intervals", "finite_exponent", "finite_center"),
                     "a box")
-        intervals = [_vector(iv, "an interval")
+        intervals = [_vector(iv, "an interval", parse_real)
                      for iv in _typed(obj.get("intervals"), list, "intervals")]
         if any(len(iv) != 2 for iv in intervals):
             raise ConfigError("each interval must be [lo, hi]")

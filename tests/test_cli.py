@@ -10,7 +10,6 @@ import json
 import re
 import shlex
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -22,10 +21,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # one small config per subcommand; together they run in about a second
 RUNS = {
-    "zeta": ["--d", "3", "--primes", "2"],
-    "group-order": ["--d", "2", "--q", "6"],
-    "identity-check": ["--d", "3", "--q", "5", "--primes", "2"],
-    "covolume": ["--d", "3", "--primes", "2"],
     "count": ["--form", "diag:1,1,-1", "--primes", "2", "--xi", "1/3,0,0",
               "--c-inf", "1", "--t", "10@2=1"],
     "sweep": ["--form", "diag:1,1,-2", "--primes", "2,3", "--q", "5",
@@ -51,10 +46,6 @@ RUNS = {
 # each command's config keys; dropping or renaming one breaks the replay of
 # manifests written by earlier versions
 CONFIG_KEYS = {
-    "zeta": "d primes tol",
-    "group-order": "d q",
-    "identity-check": "d method primes q tol zeta_tol",
-    "covolume": "d primes tol variant",
     "count": "a_inf c_inf finite form kappa_inf max_candidates primes q t w xi",
     "sweep": "a_inf budget_s c_inf finite form kappa_inf ladder max_candidates "
              "primes q w xi",
@@ -113,7 +104,7 @@ def test_readme_examples_are_the_tested_runs():
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
-    assert sum(len(k) for k in keys.values()) == 95
+    assert sum(len(k) for k in keys.values()) == 80
 
 
 def test_every_parser_key_belongs_to_a_command():
@@ -168,9 +159,21 @@ def test_missing_seed_exits_2(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"d": 3, "primes": [2], "bogus": 1}))
-    assert main(["zeta", "--config", str(config), "--out", str(tmp_path)]) == 2
+    config.write_text(json.dumps({"d": 2, "primes": [2], "bogus": 1}))
+    args = without(without(RUNS["variance"], "d"), "primes")
+    argv = ["variance", *args, "--config", str(config), "--out", str(tmp_path)]
+    assert main(argv) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+# commands that computed textbook constants, removed with the code behind them
+@pytest.mark.parametrize("command",
+                         ["zeta", "group-order", "identity-check", "covolume"])
+def test_removed_command_exits_2(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--d", "3", "--primes", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_manifest_with_sampler_keys_exits_2_on_replay(tmp_path, capsys):
@@ -245,9 +248,9 @@ def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, caps
 
 
 @pytest.mark.parametrize("command, key, value, via", [
-    ("zeta", "d", "abc", "file"),
-    ("zeta", "tol", "x", "file"),
-    ("group-order", "q", "five", "file"),
+    ("moment-mc", "d", "abc", "file"),
+    ("moment-rhs", "real_bound", "x", "file"),
+    ("orbit", "q", "five", "file"),
     ("moment-mc", "n", "many", "file"),
     ("count", "max_candidates", "lots", "file"),
     ("sweep", "budget_s", "lots", "file"),
@@ -269,8 +272,29 @@ def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, caps
     ("orbit", "f", {"kind": "box", "intervals": [[-1, 1]] * 3,
                     "finite_centre": {"2": [0, 0, 0]}}, "file"),
     ("moment-mc", "f", "disk:2@2=1.5", "flag"),
-    ("zeta", "primes", "2,x", "flag"),
+    ("count", "primes", "2,x", "flag"),
     ("moment-mc", "order", "1,x", "flag"),
+    # out of range: a negative seed, a budget below 1, a repeated order
+    ("moment-mc", "seed", "-1", "flag"),
+    ("variance", "seed", "-1", "flag"),
+    ("count", "max_candidates", "-5", "flag"),
+    ("moment-mc", "max_candidates", "0", "flag"),
+    ("orbit", "max_terms", "-1", "flag"),
+    ("moment-mc", "order", "1,1", "flag"),
+    # non-finite, or a rational that the float code cannot read
+    ("moment-rhs", "real_bound", "nan", "flag"),
+    ("moment-rhs", "real_bound", "inf", "flag"),
+    pytest.param("moment-rhs", "real_bound", 10**400, "file",
+                 id="moment-rhs-real_bound-10**400-file"),
+    ("variance", "threshold", "inf", "flag"),
+    ("volume", "t", "1e400@2=1", "flag"),
+    ("volume", "c_inf", "1e400", "flag"),
+    ("volume", "a_inf", "1e400", "flag"),
+    ("moment-mc", "f", "disk:1e400", "flag"),
+    ("variance", "box", "disk:1e-400", "flag"),
+    ("moment-rhs", "f", "box:-1e400..1,-1..1,-1..1", "flag"),
+    ("moment-mc", "f", {"kind": "disk", "radius": "2", "center": ["1e400", "0"]},
+     "file"),
 ])
 def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
                                                  tmp_path, capsys):
@@ -283,6 +307,30 @@ def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
         args = [*args, flag(key), value]
     assert main([command, *args, "--out", str(tmp_path)]) == 2
     assert f"bad {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value, extra, named", [
+    ("moment-mc", "f", BOX3, [], "test function has 3 coordinates, the space has 2"),
+    ("moment-mc", "f", {"kind": "box", "intervals": [[-1, 1]] * 2,
+                        "finite_center": {"2": ["1/2"]}}, [],
+     "finite_center at 2 of the test function has 1 coordinates, "
+     "the space has 2"),
+    ("variance", "box", {"kind": "disk", "radius": "2", "center": ["0", "0", "1/2"]},
+     [], "test function has 3 coordinates, the space has 2"),
+    ("orbit", "f", "box:-1..1,-1..1,-1..1,-1..1", ["--y", "1,2,3,4"],
+     "test function has 4 coordinates, w has 3"),
+    ("moment-rhs", "f", "box:-1..1,-1..1", [],
+     "test function has 2 coordinates, w has 3"),
+])
+def test_test_function_of_another_dimension_exits_2(command, key, value, extra,
+                                                     named, tmp_path, capsys):
+    args = [*without(without(RUNS[command], key), "y"), *extra]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    argv = [command, *args, "--config", str(config), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("command, key, obj, named", [
@@ -416,29 +464,3 @@ def test_int_digit_limit_is_restored(argv, code, tmp_path, capsys):
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
     if code == 0:
         assert "5034-digit numerator" in capsys.readouterr().out
-
-
-def _sl_order_mod_prime(d, p):
-    """#SL_d(F_p) = p^(d(d-1)/2) prod_{i=2}^{d} (p^i - 1)."""
-    order = p ** (d * (d - 1) // 2)
-    for i in range(2, d + 1):
-        order *= p**i - 1
-    return order
-
-
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="no int -> str digit limit before Python 3.11")
-def test_group_order_past_the_digit_limit(tmp_path, capsys):
-    # #SL_70(Z/10) has about 4,900 digits, past the default int -> str
-    # limit; the CSV cell and the summary carry it exactly all the same.
-    # Decimal reads and converts ints without that limit.
-    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
-    argv = ["group-order", "--d", "70", "--q", "10", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    expected = Decimal(_sl_order_mod_prime(70, 2) * _sl_order_mod_prime(70, 5))
-    header, row = (tmp_path / "group-order.csv").read_text().splitlines()
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert len(cells["order"]) > sys.int_info.default_max_str_digits
-    assert Decimal(cells["order"]) == expected
-    assert cells["mobius_ok"] == "true"
-    assert f"#SL_70(Z/10) = {cells['order']}" in capsys.readouterr().out

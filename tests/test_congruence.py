@@ -21,7 +21,8 @@ from sqcount.errors import (
     NonSUnitDenominator,
     NotInSLq,
 )
-from sqcount.sarith import SConfig, frac_mod, gcd_S, sl_group_order
+from sqcount.sarith import SConfig, frac_mod, gcd_S
+from test_sarith import sl_group_order
 
 S0 = SConfig(())
 S2 = SConfig((2,))

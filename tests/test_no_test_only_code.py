@@ -1,7 +1,9 @@
-"""Every function, class and method in src/sqcount has a caller in the package.
+"""Every function, class, method and module-level name in src/sqcount has a
+caller in the package.
 
 Code whose only callers are tests is deleted rather than kept. This scan
-stops it from growing back. A top-level definition counts as used when,
+stops it from growing back. A top-level definition, which is a function,
+a class or a name assigned at module level, counts as used when,
 outside its own body, its name appears in its own module, another module
 of the package imports it by name, or the package reaches it as an
 attribute. A local variable of the same name in another module does not
@@ -35,10 +37,25 @@ def _attributes(tree) -> Counter:
                    if isinstance(node, ast.Attribute))
 
 
+def _definitions(tree):
+    """(name, node) of each function, class and assigned name at the top
+    level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
 def _imported(modules) -> set:
-    """(module, name) for every `from .module import name` in the package."""
+    """(module, name) for every `from .module import name` in the package;
+    `from . import name` imports from __init__."""
     return {
-        (node.module, alias.name)
+        (node.module or "__init__", alias.name)
         for tree in modules.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1
@@ -52,14 +69,13 @@ def test_every_definition_has_a_package_caller():
     names = {module: _names(tree) for module, tree in modules.items()}
     attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
     unused = [
-        f"{module}.py:{node.lineno} {node.name}"
+        f"{module}.py:{node.lineno} {name}"
         for module, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in ALLOWED
-        and (module, node.name) not in imported
-        and names[module][node.name] == _names(node)[node.name]
-        and attributes[node.name] == _attributes(node)[node.name]
+        for name, node in _definitions(tree)
+        if name not in ALLOWED
+        and (module, name) not in imported
+        and names[module][name] == _names(node)[name]
+        and attributes[name] == _attributes(node)[name]
     ]
     assert not unused, "defined but never used in src/sqcount: " + ", ".join(unused)
 
@@ -82,10 +98,6 @@ def test_every_method_has_a_package_caller():
 
 
 def test_allowlist_names_existing_definitions():
-    defined = {
-        node.name
-        for tree in _modules().values()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    defined = {name for tree in _modules().values()
+               for name, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined

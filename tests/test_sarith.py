@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,19 +9,12 @@ from sqcount.sarith import (
     INF,
     SConfig,
     TVector,
-    covolume_product,
     crt,
     gcd_S,
     is_in_NS,
-    mobius,
-    normalization_identity_residual,
     padic_norm,
     prime_factors,
-    sl_group_order,
-    sl_order_mobius_check,
     valuation,
-    zeta_S,
-    zeta_S_euler,
 )
 
 S2 = SConfig((2,))
@@ -51,6 +43,19 @@ def sl_order_bruteforce(d, q):
         if det_int(m) % q == 1:
             count += 1
     return count
+
+
+def sl_group_order(d, q):
+    """#SL_d(Z/q) = q^(d^2-1) prod_{p | q} prod_{i=2}^{d} (1 - p^-i).
+
+    The closed form that test_congruence counts sampled and lifted
+    elements against; the group-order tests below check it.
+    """
+    order = Fraction(q) ** (d * d - 1)
+    for p in prime_factors(q):
+        for i in range(2, d + 1):
+            order *= 1 - Fraction(1, p**i)
+    return order
 
 
 # --- SConfig and elementary number theory -------------------------------------
@@ -159,37 +164,6 @@ def test_vector_content():
     assert gcd_S(q, [Fraction(21, 2), 35], S2) == 7
 
 
-# --- zeta ----------------------------------------------------------------------
-
-def test_zeta_spec_values():
-    v, err = zeta_S(2, S2, 1e-9)
-    assert abs(v - math.pi**2 / 8) <= err + 1e-12
-    v3, err3 = zeta_S(3, S23, 1e-10)
-    assert abs(v3 - 1.0128442424770656) <= err3 + 1e-11
-
-
-@pytest.mark.parametrize("ctx", [S2, S3, S23])
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_zeta_dual_route(d, ctx):
-    tol = 1e-7
-    series, err = zeta_S(d, ctx, tol)
-    euler = zeta_S_euler(d, ctx)
-    assert abs(series - euler) <= err + 1e-9
-
-
-def test_zeta_coprime_restriction():
-    # sum over t coprime to q equals zeta_S * prod_{p|q}(1-p^{-d})
-    series, err = zeta_S(4, S2, 1e-9, coprime_to=15)
-    euler = zeta_S_euler(4, S2, coprime_to=15)
-    assert abs(series - euler) <= err + 1e-9
-
-
-def test_zeta_tolerance_unreachable():
-    from sqcount.errors import ToleranceUnreachable
-    with pytest.raises(ToleranceUnreachable):
-        zeta_S(2, S2, 1e-14)
-
-
 # --- group orders ----------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -207,48 +181,17 @@ def test_sl_group_order_edges():
 
 
 def test_sl_order_mobius_recursion():
+    # #SL_d(Z/q) = q^(2d-1) #SL_{d-1}(Z/q) sum_{e | q} mu(e) e^-d, a second
+    # route to the closed form where brute force is out of reach.
+    def mobius(n):
+        primes = prime_factors(n)
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
     for d in (2, 3, 4):
         for q in (2, 3, 4, 5, 6, 10, 12):
-            assert sl_order_mobius_check(d, q)
-
-
-def test_mobius():
-    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-
-
-# --- normalization identity -------------------------------------------------------
-
-def test_normalization_identity_exact_case():
-    # d=2, q=5, S_f={2}: 125 * 1 * (24/25) / 120 = 1 exactly
-    res = normalization_identity_residual(2, 5, S2, method="closed")
-    assert res == 0
-
-
-def test_normalization_identity_closed_grid():
-    for d in (2, 3, 4):
-        for q in (5, 7, 11):
-            assert normalization_identity_residual(d, q, S23, method="closed") == 0
-
-
-def test_normalization_identity_series_small():
-    res = normalization_identity_residual(3, 5, S23, tolerance=1e-8)
-    assert res < 1e-6
-
-
-def test_normalization_identity_rejects_bad_q():
-    with pytest.raises(ConfigError):
-        normalization_identity_residual(2, 6, S23)
-
-
-# --- covolume ----------------------------------------------------------------------
-
-def test_covolume_spec_values():
-    v, err = covolume_product(2, S2, "UL")
-    assert abs(v - 0.6168502750680849) <= err + 1e-9
-    v_sl, _ = covolume_product(2, S2, "SL")
-    assert abs(v_sl - math.pi**2 / 8) < 1e-8
-    with pytest.raises(ConfigError):
-        covolume_product(2, S2, "GL")
+            s = sum(Fraction(mobius(e), e**d) for e in range(1, q + 1) if q % e == 0)
+            rhs = Fraction(q) ** (2 * d - 1) * sl_group_order(d - 1, q) * s
+            assert sl_group_order(d, q) == rhs
 
 
 # --- TVector -------------------------------------------------------------------------
