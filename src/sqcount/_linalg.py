@@ -7,6 +7,7 @@ vec_mat computes v * M.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegenerateForm, DimensionMismatch
@@ -42,30 +43,33 @@ def vec_mat(v, m) -> tuple:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def det(m) -> Fraction:
-    """Fraction Gaussian elimination with partial pivoting by exact nonzero."""
+def det(m) -> int | Fraction:
+    """Determinant by one fraction-free (Bareiss) elimination.
+
+    Exact on int and Fraction entries: a Fraction matrix is scaled to
+    integers by the lcm L of its denominators and det(L m) / L^n returned.
+    An integer matrix (L = 1) gets an int.
+    """
     n = len(m)
-    a = [list(row) for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return result
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[int(x * scale) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        # every entry below stays an integer: it is a minor of L m
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    result = sign * a[-1][-1]
+    return result if scale == 1 else Fraction(result, scale**n)
 
 
 def inverse(m) -> tuple:

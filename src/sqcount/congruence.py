@@ -137,7 +137,7 @@ def lift_slq_to_slz(m, q: int):
     integer representative, multiply exactly."""
     d = len(m)
     a = [[int(x) % q for x in row] for row in m]
-    if la.det(la.as_matrix(a)) % q != 1 % q:
+    if la.det(a) % q != 1 % q:
         raise NotInSLq("determinant is not 1 mod q")
     left, right = [], []
 
@@ -193,7 +193,7 @@ def lift_slq_to_slz(m, q: int):
     for i, j, c in reversed(right):
         mul_right_elem(i, j, centered(c), "R")
     lifted = tuple(tuple(row) for row in out)
-    if la.det(la.as_matrix(lifted)) != 1:
+    if la.det(lifted) != 1:
         raise InvariantViolation("lift lost determinant 1")
     if any(
         (lifted[i][j] - int(m[i][j])) % q for i in range(d) for j in range(d)

@@ -409,10 +409,19 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
     w_lo, w_hi = (inst.w_lo, inst.w_hi) if sign == 1 else (-inst.w_hi, -inst.w_lo)
     a = sign * a_last
     abs_g = [[abs(v) for v in row] for row in g]
-    max_b = 2 * n_max * sum(abs_g[d - 1])
-    max_c = n_max * n_max * sum(map(sum, abs_g))
-    max_disc = max_b * max_b + 4 * max(a, 1) * (max_c + max(abs(w_lo), abs(w_hi), 1))
-    if max_disc >= 1 << 62:
+
+    def max_disc(n, w):
+        # bound on |b^2 - 4 a (c - w_hi)| over prefixes with coordinates <= n
+        max_b = 2 * n * sum(abs_g[d - 1])
+        max_c = n * n * sum(map(sum, abs_g))
+        return max_b * max_b + 4 * max(a, 1) * (max_c + w)
+
+    if max_disc(n_max, max(abs(w_lo), abs(w_hi), 1)) >= 1 << 62:
+        if max_disc(1, 1) >= 1 << 62:
+            raise ConfigError(
+                "the form's integer Gram is too large for the 64-bit fiber "
+                "counter at every T; rescale the form"
+            )
         raise RegionTooLarge("fiber counter coefficients exceed the 64-bit range")
     m_big = math.lcm(inst.l_mod, inst.m_val)
     tables = _ClassTables(inst, m_big)

@@ -9,7 +9,10 @@ finite factors from uniform unit-determinant matrices mod p^{k_p}, which
 is Haar to depth k_p.  For d >= 3 the real factor falls back to a matrix
 random walk (step MCMC_STEP, MCMC_BURN_IN steps of burn-in, every
 MCMC_THIN-th state kept) and every estimate is flagged mcmc-approximate;
-d alone picks the sampler.  Each draw is scored by slattice.siegel_transform:
+d alone picks the sampler.  The walk advances in blocks (the burn-in, then
+each MCMC_THIN steps): a block's normals are one draw and their matrix
+exponentials one stacked product, which is the same chain, bit for bit, as
+stepping one draw at a time.  Each draw is scored by slattice.siegel_transform:
 box (disk) indicators are counted without building lattice points,
 product-box indicators enumerate them.  Both Monte Carlo estimators read
 the same per-draw transform values (_transform_values).
@@ -180,58 +183,67 @@ def _siegel_real_basis_2d(rng) -> tuple:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    out = np.eye(len(m))
-    term = np.eye(len(m))
+    """exp of each (d, d) matrix of the stack m, shape (..., d, d)."""
+    out = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+    term = out.copy()
     for k in range(1, 20):
-        term = term @ m / k
-        out = out + term
+        term = term @ m
+        term /= k
+        out += term
     return out
 
 
 def _size_reduce(g: np.ndarray) -> np.ndarray:
     # one pairwise reduction sweep; left-multiplication by SL_d(Z) only,
-    # so the lattice (and the coset) is unchanged
-    g = g.copy()
+    # so the lattice (and the coset) is unchanged.  norms[i] is g[i] @ g[i],
+    # recomputed only when row i changes
     d = len(g)
-    order = sorted(range(d), key=lambda i: float(g[i] @ g[i]))
+    norms = [float(row.dot(row)) for row in g]
+    order = sorted(range(d), key=norms.__getitem__)
     g = g[order]
+    norms = [norms[i] for i in order]
     if np.linalg.det(g) < 0:
-        g[[0, 1]] = g[[1, 0]]
+        g[:2] = g[1::-1]
+        norms[:2] = norms[1::-1]
     for i in range(d):
         for j in range(d):
-            if i == j:
+            if i == j or norms[j] == 0.0:
                 continue
-            denom = float(g[j] @ g[j])
-            if denom == 0.0:
-                continue
-            mu = round(float(g[i] @ g[j]) / denom)
+            mu = round(float(g[i].dot(g[j])) / norms[j])
             if mu:
-                g[i] = g[i] - mu * g[j]
+                g[i] -= mu * g[j]
+                norms[i] = float(g[i].dot(g[i]))
     return g
 
 
-def _mcmc_step(g: np.ndarray, eps: float, rng) -> np.ndarray:
+def _mcmc_steps(g: np.ndarray, eps: float, steps: int, rng) -> np.ndarray:
+    """steps walk steps from g: right-multiply by exp(eps x), x a traceless
+    Gaussian, renormalise to det 1 and size-reduce.  The steps' normals are
+    one draw and their exponentials one stacked product; only the
+    multiplication into g runs step by step."""
     d = len(g)
-    x = rng.standard_normal((d, d))
-    x = x - np.trace(x) / d * np.eye(d)
-    g = g @ _expm(eps * x)
-    g = g / abs(np.linalg.det(g)) ** (1.0 / d)
-    return _size_reduce(g)
+    x = rng.standard_normal((steps, d, d))
+    x -= (np.trace(x, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    x *= eps
+    for e in _expm(x):
+        g = g @ e
+        g = g / abs(np.linalg.det(g)) ** (1.0 / d)
+        g = _size_reduce(g)
+    return g
 
 
 # --- finite-factor sampler --------------------------------------------------------------
 
 
 def _uniform_unit_basis_mod(d: int, p: int, k: int, rng) -> tuple:
-    """Uniform d x d matrix mod p^k with unit determinant, lifted to ints.
+    """Uniform d x d matrix mod p^k with unit determinant, as int rows.
 
     Haar on the p-adic unit group truncated at depth k: entries uniform mod
     p^k, rejected until the determinant is a p-unit.
     """
     mod = p**k
     while True:
-        m = rng.integers(0, mod, size=(d, d))
-        rows = tuple(tuple(Fraction(int(x)) for x in row) for row in m)
+        rows = tuple(map(tuple, rng.integers(0, mod, size=(d, d)).tolist()))
         if la.det(rows) % p != 0:
             return rows
 
@@ -254,12 +266,9 @@ def _real_basis_stream(space: SpaceSpec, rng):
         while True:
             yield _siegel_real_basis_2d(rng)
     else:
-        g = np.eye(space.d)
-        for _ in range(MCMC_BURN_IN):
-            g = _mcmc_step(g, MCMC_STEP, rng)
+        g = _mcmc_steps(np.eye(space.d), MCMC_STEP, MCMC_BURN_IN, rng)
         while True:
-            for _ in range(MCMC_THIN):
-                g = _mcmc_step(g, MCMC_STEP, rng)
+            g = _mcmc_steps(g, MCMC_STEP, MCMC_THIN, rng)
             yield g
 
 
@@ -402,7 +411,19 @@ def variance_check(
     if n < 1 or not 1 <= workers <= n:
         raise ConfigError("need n >= 1 and 1 <= workers <= n")
     f = indicator_sbox(box)
-    vol = box.volume(space.d)
+    try:
+        vol = box.volume(space.d)
+    except OverflowError:
+        raise ConfigError("the box's volume overflows a float") from None
+    try:
+        bound = vol / threshold**2
+    except OverflowError:
+        bound = 0.0
+    if not bound > 0:
+        raise ConfigError(
+            f"threshold {threshold!r} is too large: vol / threshold^2 "
+            "rounds to 0"
+        )
     hits = sum(
         abs(count - vol) > threshold
         for (count,) in _transform_values(
@@ -410,7 +431,6 @@ def variance_check(
         )
     )
     empirical = hits / n
-    bound = vol / threshold**2
     stderr = math.sqrt(empirical * (1.0 - empirical) / n)
     return VarianceCheck(empirical, bound, stderr, empirical / bound, n, seed)
 
@@ -496,8 +516,10 @@ def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
         for ms in itertools.product(*ranges):
             den = math.prod(p**m for p, m in zip(ctx.primes, ms))
             start = math.ceil(lo * den)
-            ns = range(start + (t * den - start) % q, math.floor(hi * den) + 1, q)
-            budget -= len(ns)
+            first = start + (t * den - start) % q
+            last = math.floor(hi * den)
+            # charged before the range is built: len() of a huge range overflows
+            budget -= max(0, (last - first) // q + 1)
             if budget < 0:
                 raise SearchBudgetExceeded(
                     f"{what} budget exceeded (more than max_terms={max_terms} "
@@ -507,7 +529,7 @@ def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
             # p with m_p > 0, p not dividing n (else n/den is not reduced and
             # was visited at a lower depth)
             tp = t * math.prod(p for p, m in zip(ctx.primes, ms) if m > 0)
-            for n in ns:
+            for n in range(first, last + 1, q):
                 if n and math.gcd(n, tp) == 1:
                     yield t, den, ms, n
 

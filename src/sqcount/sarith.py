@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import (
     ConfigError,
-    DimensionMismatch,
     DenominatorNotInvertibleModQ,
     NonSUnitDenominator,
 )
@@ -137,16 +136,10 @@ class TVector:
     def __post_init__(self):
         if not self.t_inf > 0:
             raise ConfigError("t_inf must be positive")
-        # accept a per-prime sequence in ctx order; store prime -> exponent
-        t_p = self.t_p
-        if not isinstance(t_p, dict):
-            if len(t_p) != len(self.ctx.primes):
-                raise DimensionMismatch("one exponent per finite place required")
-            t_p = dict(zip(self.ctx.primes, t_p))
-        if set(t_p) - set(self.ctx.primes):
+        if set(self.t_p) - set(self.ctx.primes):
             raise ConfigError("exponent for a prime outside S_f")
         object.__setattr__(
-            self, "t_p", {p: int(t_p.get(p, 0)) for p in self.ctx.primes}
+            self, "t_p", {p: int(self.t_p.get(p, 0)) for p in self.ctx.primes}
         )
 
     def size(self) -> float:

@@ -450,6 +450,34 @@ def test_exhausted_series_budget_exits_3_and_names_it(command, tmp_path, capsys)
     assert "max_terms=5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("threshold", "1e200", "threshold 1e+200"),  # threshold^2 overflows
+    ("box", "disk:1e200", "box's volume"),  # the disk's area overflows
+])
+def test_huge_variance_input_exits_2_naming_it(key, value, named, tmp_path,
+                                               capsys):
+    argv = ["variance", *RUNS["variance"], flag(key), value,
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_huge_real_bound_exits_3_naming_max_terms(tmp_path, capsys):
+    # the window's progressions are charged to the budget by arithmetic,
+    # not by building ranges too long for len()
+    argv = ["moment-rhs", *RUNS["moment-rhs"], "--real-bound", "1e300",
+            "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "max_terms=5000000" in capsys.readouterr().err
+
+
+def test_form_too_large_for_the_fiber_counter_exits_2(tmp_path, capsys):
+    argv = ["count", *RUNS["count"], "--form", "diag:1e400,1,-1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "rescale the form" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int -> str digit limit before Python 3.11")
 @pytest.mark.parametrize("argv, code", [

@@ -654,6 +654,20 @@ class TestGuards:
         with pytest.raises(RegionTooLarge):
             inhom_count(q, (0, 0, 0), interval_at(fam, t), t)
 
+    def test_form_too_large_for_every_t(self):
+        # the Gram alone passes the 64-bit guard at n_max = 1, so no T can
+        # help and the form is the configuration error; a smaller Gram
+        # overflows only because T is large, which stays a budget failure
+        fam = shrinking_family(3, 1)
+        huge = quadratic_form(S0, ((10**20, 0, 0), (0, 1, 0), (0, 0, -1)))
+        t = tv(2.0)
+        with pytest.raises(ConfigError, match="form"):
+            inhom_count(huge, (0, 0, 0), interval_at(fam, t), t)
+        big = quadratic_form(S0, ((10**8, 0, 0), (0, 1, 0), (0, 0, -1)))
+        t = tv(2.0**20)
+        with pytest.raises(RegionTooLarge, match="64-bit"):
+            inhom_count(big, (0, 0, 0), interval_at(fam, t), t)
+
     def test_negative_depth_rejected(self):
         q = quadratic_form(S3, TERN)
         fam = shrinking_family(3, 1)

@@ -23,7 +23,12 @@ from sqcount.errors import (
     SearchBudgetExceeded,
 )
 from sqcount.moments import (
+    MCMC_BURN_IN,
+    MCMC_STEP,
+    MCMC_THIN,
     MCEstimate,
+    _expm,
+    _uniform_unit_basis_mod,
     estimate_moments,
     inhom_series,
     lattice_stream,
@@ -221,6 +226,83 @@ class TestMCMCSampler:
         lat = next(lattice_stream(sp, np.random.default_rng(6)))
         det = np.linalg.det(np.array(lat.basis_inf))
         assert abs(abs(det) - 1.0) < 1e-8
+
+
+# --- the d >= 3 walk against its per-step oracle -----------------------------------------
+
+
+def _oracle_expm(m):
+    out = np.eye(len(m))
+    term = np.eye(len(m))
+    for k in range(1, 20):
+        term = term @ m / k
+        out = out + term
+    return out
+
+
+def _oracle_size_reduce(g):
+    g = g.copy()
+    d = len(g)
+    order = sorted(range(d), key=lambda i: float(g[i] @ g[i]))
+    g = g[order]
+    if np.linalg.det(g) < 0:
+        g[[0, 1]] = g[[1, 0]]
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            denom = float(g[j] @ g[j])
+            if denom == 0.0:
+                continue
+            mu = round(float(g[i] @ g[j]) / denom)
+            if mu:
+                g[i] = g[i] - mu * g[j]
+    return g
+
+
+def _mcmc_step(g, eps, rng):
+    """One walk step with its own normal draw and exponential: the slow
+    oracle of the block walk."""
+    d = len(g)
+    x = rng.standard_normal((d, d))
+    x = x - np.trace(x) / d * np.eye(d)
+    g = g @ _oracle_expm(eps * x)
+    g = g / abs(np.linalg.det(g)) ** (1.0 / d)
+    return _oracle_size_reduce(g)
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", [6, 901])
+    def test_affine_stream_is_the_per_step_chain(self, d, seed):
+        # lattice_stream makes the finite and shift draws between blocks;
+        # the oracle walks step by step and makes the same draws in between
+        sp = space_spec("affine", d, S2)
+        stream = lattice_stream(sp, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        g = np.eye(d)
+        for _ in range(MCMC_BURN_IN):
+            g = _mcmc_step(g, MCMC_STEP, rng)
+        for _ in range(4):
+            for _ in range(MCMC_THIN):
+                g = _mcmc_step(g, MCMC_STEP, rng)
+            lat = next(stream)
+            b_p = _uniform_unit_basis_mod(d, 2, sp.depth[2], rng)
+            u_inf = rng.random(d)
+            rng.integers(0, 2 ** sp.depth[2], d)
+            assert np.array_equal(np.array(lat.basis_inf), g)
+            assert np.array_equal(np.array(lat.shift_inf), u_inf @ g)
+            assert lat.basis_p[2] == la.as_matrix(b_p)
+
+    def test_stacked_expm_is_the_single_expm(self):
+        m = MCMC_STEP * np.random.default_rng(3).standard_normal((7, 3, 3))
+        for single, a in zip(_expm(m), m):
+            assert np.array_equal(single, _expm(a))
+            assert np.array_equal(single, _oracle_expm(a))
+
+    def test_stacked_expm_inverts(self):
+        m = MCMC_STEP * np.random.default_rng(4).standard_normal((5, 4, 4))
+        assert np.allclose(_expm(m) @ _expm(-m), np.eye(4), rtol=0, atol=1e-12)
 
 
 # --- estimator plumbing ------------------------------------------------------------------

@@ -197,9 +197,11 @@ def test_sl_order_mobius_recursion():
 # --- TVector -------------------------------------------------------------------------
 
 def test_tvector():
-    t = TVector(10.0, (1, 2), S23)
+    t = TVector(10.0, {2: 1, 3: 2}, S23)
     assert t.size() == pytest.approx(10.0 * 2 * 9)
-    assert t.dominates(TVector(5.0, (1, 0), S23))
-    assert not t.dominates(TVector(5.0, (3, 0), S23))
+    assert t.dominates(TVector(5.0, {2: 1}, S23))
+    assert not t.dominates(TVector(5.0, {2: 3, 3: 0}, S23))
     with pytest.raises(ConfigError):
-        TVector(0.0, (1, 2), S23)
+        TVector(0.0, {2: 1, 3: 2}, S23)
+    with pytest.raises(ConfigError):
+        TVector(1.0, {5: 0}, S23)
