@@ -12,10 +12,10 @@ MCMC_THIN-th state kept) and every estimate is flagged mcmc-approximate;
 d alone picks the sampler.  The walk advances in blocks (the burn-in, then
 each MCMC_THIN steps): a block's normals are one draw and their matrix
 exponentials one stacked product, which is the same chain, bit for bit, as
-stepping one draw at a time.  Each draw is scored by slattice.siegel_transform:
-box (disk) indicators are counted without building lattice points,
-product-box indicators enumerate them.  Both Monte Carlo estimators read
-the same per-draw transform values (_transform_values).
+stepping one draw at a time.  Each draw is scored by slattice.siegel_transform,
+which counts the lattice points of a disk or a product box without building
+one.  Both Monte Carlo estimators read the same per-draw transform values
+(_transform_values).
 
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
@@ -443,14 +443,7 @@ def _product_box_data(f: TestFunction, ctx: SConfig):
         raise NonIndicatorUnsupported(
             "series evaluation needs an indicator of a product S-box"
         )
-    intervals = tuple(
-        (Fraction(lo), Fraction(hi)) for lo, hi in f.intervals
-    )
-    d = len(intervals)
-    if d == 0:
-        raise ConfigError("empty product box")
-    if any(hi <= lo for lo, hi in intervals):
-        raise ConfigError("real intervals must have positive length")
+    d = len(f.intervals)
     exps = {p: int(f.finite_exponent.get(p, 0)) for p in ctx.primes}
     centers = {}
     for p in ctx.primes:
@@ -458,7 +451,7 @@ def _product_box_data(f: TestFunction, ctx: SConfig):
         if len(c) != d:
             raise DimensionMismatch(f"finite center at p={p} has wrong length")
         centers[p] = tuple(Fraction(x) for x in c)
-    return d, intervals, exps, centers
+    return d, f.intervals, exps, centers
 
 
 def _integral(d, intervals, exps, centers, primes) -> Fraction:

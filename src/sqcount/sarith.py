@@ -96,19 +96,6 @@ def valuation(x, p: int) -> int:
     return v
 
 
-def padic_norm(x, p) -> Fraction:
-    """|x|_p as an exact Fraction (p finite) or |x| (p == INF).
-
-    |0|_p = 0 at every place.
-    """
-    x = Fraction(x)
-    if p == INF:
-        return abs(x)
-    if x == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-valuation(x, p))
-
-
 def s_free_part(n: int, ctx: SConfig) -> int:
     """Positive n with every S_f factor removed."""
     n = abs(n)

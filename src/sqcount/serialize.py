@@ -245,7 +245,12 @@ def testfn_from_json(obj: dict, ctx: SConfig) -> TestFunction:
     if kind == "disk":
         radius, t_p, center = fields
         return indicator_sbox(SBox(TVector(radius, t_p, ctx), center))
-    return indicator_product_box(*fields)
+    intervals, exponent, center = fields
+    for key, per_prime in (("finite_exponent", exponent), ("finite_center", center)):
+        outside = sorted(set(per_prime) - set(ctx.primes))
+        if outside:
+            raise ConfigError(f"{key} has an entry at {outside[0]}, which is not in S")
+    return indicator_product_box(intervals, exponent, center)
 
 
 # --- CSV and manifests ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Affine S-lattices and point enumeration inside S-adic boxes.
+"""Affine S-lattices and point counting inside S-adic boxes.
 
 A lattice is Z_S^d . basis + shift, stored per place.  The real basis and
 shift carry floats (Haar samples); the finite-place bases stay rational and
@@ -11,12 +11,16 @@ GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
 wise interval pruning on an LDL decomposition (Fincke-Pohst).
 
+A box has a center per place: one center for a disk (SBox); for a product
+box its real midpoint, whose circumscribed ball only prunes the walk, and
+its own center at each prime.  At the last coordinate of a row its d real
+intervals are cut, then re-tested at the ends on the float real image.
+
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts: the last coordinate
 of each row is an interval, counted in closed form, and the origin is
-located once per lattice.  siegel_transform counts SBox indicators with
-count_points; product boxes need the points, so they go through
-enumerate_points and test each one.
+located once per lattice.  siegel_transform counts both kinds of indicator
+with count_points.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     InsufficientPadicPrecision,
     RegionTooLarge,
 )
-from .sarith import INF, SConfig, TVector, crt, frac_mod, padic_norm, valuation
+from .sarith import SConfig, TVector, crt, frac_mod, valuation
 
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
@@ -52,11 +56,6 @@ class SBox:
     t: TVector
     center: tuple | None = None
 
-    def center_at(self, d: int):
-        if self.center is None:
-            return (Fraction(0),) * d
-        return self.center
-
     def volume(self, d: int) -> float:
         """Haar volume: Euclidean d-ball times p^{d t_p} per finite place."""
         unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
@@ -65,15 +64,24 @@ class SBox:
             v *= float(p) ** (d * tp)
         return v
 
+    def places(self, d: int, primes) -> tuple:
+        """(center, t2, intervals, finite): the real ball of radius^2 t2, the
+        closed intervals of a product box (None for a disk), and the balls
+        finite[p] = (c_p, e_p).  A disk has one center at every place."""
+        center = self.center or (Fraction(0),) * d
+        return center, float(self.t.t_inf) ** 2, None, {
+            p: (center, self.t.t_p.get(p, 0)) for p in primes
+        }
+
 
 @dataclass(frozen=True)
 class TestFunction:
     """Indicator test functions: an SBox or a product box.
 
-    sbox: the indicator of `box`, counted by siegel_transform without
-    building a point.
-    product-box: real part is a product of closed intervals, finite part a
-    ball |v_i - c_i|_p <= p^{e_p} per place.
+    sbox: the indicator of `box`.
+    product-box: real part a product of closed intervals lo < hi, finite
+    part a ball |v_i - c_i|_p <= p^{e_p} per place; an omitted place is the
+    unit ball Z_p^d (c_p = 0, e_p = 0), which keeps the support compact.
     """
 
     kind: str
@@ -82,46 +90,17 @@ class TestFunction:
     finite_center: dict | None = None
     finite_exponent: dict | None = None
 
-    def support_box(self, ctx: SConfig, d: int) -> SBox:
-        """An SBox holding the support of a product-box indicator."""
-        lo = [Fraction(x) for x, _ in self.intervals]
-        hi = [Fraction(x) for _, x in self.intervals]
-        center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-        # the Euclidean radius covers the corner of the real product box
-        corner = sum(((b - a) / 2) ** 2 for a, b in zip(lo, hi))
-        t_inf = _isqrt_ceil_fraction(corner) + 1
-        t_p = {}
-        for p in ctx.primes:
-            e = (self.finite_exponent or {}).get(p, 0)
-            c = (self.finite_center or {}).get(p, (0,) * d)
-            # the support box is centered at the real center, so absorb the
-            # p-adic distance between the two centers
-            gap = max(
-                (
-                    -valuation(Fraction(ci) - mi, p)
-                    for ci, mi in zip(c, center)
-                    if Fraction(ci) != mi
-                ),
-                default=0,
-            )
-            t_p[p] = max(e, gap, 0)
-        return SBox(TVector(t_inf, t_p, ctx), center)
-
-    def __call__(self, point, ctx: SConfig) -> int:
-        """The product-box indicator at a lattice point."""
-        real = point.image(INF)
-        for x, (lo, hi) in zip(real, self.intervals):
-            if not (lo <= x <= hi):
-                return 0
-        for p in ctx.primes:
-            # an omitted place constrains to the unit ball Z_p^d, which
-            # keeps the support compact in Q_S^d
-            e = (self.finite_exponent or {}).get(p, 0)
-            c = (self.finite_center or {}).get(p, (0,) * len(real))
-            for x, ci in zip(point.image(p), c):
-                if padic_norm(Fraction(x) - Fraction(ci), p) > Fraction(p) ** e:
-                    return 0
-        return 1
+    def places(self, d: int, primes) -> tuple:
+        """As SBox.places: the real midpoint, and the circumscribed ball
+        widened far past float rounding so that a corner survives."""
+        if self.kind == "sbox":
+            return self.box.places(d, primes)
+        center = tuple((lo + hi) / 2 for lo, hi in self.intervals)
+        corner2 = sum(((hi - lo) / 2) ** 2 for lo, hi in self.intervals)
+        return center, float(corner2) * (1 + 1e-9), self.intervals, {
+            p: (self.finite_center.get(p, (0,) * d), self.finite_exponent.get(p, 0))
+            for p in primes
+        }
 
 
 def indicator_sbox(box: SBox) -> TestFunction:
@@ -129,9 +108,14 @@ def indicator_sbox(box: SBox) -> TestFunction:
 
 
 def indicator_product_box(intervals, finite_exponent=None, finite_center=None):
+    intervals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
+    if not intervals:
+        raise ConfigError("empty product box")
+    if any(hi <= lo for lo, hi in intervals):
+        raise ConfigError("real intervals must have positive length")
     return TestFunction(
         kind="product-box",
-        intervals=tuple((x, y) for x, y in intervals),
+        intervals=intervals,
         finite_exponent=dict(finite_exponent or {}),
         finite_center=dict(finite_center or {}),
     )
@@ -161,15 +145,6 @@ class LatticePoint:
     real: tuple
     finite: dict
 
-    def image(self, place):
-        return self.real if place == INF else self.finite[place]
-
-    def is_origin(self) -> bool:
-        finite_zero = all(
-            all(x == 0 for x in img) for img in self.finite.values()
-        )
-        return finite_zero and all(abs(float(x)) < 1e-12 for x in self.real)
-
 
 def affine_slattice_split(
     ctx: SConfig, basis_inf, basis_p, shift_inf=None, shift_p=None,
@@ -198,27 +173,18 @@ def affine_slattice_split(
     return AffineSLattice(d, ctx, b_inf, s_inf, bp, sp, dep)
 
 
-# --- integer square roots on fractions -----------------------------------------------
-
-
-def _isqrt_ceil_fraction(x: Fraction) -> int:
-    """ceil(sqrt(x)) for x >= 0."""
-    f = math.isqrt(x.numerator * x.denominator) // x.denominator
-    return f if Fraction(f) * f == x else f + 1
-
-
 # --- enumeration -----------------------------------------------------------------------
 
 
 def enumerate_points(
-    lat: AffineSLattice, box: SBox, max_candidates: int = DEFAULT_MAX_CANDIDATES
+    lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ):
-    """All points of the lattice inside the box, sorted by their integer
-    coordinate representative; the finite-place images are exact."""
+    """All points of the lattice inside the box (an SBox or a TestFunction),
+    sorted by their integer coordinates; the finite-place images are exact."""
     frame = _box_frame(lat, box)
     rem, mod, big_r = frame.rem, frame.mod, frame.big_r
     ns = []
-    _ellipsoid_integer_points(frame.b, frame.y0, frame.t2, max_candidates, ns)
+    _ellipsoid_integer_points(frame, max_candidates, ns)
     points = []
     for n in ns:
         m = tuple(rem[i] + mod * n[i] for i in range(lat.dim))
@@ -229,14 +195,14 @@ def enumerate_points(
 
 
 def count_points(
-    lat: AffineSLattice, box: SBox, max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES,
     homogeneous: bool = False,
 ) -> int:
     """len(enumerate_points(lat, box, max_candidates)), without the origin
     when homogeneous, built without a single point: the last coordinate of
     each row is counted in closed form.  Same budget, same errors."""
     frame = _box_frame(lat, box)
-    total = _ellipsoid_integer_points(frame.b, frame.y0, frame.t2, max_candidates)
+    total = _ellipsoid_integer_points(frame, max_candidates)
     if homogeneous and _origin_enumerated(lat, frame):
         total -= 1
     return total
@@ -245,7 +211,9 @@ def count_points(
 @dataclass(frozen=True)
 class _BoxFrame:
     """A box seen from the lattice: the points inside are k = m / big_r with
-    m = rem + mod * n, n an integer vector with ||n.b + y0||^2 < t2."""
+    m = rem + mod * n, n an integer vector with ||n.b + y0||^2 < t2 (a disk)
+    or with its real image inside `intervals` (a product box, whose ball t2
+    only prunes the walk)."""
 
     big_r: int
     mod: int
@@ -253,19 +221,32 @@ class _BoxFrame:
     b: tuple
     y0: tuple
     t2: float
+    intervals: tuple | None
+    lat: AffineSLattice
+
+    def inside(self, n) -> bool:
+        """The leaf test at n: the open ball of a disk, or each coordinate
+        of the float real image, computed as _make_point computes it (float
+        k_i is (rem_i + mod n_i) / big_r), in a closed product-box interval."""
+        if self.intervals is None:
+            return _leaf_ok(n, self.b, self.y0, self.t2)
+        real = _real_image(self.lat, [
+            (r + self.mod * x) / self.big_r for r, x in zip(self.rem, n)
+        ])
+        return all(lo <= x <= hi for x, (lo, hi) in zip(real, self.intervals))
 
 
-def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
+def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
     d = lat.dim
     ctx = lat.ctx
-    center = box.center_at(d)
-    # finite places: k in w_p + p^{-t_p} Z_p^d componentwise
+    center, t2, intervals, finite = box.places(d, ctx.primes)
+    # finite places: k in w_p + p^{-e_p} Z_p^d componentwise
     residues = {}
     for p in ctx.primes:
-        tp = box.t.t_p.get(p, 0)
+        center_p, tp = finite[p]
         ginv = la.inverse(lat.basis_p[p])
         w = la.vec_mat(
-            tuple(Fraction(c) - s for c, s in zip(center, lat.shift_p[p])), ginv
+            tuple(Fraction(c) - s for c, s in zip(center_p, lat.shift_p[p])), ginv
         )
         r_p = max(
             tp,
@@ -292,7 +273,12 @@ def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
         for i in range(d):
             rem[i] = crt(rem[i], mod, frac_mod(big_r * w[i], pe), pe)
         mod *= pe
-    # real place: v(n) = n . B + y0 with m = rem + mod * n
+    # real place: v(n) = n . B + y0 with m = rem + mod * n.  The scale
+    # mod / big_r is prod p^-e_p; the walk needs its square a normal float.
+    if not (big_r < mod << 500 and mod < big_r << 500):
+        exps = ", ".join(f"{p}={finite[p][1]}" for p in ctx.primes)
+        raise ConfigError(f"finite exponents {exps} are out of range: prod "
+                          "p^-e_p must lie between 2^-500 and 2^500")
     scale = mod / big_r
     b = tuple(tuple(scale * float(x) for x in row) for row in lat.basis_inf)
     base = [
@@ -302,12 +288,12 @@ def _box_frame(lat: AffineSLattice, box: SBox) -> _BoxFrame:
     y0 = tuple(
         bb + float(s) - float(c) for bb, s, c in zip(base, lat.shift_inf, center)
     )
-    t2 = float(box.t.t_inf) ** 2
-    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2)
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, intervals, lat)
 
 
 def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
-    """Whether enumerate_points would list a point with is_origin().
+    """Whether the frame counts the origin: the point whose image is exactly
+    zero at every finite place and below 1e-12 in every real coordinate.
 
     The exact image k.basis + shift = 0 at a finite place fixes k.  Without
     finite places the float real image fixes k up to rounding, since the
@@ -327,17 +313,24 @@ def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
         if m.denominator != 1 or (m.numerator - ri) % frame.mod:
             return False
         n.append((m.numerator - ri) // frame.mod)
-    return _make_point(lat, k).is_origin() and _leaf_ok(
-        n, frame.b, frame.y0, frame.t2
+    return (
+        all(x + s == 0 for p in lat.ctx.primes
+            for x, s in zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
+        and all(abs(x) < 1e-12 for x in _real_image(lat, [float(x) for x in k]))
+        and frame.inside(n)
+    )
+
+
+def _real_image(lat: AffineSLattice, k) -> tuple:
+    """sum_i k_i basis_inf[i] + shift_inf for float coordinates k."""
+    return tuple(
+        sum(k[i] * lat.basis_inf[i][j] for i in range(lat.dim)) + lat.shift_inf[j]
+        for j in range(lat.dim)
     )
 
 
 def _make_point(lat: AffineSLattice, k) -> LatticePoint:
-    real = tuple(
-        sum(float(k[i]) * lat.basis_inf[i][j] for i in range(lat.dim))
-        + lat.shift_inf[j]
-        for j in range(lat.dim)
-    )
+    real = _real_image(lat, [float(x) for x in k])
     finite = {
         p: tuple(
             x + s
@@ -348,16 +341,18 @@ def _make_point(lat: AffineSLattice, k) -> LatticePoint:
     return LatticePoint(k, real, finite)
 
 
-def _ellipsoid_integer_points(b, y0, t2, max_candidates, out=None) -> int:
-    """Number of integer n with ||n.b + y0||^2 < t2, via LDL with interval
-    pruning (Fincke-Pohst); each n is appended to `out` when a list is given.
+def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int:
+    """Number of integer n with ||n.b + y0||^2 < t2, or for a product box
+    with n inside the frame's intervals, via LDL with interval pruning
+    (Fincke-Pohst); each n is appended to `out` when a list is given.
 
     The recursion peels the last coordinate first; bounds at each level are
-    slightly loosened and every leaf is re-tested with the original metric.
+    slightly loosened and every leaf is re-tested with the frame's own test.
     The loosened range of every level, the leaf level included, is charged
     to the max_candidates budget.  Without `out` the leaf level is counted
     in closed form instead of point by point.
     """
+    b, y0, t2, box = frame.b, frame.y0, frame.t2, frame.intervals
     d = len(b)
     h = [[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)] for i in range(d)]
     # affine center: n* = -y0 . b^{-1}
@@ -368,13 +363,37 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, out=None) -> int:
     rem_floor = -1e-9 * t2
     n = [0] * d
     left = max_candidates
+    if box is not None:
+        # The walk keeps |n_i| < reach[i].  Widen each half-width by 1e-9 of
+        # a bound on the terms of the coordinate's float images, the walk's
+        # and the point's, far past their rounding, so that the cut at the
+        # leaf keeps every n[0] that the leaf test accepts.
+        reach = [abs(c) + math.sqrt(t2 * sum(row[i] ** 2 for row in binv)) + 2
+                 for i, c in enumerate(nstar)]
+        width = [
+            (1 + 1e-9) * float(hi - lo) / 2 + 1e-9 * (
+                sum(r * abs(row[j]) for r, row in zip(reach, b))
+                + abs(frame.lat.shift_inf[j]) + abs(float(hi + lo) / 2))
+            for j, (lo, hi) in enumerate(box)
+        ]
 
     def leaf_in(nv, rem, offset) -> bool:
-        # new_rem against its tolerance, then the original metric
-        if rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
+        # a disk's new_rem against its tolerance, then the frame's test
+        if box is None and rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
             return False
         n[0] = nv
-        return _leaf_ok(n, b, y0, t2)
+        return frame.inside(n)
+
+    def box_cut(lo, hi):
+        # coordinate j of v = n.b + y0 is c + n[0] * s on the row
+        for j in range(d):
+            s = b[0][j]
+            if s:
+                c = sum(n[i] * b[i][j] for i in range(1, d)) + y0[j]
+                ends = (-width[j] - c) / s, (width[j] - c) / s
+                lo = max(lo, math.ceil(min(ends)))
+                hi = min(hi, math.floor(max(ends)))
+        return lo, hi
 
     def recurse(level, rem) -> int:
         # In the LDL expansion Q(n - n*) = sum_i d_i (z_i + sum_{j>i} L_ji z_j)^2
@@ -398,12 +417,16 @@ def _ellipsoid_integer_points(b, y0, t2, max_candidates, out=None) -> int:
                 f"{max_candidates} candidates); raise max_candidates"
             )
         if level == 0:
+            if box is not None:
+                lo, hi = box_cut(lo, hi)
             if out is None:
-                # The leaf test holds on an interval of n[0]: new_rem is
-                # concave and ||n.b + y0||^2 convex in n[0], and at an
-                # interior integer each sits past its worse endpoint by at
-                # least d_0 resp. ||b_0||^2, far above float rounding.  So
-                # trim the loosened ends and count what is left.
+                # The leaf test holds on an interval of n[0].  For a disk,
+                # new_rem is concave and ||n.b + y0||^2 convex in n[0], and
+                # at an interior integer each sits past its worse endpoint
+                # by at least d_0 resp. ||b_0||^2, far above float rounding.
+                # For a box, each float operation of a real image coordinate
+                # is monotone in n[0].  So trim the loosened ends and count
+                # what is left.
                 while lo <= hi and not leaf_in(lo, rem, offset):
                     lo += 1
                 while hi > lo and not leaf_in(hi, rem, offset):
@@ -463,19 +486,9 @@ def siegel_transform(
     """Sum of f over the lattice (affine) or over the nonzero points
     (homogeneous).
 
-    For an SBox indicator that is the number of lattice points in the box,
-    taken from count_points without building a point.  A product-box
-    indicator enumerates the points of its support box and evaluates f on
-    each.
+    For an SBox or a product-box indicator that is the number of lattice
+    points in its region, taken from count_points without building a point.
     """
     if mode not in ("affine", "homogeneous"):
         raise ConfigError("mode must be affine or homogeneous")
-    if f.kind == "sbox":
-        return count_points(lat, f.box, max_candidates, mode == "homogeneous")
-    support = f.support_box(lat.ctx, lat.dim)
-    total = 0
-    for pt in enumerate_points(lat, support, max_candidates):
-        if mode == "homogeneous" and pt.is_origin():
-            continue
-        total += f(pt, lat.ctx)
-    return total
+    return count_points(lat, f, max_candidates, mode == "homogeneous")

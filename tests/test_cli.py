@@ -462,6 +462,64 @@ def test_huge_variance_input_exits_2_naming_it(key, value, named, tmp_path,
     assert named in capsys.readouterr().err
 
 
+def test_huge_finite_exponent_exits_2_naming_it(tmp_path, capsys):
+    # the real place would see the lattice scaled by 2^-2000
+    argv = ["moment-mc", "--space", "affine", "--d", "2", "--primes", "2",
+            "--f", "disk:2@2=2000", "--n", "5", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "finite exponents 2=2000 are out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [
+    ("moment-mc", "box:1..-1,-1..1"),
+    ("moment-rhs", "box:-1..1,1..-1,-1..1"),
+    ("moment-rhs", "box:-1..1,-1..1,1..1"),
+])
+def test_reversed_box_interval_exits_2(command, value, tmp_path, capsys):
+    args = [*without(RUNS[command], "f"), "--f", value]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert "real intervals must have positive length" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command, value, named", [
+    ("moment-mc", "box:-1..1,-1..1@5=3",
+     "finite_exponent has an entry at 5, which is not in S"),
+    ("moment-rhs", "box:-1..1,-1..1,-1..1@2=1,7=-1",
+     "finite_exponent has an entry at 7, which is not in S"),
+    ("moment-mc", {"kind": "box", "intervals": [[-1, 1]] * 2,
+                   "finite_center": {"5": ["1/2", "0"]}},
+     "finite_center has an entry at 5, which is not in S"),
+    ("moment-rhs", {"kind": "box", "intervals": [[-1, 1]] * 3,
+                    "finite_center": {"3": [0, 0, 1], "7": [0, 0, 1]}},
+     "finite_center has an entry at 7, which is not in S"),
+])
+def test_box_entry_at_a_prime_outside_s_exits_2(command, value, named,
+                                                 tmp_path, capsys):
+    args = without(RUNS[command], "f")
+    if isinstance(value, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"f": value}))
+        args = [*args, "--config", str(config)]
+    else:
+        args = [*args, "--f", value]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_box_moment_mc_csv_is_pinned(tmp_path):
+    # counting a product box must draw the same lattices and find the same
+    # points as testing each point of the box's support did
+    argv = ["moment-mc", "--space", "congruence", "--d", "2", "--q", "5",
+            "--w", "0,1", "--primes", "2,3", "--f",
+            "box:-3/2..1,-1..2@2=1,3=-1", "--n", "40", "--seed", "6",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "moment-mc.csv") == (
+        "6b1831ec71d0ab1bd4ace87ae9a52631d74619904d29ebe020e0d7b26620d435")
+
+
 def test_huge_real_bound_exits_3_naming_max_terms(tmp_path, capsys):
     # the window's progressions are charged to the budget by arithmetic,
     # not by building ranges too long for len()

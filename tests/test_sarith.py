@@ -6,13 +6,11 @@ import pytest
 
 from sqcount.errors import ConfigError
 from sqcount.sarith import (
-    INF,
     SConfig,
     TVector,
     crt,
     gcd_S,
     is_in_NS,
-    padic_norm,
     prime_factors,
     valuation,
 )
@@ -79,29 +77,24 @@ def test_prime_factors_and_crt_against_bruteforce():
                 assert 0 <= r < m1 * m2 and r % m1 == a1 and r % m2 == a2
 
 
-# --- norms --------------------------------------------------------------------
-
-def test_padic_norm_examples():
-    assert padic_norm(Fraction(3, 2), 2) == 2
-    assert padic_norm(12, 2) == Fraction(1, 4)
-    assert padic_norm(0, 2) == 0
-    assert padic_norm(Fraction(-7, 9), 3) == 9
-    assert padic_norm(Fraction(-7, 9), INF) == Fraction(7, 9)
-
+# --- valuations ----------------------------------------------------------------
 
 def test_ultrametric_random_pairs():
     rng = random.Random(20260816)
     for _ in range(1000):
         p = rng.choice([2, 3, 5, 7])
-        x = Fraction(rng.randint(-400, 400), rng.randint(1, 400))
-        y = Fraction(rng.randint(-400, 400), rng.randint(1, 400))
-        nx, ny, ns = padic_norm(x, p), padic_norm(y, p), padic_norm(x + y, p)
-        assert ns <= max(nx, ny)
-        if nx != ny:
-            assert ns == max(nx, ny)
+        x = Fraction(rng.randint(1, 400) * rng.choice([-1, 1]), rng.randint(1, 400))
+        y = Fraction(rng.randint(1, 400) * rng.choice([-1, 1]), rng.randint(1, 400))
+        if x + y == 0:
+            continue
+        vx, vy, vs = valuation(x, p), valuation(y, p), valuation(x + y, p)
+        assert vs >= min(vx, vy)
+        if vx != vy:
+            assert vs == min(vx, vy)
 
 
 def test_product_formula_on_s_units():
+    # |x|_inf * prod_p |x|_p = 1, with |x|_p = p^(-v_p(x))
     rng = random.Random(77)
     for _ in range(400):
         ctx = rng.choice([S2, S3, S23])
@@ -110,9 +103,9 @@ def test_product_formula_on_s_units():
             x *= Fraction(p) ** rng.randint(-5, 5)
         if rng.random() < 0.5:
             x = -x
-        prod_norm = padic_norm(x, INF)
+        prod_norm = abs(x)
         for p in ctx.primes:
-            prod_norm *= padic_norm(x, p)
+            prod_norm *= Fraction(p) ** -valuation(x, p)
         assert prod_norm == 1
 
 

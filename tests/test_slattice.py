@@ -4,8 +4,10 @@ Every lattice is built the way the samplers build them: a float real basis
 and exact p-integral finite bases.  The enumeration engine is checked
 against a naive oracle that scans a rectangular superset of coordinate
 vectors and tests every candidate straight from the definitions, the real
-place in floats and the finite places exactly.  Hand counts use identity or
-dyadic data, on which the float arithmetic is exact.
+place in floats and the finite places exactly.  Product boxes are also
+checked against the count through built points: enumerate a support box
+around the box, then test each point.  Hand counts use identity or dyadic
+data, on which the float arithmetic is exact.
 """
 
 import math
@@ -17,9 +19,10 @@ import pytest
 
 from sqcount import _linalg as la
 from sqcount.errors import ConfigError, InsufficientPadicPrecision, RegionTooLarge
-from sqcount.sarith import SConfig, TVector, padic_norm, valuation
+from sqcount.sarith import SConfig, TVector, valuation
 from sqcount.slattice import (
     DEFAULT_MAX_CANDIDATES,
+    LatticePoint,
     SBox,
     affine_slattice_split,
     count_points,
@@ -50,6 +53,18 @@ def rational_lattice(ctx, basis, shift=None):
     )
 
 
+def in_padic_ball(x, c, p, e) -> bool:
+    """|x - c|_p <= p^e."""
+    return x == c or valuation(Fraction(x) - Fraction(c), p) >= -e
+
+
+def is_origin(pt) -> bool:
+    """The point is the origin: exactly at every finite place, to 1e-12 at
+    the real place."""
+    finite_zero = all(x == 0 for img in pt.finite.values() for x in img)
+    return finite_zero and all(abs(x) < 1e-12 for x in pt.real)
+
+
 def discrepancy(lat, b):
     """|#(lattice points in the box) - vol(box)|."""
     return abs(siegel_transform(indicator_sbox(b), lat) - b.volume(lat.dim))
@@ -78,7 +93,7 @@ def naive_scan_radius(lat, b):
     """(big_r, m_bound): every k with its real image in the box is m / big_r
     with |m_j| <= m_bound, from |k_j| <= ||k.B||_2 * (column 1-norm of B^-1)."""
     d = lat.dim
-    center = tuple(Fraction(c) for c in b.center_at(d))
+    center = tuple(Fraction(c) for c in b.center or (0,) * d)
     big_r = 1
     for p in lat.ctx.primes:
         big_r *= p ** _denominator_exponent(lat, b, center, p)
@@ -94,7 +109,7 @@ def naive_points(lat, b):
     m / big_r with |m_j| <= m_bound, tests the real ball in floats, then the
     finite balls exactly."""
     d, ctx = lat.dim, lat.ctx
-    center = tuple(Fraction(c) for c in b.center_at(d))
+    center = tuple(Fraction(c) for c in b.center or (0,) * d)
     big_r, m_bound = naive_scan_radius(lat, b)
     axis = np.arange(-m_bound, m_bound + 1)
     m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
@@ -109,7 +124,7 @@ def naive_points(lat, b):
             for p in ctx.primes
         ]
         if all(
-            padic_norm(x - c, p) <= Fraction(p) ** b.t.t_p.get(p, 0)
+            in_padic_ball(x, c, p, b.t.t_p.get(p, 0))
             for p, img in zip(ctx.primes, images)
             for x, c in zip(img, center)
         ):
@@ -190,10 +205,83 @@ def random_split_lattice(rng, ctx, d, shift="random"):
     return affine_slattice_split(ctx, g, basis_p, shift_inf, shift_p)
 
 
+def support_box(f, ctx, d) -> SBox:
+    """An SBox holding the support of a product-box indicator: a ball past
+    the corner around the real midpoint, and at each prime a ball around the
+    same midpoint that holds the box's own finite ball."""
+    center = tuple((lo + hi) / 2 for lo, hi in f.intervals)
+    corner = sum(((hi - lo) / 2) ** 2 for lo, hi in f.intervals)
+    root = math.isqrt(corner.numerator * corner.denominator) // corner.denominator
+    t_inf = root + (1 if root * root == corner else 2)
+    t_p = {}
+    for p in ctx.primes:
+        c = f.finite_center.get(p, (0,) * d)
+        gap = max(
+            (-valuation(Fraction(ci) - mi, p) for ci, mi in zip(c, center)
+             if Fraction(ci) != mi),
+            default=0,
+        )
+        t_p[p] = max(f.finite_exponent.get(p, 0), gap, 0)
+    return SBox(TVector(t_inf, t_p, ctx), center)
+
+
+def in_product_box(f, ctx, real, finite) -> bool:
+    """The product-box indicator at a point with these images: closed real
+    intervals, and at each prime the ball around finite_center (default 0)
+    of radius p^finite_exponent (default p^0)."""
+    if not all(lo <= x <= hi for x, (lo, hi) in zip(real, f.intervals)):
+        return False
+    return all(
+        in_padic_ball(x, c, p, f.finite_exponent.get(p, 0))
+        for p in ctx.primes
+        for x, c in zip(finite[p], f.finite_center.get(p, (0,) * len(real)))
+    )
+
+
+def built_points_count(lat, f, homogeneous) -> int:
+    """The product-box count through built points: enumerate the support
+    box, then test each point."""
+    return sum(
+        in_product_box(f, lat.ctx, pt.real, pt.finite)
+        for pt in enumerate_points(lat, support_box(f, lat.ctx, lat.dim))
+        if not (homogeneous and is_origin(pt))
+    )
+
+
+def naive_box_points(lat, f):
+    """Independent enumeration of a product box, as naive_points: scan the
+    m / big_r that cover its support box, keep those whose float real image,
+    summed as a built point sums it, lies in the box and whose finite images
+    lie in its balls."""
+    d, ctx = lat.dim, lat.ctx
+    big_r, m_bound = naive_scan_radius(lat, support_box(f, ctx, d))
+    axis = np.arange(-m_bound, m_bound + 1)
+    m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+    real = (m / big_r) @ np.array(lat.basis_inf) + np.array(lat.shift_inf)
+    ends = np.array([[float(x) for x in iv] for iv in f.intervals])
+    near = ((real >= ends[:, 0] - 1e-9) & (real <= ends[:, 1] + 1e-9)).all(axis=1)
+    out = []
+    for row in m[near].tolist():
+        k = tuple(Fraction(mi, big_r) for mi in row)
+        real = tuple(
+            sum(float(k[i]) * lat.basis_inf[i][j] for i in range(d))
+            + lat.shift_inf[j]
+            for j in range(d)
+        )
+        finite = {
+            p: tuple(x + s for x, s in
+                     zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
+            for p in ctx.primes
+        }
+        if in_product_box(f, ctx, real, finite):
+            out.append((k, is_origin(LatticePoint(k, real, finite))))
+    return sorted(out)
+
+
 def counted_points(lat, b, homogeneous, max_candidates=DEFAULT_MAX_CANDIDATES):
     """The oracle for count_points: enumerate, then drop the origin."""
     pts = enumerate_points(lat, b, max_candidates)
-    return sum(1 for pt in pts if not (homogeneous and pt.is_origin()))
+    return sum(1 for pt in pts if not (homogeneous and is_origin(pt)))
 
 
 def budget_threshold(count):
@@ -278,6 +366,9 @@ class TestEnumerate:
         )
         with pytest.raises(InsufficientPadicPrecision):
             enumerate_points(lat, box(S2, 2, {2: -2}))
+        # a product box needs as many digits as a disk
+        with pytest.raises(InsufficientPadicPrecision, match="need 2 digits"):
+            count_points(lat, indicator_product_box([(-2, 2)] * 2, {2: -2}))
 
     def test_split_mode_rotation(self):
         # a rotated float copy of Z^2 still counts 21 points in the disk
@@ -543,3 +634,90 @@ class TestCountInSet:
         b = box(S0, Fraction(5, 2))
         assert siegel_transform(indicator_sbox(b), lat) == 21
         assert len(enumerate_points(lat, b)) == 21
+
+
+class TestProductBox:
+    """count_points and siegel_transform on product boxes against the naive
+    scan and against the count through built points."""
+
+    @staticmethod
+    def check(lat, f) -> bool:
+        """Compare on one lattice and box; False if the naive scan would be
+        too large."""
+        support = support_box(f, lat.ctx, lat.dim)
+        _, m_bound = naive_scan_radius(lat, support)
+        if (2 * m_bound + 1) ** lat.dim > 400_000:
+            return False
+        expect = naive_box_points(lat, f)
+        origins = sum(origin for _, origin in expect)
+        assert origins <= 1
+        assert coords(enumerate_points(lat, f)) == [k for k, _ in expect]
+        # building every point of a large support box is slow
+        built = support.volume(lat.dim) < 1500
+        for homogeneous in (False, True):
+            want = len(expect) - origins * homogeneous
+            mode = "homogeneous" if homogeneous else "affine"
+            assert count_points(lat, f, homogeneous=homogeneous) == want
+            assert siegel_transform(f, lat, mode) == want
+            if built:
+                assert built_points_count(lat, f, homogeneous) == want
+        return True
+
+    @staticmethod
+    def random_box(rng, ctx, d, faces=False):
+        """Random Fraction endpoints, exponents -1..1 and finite centers with
+        small denominators; with faces, integer data whose lattice points
+        often lie on the faces."""
+        # keep the naive scan small: narrower boxes at d = 3
+        span = 6 if d == 2 else 3
+        if faces:
+            intervals = [sorted(rng.sample(range(-span // 2, span // 2 + 2), 2))
+                         for _ in range(d)]
+            dens = [1]
+        else:
+            intervals = []
+            for _ in range(d):
+                lo = Fraction(rng.randint(-span, 1), rng.choice([2, 3, 4]))
+                width = Fraction(rng.randint(1, span), rng.choice([2, 3, 4]))
+                intervals.append((lo, lo + width))
+            dens = [1, 2, 3]
+        exps = {p: rng.randint(-1, 1) for p in ctx.primes if rng.random() < 0.8}
+        centers = {
+            p: tuple(Fraction(rng.randint(-2, 2), rng.choice(dens + [p]))
+                     for _ in range(d))
+            for p in ctx.primes if rng.random() < 0.6
+        }
+        if faces:
+            centers = {p: tuple(int(c) for c in v) for p, v in centers.items()}
+        return indicator_product_box(intervals, exps, centers)
+
+    @pytest.mark.parametrize("ctx", [S0, S2, S3, S23])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_boxes(self, ctx, d):
+        rng = random.Random(300 * d + len(ctx.primes) + sum(ctx.primes))
+        cases = 0
+        while cases < 9:
+            shift = ("none", "random", "lattice")[cases % 3]
+            if cases % 2:
+                lat = random_split_lattice(rng, ctx, d, shift)
+            else:
+                lat = random_rational_lattice(rng, ctx, d, shifted=shift != "none")
+            cases += self.check(lat, self.random_box(rng, ctx, d))
+
+    @pytest.mark.parametrize("ctx", [S0, S2, S3, S23])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_points_on_the_faces(self, ctx, d):
+        # sheared Z^d with integer shifts and integer box ends: the real
+        # images are exact integers, so many of them sit on the faces
+        rng = random.Random(400 * d + len(ctx.primes) + sum(ctx.primes))
+        cases = 0
+        while cases < 8:
+            u = [list(r) for r in la.identity(d)]
+            for _ in range(3):
+                i, j = rng.sample(range(d), 2)
+                c = rng.choice([1, -1, 2])
+                u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+            shift = tuple(rng.randint(-1, 1) for _ in range(d)) if cases % 2 else None
+            lat = rational_lattice(ctx, u, shift)
+            cases += self.check(lat, self.random_box(rng, ctx, d, faces=True))
+
