@@ -384,6 +384,11 @@ def _exact_summary(value: Fraction) -> str:
             f"{_digits(value.denominator)}-digit denominator)")
 
 
+def _series_budget(sv, cfg) -> dict:
+    """How much of max_terms a series walk used, for the manifest."""
+    return {"terms_charged": sv.terms_charged, "max_terms": cfg["max_terms"]}
+
+
 def _emit(command, cfg, out_dir: Path, header, rows, summary,
           seed=None, results=None, t0=None):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -543,7 +548,7 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
     _emit("moment-rhs", cfg, out_dir, header, rows, [
         f"series value ~ {_exact_summary(sv.value)}",
         f"tail bound = {sv.tail_bound!r} over {sv.terms_used} pair terms",
-    ], t0=t0)
+    ], results=_series_budget(sv, cfg), t0=t0)
     return 0
 
 
@@ -589,7 +594,7 @@ def _cmd_orbit(cfg, out_dir, t0):
     _emit("orbit", cfg, out_dir, header, rows, [
         f"orbital series ~ {_exact_summary(sv.value)} "
         f"(tail <= {sv.tail_bound:.3g}, {sv.terms_used} terms)",
-    ], t0=t0)
+    ], results=_series_budget(sv, cfg), t0=t0)
     return 0
 
 

@@ -20,16 +20,21 @@ one.  Both Monte Carlo estimators read the same per-draw transform values
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
 (d >= 3, where the series converge absolutely).  Both walk the same
-admissible (t, a = n/den) set (_admissible_walk) and work in integers: a
-pair term is an integer numerator over (L t |n|)^d times a power of each
-finite prime, and numerators with equal denominators are added before any
-Fraction is built; an orbit term is t^{-d} whenever its point passes the
-p-adic tests, so the orbit series counts those points per t.
+admissible (t, a = n/den) set, one arithmetic progression of n per (t, den)
+(_admissible_walk), and one numpy kernel keeps the n of a progression that
+pass the gcd filter and the p-adic congruences (_admitted), in int64 when a
+bound on every integer it forms allows, else on Python ints.  A pair term
+is an integer overlap product over (L t |n|)^d times an S-adic factor that
+is constant on the progression (_pair_terms); each term is cut to lowest
+terms and numerators are added per denominator.  An orbit term is t^{-d}
+whenever its point passes the p-adic tests, so the orbit series counts
+those points per t.  Both sums end in one integer tree (_exact_sum) whose
+merges form lcms and never reduce; the total is reduced once, against the
+product of the primes its denominator can hold.
 """
 
 from __future__ import annotations
 
-import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -148,6 +153,7 @@ class SeriesValue:
     value: Fraction
     tail_bound: float
     terms_used: int
+    terms_charged: int  # progression elements charged to max_terms
     t_max: int
     real_bound: object
     depth: dict[int, int]
@@ -469,19 +475,6 @@ def _scaled_interval(lo: Fraction, hi: Fraction, s: Fraction):
     return (a, b) if a <= b else (b, a)
 
 
-def _tree_sum(terms) -> Fraction:
-    # pairwise reduction: sequential Fraction addition makes the running
-    # denominator the lcm of everything seen, which is quadratic pain
-    if not terms:
-        return Fraction(0)
-    while len(terms) > 1:
-        nxt = [a + b for a, b in zip(terms[::2], terms[1::2])]
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
-
-
 def _largest_prime_factors(n_max: int) -> list[int]:
     """big[k] = the largest prime factor of k for 2 <= k <= n_max."""
     big = [0] * (n_max + 1)
@@ -491,14 +484,29 @@ def _largest_prime_factors(n_max: int) -> list[int]:
     return big
 
 
+def _scaled_ends(intervals):
+    """(L, ends): L the lcm of the endpoints' denominators, ends the
+    endpoints times L, as ints."""
+    big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
+    return big_l, tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
+
+
+def _int_dtype(bound: int):
+    """The dtype of a kernel none of whose integers exceeds bound in size:
+    int64 below 2^62, else object, whose elements are Python ints."""
+    return np.int64 if bound < 2**62 else object
+
+
 def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
-    """The (t, den, ms, n) of every term a = n/den the series truncation keeps.
+    """One arithmetic progression (t, den, ms, ns, tp) per (t, den).
 
     t runs over N_S up to t_max coprime to q; den = prod p^{m_p} over
-    0 <= m_p <= depth[p]; n runs over the integers of [lo den, hi den],
-    (lo, hi) = window(t), with n = t den mod q, and is kept when n/den is a
-    nonzero reduced fraction coprime to t.  Every progression element is
-    charged to max_terms, kept or not.
+    0 <= m_p <= depth[p]; ns is the range of the integers n of
+    [lo den, hi den], (lo, hi) = window(t), with n = t den mod q.  The
+    series keeps a = n/den when it is a nonzero reduced fraction coprime to
+    t; t is prime to S, so that is n != 0 and gcd(n, tp) = 1, tp = t times
+    the p with m_p > 0 (_admitted).  Every element of ns is charged to
+    max_terms, kept or not.
     """
     ranges = [range(depth[p] + 1) for p in ctx.primes]
     budget = max_terms
@@ -518,13 +526,56 @@ def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
                     f"{what} budget exceeded (more than max_terms={max_terms} "
                     "terms); raise max_terms"
                 )
-            # t is prime to S, so one gcd tests gcd(n, t) = 1 and, for each
-            # p with m_p > 0, p not dividing n (else n/den is not reduced and
-            # was visited at a lower depth)
             tp = t * math.prod(p for p, m in zip(ctx.primes, ms) if m > 0)
-            for n in range(first, last + 1, q):
-                if n and math.gcd(n, tp) == 1:
-                    yield t, den, ms, n
+            yield t, den, ms, range(first, last + 1, q), tp
+
+
+def _admitted(ns, tp, td, tests, dt) -> np.ndarray:
+    """The n of the progression ns that a series keeps, as an array of dtype
+    dt: n != 0, gcd(n, tp) = 1, and mod divides a n - b td for each
+    (mod, a, b) of tests."""
+    n = np.arange(ns.start, ns.stop, ns.step, dtype=dt)
+    keep = (n != 0) & (np.gcd(n, tp) == 1)
+    for mod, a, b in tests:
+        keep &= (a * n - b * td) % mod == 0
+    return n[keep]
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    # num/den is in lowest terms with den > 0; Fraction(num, den) would
+    # repeat the gcd of the full-size pair
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)
+
+
+def _exact_sum(pairs, big, extra: int) -> Fraction:
+    """The sum of num/den over the (num, den) int pairs, den > 0.
+
+    Pairwise tree: sequential addition makes the running denominator the lcm
+    of everything seen, which is quadratic pain.  Each merge forms the lcm
+    with one gcd and never reduces; the sum N/D is reduced once at the end.
+    Every prime factor of a den must be at most len(big) - 1 (big is a
+    _largest_prime_factors table) or divide extra.  The product P of those
+    primes and extra then holds every prime that N and D can share, and
+    gcd(N mod P, P) finds them without a gcd of N and D themselves.
+    """
+    while len(pairs) > 1:
+        nxt = []
+        for (a, da), (b, db) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(da, db)
+            nxt.append((a * (db // g) + b * (da // g), da // g * db))
+        if len(pairs) % 2:
+            nxt.append(pairs[-1])
+        pairs = nxt
+    num, den = pairs[0]
+    primes = extra * math.prod(k for k in range(2, len(big)) if big[k] == k)
+    g = math.gcd(math.gcd(num % primes, primes), den)
+    while g > 1:
+        num //= g
+        den //= g
+        g = math.gcd(g, num, den)
+    return _coprime_fraction(num, den)
 
 
 # --- second-moment series ---------------------------------------------------------------
@@ -563,80 +614,62 @@ def _pair_tail_bound(d, q, vol_sup, t_max, b, depth, primes) -> float:
     return vol_sup * (piece_t + piece_b + piece_d)
 
 
-def _pair_kernel(d, intervals, exps, centers, primes):
-    """The pair term at (t, a = n/den) in integers, as (numerator, denominator).
+def _pair_terms(d, intervals, exps, centers, primes, t_max, n_max):
+    """The pair kernel: a function of one progression (t, den, ms, ns, tp) of
+    the walk that yields its nonzero terms as (num, den, |n|), num/den the
+    term at a = n/den in lowest terms.  n_max bounds |n| and t den over the
+    walk; the dtype follows from it once (_int_dtype).
 
-    With the box's endpoints scaled by L, the lcm of their denominators, and
-    g = |n|, coordinate i contributes the overlap of [A_i g, B_i g] with the
-    image of [A_i, B_i] under x -> x t den/n, both over the common
-    denominator L t g.  At p the balls B(c/t, p^e) and B(c/a, p^{e+v_p(a)})
-    are nested or disjoint: each coordinate gives p^{e + min(0, v_p(a))}, or
-    0 when a nonzero center puts c/t and c/a farther apart than the larger
-    radius, with v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n).
+    With the box's endpoints scaled by L (_scaled_ends) and g = |n|,
+    coordinate i contributes the overlap of [A_i g, B_i g] with the image of
+    [A_i, B_i] under x -> x t den/n, whose ends are A_i and B_i times
+    sign(n) t den, both over the common denominator L t g.  At p the balls
+    B(c/t, p^e) and B(c/a, p^{e+v_p(a)}) are nested or disjoint.  Each
+    coordinate gives p^{e + min(0, v_p(a))} = p^{e - m_p}, because m_p > 0
+    forces p not to divide n: the S-adic factor prod p^{d(e - m_p)} is one
+    constant per progression.  A nonzero center c puts the balls apart when
+    v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n) is below
+    -e - max(0, v_p(a)), that is when p^r does not divide n - t den,
+    r = -e - v_p(c); the smallest v_p(c) decides.
     """
-    big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
-    ends = tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
-    # only the smallest valuation of a nonzero center can fail the distance test
-    places = tuple(
-        (p, exps[p], min((valuation(c, p) for c in centers[p] if c), default=None))
-        for p in primes
-    )
+    big_l, ends = _scaled_ends(intervals)
+    tests = []
+    for p in primes:
+        vals = [valuation(c, p) for c in centers[p] if c]
+        if vals and -exps[p] - min(vals) > 0:
+            tests.append((p ** (-exps[p] - min(vals)), 1, 1))
+    reach = max(2 * max(abs(x) for iv in ends for x in iv), big_l * t_max) * n_max
+    dt = _int_dtype(max([reach**d] + [mod for mod, _, _ in tests]))
 
-    def term(t, den, ms, n):
-        g = abs(n)
+    def terms(t, den, ms, ns, tp):
         td = t * den
+        n = _admitted(ns, tp, td, tests, dt)
+        g = abs(n)
+        img = np.sign(n) * td
         num = 1
+        keep = np.ones(len(n), dtype=bool)
         for lo, hi in ends:
-            if n > 0:
-                w = min(hi * g, hi * td) - max(lo * g, lo * td)
+            a, b = lo * img, hi * img
+            w = (np.minimum(hi * g, np.maximum(a, b))
+                 - np.maximum(lo * g, np.minimum(a, b)))
+            keep &= w > 0
+            num = num * w
+        g = g[keep]
+        up = down = 1
+        for p, m in zip(primes, ms):
+            k = d * (exps[p] - m)
+            if k > 0:
+                up *= p**k
             else:
-                w = min(hi * g, -lo * td) - max(lo * g, -hi * td)
-            if w <= 0:
-                return 0, 1
-            num *= w
+                down *= p**-k
         dnm = (big_l * t * g) ** d
-        for (p, e, v_c), m in zip(places, ms):
-            v_n = valuation(n, p) if n % p == 0 else 0
-            v_a = v_n - m
-            if v_c is not None and n != td:
-                if v_n - v_c - valuation(n - td, p) > e + max(0, v_a):
-                    return 0, 1
-            k = d * (e + min(0, v_a))
-            if k >= 0:
-                num *= p**k
-            else:
-                dnm *= p**-k
-        return num, dnm
+        for w, dd, r in zip(num[keep].tolist(), dnm.tolist(), g.tolist()):
+            w *= up
+            dd *= down
+            h = math.gcd(w, dd)
+            yield w // h, dd // h, r
 
-    return term
-
-
-def _pair_fractions(walk, term):
-    """(number of nonzero terms, their sums as one Fraction per denominator).
-
-    Numerators are added as integers per denominator.  The denominators are
-    (L t |n|)^d up to S-units; the fractions come ordered by the largest
-    prime factor of |n|, so that the pairwise sum meets each large prime's
-    power in one run of neighbours, not once per term all the way up.
-    """
-    by_den = {}
-    roots = array.array("q")  # |n| of the first term of each denominator
-    used = 0
-    for t, den, ms, n in walk:
-        num, dnm = term(t, den, ms, n)
-        if num:
-            used += 1
-            if dnm in by_den:
-                by_den[dnm] += num
-            else:
-                by_den[dnm] = num
-                roots.append(abs(n))
-    big = _largest_prime_factors(max(roots, default=1))
-    dens = list(by_den)  # insertion order, the order of roots
-    order = sorted(range(len(dens)), key=lambda i: big[roots[i]])
-    # entries are dropped as soon as they are used, so the dict and the
-    # Fractions built from it do not peak together
-    return used, [Fraction(by_den.pop(dens[i]), dens[i]) for i in order]
+    return terms
 
 
 def second_moment_rhs(
@@ -651,12 +684,16 @@ def second_moment_rhs(
 
     The series runs over t in N_S coprime to the level q and a in
     q Z_S + t with gcd(a, t) = 1; each term is the exact volume of
-    {v : tv and av in the box}, computed place by place in integers
-    (_pair_kernel).  Terms with the same denominator are added as integers,
-    and only the distinct fractions that remain are built and summed.
-    Truncation keeps t <= t_max, |a| <= real_bound, and the denominator of a
-    of depth at most depth[p] at each place; tail_bound covers everything
-    cut, valid for d >= 3 where the full series converges absolutely.
+    {v : tv and av in the box}, computed place by place in integers, one
+    progression of the walk at a time (_pair_terms).  Terms in lowest terms
+    with the same denominator are added as integers, and the sums are added
+    in one integer tree (_exact_sum), ordered by the largest prime factor of
+    |n| of each denominator's first term, so that the tree meets each large
+    prime's power in one run of neighbours, not once per term all the way
+    up.  Truncation keeps t <= t_max, |a| <= real_bound, and the denominator
+    of a of depth at most depth[p] at each place; tail_bound covers
+    everything cut, valid for d >= 3 where the full series converges
+    absolutely.
     """
     ctx = cctx.ctx
     q = cctx.q
@@ -671,16 +708,34 @@ def second_moment_rhs(
     if any(k < 0 for k in dep.values()):
         raise ConfigError("depth must be >= 0")
     b = Fraction(real_bound)
+    den_max = math.prod(p**k for p, k in dep.items())
+    terms = _pair_terms(d, intervals, exps, centers, ctx.primes, t_max,
+                        max(math.ceil(b * den_max), t_max * den_max))
     walk = _admissible_walk(
         t_max, q, ctx, dep, lambda t: (-b, b), max_terms, "pair series"
     )
-    used, fractions = _pair_fractions(
-        walk, _pair_kernel(d, intervals, exps, centers, ctx.primes)
-    )
+    by_den = {}
+    roots = []  # |n| of the first term of each denominator
+    used = charged = 0
+    for t, den, ms, ns, tp in walk:
+        charged += len(ns)
+        for num, dnm, root in terms(t, den, ms, ns, tp):
+            used += 1
+            if dnm in by_den:
+                by_den[dnm] += num
+            else:
+                by_den[dnm] = num
+                roots.append(root)
+    big = _largest_prime_factors(max([t_max, *roots]))
+    dens = list(by_den)  # insertion order, the order of roots
+    order = sorted(range(len(dens)), key=lambda i: big[roots[i]])
     integral = _integral(d, intervals, exps, centers, ctx.primes)
-    terms = [integral**2] + fractions
+    pairs = [(integral.numerator**2, integral.denominator**2)]
+    pairs += [(by_den[dens[i]], dens[i]) for i in order]
+    # the other primes of a denominator divide L or lie in S
+    value = _exact_sum(pairs, big, _scaled_ends(intervals)[0] * math.prod(ctx.primes))
     tail = _pair_tail_bound(d, q, float(integral), t_max, float(b), dep, ctx.primes)
-    return SeriesValue(_tree_sum(terms), tail, used, t_max, float(b), dep)
+    return SeriesValue(value, tail, used, charged, t_max, float(b), dep)
 
 
 # --- single-orbit series ----------------------------------------------------------------
@@ -723,11 +778,11 @@ def inhom_series(
             continue
         lo, hi = intervals[i]
         if not lo <= 0 <= hi:
-            return SeriesValue(base, 0.0, 0, t_max, (0.0, 0.0), {})
+            return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
         for p in ctx.primes:
             cp = centers[p][i]
             if cp != 0 and -valuation(cp, p) > exps[p]:
-                return SeriesValue(base, 0.0, 0, t_max, (0.0, 0.0), {})
+                return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
 
     # real window for s = a/t: intersection of I_i / y_i over nonzero y_i
     w_lo, w_hi = None, None
@@ -738,7 +793,7 @@ def inhom_series(
         w_lo = a_i if w_lo is None else max(w_lo, a_i)
         w_hi = b_i if w_hi is None else min(w_hi, b_i)
     if w_lo > w_hi:
-        return SeriesValue(base, 0.0, 0, t_max, (float(w_lo), float(w_hi)), {})
+        return SeriesValue(base, 0.0, 0, 0, t_max, (float(w_lo), float(w_hi)), {})
 
     # denominator cap: v_p(a) >= min(v_p(c_j), -e_p) - v_p(y_j) is necessary
     # for the finite conditions, so deeper denominators contribute nothing
@@ -765,19 +820,27 @@ def inhom_series(
         for c, cp in zip(coords, centers[p])
         if c != 0
     ]
+    # |n| and t den stay below reach over the walk
+    reach = math.ceil(max(abs(w_lo), abs(w_hi), 1) * t_max
+                      * math.prod(p**k for p, k in dep.items()))
+    dt = _int_dtype(max([reach] + [(abs(uh) + abs(gw)) * reach + p ** (dep[p] + shift)
+                                   for _, p, uh, gw, shift in tests]))
     hits = {}
+    charged = 0
     walk = _admissible_walk(
         t_max, q, ctx, dep, lambda t: (w_lo * t, w_hi * t), max_terms,
         "orbit series",
     )
-    for t, den, ms, n in walk:
-        for j, p, uh, gw, shift in tests:
-            k = ms[j] + shift
-            if k > 0 and (n * uh - gw * t * den) % p**k:
-                break
-        else:
-            hits[t] = hits.get(t, 0) + 1
-    terms = [base] + [Fraction(count, t**d) for t, count in hits.items()]
+    for t, den, ms, ns, tp in walk:
+        charged += len(ns)
+        mods = [(p ** (ms[j] + shift), uh, gw)
+                for j, p, uh, gw, shift in tests if ms[j] + shift > 0]
+        count = len(_admitted(ns, tp, t * den, mods, dt))
+        if count:
+            hits[t] = hits.get(t, 0) + count
+    pairs = [(base.numerator, base.denominator)]
+    pairs += [(count, t**d) for t, count in hits.items()]
+    value = _exact_sum(pairs, _largest_prime_factors(t_max), base.denominator)
     # tail: for t > t_max the a-count per denominator D is at most
     # (window length) t D / q + 1
     window = float(w_hi - w_lo)
@@ -789,6 +852,6 @@ def inhom_series(
     tail = (window * den_sum / q) * t_max ** (2 - d) / (d - 2)
     tail += den_count * t_max ** (1 - d) / (d - 1)
     return SeriesValue(
-        _tree_sum(terms), tail, sum(hits.values()), t_max,
+        value, tail, sum(hits.values()), charged, t_max,
         (float(w_lo), float(w_hi)), dep,
     )

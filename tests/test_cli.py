@@ -450,6 +450,23 @@ def test_exhausted_series_budget_exits_3_and_names_it(command, tmp_path, capsys)
     assert "max_terms=5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, charged", [("moment-rhs", 6014), ("orbit", 49)])
+def test_series_manifest_records_its_budget_use(command, charged, tmp_path, capsys):
+    # terms_charged is the whole charge: exactly that budget runs, one less exits 3
+    first = tmp_path / "first"
+    argv = [command, *RUNS[command], "--max-terms", str(charged)]
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = first / f"{command}_manifest.json"
+    results = json.loads(manifest.read_text(encoding="utf-8"))["results"]
+    assert results == {"terms_charged": charged, "max_terms": charged}
+    again = tmp_path / "again"
+    assert main([command, "--config", str(manifest), "--out", str(again)]) == 0
+    assert sha256(again / f"{command}.csv") == sha256(first / f"{command}.csv")
+    argv[-1] = str(charged - 1)
+    assert main([*argv, "--out", str(tmp_path / "short")]) == 3
+    assert f"max_terms={charged - 1}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("threshold", "1e200", "threshold 1e+200"),  # threshold^2 overflows
     ("box", "disk:1e200", "box's volume"),  # the disk's area overflows

@@ -22,12 +22,18 @@ from sqcount.errors import (
     NonIndicatorUnsupported,
     SearchBudgetExceeded,
 )
+from sqcount import moments
 from sqcount.moments import (
+    DEFAULT_SERIES_DEPTH,
     MCMC_BURN_IN,
     MCMC_STEP,
     MCMC_THIN,
     MCEstimate,
+    _admissible_walk,
     _expm,
+    _integral,
+    _pair_terms,
+    _product_box_data,
     _uniform_unit_basis_mod,
     estimate_moments,
     inhom_series,
@@ -432,11 +438,10 @@ def _oracle_pair_series(f, cctx, t_max, bound, depth, gcd_filter=True):
 
 class TestPairSeries:
     def test_worked_leading_terms(self):
-        # q=5, S_f={2}, box [-1,1]^3 x Z_2^3: hand-computed leading terms
-        from sqcount.moments import _pair_kernel, _product_box_data
-
+        # q=5, S_f={2}, box [-1,1]^3 x Z_2^3: hand-computed leading terms,
+        # each as a one-element progression
         d, ivs, exps, centers = _product_box_data(TERN_BOX, S2)
-        term = _pair_kernel(d, ivs, exps, centers, S2.primes)
+        terms = _pair_terms(d, ivs, exps, centers, S2.primes, 1, 8)
         cases = {
             (1, Fraction(1)): Fraction(8),
             (1, Fraction(-4)): Fraction(1, 8),
@@ -444,9 +449,12 @@ class TestPairSeries:
             (1, Fraction(7, 2)): Fraction(4, 7) ** 3 * Fraction(1, 8),
         }
         for (t, a), want in cases.items():
-            ms = (valuation(a.denominator, 2),)
-            num, den = term(t, a.denominator, ms, a.numerator)
-            assert Fraction(num, den) == want
+            n, den = a.numerator, a.denominator
+            ms = (valuation(den, 2),)
+            tp = t * (2 if den > 1 else 1)
+            ((num, dnm, g),) = terms(t, den, ms, range(n, n + 1, 5), tp)
+            assert Fraction(num, dnm) == want and math.gcd(num, dnm) == 1
+            assert g == abs(n)
 
     @pytest.mark.parametrize("q", [5, 7])
     def test_matches_doubled_depth_oracle(self, q):
@@ -531,6 +539,207 @@ class TestPairSeries:
         cctx2 = congruence_context(2, 5, (1, 0), S2)
         with pytest.raises(ConfigError):
             second_moment_rhs(indicator_product_box([(-1, 1)] * 2), cctx2)
+
+
+# --- slow oracle of the progression kernel ------------------------------------------------
+
+
+def _slow_pair_term(d, intervals, exps, centers, primes):
+    """The pair term at (t, a = n/den) in integers, one term at a time, as
+    (numerator, denominator): the per-term kernel that the progression
+    kernel _pair_terms replaced, kept as its oracle.
+
+    With the box's endpoints scaled by L and g = |n|, coordinate i
+    contributes the overlap of [A_i g, B_i g] with the image of [A_i, B_i]
+    under x -> x t den/n, both over the common denominator L t g.  At p
+    each coordinate gives p^{e + min(0, v_p(a))}, or 0 when a nonzero
+    center puts c/t and c/a farther apart than the larger radius, with
+    v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n).
+    """
+    big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
+    ends = tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
+    places = tuple(
+        (p, exps[p], min((valuation(c, p) for c in centers[p] if c), default=None))
+        for p in primes
+    )
+
+    def term(t, den, ms, n):
+        g = abs(n)
+        td = t * den
+        num = 1
+        for lo, hi in ends:
+            if n > 0:
+                w = min(hi * g, hi * td) - max(lo * g, lo * td)
+            else:
+                w = min(hi * g, -lo * td) - max(lo * g, -hi * td)
+            if w <= 0:
+                return 0, 1
+            num *= w
+        dnm = (big_l * t * g) ** d
+        for (p, e, v_c), m in zip(places, ms):
+            v_n = valuation(n, p) if n % p == 0 else 0
+            v_a = v_n - m
+            if v_c is not None and n != td:
+                if v_n - v_c - valuation(n - td, p) > e + max(0, v_a):
+                    return 0, 1
+            k = d * (e + min(0, v_a))
+            if k >= 0:
+                num *= p**k
+            else:
+                dnm *= p**-k
+        return num, dnm
+
+    return term
+
+
+def _slow_tree_sum(terms) -> Fraction:
+    # pairwise Fraction addition, each merge reduced by Fraction itself
+    while len(terms) > 1:
+        nxt = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            nxt.append(terms[-1])
+        terms = nxt
+    return terms[0]
+
+
+def _slow_pair_series(f, cctx, t_max, real_bound, depth):
+    """(value, terms used) of second_moment_rhs, term by term: the same walk,
+    each admitted n through _slow_pair_term, numerators added per
+    denominator and the Fractions summed in a pairwise tree."""
+    ctx = cctx.ctx
+    d, ivs, exps, centers = _product_box_data(f, ctx)
+    term = _slow_pair_term(d, ivs, exps, centers, ctx.primes)
+    dep = {p: depth for p in ctx.primes}
+    b = Fraction(real_bound)
+    by_den = {}
+    used = 0
+    for t, den, ms, ns, tp in _admissible_walk(
+        t_max, cctx.q, ctx, dep, lambda t: (-b, b), 10**9, "oracle"
+    ):
+        for n in ns:
+            if n and math.gcd(n, tp) == 1:
+                num, dnm = term(t, den, ms, n)
+                if num:
+                    used += 1
+                    by_den[dnm] = by_den.get(dnm, 0) + num
+    integral = _integral(d, ivs, exps, centers, ctx.primes)
+    fractions = [Fraction(num, dnm) for dnm, num in by_den.items()]
+    return _slow_tree_sum([integral**2] + fractions), used
+
+
+# L > 1 in every box of the grid; zero, unit and non-unit centers
+GRID_ENDS = [(Fraction(-1, 2), Fraction(3, 4)), (-1, 1), (Fraction(-3, 2), 1),
+             (Fraction(-1, 3), 2), (-1, Fraction(5, 4))]
+GRID_CENTERS = {2: (Fraction(1, 2), 0, Fraction(1, 3), 1, 2),
+                3: (Fraction(2, 3), 2, Fraction(1, 2), 0, 1)}
+
+
+def _grid_boxes(d, ctx):
+    """Four boxes per (d, S_f): e_p = 0 with zero centers, then the centers
+    of GRID_CENTERS (smallest valuation -1 at 2 and at 3) with e_p = -1, 0
+    and 1 in turn at each prime."""
+    ivs = GRID_ENDS[:d]
+    centers = {p: GRID_CENTERS[p][:d] for p in ctx.primes}
+    yield indicator_product_box(ivs)
+    for exps in ({2: -1, 3: 1}, {2: 1, 3: 0}, {2: 0, 3: -1}):
+        yield indicator_product_box(
+            ivs, finite_exponent={p: exps[p] for p in ctx.primes},
+            finite_center=centers,
+        )
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The dtype each series kernel picked, in call order."""
+    seen = []
+    pick = moments._int_dtype
+
+    def spy(bound):
+        seen.append(pick(bound))
+        return seen[-1]
+
+    monkeypatch.setattr(moments, "_int_dtype", spy)
+    return seen
+
+
+@pytest.fixture
+def sum_inputs(monkeypatch):
+    """The (num, den) pairs each call of _exact_sum received."""
+    seen = []
+    add = moments._exact_sum
+
+    def spy(pairs, big, extra):
+        seen.append(list(pairs))
+        return add(pairs, big, extra)
+
+    monkeypatch.setattr(moments, "_exact_sum", spy)
+    return seen
+
+
+def _in_lowest_terms(v: Fraction) -> bool:
+    return v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+class TestProgressionKernel:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("ctx", [S2, S23], ids=["S2", "S23"])
+    def test_matches_the_per_term_kernel(self, d, ctx, kernel_dtypes):
+        cctx = congruence_context(d, 5, (0,) * (d - 1) + (1,), ctx)
+        for f in _grid_boxes(d, ctx):
+            sv = second_moment_rhs(f, cctx, t_max=8, real_bound=8, depth=2)
+            want, used = _slow_pair_series(f, cctx, 8, 8, 2)
+            assert sv.value == want, f
+            assert _in_lowest_terms(sv.value)
+            assert sv.terms_used == used > 0
+        # at d = 5 over S23 the bound (L t_max n_max)^5 passes 2^62
+        assert set(kernel_dtypes) == {object if (d, ctx) == (5, S23) else np.int64}
+
+    def test_d5_congruence_box_takes_python_ints(self, kernel_dtypes):
+        # the moment-rhs defaults on [-1,1]^5: (16 * 384)^5 > 2^62
+        cctx = congruence_context(5, 5, (0, 0, 0, 0, 1), S2)
+        f = indicator_product_box([(-1, 1)] * 5)
+        sv = second_moment_rhs(f, cctx)
+        assert kernel_dtypes == [object]
+        want, used = _slow_pair_series(f, cctx, 16, 24, DEFAULT_SERIES_DEPTH)
+        assert sv.value == want and _in_lowest_terms(sv.value)
+        assert sv.terms_used == used == 773
+
+    def test_interval_denominator_above_every_n(self, kernel_dtypes):
+        # L = 101 exceeds every |n| (at most 4 * 2^2) and t, so only the sum's
+        # extra factor puts 101 among the primes of the final reduction
+        cctx = congruence_context(3, 5, (0, 0, 1), S2)
+        f = indicator_product_box([(Fraction(-1, 101), Fraction(100, 101)), (-1, 1),
+                                   (Fraction(-50, 101), Fraction(3, 2))])
+        sv = second_moment_rhs(f, cctx, t_max=6, real_bound=4, depth=2)
+        want, _ = _slow_pair_series(f, cctx, 6, 4, 2)
+        assert sv.value == want and _in_lowest_terms(sv.value)
+        assert sv.value.denominator % 101 == 0
+        assert kernel_dtypes == [np.int64]
+
+    @pytest.mark.parametrize("q, t_max, removed", [(5, 3, 7), (3, 5, 8)])
+    def test_final_reduction_removes_a_prime(self, q, t_max, removed, sum_inputs):
+        # the lcm of the terms' denominators is `removed` times the reduced one
+        cctx = congruence_context(3, q, (0, 0, 1), S2)
+        sv = second_moment_rhs(TERN_BOX, cctx, t_max=t_max, real_bound=6, depth=2)
+        (pairs,) = sum_inputs
+        assert math.lcm(*(den for _, den in pairs)) == removed * sv.value.denominator
+        assert sv.value == _slow_pair_series(TERN_BOX, cctx, t_max, 6, 2)[0]
+        assert _in_lowest_terms(sv.value)
+
+    def test_exact_sum_reduces_by_the_extra_primes(self):
+        # 50/202 + 51/202 = 1/2: 101 is past the prime table (up to 2) and
+        # only the extra factor names it
+        big = moments._largest_prime_factors(3)
+        v = moments._exact_sum([(50, 202), (51, 202)], big, 101)
+        assert (v.numerator, v.denominator) == (1, 2)
+        # the lcm tree gives 11/12 as it is, but 4/4 for four quarters:
+        # the final reduction removes 2 twice over
+        v = moments._exact_sum([(1, 6), (1, 3), (5, 12)], big, 1)
+        assert (v.numerator, v.denominator) == (11, 12)
+        v = moments._exact_sum([(1, 4)] * 4, big, 1)
+        assert (v.numerator, v.denominator) == (1, 1)
+        v = moments._exact_sum([(3, 8), (-3, 8)], big, 1)
+        assert (v.numerator, v.denominator) == (0, 1)
 
 
 # --- single-orbit series -----------------------------------------------------------------
