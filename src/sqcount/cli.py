@@ -8,7 +8,6 @@ Subcommands
     moment-rhs      exact truncated second-moment series with a tail bound
     variance        empirical exceedance probability vs the Chebyshev bound
     orbit           exact truncated orbital series at a rational point
-    rescale-check   exact congruence/inhomogeneous rescaling identity
 
 Every run writes <command>.csv and <command>_manifest.json under --out
 (default: the working directory) and prints a short summary. The manifest
@@ -33,7 +32,7 @@ round-trip representation; the printed summary gives an exact series value
 as a float and a digit count. Column layouts are fixed per command and
 listed in README.md.
 
-Exit codes: 0 success, 2 configuration error, 3 budget or tolerance failure.
+Exit codes: 0 success, 2 configuration error, 3 budget failure.
 """
 
 from __future__ import annotations
@@ -52,11 +51,10 @@ from .counting import (
     DEFAULT_MAX_CANDIDATES,
     count_congruence,
     count_inhom,
-    rescale_identity_check,
     shrinking_family,
     sweep,
 )
-from .errors import BudgetError, ConfigError, DimensionMismatch, MethodDisagreement
+from .errors import BudgetError, ConfigError, DimensionMismatch
 from .moments import (
     estimate_moments,
     inhom_series,
@@ -287,7 +285,6 @@ _KEYS = {
     "t": _Key(_scale, 'scale "T_inf[@p=t_p,...]"'),
     "ladder": _Key(_ladder, 'rungs "T[@p=t_p];T[@p=t_p];..."'),
     "max_candidates": _Key(_at_least(1), "candidate budget (exit 3 when spent)"),
-    "budget_s": _Key(_float, "soft wall-clock budget in seconds"),
     "seed": _Key(_at_least(0), "random seed"),
     "leading": _Key(_bool, "also compute the leading constant c_Q"),
     "space": _Key(_word, "base | affine | congruence"),
@@ -445,8 +442,7 @@ def _cmd_sweep(cfg, out_dir, t0):
     family = _family(cfg, q_form.dim)
     ladder = cfg["ladder"] = [TVector(**t, ctx=ctx) for t in cfg["ladder"]]
     target = _target_from_cfg(cfg, ctx, q_form.dim)
-    budget_s = cfg["budget_s"]
-    res = sweep(q_form, target, family, ladder, budget_s, cfg["max_candidates"])
+    res = sweep(q_form, target, family, ladder, cfg["max_candidates"])
     rows = [_count_row(r, ctx) for r in res.results]
     summary = [f"{len(res.results)}/{len(ladder)} rungs"]
     if res.results:
@@ -454,11 +450,7 @@ def _cmd_sweep(cfg, out_dir, t0):
     if res.delta_hat is not None:
         summary.append(f"fitted residual exponent delta_hat = {res.delta_hat!r}")
     _emit("sweep", cfg, out_dir, _count_header(ctx), rows, summary,
-          results={"delta_hat": res.delta_hat, "complete": res.complete}, t0=t0)
-    if not res.complete:
-        raise BudgetError(
-            f"wall budget {budget_s}s hit after {len(res.results)} rungs"
-        )
+          results={"delta_hat": res.delta_hat}, t0=t0)
     return 0
 
 
@@ -514,8 +506,8 @@ def _cmd_moment_mc(cfg, out_dir, t0):
     f = _test_function(cfg["f"], ctx, space.d, "the space")
     orders = cfg["order"]
     estimates = estimate_moments(
-        space, [f], orders, cfg["n"], seed, cfg["threads"], cfg["max_candidates"]
-    )[0]
+        space, f, orders, cfg["n"], seed, cfg["threads"], cfg["max_candidates"]
+    )
     header = ["space", "d", "order", "mean", "stderr", "n", "seed", "sampler"]
     rows = [
         [space.kind, space.d, order, est.mean, est.stderr, est.n_samples,
@@ -598,28 +590,6 @@ def _cmd_orbit(cfg, out_dir, t0):
     return 0
 
 
-def _cmd_rescale_check(cfg, out_dir, t0):
-    """congruence/inhomogeneous rescaling identity"""
-    ctx = SConfig(cfg["primes"])
-    q_form = form_from_json(cfg["form"], ctx)
-    family = _family(cfg, q_form.dim)
-    t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
-    q, w = cfg["q"], cfg["w"]
-    if w is None:
-        w = cfg["w"] = (Fraction(0),) * q_form.dim
-    if len(w) != q_form.dim:
-        raise ConfigError(f"w has {len(w)} entries, the form has {q_form.dim}")
-    ok = rescale_identity_check((q, w), q_form, family, t, cfg["max_candidates"])
-    header = ["q", "t_inf"] + [f"t_{p}" for p in ctx.primes] + ["ok"]
-    rows = [[q, Fraction(t.t_inf)] + [t.t_p[p] for p in ctx.primes] + [ok]]
-    _emit("rescale-check", cfg, out_dir, header, rows, [
-        f"rescaling identity at q={q}: {'holds' if ok else 'VIOLATED'}",
-    ], t0=t0)
-    if not ok:
-        raise MethodDisagreement("congruence and rescaled counts differ")
-    return 0
-
-
 # --- commands ----------------------------------------------------------------------------
 
 _REQ = object()  # marks a command key that has no default
@@ -641,8 +611,7 @@ _COMMANDS = {
         **_FAMILY, t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),
     "sweep": _command(
         _cmd_sweep, form=_REQ, primes=_REQ, q=None, w=None, xi=None,
-        **_FAMILY, ladder=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES,
-        budget_s=None),
+        **_FAMILY, ladder=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),
     "volume": _command(
         _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ, leading=False),
     "moment-mc": _command(
@@ -659,9 +628,6 @@ _COMMANDS = {
     "orbit": _command(
         _cmd_orbit, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, y=_REQ, t_max=32,
         max_terms=5_000_000),
-    "rescale-check": _command(
-        _cmd_rescale_check, form=_REQ, primes=_REQ, q=1, w=None, **_FAMILY,
-        t=_REQ, max_candidates=DEFAULT_MAX_CANDIDATES),
 }
 
 
@@ -719,7 +685,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
-        print(f"{args.command}: budget/tolerance failure: {exc}", file=sys.stderr)
+        print(f"{args.command}: budget failure: {exc}", file=sys.stderr)
         return 3
 
 

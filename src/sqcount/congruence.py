@@ -105,14 +105,15 @@ def sample_slq_uniform(d: int, q: int, rng):
     """Uniform element of SL_d(Z/q).
 
     First row uniform over primitive rows, then a uniform element of the
-    stabilizer of e_1 (free column times SL_{d-1}), recursively.
+    stabilizer of e_1 (free column times SL_{d-1}), recursively.  rng is a
+    numpy Generator.
     """
     if q < 2:
         raise ConfigError("need q >= 2")
     if d == 1:
         return ((1 % q,),)
     while True:
-        v = tuple(rng.randrange(q) for _ in range(d))
+        v = tuple(int(rng.integers(q)) for _ in range(d))
         if math.gcd(*v, q) == 1:
             break
     g_v = _complete_first_row_mod_q(v, q)
@@ -120,7 +121,7 @@ def sample_slq_uniform(d: int, q: int, rng):
     h[0][0] = 1
     sub = sample_slq_uniform(d - 1, q, rng)
     for i in range(1, d):
-        h[i][0] = rng.randrange(q)
+        h[i][0] = int(rng.integers(q))
         for j in range(1, d):
             h[i][j] = sub[i - 1][j - 1]
     return tuple(

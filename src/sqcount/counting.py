@@ -1,8 +1,7 @@
 """Counts of S-points with form values in shrinking targets.
 
 The headline counters N(q, w; Q, I, T) and N(Q_xi, I, T), their volume
-predictions, the exact rescaling identity relating them, and ladder sweeps
-with a fitted error exponent.
+predictions, and ladder sweeps with a fitted error exponent.
 
 Counting never enumerates the candidate box: after clearing denominators
 the points become an integer grid n with per-coordinate congruences, and
@@ -35,8 +34,7 @@ from .congruence import CongruenceContext
 from .errors import ConfigError, DimensionMismatch, RegionTooLarge
 from .qspace import QuadraticFormS
 from .sarith import (
-    INF, SConfig, TVector, crt, frac_mod, is_in_NS, is_s_unit_denominator,
-    s_free_part, valuation,
+    INF, SConfig, TVector, crt, frac_mod, s_free_part, valuation,
 )
 from .volume import check_family_range, leading_constant
 
@@ -121,17 +119,6 @@ class SInterval:
         for p, (_, e) in self.finite.items():
             v *= float(p) ** (-e)
         return v
-
-    def scaled(self, factor: Fraction) -> "SInterval":
-        """The image under value scaling v -> factor * v, exactly."""
-        factor = Fraction(factor)
-        lo = Fraction(self.real[0]) * factor
-        hi = Fraction(self.real[1]) * factor
-        finite = {
-            p: (a * factor, e + valuation(factor, p))
-            for p, (a, e) in self.finite.items()
-        }
-        return SInterval((lo, hi) if factor > 0 else (hi, lo), finite)
 
 
 def interval_at(family: ShrinkingFamily, t: TVector) -> SInterval:
@@ -577,53 +564,16 @@ def count_inhom(
     return _result(n, q_form, family, interval, t, 1, start)
 
 
-def rescale_identity_check(
-    level: tuple, q_form: QuadraticFormS, family: ShrinkingFamily,
-    t: TVector, max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> bool:
-    """N(q, w; Q, I, T) = N(Q_{w/q}, I/q^2, (T_inf/q, t_p)) exactly.
-
-    The left side counts k = q k1 directly; the right side counts k1 on the
-    shifted grid, so the equality exercises the interval and radius scaling
-    plumbing end to end. level is the pair (q, w); it admits the trivial
-    q = 1, w = 0 case that congruence_context rejects.
-    """
-    q, w = level
-    # |q|_p = 1 at every finite place keeps t_p unchanged on the right side
-    if not is_in_NS(q, q_form.ctx):
-        raise ConfigError(
-            f"q must be a positive integer coprime to the finite places, got {q}"
-        )
-    w = tuple(Fraction(x) for x in w)
-    # the identity holds on q Z_S^d + w, so w itself must be S-integral
-    bad = [x for x in w if not is_s_unit_denominator(x.denominator, q_form.ctx)]
-    if bad:
-        raise ConfigError(f"w must be S-integral; its entry {bad[0]} has a "
-                          "denominator outside the finite places")
-    cctx = CongruenceContext(q_form.dim, q, w, q_form.ctx)
-    interval = interval_at(family, t)
-    lhs = congruence_count(cctx, q_form, interval, t, max_candidates)
-    t_small = TVector(Fraction(t.t_inf) / q, dict(t.t_p), t.ctx)
-    xi = tuple(Fraction(w) / q for w in cctx.w)
-    rhs = inhom_count(
-        q_form, xi, interval.scaled(Fraction(1, q * q)), t_small,
-        max_candidates,
-    )
-    return lhs == rhs
-
-
 # --- sweeps -----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepResult:
     results: tuple
     delta_hat: float | None
-    complete: bool
 
 
 def sweep(
     q_form: QuadraticFormS, target, family: ShrinkingFamily, ladder,
-    budget_s: float | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> SweepResult:
     """Counts along a T ladder with predictions and a fitted residual
@@ -633,9 +583,8 @@ def sweep(
     for inhomogeneous counts. Each rung's prediction is the one its own
     count makes, with c_Q at that rung's t_p. The ladder increases
     componentwise, and a rung equal to the one before it is rejected: it
-    would feed the delta_hat fit the same count twice. A wall-clock budget
-    stops the sweep early (soft: partial results return with
-    complete=False).
+    would feed the delta_hat fit the same count twice. An empty ladder
+    gives no results and no delta_hat.
     """
     check_family_range(q_form.dim, family)
     ladder = list(ladder)
@@ -647,22 +596,13 @@ def sweep(
                               "before it")
         if not nxt.dominates(prev):
             raise ConfigError("ladder must be increasing componentwise")
-    if not ladder:
-        return SweepResult((), None, True)
-    results = []
-    complete = True
-    start = time.monotonic()
-    for t in ladder:
-        if budget_s is not None and time.monotonic() - start > budget_s:
-            complete = False
-            break
-        results.append(
-            count_congruence(target, q_form, family, t, max_candidates)
-            if isinstance(target, CongruenceContext)
-            else count_inhom(q_form, target, family, t, max_candidates)
-        )
-    return SweepResult(tuple(results), _fit_delta(q_form.dim, family, results),
-                       complete)
+    results = [
+        count_congruence(target, q_form, family, t, max_candidates)
+        if isinstance(target, CongruenceContext)
+        else count_inhom(q_form, target, family, t, max_candidates)
+        for t in ladder
+    ]
+    return SweepResult(tuple(results), _fit_delta(q_form.dim, family, results))
 
 
 def _fit_delta(d: int, family: ShrinkingFamily, results) -> float | None:

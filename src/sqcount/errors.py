@@ -68,7 +68,3 @@ class RegionTooLarge(BudgetError):
 
 class SearchBudgetExceeded(BudgetError):
     pass
-
-
-class MethodDisagreement(BudgetError):
-    """Two independent evaluation methods disagree beyond combined errors."""

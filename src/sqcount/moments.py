@@ -12,10 +12,10 @@ MCMC_THIN-th state kept) and every estimate is flagged mcmc-approximate;
 d alone picks the sampler.  The walk advances in blocks (the burn-in, then
 each MCMC_THIN steps): a block's normals are one draw and their matrix
 exponentials one stacked product, which is the same chain, bit for bit, as
-stepping one draw at a time.  Each draw is scored by slattice.siegel_transform,
+stepping one draw at a time.  Each draw is scored by slattice.count_points,
 which counts the lattice points of a disk or a product box without building
-one.  Both Monte Carlo estimators read the same per-draw transform values
-(_transform_values).
+one, leaving out the origin on the base space.  Both Monte Carlo estimators
+read the same per-draw transform values (_transform_values).
 
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
@@ -59,8 +59,8 @@ from .slattice import (
     # unused here; perfbench/test_perfbench.py checks that the tracer
     # rewraps this binding too
     enumerate_points,  # noqa: F401
+    count_points,
     indicator_sbox,
-    siegel_transform,
 )
 
 SPACE_KINDS = ("base", "affine", "congruence")
@@ -257,16 +257,6 @@ def _uniform_unit_basis_mod(d: int, p: int, k: int, rng) -> tuple:
 # --- lattice sampler --------------------------------------------------------------------
 
 
-class _RandrangeRng:
-    """randrange facade over a numpy Generator, for the coset sampler."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def randrange(self, n: int) -> int:
-        return int(self._rng.integers(n))
-
-
 def _real_basis_stream(space: SpaceSpec, rng):
     if space.exactness == "exact":
         while True:
@@ -313,7 +303,7 @@ def lattice_stream(space: SpaceSpec, rng):
         # congruence: right-translate by a uniform lifted level-q coset and
         # translate the lattice by the pinned point (w/q) gamma g
         cctx = space.cctx
-        coset = sample_slq_uniform(d, cctx.q, _RandrangeRng(rng))
+        coset = sample_slq_uniform(d, cctx.q, rng)
         gamma = lift_slq_to_slz(coset, cctx.q)
         g_real = np.array([[float(x) for x in row] for row in gamma]) @ b_real
         basis_inf = tuple(tuple(float(x) for x in row) for row in g_real)
@@ -331,68 +321,56 @@ def lattice_stream(space: SpaceSpec, rng):
 # --- Monte Carlo estimators -------------------------------------------------------------
 
 
-def _transform_values(space: SpaceSpec, fs, n, seed, workers, max_candidates):
-    """The Siegel transform of each of fs on each of n draws, one list per draw.
+def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
+    """The Siegel transform of f on each of n draws, one int per draw.
 
     Each worker gets an independent substream spawned from the master seed
     and its share of n; the workers' draws come one worker after another,
     so the values depend on (seed, workers) but not on scheduling.
     """
     # base lattices contain the origin; the transform excludes it there
-    mode = "homogeneous" if space.kind == "base" else "affine"
+    homogeneous = space.kind == "base"
     share, extra = divmod(n, workers)
     children = np.random.SeedSequence(seed).spawn(workers)
     for i, child in enumerate(children):
         stream = lattice_stream(space, np.random.default_rng(child))
         for _ in range(share + (i < extra)):
-            lat = next(stream)
-            yield [siegel_transform(f, lat, mode, max_candidates) for f in fs]
+            yield count_points(next(stream), f, max_candidates, homogeneous)
 
 
 def estimate_moments(
     space: SpaceSpec,
-    fs,
+    f: TestFunction,
     orders=(1, 2),
     n: int = 10_000,
     seed: int = 0,
     workers: int = 1,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-):
-    """Moment estimates for several test functions from one sample stream.
+) -> list[MCEstimate]:
+    """One MCEstimate of E[(transform of f)^order] per requested order.
 
-    Returns a list of rows, one per test function, each a list of
-    MCEstimate per requested order.  The draws come from
-    _transform_values, so the result depends on (seed, workers) but not on
-    scheduling.
+    The draws come from _transform_values, so the result depends on
+    (seed, workers) but not on scheduling.
     """
-    fs = list(fs)
     orders = tuple(orders)
-    if not fs:
-        raise ConfigError("need at least one test function")
     if any(o not in (1, 2) for o in orders) or not orders:
         raise ConfigError("orders must be a nonempty subset of {1, 2}")
     if n < 2:
         raise ConfigError("need n >= 2 samples")
     if not 1 <= workers <= n:
         raise ConfigError("need 1 <= workers <= n")
-    sums = [[0.0] * len(orders) for _ in fs]
-    sq_sums = [[0.0] * len(orders) for _ in fs]
-    for counts in _transform_values(space, fs, n, seed, workers, max_candidates):
-        for i, count in enumerate(counts):
-            for j, order in enumerate(orders):
-                v = float(count) ** order
-                sums[i][j] += v
-                sq_sums[i][j] += v * v
+    sums = [0.0] * len(orders)
+    sq_sums = [0.0] * len(orders)
+    for count in _transform_values(space, f, n, seed, workers, max_candidates):
+        for j, order in enumerate(orders):
+            v = float(count) ** order
+            sums[j] += v
+            sq_sums[j] += v * v
     out = []
-    for i in range(len(fs)):
-        row = []
-        for j in range(len(orders)):
-            mean = sums[i][j] / n
-            var = max(0.0, (sq_sums[i][j] - n * mean * mean) / (n - 1))
-            row.append(
-                MCEstimate(mean, math.sqrt(var / n), n, seed, space.exactness)
-            )
-        out.append(row)
+    for total, sq_total in zip(sums, sq_sums):
+        mean = total / n
+        var = max(0.0, (sq_total - n * mean * mean) / (n - 1))
+        out.append(MCEstimate(mean, math.sqrt(var / n), n, seed, space.exactness))
     return out
 
 
@@ -432,9 +410,7 @@ def variance_check(
         )
     hits = sum(
         abs(count - vol) > threshold
-        for (count,) in _transform_values(
-            space, [f], n, seed, workers, max_candidates
-        )
+        for count in _transform_values(space, f, n, seed, workers, max_candidates)
     )
     empirical = hits / n
     stderr = math.sqrt(empirical * (1.0 - empirical) / n)

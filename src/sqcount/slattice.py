@@ -19,8 +19,8 @@ intervals are cut, then re-tested at the ends on the float real image.
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts: the last coordinate
 of each row is an interval, counted in closed form, and the origin is
-located once per lattice.  siegel_transform counts both kinds of indicator
-with count_points.
+located once per lattice; the Monte Carlo estimators score each draw with
+it, for both kinds of indicator.
 """
 
 from __future__ import annotations
@@ -474,21 +474,3 @@ def _leaf_ok(n, b, y0, t2) -> bool:
     v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
     s = sum(x * x for x in v)
     return s < t2
-
-
-# --- Siegel transforms and counting ------------------------------------------------
-
-
-def siegel_transform(
-    f: TestFunction, lat: AffineSLattice, mode: str = "affine",
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> int:
-    """Sum of f over the lattice (affine) or over the nonzero points
-    (homogeneous).
-
-    For an SBox or a product-box indicator that is the number of lattice
-    points in its region, taken from count_points without building a point.
-    """
-    if mode not in ("affine", "homogeneous"):
-        raise ConfigError("mode must be affine or homogeneous")
-    return count_points(lat, f, max_candidates, mode == "homogeneous")

@@ -39,23 +39,20 @@ RUNS = {
                  "--seed", "1"],
     "orbit": ["--primes", "2,3", "--q", "5", "--w", "0,0,1", "--f", BOX3,
               "--y", "1,2,3", "--t-max", "50"],
-    "rescale-check": ["--form", "diag:1,1,-1", "--primes", "2", "--q", "3",
-                      "--w", "0,0,1", "--c-inf", "1", "--t", "10@2=1"],
 }
 
 # each command's config keys; dropping or renaming one breaks the replay of
 # manifests written by earlier versions
 CONFIG_KEYS = {
     "count": "a_inf c_inf finite form kappa_inf max_candidates primes q t w xi",
-    "sweep": "a_inf budget_s c_inf finite form kappa_inf ladder max_candidates "
-             "primes q w xi",
+    "sweep": "a_inf c_inf finite form kappa_inf ladder max_candidates primes q "
+             "w xi",
     "volume": "a_inf c_inf finite form kappa_inf leading primes t",
     "moment-mc": "d depth f max_candidates n order primes q seed space threads w",
     "moment-rhs": "depth f max_terms primes q real_bound t_max w",
     "variance": "box d depth max_candidates n primes q seed space threads "
                 "threshold w",
     "orbit": "f max_terms primes q t_max w y",
-    "rescale-check": "a_inf c_inf finite form kappa_inf max_candidates primes q t w",
 }
 
 # the benchmark's deepest p-adic targets: 2-adic modulus 2^10, 3-adic 3^7
@@ -104,7 +101,7 @@ def test_readme_examples_are_the_tested_runs():
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
-    assert sum(len(k) for k in keys.values()) == 80
+    assert sum(len(k) for k in keys.values()) == 69
 
 
 def test_every_parser_key_belongs_to_a_command():
@@ -166,9 +163,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-# commands that computed textbook constants, removed with the code behind them
-@pytest.mark.parametrize("command",
-                         ["zeta", "group-order", "identity-check", "covolume"])
+# commands removed with the code behind them: four computed textbook
+# constants, rescale-check checked the counter's rescaling identity
+@pytest.mark.parametrize("command", ["zeta", "group-order", "identity-check",
+                                     "covolume", "rescale-check"])
 def test_removed_command_exits_2(command, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--d", "3", "--primes", "2", "--out", str(tmp_path)])
@@ -197,12 +195,14 @@ def test_manifest_with_sampler_keys_exits_2_on_replay(tmp_path, capsys):
     ("volume", {"t0": 24.0, "rungs": 5}),
     ("volume", {"method": "standardized-integral", "n_grid": None,
                 "n_samples": 400_000, "seed": None}),
+    ("sweep", {"budget_s": None}),
 ])
 def test_manifest_with_ladder_keys_exits_2_on_replay(command, old_keys,
                                                     tmp_path, capsys):
     # manifests written while c_Q came from a T ladder carry the first two
     # sets of keys; those written while vol_real came from a midpoint grid
-    # or Monte Carlo carry the third
+    # or Monte Carlo carry the third; sweep manifests written while sweep
+    # took a wall-clock budget carry the fourth
     assert main([command, *RUNS[command], "--out", str(tmp_path)]) == 0
     manifest = tmp_path / f"{command}_manifest.json"
     recorded = json.loads(manifest.read_text(encoding="utf-8"))
@@ -253,7 +253,7 @@ def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, caps
     ("orbit", "q", "five", "file"),
     ("moment-mc", "n", "many", "file"),
     ("count", "max_candidates", "lots", "file"),
-    ("sweep", "budget_s", "lots", "file"),
+    ("sweep", "ladder", "20@x", "file"),
     # a boolean in a file is JSON true or false, never a string
     ("volume", "leading", "false", "file"),
     # a form or test-function object of the wrong shape
@@ -350,26 +350,9 @@ def test_object_file_with_an_unknown_key_names_it(command, key, obj, named,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
-# 4 shares the prime 2 with --primes 2, so |q|_2 != 1 and the rescaling
-# identity does not apply
-@pytest.mark.parametrize("level", ["0", "-3", "4"])
-def test_rescale_check_rejects_a_level_outside_n_s(level, tmp_path, capsys):
-    args = [*without(RUNS["rescale-check"], "q"), "--q", level]
-    assert main(["rescale-check", *args, "--out", str(tmp_path)]) == 2
-    assert (f"q must be a positive integer coprime to the finite places, got {level}"
-            in capsys.readouterr().err)
-
-
-def test_rescale_check_rejects_a_shift_outside_z_s(tmp_path, capsys):
-    # 1/5 has a denominator prime to S = {2}, so w is not in Z_S^d
-    args = [*without(RUNS["rescale-check"], "w"), "--w", "1/5,0,0"]
-    assert main(["rescale-check", *args, "--out", str(tmp_path)]) == 2
-    assert "w must be S-integral; its entry 1/5" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, shift", [
     ("count", ["--xi", "1/3,0"]), ("sweep", ["--w", "1,2"]),
-    ("volume", []), ("rescale-check", ["--w", "0,1"]),
+    ("volume", []),
 ])
 def test_binary_form_exits_2_naming_d(command, shift, tmp_path, capsys):
     args = without(without(without(RUNS[command], "form"), "xi"), "w")

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sqcount import _linalg as la
@@ -64,7 +65,7 @@ class TestReduce:
 
 class TestSampler:
     def test_sl2_f2_uniform(self):
-        rng = random.Random(11)
+        rng = np.random.default_rng(11)
         elems = all_sl(2, 2)
         assert len(elems) == 6
         counts = {e: 0 for e in elems}
@@ -80,7 +81,7 @@ class TestSampler:
         [(2, 3, 2000), (2, 4, 2000), (2, 6, 4000)],
     )
     def test_full_coverage(self, d, q, draws):
-        rng = random.Random(13 + d + q)
+        rng = np.random.default_rng(13 + d + q)
         seen = set()
         for _ in range(draws):
             m = sample_slq_uniform(d, q, rng)
@@ -89,7 +90,7 @@ class TestSampler:
         assert len(seen) == sl_group_order(d, q)
 
     def test_d3_composite_in_group(self):
-        rng = random.Random(17)
+        rng = np.random.default_rng(17)
         for q in (4, 6, 9):
             for _ in range(60):
                 m = sample_slq_uniform(3, q, rng)
@@ -110,7 +111,7 @@ class TestLift:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 9, 12])
     def test_round_trip(self, d, q):
-        rng = random.Random(100 * d + q)
+        rng = np.random.default_rng(100 * d + q)
         for _ in range(10):
             m = sample_slq_uniform(d, q, rng)
             lifted = lift_slq_to_slz(m, q)

@@ -29,7 +29,6 @@ from sqcount.slattice import (
     enumerate_points,
     indicator_product_box,
     indicator_sbox,
-    siegel_transform,
 )
 
 S0 = SConfig(())
@@ -67,7 +66,7 @@ def is_origin(pt) -> bool:
 
 def discrepancy(lat, b):
     """|#(lattice points in the box) - vol(box)|."""
-    return abs(siegel_transform(indicator_sbox(b), lat) - b.volume(lat.dim))
+    return abs(count_points(lat, b) - b.volume(lat.dim))
 
 
 def _denominator_exponent(lat, b, center, p):
@@ -542,15 +541,15 @@ class TestSiegel:
     def test_disk_affine_and_homogeneous(self):
         lat = rational_lattice(S0, la.identity(2))
         f = indicator_sbox(box(S0, Fraction(5, 2)))
-        assert siegel_transform(f, lat, "affine") == 21
-        assert siegel_transform(f, lat, "homogeneous") == 20
+        assert count_points(lat, f) == 21
+        assert count_points(lat, f, homogeneous=True) == 20
 
     def test_shifted_singleton(self):
         lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
         f = indicator_sbox(box(S0, Fraction(1, 2)))
-        assert siegel_transform(f, lat, "affine") == 1
+        assert count_points(lat, f) == 1
         # the lattice misses the origin, so both modes agree
-        assert siegel_transform(f, lat, "homogeneous") == 1
+        assert count_points(lat, f, homogeneous=True) == 1
 
     def test_affine_minus_homogeneous_is_origin_indicator(self):
         rng = random.Random(37)
@@ -561,9 +560,7 @@ class TestSiegel:
             )
             lat = rational_lattice(S0, la.identity(2), shift)
             f = indicator_sbox(box(S0, Fraction(7, 2)))
-            diff = siegel_transform(f, lat, "affine") - siegel_transform(
-                f, lat, "homogeneous"
-            )
+            diff = count_points(lat, f) - count_points(lat, f, homogeneous=True)
             has_origin = all(x.denominator == 1 for x in shift)
             assert diff == (1 if has_origin else 0)
 
@@ -574,7 +571,7 @@ class TestSiegel:
         )
         # integer points of the closed square: 9 (half-integers excluded
         # by the 2-adic unit ball)
-        assert siegel_transform(f, lat, "affine") == 9
+        assert count_points(lat, f) == 9
 
 
 class TestDiscrepancy:
@@ -618,8 +615,8 @@ class TestDiscrepancy:
         a = box(S0, Fraction(3, 5), center=(Fraction(1, 2),))
         a2 = box(S0, Fraction(7, 10), center=(Fraction(3, 5),))
         # containment of the three intervals
-        assert siegel_transform(indicator_sbox(a1), lat) == 1
-        assert siegel_transform(indicator_sbox(a), lat) == 2
+        assert count_points(lat, indicator_sbox(a1)) == 1
+        assert count_points(lat, indicator_sbox(a)) == 2
         d = discrepancy(lat, a)
         d1 = discrepancy(lat, a1)
         d2 = discrepancy(lat, a2)
@@ -632,13 +629,13 @@ class TestCountInSet:
     def test_box_and_indicator_agree(self):
         lat = rational_lattice(S0, la.identity(2))
         b = box(S0, Fraction(5, 2))
-        assert siegel_transform(indicator_sbox(b), lat) == 21
+        assert count_points(lat, indicator_sbox(b)) == 21
         assert len(enumerate_points(lat, b)) == 21
 
 
 class TestProductBox:
-    """count_points and siegel_transform on product boxes against the naive
-    scan and against the count through built points."""
+    """count_points on product boxes against the naive scan and against the
+    count through built points."""
 
     @staticmethod
     def check(lat, f) -> bool:
@@ -656,9 +653,7 @@ class TestProductBox:
         built = support.volume(lat.dim) < 1500
         for homogeneous in (False, True):
             want = len(expect) - origins * homogeneous
-            mode = "homogeneous" if homogeneous else "affine"
             assert count_points(lat, f, homogeneous=homogeneous) == want
-            assert siegel_transform(f, lat, mode) == want
             if built:
                 assert built_points_count(lat, f, homogeneous) == want
         return True
