@@ -24,10 +24,6 @@ def identity(n: int) -> tuple:
     )
 
 
-def transpose(m) -> tuple:
-    return tuple(zip(*m))
-
-
 def mat_mul(a, b) -> tuple:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")

@@ -77,7 +77,7 @@ from .serialize import (
     write_manifest,
 )
 from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES
-from .volume import PadicVolumeRequest, leading_constant, padic_quadric_volume, real_quadric_volume
+from .volume import leading_constant, padic_quadric_volume, real_quadric_volume
 
 
 # --- value parsers -------------------------------------------------------------------
@@ -467,7 +467,7 @@ def _cmd_volume(cfg, out_dir, t0):
     for p in ctx.primes:
         a_p, e_p = family.finite_target(p, t.t_p[p])
         finite[p] = padic_quadric_volume(
-            PadicVolumeRequest(p, q_form.gram_at(p), t=t.t_p[p], a=a_p, c=e_p)
+            p, q_form.gram_at(p), t=t.t_p[p], a=a_p, c=e_p
         )
     total = v_real * math.prod(float(v) for v in finite.values())
     c_q = c_q_err = None
@@ -500,8 +500,6 @@ def _cmd_moment_mc(cfg, out_dir, t0):
     """Monte Carlo transform moments"""
     ctx = SConfig(cfg["primes"])
     seed = cfg["seed"]
-    if seed is None:
-        raise ConfigError("--seed is required for moment-mc")
     space = _space(cfg, ctx)
     f = _test_function(cfg["f"], ctx, space.d, "the space")
     orders = cfg["order"]
@@ -548,8 +546,6 @@ def _cmd_variance(cfg, out_dir, t0):
     """empirical exceedance vs the Chebyshev bound"""
     ctx = SConfig(cfg["primes"])
     seed = cfg["seed"]
-    if seed is None:
-        raise ConfigError("--seed is required for variance")
     space = _space(cfg, ctx)
     f = _test_function(cfg["box"], ctx, space.d, "the space")
     if f.kind != "sbox":
@@ -616,14 +612,14 @@ _COMMANDS = {
         _cmd_volume, form=_REQ, primes=_REQ, **_FAMILY, t=_REQ, leading=False),
     "moment-mc": _command(
         _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
-        f=_REQ, order="1,2", n=10_000, seed=None,
+        f=_REQ, order="1,2", n=10_000, seed=_REQ,
         max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
     "moment-rhs": _command(
         _cmd_moment_rhs, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, t_max=16,
         real_bound=24.0, depth=None, max_terms=5_000_000),
     "variance": _command(
         _cmd_variance, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
-        box=_REQ, threshold=_REQ, n=10_000, seed=None,
+        box=_REQ, threshold=_REQ, n=10_000, seed=_REQ,
         max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
     "orbit": _command(
         _cmd_orbit, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, y=_REQ, t_max=32,

@@ -234,7 +234,7 @@ def _build_instance(
     if m_val > MAX_VALUE_MODULUS or math.lcm(l_mod, m_val) > MAX_VALUE_MODULUS:
         raise RegionTooLarge(
             f"p-adic value modulus {m_val} (x lattice modulus {l_mod}) "
-            "exceeds the fiber-counter budget"
+            f"exceeds the fiber counter's limit of {MAX_VALUE_MODULUS}"
         )
     # bring a nonzero diagonal entry to the last slot when one exists
     perm = list(range(d))
@@ -389,7 +389,10 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
     if big_n < 0:
         return 0
     if big_n > (1 << 50):
-        raise RegionTooLarge("real radius too large for exact integer counting")
+        raise RegionTooLarge(
+            f"squared scaled real radius {big_n} exceeds the fiber counter's "
+            "limit of 2^50"
+        )
     n_max = math.isqrt(big_n)
     a_last = g[d - 1][d - 1]
     sign = -1 if a_last < 0 else 1
@@ -403,13 +406,24 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
         max_c = n * n * sum(map(sum, abs_g))
         return max_b * max_b + 4 * max(a, 1) * (max_c + w)
 
-    if max_disc(n_max, max(abs(w_lo), abs(w_hi), 1)) >= 1 << 62:
+    w = max(abs(w_lo), abs(w_hi), 1)
+    if max_disc(n_max, w) >= 1 << 62:
         if max_disc(1, 1) >= 1 << 62:
             raise ConfigError(
                 "the form's integer Gram is too large for the 64-bit fiber "
                 "counter at every T; rescale the form"
             )
-        raise RegionTooLarge("fiber counter coefficients exceed the 64-bit range")
+        # max_disc grows with n; lo ends at the largest n it admits, or -1
+        lo, hi = -1, n_max
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if max_disc(mid, w) < 1 << 62 else (lo, mid)
+        admit = f"at most {lo}" if lo >= 0 else "none"
+        raise RegionTooLarge(
+            "fiber counter coefficients exceed the 64-bit range: the real "
+            f"ball reaches scaled coordinate {n_max} (times r, the points' "
+            f"common denominator), and this form and target admit {admit}"
+        )
     m_big = math.lcm(inst.l_mod, inst.m_val)
     tables = _ClassTables(inst, m_big)
     m_val = inst.m_val

@@ -1,9 +1,14 @@
-"""Quadratic forms over the S-adic places: diagonalization and isotropy.
+"""Quadratic forms over the S-adic places: the Jordan splitting and isotropy.
 
 A form is a collection of exact symmetric Gram matrices (Fractions), one per
 place of S, so determinant, signature and square-class decisions are exact.
 An inhomogeneous shift is never part of the form: the counters take it as a
 separate argument.
+
+_jordan_blocks is the package's one symmetric elimination of a Gram: a
+GL_d(Z_p) congruence onto 1x1 and, at p = 2, 2x2 blocks. is_isotropic reads
+a diagonal off those blocks, and volume.padic_quadric_volume counts residues
+on them.
 
 Row-vector convention everywhere: q(v) = v G v^T, a change of basis with row
 matrix U transforms the Gram to U G U^T, and q^U(x) = q(x U).
@@ -11,6 +16,7 @@ matrix U transforms the Gram to U G U^T, and q^U(x) = q(x U).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,13 +83,11 @@ def legendre_symbol(u, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def is_square_qp(a, p) -> bool:
-    """a in (Q_p^x)^2 (or a > 0 when p is the real place)."""
+def is_square_qp(a, p: int) -> bool:
+    """a in (Q_p^x)^2."""
     a = Fraction(a)
     if a == 0:
         raise ConfigError("square class of zero")
-    if p == INF:
-        return a > 0
     v = valuation(a, p)
     if v % 2 != 0:
         return False
@@ -93,14 +97,12 @@ def is_square_qp(a, p) -> bool:
     return legendre_symbol(u, p) == 1
 
 
-def hilbert_symbol(a, b, p) -> int:
+def hilbert_symbol(a, b, p: int) -> int:
     """Hilbert symbol (a,b)_p in {1,-1}: 1 iff z^2 = a x^2 + b y^2 has a
-    nontrivial solution over Q_p (R for p = INF)."""
+    nontrivial solution over Q_p."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ConfigError("Hilbert symbol needs nonzero arguments")
-    if p == INF:
-        return -1 if (a < 0 and b < 0) else 1
     alpha, beta = valuation(a, p), valuation(b, p)
     u = a / Fraction(p) ** alpha
     w = b / Fraction(p) ** beta
@@ -123,94 +125,110 @@ def hilbert_symbol(a, b, p) -> int:
     return -1 if e % 2 else 1
 
 
-# --- diagonalization -------------------------------------------------------------
+# --- Jordan splitting ----------------------------------------------------------
 
 
-def diagonalize(q: QuadraticFormS, place):
-    """Basis change U and diagonal entries D with U^T G U = diag(D), exact.
-
-    At a finite place the diagonal entries are normalized by square scalings
-    to valuation 0 or 1.
-    """
-    u, diag = _congruent_diagonal(q.gram_at(place))
-    if any(x == 0 for x in diag):
-        raise DegenerateForm(f"form degenerate at place {place}")
-    if place != INF:
-        p = place
-        rows = [list(r) for r in u]
-        norm = []
-        for i, a in enumerate(diag):
-            c = Fraction(p) ** (-(valuation(a, p) // 2))
-            rows[i] = [c * x for x in rows[i]]
-            norm.append(a * c * c)
-        u = tuple(tuple(r) for r in rows)
-        diag = tuple(norm)
-        assert all(valuation(a, p) in (0, 1) for a in diag)
-    return la.transpose(u), diag
+def _val(x: Fraction, p: int):
+    return None if x == 0 else valuation(x, p)
 
 
-def _congruent_diagonal(g):
-    """Symmetric Gaussian reduction: returns (U, diag) with U G U^T diagonal."""
-    n = len(g)
-    a = [list(row) for row in g]
-    u = [list(row) for row in la.identity(n)]
+def _jordan_blocks(gram, p: int):
+    """Split a nondegenerate symmetric matrix into 1x1 (and, at p=2, 2x2)
+    diagonal blocks by a GL_d(Z_p) congruence. Exact rational arithmetic."""
+    a = [list(row) for row in gram]
+    d = len(a)
+    active = list(range(d))
+    blocks = []
 
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        u[i], u[j] = u[j], u[i]
+    def add_sym(k, i, coeff):
+        # A <- E A E^T for E = I + coeff e_{ki}
+        for t in range(d):
+            a[k][t] += coeff * a[i][t]
+        for t in range(d):
+            a[t][k] += coeff * a[t][i]
 
-    def add_row(i, j, c):
-        # basis change e_i += c e_j
-        for k in range(n):
-            a[i][k] += c * a[j][k]
-        for k in range(n):
-            a[k][i] += c * a[k][j]
-        for k in range(n):
-            u[i][k] += c * u[j][k]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                swap(i, pivot)
-            else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    continue  # zero row in the remaining block
-                add_row(i, off, Fraction(1))
-        if a[i][i] == 0:
-            continue
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                add_row(j, i, -a[j][i] / a[i][i])
-    return tuple(tuple(row) for row in u), tuple(a[i][i] for i in range(n))
+    while active:
+        best, best_v, diag_hit = None, None, False
+        for ii, i in enumerate(active):
+            for j in active[ii:]:
+                v = _val(a[i][j], p)
+                if v is None:
+                    continue
+                if best_v is None or v < best_v or (
+                    v == best_v and not diag_hit and i == j
+                ):
+                    best, best_v, diag_hit = (i, j), v, (i == j)
+        if best is None:
+            raise DegenerateForm("zero block in Jordan splitting")
+        i, j = best
+        if i == j:
+            for k in active:
+                if k != i and a[k][i] != 0:
+                    add_sym(k, i, -a[k][i] / a[i][i])
+            blocks.append(((a[i][i],),))
+            active.remove(i)
+        elif p != 2:
+            # an off-diagonal pivot folds into the diagonal when 2 is a unit:
+            # every active diagonal entry has a larger valuation, so the new
+            # a[i][i] + 2 a[i][j] + a[j][j] has the pivot's
+            add_sym(i, j, 1)
+        else:
+            aa, bb, cc = a[i][i], a[i][j], a[j][j]
+            bm, det = ((aa, bb), (bb, cc)), aa * cc - bb * bb
+            for k in active:
+                if k in (i, j):
+                    continue
+                # (x, y) = (a[k][i], a[k][j]) bm^-1
+                x = (a[k][i] * cc - a[k][j] * bb) / det
+                y = (a[k][j] * aa - a[k][i] * bb) / det
+                if x != 0:
+                    add_sym(k, i, -x)
+                if y != 0:
+                    add_sym(k, j, -y)
+            blocks.append(bm)
+            active.remove(i)
+            active.remove(j)
+    return blocks
 
 
 # --- isotropy ---------------------------------------------------------------------
 
 
+def _diagonal(gram, p: int) -> tuple | None:
+    """Diagonal entries of a form congruent to gram over Q_p, read off its
+    Jordan blocks: a 2x2 block (a, b; b, c) is diag(a, (ac - b^2)/a). None
+    when a block has a = 0, which makes it, and the form, isotropic."""
+    diag = []
+    for block in _jordan_blocks(gram, p):
+        if len(block) == 1:
+            diag.append(block[0][0])
+            continue
+        (a, b), (_, c) = block
+        if a == 0:
+            return None
+        diag += [a, (a * c - b * b) / a]
+    return tuple(diag)
+
+
 def is_isotropic(q: QuadraticFormS, place) -> bool:
     """Does q represent zero nontrivially at the place?
 
-    Real place: mixed signature.  Finite places: the classical square-class
-    and Hasse-invariant criteria in ranks 2-4; rank >= 5 is always isotropic.
+    Real place: mixed signature, read off the splitting at p = 3, which is
+    a congruence over Q into 1x1 blocks, so Sylvester's law applies.
+    Finite places: the classical square-class and Hasse-invariant criteria
+    in ranks 2-4; rank >= 5 is always isotropic.
     """
     if not q.nondegenerate:
         raise DegenerateForm("isotropy undefined for degenerate forms")
-    if place is None:
-        return all(is_isotropic(q, pl) for pl in (INF, *q.ctx.primes))
-    _, diag = diagonalize(q, place)
-    d = len(diag)
     if place == INF:
-        return any(x > 0 for x in diag) and any(x < 0 for x in diag)
+        signs = {x > 0 for x in _diagonal(q.gram_at(INF), 3)}
+        return len(signs) == 2
     p = place
-    if d >= 5:
+    diag = _diagonal(q.gram_at(p), p)
+    d = q.dim
+    if diag is None or d >= 5:
         return True
-    disc = Fraction(1)
-    for x in diag:
-        disc *= x
+    disc = math.prod(diag)
     eps = 1
     for i in range(d):
         for j in range(i + 1, d):

@@ -240,17 +240,16 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
     d = lat.dim
     ctx = lat.ctx
     center, t2, intervals, finite = box.places(d, ctx.primes)
-    # finite places: k in w_p + p^{-e_p} Z_p^d componentwise
+    # finite places: k in w_p + p^{-e_p} Z_p^d componentwise, where w_p =
+    # (c_p - shift_p) basis_p^-1 has the p-adic norm of c_p - shift_p, as
+    # basis_p is in GL_d(Z_p); w_p itself is needed only for a congruence
     residues = {}
     for p in ctx.primes:
         center_p, tp = finite[p]
-        ginv = la.inverse(lat.basis_p[p])
-        w = la.vec_mat(
-            tuple(Fraction(c) - s for c, s in zip(center_p, lat.shift_p[p])), ginv
-        )
+        diff = tuple(Fraction(c) - s for c, s in zip(center_p, lat.shift_p[p]))
         r_p = max(
             tp,
-            max((-valuation(x, p) for x in w if x != 0), default=0),
+            max((-valuation(x, p) for x in diff if x != 0), default=0),
             0,
         )
         s_p = r_p - tp
@@ -258,6 +257,7 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
             raise InsufficientPadicPrecision(
                 f"need {s_p} digits at p={p}, sampled {lat.depth[p]}"
             )
+        w = la.vec_mat(diff, la.inverse(lat.basis_p[p])) if s_p else None
         residues[p] = (r_p, s_p, w)
     big_r = 1
     for p in ctx.primes:

@@ -1,7 +1,8 @@
 """Volumes of quadric slices intersected with S-balls.
 
-Finite places: exact Haar volumes after an integral block-diagonalization
-of the Gram matrix over Z_p, by Hensel reduction of the local density.
+Finite places: exact Haar volumes by Hensel reduction of the local density
+over the Jordan blocks of the Gram matrix over Z_p (qspace._jordan_blocks,
+the splitting that also decides isotropy).
 Solutions whose unit-scale coordinates are not all divisible by p lift
 uniformly from residues mod p (mod 8 at p = 2), so they are counted there;
 the rest are p times a solution of a rescaled form, which the next pass
@@ -18,7 +19,6 @@ constant times the exact finite-place volumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 
@@ -26,93 +26,14 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
-from .qspace import QuadraticFormS, is_isotropic
+from .qspace import QuadraticFormS, _jordan_blocks, is_isotropic
 from .sarith import INF, frac_mod, valuation
 
 
 # --- p-adic volumes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PadicVolumeRequest:
-    """vol_p of {x in p^{-t} Z_p^d : Q(x) in a + p^c Z_p}."""
-
-    p: int
-    gram: tuple
-    t: int = 0
-    a: Fraction = Fraction(0)
-    c: int = 0
-
-
-def _val(x: Fraction, p: int):
-    return None if x == 0 else valuation(x, p)
-
-
 def _min_val(entries, p: int):
-    vals = [_val(x, p) for x in entries]
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else None
-
-
-def _jordan_blocks(gram, p: int):
-    """Split a nondegenerate symmetric matrix into 1x1 (and, at p=2, 2x2)
-    diagonal blocks by a GL_d(Z_p) congruence. Exact rational arithmetic."""
-    a = [list(row) for row in gram]
-    d = len(a)
-    active = list(range(d))
-    blocks = []
-
-    def add_sym(k, i, coeff):
-        # A <- E A E^T for E = I + coeff e_{ki}
-        for t in range(d):
-            a[k][t] += coeff * a[i][t]
-        for t in range(d):
-            a[t][k] += coeff * a[t][i]
-
-    while active:
-        best, best_v, diag_hit = None, None, False
-        for ii, i in enumerate(active):
-            for j in active[ii:]:
-                v = _val(a[i][j], p)
-                if v is None:
-                    continue
-                if best_v is None or v < best_v or (
-                    v == best_v and not diag_hit and i == j
-                ):
-                    best, best_v, diag_hit = (i, j), v, (i == j)
-        if best is None:
-            raise DegenerateForm("zero block in Jordan splitting")
-        i, j = best
-        if i == j:
-            for k in active:
-                if k != i and a[k][i] != 0:
-                    add_sym(k, i, -a[k][i] / a[i][i])
-            blocks.append(((a[i][i],),))
-            active.remove(i)
-        elif p != 2:
-            # an off-diagonal pivot folds into the diagonal when 2 is a unit
-            v_plus = _val(a[i][i] + 2 * a[i][j] + a[j][j], p)
-            coeff = 1 if (v_plus is not None and v_plus == best_v) else -1
-            add_sym(i, j, coeff)
-        else:
-            bm = ((a[i][i], a[i][j]), (a[i][j], a[j][j]))
-            det = bm[0][0] * bm[1][1] - bm[0][1] ** 2
-            inv = (
-                (bm[1][1] / det, -bm[0][1] / det),
-                (-bm[0][1] / det, bm[0][0] / det),
-            )
-            for k in list(active):
-                if k in (i, j):
-                    continue
-                x = a[k][i] * inv[0][0] + a[k][j] * inv[1][0]
-                y = a[k][i] * inv[0][1] + a[k][j] * inv[1][1]
-                if x != 0:
-                    add_sym(k, i, -x)
-                if y != 0:
-                    add_sym(k, j, -y)
-            blocks.append(bm)
-            active.remove(i)
-            active.remove(j)
-    return blocks
+    return min((valuation(x, p) for x in entries if x != 0), default=None)
 
 
 def _block_histogram(block, big_m: int):
@@ -164,7 +85,7 @@ def _scaled(block, f: Fraction) -> tuple:
     return tuple(tuple(f * x for x in row) for row in block)
 
 
-def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
+def padic_quadric_volume(p: int, gram, t: int = 0, a=0, c: int = 0) -> Fraction:
     """Exact vol_p({x in p^{-t} Z_p^d : Q(x) in a + p^c Z_p}).
 
     Rescaling x = p^{-t} y turns the condition into Q(y) = b mod p^s with
@@ -187,18 +108,17 @@ def padic_quadric_volume(req: PadicVolumeRequest) -> Fraction:
       unit-scale coordinates) and multiplies those blocks by p^2 for the
       next pass. When m <= m0 the residues mod p^m are counted directly.
     """
-    p, t, c = req.p, req.t, req.c
-    gram = la.as_matrix(req.gram)
+    gram = la.as_matrix(gram)
     d = len(gram)
     if la.det(gram) == 0:
         raise DegenerateForm("form is degenerate")
-    a = Fraction(req.a)
+    a = Fraction(a)
     ball = Fraction(p) ** (d * t)
     s = 2 * t + c
     b = Fraction(p) ** (2 * t) * a
     lam = min(0, _min_val(tuple(x for row in gram for x in row), p))
     if b != 0:
-        lam = min(lam, _val(b, p))
+        lam = min(lam, valuation(b, p))
     m = s - lam
     if m <= 0:
         # the target cannot exclude any integral value
@@ -426,15 +346,20 @@ def leading_constant(
         raise ConfigError("leading constant needs d >= 3")
     if not q_form.nondegenerate:
         raise DegenerateForm("form is degenerate")
-    if not is_isotropic(q_form, None):
-        raise AnisotropicForm("form must be isotropic at every place")
+    for place in (INF, *q_form.ctx.primes):
+        if not is_isotropic(q_form, place):
+            at = "the real place" if place == INF else f"p = {place}"
+            raise AnisotropicForm(
+                f"form is anisotropic at {at}; c_Q needs isotropy at every "
+                "place of S"
+            )
     check_family_range(d, family)
     finite = Fraction(1)
     for p in q_form.ctx.primes:
         tp = (t_p or {}).get(p, 0)
         a_p, e_p = family.finite_target(p, tp)
         finite *= padic_quadric_volume(
-            PadicVolumeRequest(p, q_form.gram_at(p), t=tp, a=a_p, c=e_p)
+            p, q_form.gram_at(p), t=tp, a=a_p, c=e_p
         ) / Fraction(p) ** (tp * (d - 2) - e_p)
     c_inf, err = _c_inf(q_form.gram_at(INF))
     return c_inf * float(finite), err * float(finite)

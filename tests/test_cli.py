@@ -148,10 +148,11 @@ def test_digit_count_at_powers_of_ten():
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
-    args = RUNS["moment-mc"][:-2]
-    assert "--seed" not in args
-    assert main(["moment-mc", *args, "--out", str(tmp_path)]) == 2
-    assert "--seed is required" in capsys.readouterr().err
+    for command in ("moment-mc", "variance"):
+        args = RUNS[command][:-2]
+        assert "--seed" not in args
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        assert f"{command} needs --seed" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -527,6 +528,17 @@ def test_huge_real_bound_exits_3_naming_max_terms(tmp_path, capsys):
             "--out", str(tmp_path)]
     assert main(argv) == 3
     assert "max_terms=5000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form, place", [
+    ("diag:1,1,1,-7", "p = 2"),  # 7 is not a sum of three 2-adic squares
+    ("diag:1,1,1,1", "the real place"),
+])
+def test_anisotropic_form_exits_2_naming_the_place(form, place, tmp_path, capsys):
+    argv = ["count", "--form", form, "--primes", "2", "--xi", "1/3,0,0,0",
+            "--c-inf", "1", "--t", "10@2=1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"anisotropic at {place}" in capsys.readouterr().err
 
 
 def test_form_too_large_for_the_fiber_counter_exits_2(tmp_path, capsys):

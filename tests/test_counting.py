@@ -10,6 +10,7 @@ by hand or by the oracle at the stated scales.
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -672,14 +673,14 @@ class TestGuards:
         q = quadratic_form(S3, TERN)
         fam = shrinking_family(3, 1, finite={3: (0, 8, 0)})
         t = tv(3.0, {3: 0}, S3)
-        with pytest.raises(RegionTooLarge):
+        with pytest.raises(RegionTooLarge, match="limit of 4096"):
             inhom_count(q, (0, 0, 0), interval_at(fam, t), t)
 
     def test_ball_cap(self):
         q = quadratic_form(S0, TERN)
         fam = shrinking_family(3, 1)
         t = tv(2.0**26)
-        with pytest.raises(RegionTooLarge):
+        with pytest.raises(RegionTooLarge, match=r"limit of 2\^50"):
             inhom_count(q, (0, 0, 0), interval_at(fam, t), t)
 
     def test_form_too_large_for_every_t(self):
@@ -695,6 +696,21 @@ class TestGuards:
         t = tv(2.0**20)
         with pytest.raises(RegionTooLarge, match="64-bit"):
             inhom_count(big, (0, 0, 0), interval_at(fam, t), t)
+
+    def test_radius_named_by_the_64_bit_guard(self):
+        # the guard names the largest scaled coordinate the form and target
+        # admit: a ball that reaches it counts, one that reaches one more
+        # trips the guard; with r = 1 the open ball |x| < b + 1 reaches b
+        q = quadratic_form(S0, ((10**14, 0, 0), (0, 1, 0), (0, 0, -1)))
+        iv = SInterval((-1, 1), {})
+        with pytest.raises(RegionTooLarge, match="64-bit") as err:
+            inhom_count(q, (0, 0, 0), iv, tv(1000))
+        bound = int(re.search(r"admit at most (\d+)", str(err.value)).group(1))
+        assert 10 < bound < 1000
+        assert inhom_count(q, (0, 0, 0), iv, tv(bound + 1)) > 0
+        with pytest.raises(RegionTooLarge,
+                           match=rf"coordinate {bound + 1} .* at most {bound}$"):
+            inhom_count(q, (0, 0, 0), iv, tv(bound + 2))
 
     def test_negative_depth_rejected(self):
         q = quadratic_form(S3, TERN)

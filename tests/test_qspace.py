@@ -1,20 +1,24 @@
 """Tests for the quadratic form layer.
 
 The Hilbert symbol and the isotropy criteria are checked against a
-brute-force oracle: depth-first search for primitive solutions of the
-diagonal equation mod p^m, with m large enough that a solution mod p^m
-certifies a p-adic solution (Hensel) and absence refutes one.
+brute-force oracle: depth-first search for primitive solutions of
+x G x^T = 0 mod p^m, with m large enough that a solution mod p^m
+certifies a p-adic solution (Hensel) and absence refutes one. Diagonal
+Grams check the square-class criteria; non-diagonal ones check the
+diagonal that is_isotropic reads off the Jordan splitting, and the real
+signature is checked against numpy's eigenvalues.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sqcount import _linalg as la
 from sqcount.errors import ConfigError, DegenerateForm, DimensionMismatch
 from sqcount.qspace import (
-    diagonalize,
+    _jordan_blocks,
     hilbert_symbol,
     is_isotropic,
     is_square_qp,
@@ -29,11 +33,14 @@ S7 = SConfig((7,))
 S235 = SConfig((2, 3, 5))
 
 
-def diag_form(ctx, *entries):
+def diag_gram(entries):
     d = len(entries)
-    g = [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(d)]
-         for i in range(d)]
-    return quadratic_form(ctx, g)
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(d))
+                 for i in range(d))
+
+
+def diag_form(ctx, *entries):
+    return quadratic_form(ctx, diag_gram(entries))
 
 
 def value_at(q, v, place):
@@ -64,19 +71,24 @@ def _squarefree_part(n: int) -> int:
 _oracle_memo = {}
 
 
-def primitive_zero_mod_pm(coeffs, p, m):
-    """Is there a primitive solution of sum c_i x_i^2 = 0 mod p^m?
+def primitive_zero_mod_pm(gram, p, m):
+    """Is there a primitive solution of x G x^T = 0 mod p^m, G an integer
+    Gram?
 
     Depth-first over digit levels; primitivity is forced at level one, so
     anisotropic trees die quickly and isotropic ones exit on the first leaf.
     """
     from itertools import product
 
+    d = len(gram)
+    terms = [(i, j, gram[i][j] * (1 if i == j else 2))
+             for i in range(d) for j in range(i, d) if gram[i][j]]
+
     def value(x, mod):
-        return sum(c * xi * xi for c, xi in zip(coeffs, x)) % mod
+        return sum(c * x[i] * x[j] for i, j, c in terms) % mod
 
     seeds = [
-        x for x in product(range(p), repeat=len(coeffs))
+        x for x in product(range(p), repeat=d)
         if any(x) and value(x, p) == 0
     ]
     stack = [(x, 1) for x in seeds]
@@ -85,7 +97,7 @@ def primitive_zero_mod_pm(coeffs, p, m):
         if k == m:
             return True
         pk = p**k
-        for delta in product(range(p), repeat=len(coeffs)):
+        for delta in product(range(p), repeat=d):
             y = tuple(xi + di * pk for xi, di in zip(x, delta))
             if value(y, pk * p) == 0:
                 stack.append((y, k + 1))
@@ -98,7 +110,7 @@ def hilbert_bruteforce(a: int, b: int, p: int) -> int:
     key = (min(a, b), max(a, b), p)
     if key not in _oracle_memo:
         m = 2 * valuation(Fraction(4 * a * b), p) + 3
-        ok = primitive_zero_mod_pm((a, b, -1), p, m)
+        ok = primitive_zero_mod_pm(diag_gram((a, b, -1)), p, m)
         _oracle_memo[key] = 1 if ok else -1
     return _oracle_memo[key]
 
@@ -106,8 +118,16 @@ def hilbert_bruteforce(a: int, b: int, p: int) -> int:
 def isotropic_bruteforce(entries, p) -> bool:
     key = (tuple(sorted(entries)), p)
     if key not in _oracle_memo:
-        _oracle_memo[key] = primitive_zero_mod_pm(entries, p, 6)
+        _oracle_memo[key] = primitive_zero_mod_pm(diag_gram(entries), p, 6)
     return _oracle_memo[key]
+
+
+def isotropic_gram_bruteforce(gram, p) -> bool:
+    """Isotropy of an integer Gram over Q_p. A primitive x has x = (x G)
+    adj(G) / det G, so its gradient 2 x G has valuation at most k = v_p(2
+    det G), and a primitive zero mod p^(2k + 1) lifts."""
+    k = valuation(2 * la.det(la.as_matrix(gram)), p)
+    return primitive_zero_mod_pm(gram, p, 2 * k + 1)
 
 
 # --- evaluation ------------------------------------------------------------------
@@ -154,7 +174,7 @@ class TestEvalForm:
 
 class TestHilbertSymbol:
     def test_one_left_argument(self):
-        for p in (2, 3, 5, INF):
+        for p in (2, 3, 5):
             for b in (2, -3, 7, -1):
                 assert hilbert_symbol(1, b, p) == 1
 
@@ -162,7 +182,12 @@ class TestHilbertSymbol:
         assert hilbert_symbol(2, 3, 3) == -1
 
     def test_minus_one_twice_real(self):
-        assert hilbert_symbol(-1, -1, INF) == -1
+        # (-1, -1) = -1 at the real place: z^2 + x^2 + y^2 has no real zero,
+        # which is_isotropic decides by signature; the product formula puts
+        # the other -1 at 2
+        assert not is_isotropic(diag_form(S3, 1, 1, 1), INF)
+        assert hilbert_symbol(-1, -1, 2) == -1
+        assert hilbert_symbol(-1, -1, 3) == 1
 
     def test_against_bruteforce_grid(self):
         for p in (2, 3, 5):
@@ -176,7 +201,7 @@ class TestHilbertSymbol:
 
     def test_symmetry_and_bimultiplicativity(self):
         rng = random.Random(41)
-        places = [2, 3, 5, 7, INF]
+        places = [2, 3, 5, 7]
         nonzero = lambda: Fraction(
             rng.choice([i for i in range(-30, 31) if i]),
             rng.randint(1, 12),
@@ -209,7 +234,7 @@ class TestHilbertSymbol:
                 f += 1
             if n > 1:
                 primes.add(n)
-            prod = hilbert_symbol(a, b, INF)
+            prod = -1 if a < 0 and b < 0 else 1  # the real place
             for p in primes:
                 prod *= hilbert_symbol(a, b, p)
             assert prod == 1
@@ -222,10 +247,10 @@ class TestHilbertSymbol:
 class TestSquareClasses:
     def test_squares_are_squares(self):
         rng = random.Random(11)
-        for p in (2, 3, 5, 7, INF):
+        for p in (2, 3, 5, 7):
             for _ in range(40):
                 r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-                if rng.random() < 0.5 and p != INF:
+                if rng.random() < 0.5:
                     r = -r
                 assert is_square_qp(r * r, p)
 
@@ -243,57 +268,6 @@ class TestSquareClasses:
         assert legendre_symbol(3, 7) == -1
 
 
-# --- diagonalization ---------------------------------------------------------------
-
-
-class TestDiagonalize:
-    def test_already_diagonal(self):
-        q = diag_form(S3, 2, 3, -1)
-        u, diag = diagonalize(q, INF)
-        assert u == la.identity(3)
-        assert diag == (2, 3, -1)
-
-    def test_hyperbolic_plane(self):
-        q = quadratic_form(S3, [[0, 1], [1, 0]])
-        u, diag = diagonalize(q, INF)
-        g = q.gram_at(INF)
-        prod = la.mat_mul(la.mat_mul(la.transpose(u), g), u)
-        assert prod == tuple(
-            tuple(diag[i] if i == j else Fraction(0) for j in range(2))
-            for i in range(2)
-        )
-        assert diag == (2, Fraction(-1, 2))
-
-    def test_random_exact_identity_and_valuations(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            d = rng.choice([2, 3, 4])
-            while True:
-                g = [[Fraction(0)] * d for _ in range(d)]
-                for i in range(d):
-                    for j in range(i, d):
-                        g[i][j] = g[j][i] = Fraction(
-                            rng.randint(-6, 6), rng.choice([1, 2, 3])
-                        )
-                if la.det(tuple(tuple(r) for r in g)) != 0:
-                    break
-            q = quadratic_form(S23, g)
-            for place in (INF, 2, 3):
-                u, diag = diagonalize(q, place)
-                gg = q.gram_at(place)
-                prod = la.mat_mul(la.mat_mul(la.transpose(u), gg), u)
-                for i in range(d):
-                    for j in range(d):
-                        assert prod[i][j] == (diag[i] if i == j else 0)
-                if place != INF:
-                    assert all(valuation(a, place) in (0, 1) for a in diag)
-
-    def test_degenerate_raises(self):
-        q = diag_form(S3, 1, 0, 1)
-        with pytest.raises(DegenerateForm):
-            diagonalize(q, 3)
-
-
 # --- isotropy -----------------------------------------------------------------------
 
 
@@ -303,13 +277,11 @@ class TestIsotropy:
         assert is_isotropic(q, INF)
         assert is_isotropic(q, 2)
         assert is_isotropic(q, 3)
-        assert is_isotropic(q, None)
         q4 = diag_form(S23, 1, 1, 1, 1)
         assert not is_isotropic(q4, INF)
         assert not is_isotropic(q4, 2)
         # (1,1,1,0) is a zero mod 3 with unit gradient, so it lifts
         assert is_isotropic(q4, 3)
-        assert not is_isotropic(q4, None)
 
     def test_rank_five_always(self):
         q = diag_form(S235, 1, 1, 1, 1, 1)
@@ -347,3 +319,70 @@ class TestIsotropy:
             assert is_isotropic(q, p) == isotropic_bruteforce(entries, p), (
                 entries, p,
             )
+
+    @pytest.mark.parametrize("gram, split", [
+        # the hyperbolic plane is a 2x2 block with a = 0 at p = 2
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0, None)),
+        (((2, 1, 0), (1, 2, 0), (0, 0, 1)), (2, 1)),
+        (((2, 1, 0), (1, 2, 0), (0, 0, -3)), (2, 1)),
+        (((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)), (2, 1)),
+    ])
+    def test_two_by_two_blocks_at_two(self, gram, split):
+        # (a, b; b, c) with a != 0 enters as diag(a, (ac - b^2) / a)
+        a, b = split
+        blocks = [bl for bl in _jordan_blocks(la.as_matrix(gram), 2) if len(bl) == 2]
+        assert blocks and blocks[0][0][0] == a
+        assert b is None or blocks[0][0][1] == b
+        q = quadratic_form(SConfig((2, 3, 5)), gram)
+        for p in (2, 3, 5):
+            assert is_isotropic(q, p) == isotropic_gram_bruteforce(gram, p), (
+                gram, p,
+            )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_against_bruteforce_non_diagonal(self, p):
+        rng = random.Random(1900 + p)
+        ctx = SConfig((p,))
+        cases = isotropic = 0
+        seen_a = set()
+        while cases < 60:
+            d = rng.choice([2, 3, 4])
+            g = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            det = la.det(la.as_matrix(g))
+            # a deep determinant only slows the oracle down
+            if det == 0 or valuation(2 * det, p) > 3:
+                continue
+            gram = tuple(map(tuple, g))
+            got = is_isotropic(quadratic_form(ctx, gram), p)
+            assert got == isotropic_gram_bruteforce(gram, p), (gram, p)
+            cases += 1
+            isotropic += got
+            seen_a |= {bl[0][0] == 0 for bl in _jordan_blocks(la.as_matrix(gram), p)
+                       if len(bl) == 2}
+        assert 0 < isotropic < cases
+        if p == 2:
+            assert seen_a == {True, False}
+
+    def test_real_signature_of_non_diagonal_grams(self):
+        rng = random.Random(23)
+        cases = mixed = 0
+        for _ in range(300):
+            d = rng.choice([2, 3, 4, 5])
+            g = [[Fraction(0)] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    g[i][j] = g[j][i] = Fraction(
+                        rng.randint(-9, 9), rng.choice([1, 2, 3, 7])
+                    )
+            if la.det(la.as_matrix(g)) == 0:
+                continue
+            mu = np.linalg.eigvalsh(np.array(g, dtype=float))
+            assert min(abs(mu)) > 1e-9 * max(abs(mu))
+            want = mu[0] < 0 < mu[-1]
+            assert is_isotropic(quadratic_form(S23, g), INF) == want, g
+            cases += 1
+            mixed += want
+        assert 0 < cases - mixed < mixed

@@ -26,11 +26,9 @@ import pytest
 from sqcount import _linalg as la
 from sqcount.cli import main
 from sqcount.errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
-from sqcount.qspace import quadratic_form
+from sqcount.qspace import _jordan_blocks, quadratic_form
 from sqcount.sarith import INF, SConfig, frac_mod, valuation
 from sqcount.volume import (
-    PadicVolumeRequest,
-    _jordan_blocks,
     leading_constant,
     padic_quadric_volume,
     real_quadric_volume,
@@ -144,8 +142,7 @@ def _random_request(rng):
 
 class TestPadicVolume:
     def test_ternary_zero_target_is_one_third(self):
-        req = PadicVolumeRequest(3, frac_gram(TERN), t=0, a=F(0), c=1)
-        assert padic_quadric_volume(req) == F(1, 3)
+        assert padic_quadric_volume(3, frac_gram(TERN), t=0, a=F(0), c=1) == F(1, 3)
         # direct zero count over the 27 residue vectors mod 3
         zeros = sum(
             1
@@ -159,38 +156,32 @@ class TestPadicVolume:
 
     def test_whole_ball_is_one(self):
         for p in (2, 3, 5):
-            req = PadicVolumeRequest(p, frac_gram(TERN), t=0, a=F(0), c=0)
-            assert padic_quadric_volume(req) == 1
+            assert padic_quadric_volume(p, frac_gram(TERN), t=0, a=F(0), c=0) == 1
         # target p^{-1}Z_p contains every value too
-        req = PadicVolumeRequest(3, frac_gram(TERN), t=0, a=F(0), c=-1)
-        assert padic_quadric_volume(req) == 1
+        assert padic_quadric_volume(3, frac_gram(TERN), t=0, a=F(0), c=-1) == 1
 
     def test_whole_ball_with_half_integer_gram(self):
         hb = ((F(0), F(1, 2)), (F(1, 2), F(0)))
-        req = PadicVolumeRequest(2, hb, t=0, a=F(0), c=0)
-        assert padic_quadric_volume(req) == 1
+        assert padic_quadric_volume(2, hb, t=0, a=F(0), c=0) == 1
 
     def test_deeper_ball_matches_exhaustive_count(self):
-        req = PadicVolumeRequest(3, frac_gram(TERN), t=1, a=F(0), c=1)
-        got = padic_quadric_volume(req)
+        got = padic_quadric_volume(3, frac_gram(TERN), t=1, a=F(0), c=1)
         assert got == oracle_volume(frac_gram(TERN), 3, 1, F(0), 1)
         assert got == F(11, 9)
 
     def test_target_with_negative_valuation_center(self):
         # Q(Z_3^3) is 3-integral, so a target around 1/3 is missed entirely
-        req = PadicVolumeRequest(3, frac_gram(TERN), t=0, a=F(1, 3), c=1)
-        assert padic_quadric_volume(req) == 0
+        assert padic_quadric_volume(3, frac_gram(TERN), t=0, a=F(1, 3), c=1) == 0
         # but a deep enough ball does reach it
-        req2 = PadicVolumeRequest(3, frac_gram(TERN), t=1, a=F(1, 3), c=1)
-        got = padic_quadric_volume(req2)
+        got = padic_quadric_volume(3, frac_gram(TERN), t=1, a=F(1, 3), c=1)
         assert got == oracle_volume(frac_gram(TERN), 3, 1, F(1, 3), 1)
         assert got > 0
 
     def test_cross_term_block_at_two(self):
         gram = frac_gram(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
         for t, c, a in [(0, 1, F(0)), (0, 2, F(1)), (1, 1, F(0)), (0, 1, F(1, 2))]:
-            req = PadicVolumeRequest(2, gram, t=t, a=a, c=c)
-            assert padic_quadric_volume(req) == oracle_volume(gram, 2, t, a, c)
+            want = oracle_volume(gram, 2, t, a, c)
+            assert padic_quadric_volume(2, gram, t=t, a=a, c=c) == want
 
     def test_random_integer_grams_match_oracle(self):
         import random
@@ -210,9 +201,7 @@ class TestPadicVolume:
             t = rng.choice([0, 1]) if p == 2 else 0
             c = rng.choice([0, 1])
             a = F(rng.randrange(0, p))
-            got = padic_quadric_volume(
-                PadicVolumeRequest(p, gram, t=t, a=a, c=c)
-            )
+            got = padic_quadric_volume(p, gram, t=t, a=a, c=c)
             want = oracle_volume(gram, p, t, a, c)
             assert got == want, (gram, p, t, a, c)
             assert 0 <= got <= F(p) ** (d * t)
@@ -240,9 +229,7 @@ class TestPadicVolume:
             a = F(rng.randrange(0, 2 * p), rng.choice([1, 1, p]))
             if p == 5 and 2 * t + c > 2:
                 continue  # keep the oracle grid small
-            got = padic_quadric_volume(
-                PadicVolumeRequest(p, gram, t=t, a=a, c=c)
-            )
+            got = padic_quadric_volume(p, gram, t=t, a=a, c=c)
             want = oracle_volume(gram, p, t, a, c)
             assert got == want, (gram, p, t, a, c)
             cases += 1
@@ -253,12 +240,8 @@ class TestPadicVolume:
             gram = frac_gram(TERN)
             scaled = tuple(tuple(u * u * x for x in row) for row in gram)
             for t, c in [(0, 1), (1, 1), (DEEP[p], 1)]:
-                base = padic_quadric_volume(
-                    PadicVolumeRequest(p, gram, t=t, a=F(0), c=c)
-                )
-                same = padic_quadric_volume(
-                    PadicVolumeRequest(p, scaled, t=t, a=F(0), c=c)
-                )
+                base = padic_quadric_volume(p, gram, t=t, a=F(0), c=c)
+                same = padic_quadric_volume(p, scaled, t=t, a=F(0), c=c)
                 assert base == same
 
     def test_p_power_scaling_identity(self):
@@ -267,28 +250,22 @@ class TestPadicVolume:
             gram = frac_gram(TERN)
             scaled = tuple(tuple(p * p * x for x in row) for row in gram)
             for t, c in [(0, 3), (1, 1), (1, 2), (DEEP[p], 2)]:
-                lhs = padic_quadric_volume(
-                    PadicVolumeRequest(p, scaled, t=t, a=F(0), c=c)
-                )
-                rhs = padic_quadric_volume(
-                    PadicVolumeRequest(p, gram, t=t - 1, a=F(0), c=c)
-                )
+                lhs = padic_quadric_volume(p, scaled, t=t, a=F(0), c=c)
+                rhs = padic_quadric_volume(p, gram, t=t - 1, a=F(0), c=c)
                 assert lhs == F(p) ** 3 * rhs
 
     def test_stabilization_grid_budget_invariance(self):
         forms = {3: frac_gram(TERN), 4: frac_gram(QUAT)}
         for p in (2, 3, 5):
             for d, gram in forms.items():
-                req = PadicVolumeRequest(p, gram, t=1, a=F(0), c=1)
-                v = padic_quadric_volume(req)
+                v = padic_quadric_volume(p, gram, t=1, a=F(0), c=1)
                 assert 0 < v <= F(p) ** d
 
     def test_deep_target_whose_first_residue_fractions_vanish(self):
         # the residue fractions mod 2 and mod 4 are both 0, so stopping at
         # the first two moduli that agree returned 0 for this volume
         gram = frac_gram(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)))
-        req = PadicVolumeRequest(2, gram, t=3, a=F(1), c=4)
-        assert padic_quadric_volume(req) == F(129, 32)
+        assert padic_quadric_volume(2, gram, t=3, a=F(1), c=4) == F(129, 32)
 
     def test_random_requests_match_both_oracles(self):
         import random
@@ -302,7 +279,7 @@ class TestPadicVolume:
             if pm > 3**7 or pm ** len(gram) > 700_000:
                 continue  # keep both oracles small
             try:
-                got = padic_quadric_volume(PadicVolumeRequest(p, gram, t=t, a=a, c=c))
+                got = padic_quadric_volume(p, gram, t=t, a=a, c=c)
             except DegenerateForm:
                 continue
             assert got == histogram_volume(gram, p, t, a, c), (gram, p, t, a, c)
@@ -322,13 +299,11 @@ class TestPadicVolume:
         # i.e. the target a_p + p^(1 + t_p) Z_p; values from an independent
         # numpy cyclic convolution of residue counts at the full modulus
         a = F(1) if p == 2 else F(0)
-        req = PadicVolumeRequest(p, frac_gram(QUAT31), t=t, a=a, c=1 + t)
-        assert padic_quadric_volume(req) == want
+        assert padic_quadric_volume(p, frac_gram(QUAT31), t=t, a=a, c=1 + t) == want
 
     def test_degenerate_form_rejected(self):
-        req = PadicVolumeRequest(3, frac_gram(((1, 0), (0, 0))), t=0, c=1)
         with pytest.raises(DegenerateForm):
-            padic_quadric_volume(req)
+            padic_quadric_volume(3, frac_gram(((1, 0), (0, 0))), t=0, c=1)
 
 
 def _det3(g):
@@ -638,7 +613,7 @@ class TestLeadingConstant:
         u = [list(row) for row in la.identity(4)]
         u[1][1], u[1][2], u[2][1], u[2][2] = F(3, 5), F(-4, 5), F(4, 5), F(3, 5)
         g = diag_gram((1, 2, 3, -7))
-        rotated = la.mat_mul(la.mat_mul(u, g), la.transpose(u))
+        rotated = la.mat_mul(la.mat_mul(u, g), tuple(zip(*u)))
         assert rotated != g
         base, _ = leading_constant(quadratic_form(S0, g), _Family(0.0))
         turned, _ = leading_constant(quadratic_form(S0, rotated), _Family(0.0))
