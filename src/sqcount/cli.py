@@ -76,7 +76,7 @@ from .serialize import (
     write_csv,
     write_manifest,
 )
-from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES
+from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES, SBox
 from .volume import leading_constant, padic_quadric_volume, real_quadric_volume
 
 
@@ -337,8 +337,8 @@ def _test_function(obj, ctx: SConfig, d: int, source: str):
     """The test function of obj, checked to have the d coordinates that
     source ("w" or "the space") gives the run."""
     f = testfn_from_json(obj, ctx)
-    if f.kind == "sbox":
-        vectors = {"test function": f.box.center}
+    if isinstance(f, SBox):
+        vectors = {"test function": f.center}
     else:
         vectors = {"test function": f.intervals}
         vectors.update((f"finite_center at {p} of the test function", c)
@@ -548,14 +548,14 @@ def _cmd_variance(cfg, out_dir, t0):
     seed = cfg["seed"]
     space = _space(cfg, ctx)
     f = _test_function(cfg["box"], ctx, space.d, "the space")
-    if f.kind != "sbox":
+    if not isinstance(f, SBox):
         raise ConfigError("variance needs a disk:R box")
     threshold = cfg["threshold"]
     check = variance_check(
-        space, f.box, threshold, cfg["n"], seed, cfg["threads"],
+        space, f, threshold, cfg["n"], seed, cfg["threads"],
         cfg["max_candidates"],
     )
-    vol = f.box.volume(space.d)
+    vol = f.volume(space.d)
     header = ["space", "d", "volume", "threshold", "empirical_prob", "bound",
               "stderr", "observed_constant", "n", "seed"]
     rows = [[space.kind, space.d, vol, threshold,

@@ -14,8 +14,10 @@ each MCMC_THIN steps): a block's normals are one draw and their matrix
 exponentials one stacked product, which is the same chain, bit for bit, as
 stepping one draw at a time.  Each draw is scored by slattice.count_points,
 which counts the lattice points of a disk or a product box without building
-one, leaving out the origin on the base space.  Both Monte Carlo estimators
-read the same per-draw transform values (_transform_values).
+one.  On the base space the origin is a point of every draw, and the
+transform leaves it out: whether the shape holds it is decided once per run
+(slattice.holds_origin).  Both Monte Carlo estimators read the same
+per-draw transform values (_transform_values).
 
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
@@ -50,17 +52,17 @@ from .errors import (
     NonIndicatorUnsupported,
     SearchBudgetExceeded,
 )
-from .sarith import SConfig, is_in_NS, valuation
+from .sarith import SConfig, is_in_NS, min_valuation, valuation
 from .slattice import (
     DEFAULT_MAX_CANDIDATES,
+    ProductBox,
     SBox,
-    TestFunction,
     affine_slattice_split,
     # unused here; perfbench/test_perfbench.py checks that the tracer
     # rewraps this binding too
     enumerate_points,  # noqa: F401
     count_points,
-    indicator_sbox,
+    holds_origin,
 )
 
 SPACE_KINDS = ("base", "affine", "congruence")
@@ -127,14 +129,21 @@ def space_spec(
             raise ConfigError("cctx uses a different set of finite places")
     elif cctx is not None:
         raise ConfigError(f"{kind} space takes no CongruenceContext")
-    if isinstance(depth, int):
-        depth = {p: depth for p in ctx.primes}
-    dep = {p: int((depth or {}).get(p, DEFAULT_SAMPLER_DEPTH)) for p in ctx.primes}
-    if set(depth or {}) - set(ctx.primes):
-        raise ConfigError("depth given for a prime outside S_f")
-    if any(k < 1 for k in dep.values()):
-        raise ConfigError("sampler depth must be >= 1")
+    dep = _depths(depth, ctx.primes, DEFAULT_SAMPLER_DEPTH, 1)
     return SpaceSpec(kind, d, ctx, cctx, dep)
+
+
+def _depths(depth, primes, default: int, least: int) -> dict[int, int]:
+    """The depth at each prime from one int for every prime, a dict p -> k
+    (default where a prime is left out) or None; each at least least."""
+    depth = dict.fromkeys(primes, depth) if isinstance(depth, int) else depth or {}
+    outside = sorted(set(depth) - set(primes))
+    if outside:
+        raise ConfigError(f"depth given at {outside[0]}, which is not in S")
+    dep = {p: int(depth.get(p, default)) for p in primes}
+    if any(k < least for k in dep.values()):
+        raise ConfigError(f"depth must be >= {least}")
+    return dep
 
 
 @dataclass(frozen=True)
@@ -202,13 +211,14 @@ def _expm(m: np.ndarray) -> np.ndarray:
 def _size_reduce(g: np.ndarray) -> np.ndarray:
     # one pairwise reduction sweep; left-multiplication by SL_d(Z) only,
     # so the lattice (and the coset) is unchanged.  norms[i] is g[i] @ g[i],
-    # recomputed only when row i changes
+    # recomputed only when row i changes.  g comes in with det > 0, so the
+    # sorted rows have det < 0 exactly when the sort is an odd permutation
     d = len(g)
     norms = [float(row.dot(row)) for row in g]
     order = sorted(range(d), key=norms.__getitem__)
     g = g[order]
     norms = [norms[i] for i in order]
-    if np.linalg.det(g) < 0:
+    if sum(order[j] > order[i] for i in range(d) for j in range(i)) % 2:
         g[:2] = g[1::-1]
         norms[:2] = norms[1::-1]
     for i in range(d):
@@ -328,19 +338,19 @@ def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
     and its share of n; the workers' draws come one worker after another,
     so the values depend on (seed, workers) but not on scheduling.
     """
-    # base lattices contain the origin; the transform excludes it there
-    homogeneous = space.kind == "base"
+    # every base lattice holds the origin; the transform excludes it there
+    origin = space.kind == "base" and holds_origin(f, space.d, space.ctx.primes)
     share, extra = divmod(n, workers)
     children = np.random.SeedSequence(seed).spawn(workers)
     for i, child in enumerate(children):
         stream = lattice_stream(space, np.random.default_rng(child))
         for _ in range(share + (i < extra)):
-            yield count_points(next(stream), f, max_candidates, homogeneous)
+            yield count_points(next(stream), f, max_candidates) - origin
 
 
 def estimate_moments(
     space: SpaceSpec,
-    f: TestFunction,
+    f: SBox | ProductBox,
     orders=(1, 2),
     n: int = 10_000,
     seed: int = 0,
@@ -394,7 +404,6 @@ def variance_check(
         raise ConfigError("threshold must be positive")
     if n < 1 or not 1 <= workers <= n:
         raise ConfigError("need n >= 1 and 1 <= workers <= n")
-    f = indicator_sbox(box)
     try:
         vol = box.volume(space.d)
     except OverflowError:
@@ -410,7 +419,7 @@ def variance_check(
         )
     hits = sum(
         abs(count - vol) > threshold
-        for count in _transform_values(space, f, n, seed, workers, max_candidates)
+        for count in _transform_values(space, box, n, seed, workers, max_candidates)
     )
     empirical = hits / n
     stderr = math.sqrt(empirical * (1.0 - empirical) / n)
@@ -420,29 +429,15 @@ def variance_check(
 # --- exact series: shared box plumbing --------------------------------------------------
 
 
-def _product_box_data(f: TestFunction, ctx: SConfig):
-    if f.kind != "product-box":
+def _series_box(f, primes) -> tuple:
+    """(d, intervals, finite) of a product box, as ProductBox.places."""
+    if not isinstance(f, ProductBox):
         raise NonIndicatorUnsupported(
             "series evaluation needs an indicator of a product S-box"
         )
     d = len(f.intervals)
-    exps = {p: int(f.finite_exponent.get(p, 0)) for p in ctx.primes}
-    centers = {}
-    for p in ctx.primes:
-        c = f.finite_center.get(p, (0,) * d)
-        if len(c) != d:
-            raise DimensionMismatch(f"finite center at p={p} has wrong length")
-        centers[p] = tuple(Fraction(x) for x in c)
-    return d, f.intervals, exps, centers
-
-
-def _integral(d, intervals, exps, centers, primes) -> Fraction:
-    total = Fraction(1)
-    for lo, hi in intervals:
-        total *= hi - lo
-    for p in primes:
-        total *= Fraction(p) ** (d * exps[p])
-    return total
+    _, _, intervals, finite = f.places(d, primes)
+    return d, intervals, finite
 
 
 def _scaled_interval(lo: Fraction, hi: Fraction, s: Fraction):
@@ -590,7 +585,7 @@ def _pair_tail_bound(d, q, vol_sup, t_max, b, depth, primes) -> float:
     return vol_sup * (piece_t + piece_b + piece_d)
 
 
-def _pair_terms(d, intervals, exps, centers, primes, t_max, n_max):
+def _pair_terms(d, intervals, finite, primes, t_max, n_max):
     """The pair kernel: a function of one progression (t, den, ms, ns, tp) of
     the walk that yields its nonzero terms as (num, den, |n|), num/den the
     term at a = n/den in lowest terms.  n_max bounds |n| and t den over the
@@ -606,14 +601,15 @@ def _pair_terms(d, intervals, exps, centers, primes, t_max, n_max):
     constant per progression.  A nonzero center c puts the balls apart when
     v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n) is below
     -e - max(0, v_p(a)), that is when p^r does not divide n - t den,
-    r = -e - v_p(c); the smallest v_p(c) decides.
+    r = -e - v_p(c); the smallest v_p(c) decides.  finite[p] = (c, e).
     """
     big_l, ends = _scaled_ends(intervals)
     tests = []
     for p in primes:
-        vals = [valuation(c, p) for c in centers[p] if c]
-        if vals and -exps[p] - min(vals) > 0:
-            tests.append((p ** (-exps[p] - min(vals)), 1, 1))
+        c, e = finite[p]
+        v = min_valuation(c, p)
+        if v is not None and v < -e:
+            tests.append((p ** (-e - v), 1, 1))
     reach = max(2 * max(abs(x) for iv in ends for x in iv), big_l * t_max) * n_max
     dt = _int_dtype(max([reach**d] + [mod for mod, _, _ in tests]))
 
@@ -633,7 +629,7 @@ def _pair_terms(d, intervals, exps, centers, primes, t_max, n_max):
         g = g[keep]
         up = down = 1
         for p, m in zip(primes, ms):
-            k = d * (exps[p] - m)
+            k = d * (finite[p][1] - m)
             if k > 0:
                 up *= p**k
             else:
@@ -649,7 +645,7 @@ def _pair_terms(d, intervals, exps, centers, primes, t_max, n_max):
 
 
 def second_moment_rhs(
-    f: TestFunction,
+    f: ProductBox,
     cctx: CongruenceContext,
     t_max: int = 16,
     real_bound: float = 24.0,
@@ -673,19 +669,15 @@ def second_moment_rhs(
     """
     ctx = cctx.ctx
     q = cctx.q
-    d, intervals, exps, centers = _product_box_data(f, ctx)
+    d, intervals, finite = _series_box(f, ctx.primes)
     if d < 3:
         raise ConfigError("the pair series needs d >= 3")
     if t_max < 1 or real_bound < 1:
         raise ConfigError("need t_max >= 1 and real_bound >= 1")
-    if isinstance(depth, int):
-        depth = {p: depth for p in ctx.primes}
-    dep = {p: int((depth or {}).get(p, DEFAULT_SERIES_DEPTH)) for p in ctx.primes}
-    if any(k < 0 for k in dep.values()):
-        raise ConfigError("depth must be >= 0")
+    dep = _depths(depth, ctx.primes, DEFAULT_SERIES_DEPTH, 0)
     b = Fraction(real_bound)
     den_max = math.prod(p**k for p, k in dep.items())
-    terms = _pair_terms(d, intervals, exps, centers, ctx.primes, t_max,
+    terms = _pair_terms(d, intervals, finite, ctx.primes, t_max,
                         max(math.ceil(b * den_max), t_max * den_max))
     walk = _admissible_walk(
         t_max, q, ctx, dep, lambda t: (-b, b), max_terms, "pair series"
@@ -705,7 +697,7 @@ def second_moment_rhs(
     big = _largest_prime_factors(max([t_max, *roots]))
     dens = list(by_den)  # insertion order, the order of roots
     order = sorted(range(len(dens)), key=lambda i: big[roots[i]])
-    integral = _integral(d, intervals, exps, centers, ctx.primes)
+    integral = f.volume(ctx.primes)
     pairs = [(integral.numerator**2, integral.denominator**2)]
     pairs += [(by_den[dens[i]], dens[i]) for i in order]
     # the other primes of a denominator divide L or lie in S
@@ -718,7 +710,7 @@ def second_moment_rhs(
 
 
 def inhom_series(
-    f: TestFunction,
+    f: ProductBox,
     y,
     cctx: CongruenceContext,
     t_max: int = 32,
@@ -736,7 +728,7 @@ def inhom_series(
     """
     ctx = cctx.ctx
     q = cctx.q
-    d, intervals, exps, centers = _product_box_data(f, ctx)
+    d, intervals, finite = _series_box(f, ctx.primes)
     if d < 3:
         raise ConfigError("the orbit series needs d >= 3")
     if t_max < 1:
@@ -746,7 +738,7 @@ def inhom_series(
         raise DimensionMismatch("y has wrong dimension")
     if all(c == 0 for c in coords):
         raise ConfigError("y must be nonzero")
-    base = _integral(d, intervals, exps, centers, ctx.primes)
+    base = f.volume(ctx.primes)
 
     # coordinates where y vanishes gate the whole series
     for i, c in enumerate(coords):
@@ -755,9 +747,9 @@ def inhom_series(
         lo, hi = intervals[i]
         if not lo <= 0 <= hi:
             return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
-        for p in ctx.primes:
-            cp = centers[p][i]
-            if cp != 0 and -valuation(cp, p) > exps[p]:
+        for p, (c_p, e_p) in finite.items():
+            cp = c_p[i]
+            if cp != 0 and -valuation(cp, p) > e_p:
                 return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
 
     # real window for s = a/t: intersection of I_i / y_i over nonzero y_i
@@ -774,14 +766,14 @@ def inhom_series(
     # denominator cap: v_p(a) >= min(v_p(c_j), -e_p) - v_p(y_j) is necessary
     # for the finite conditions, so deeper denominators contribute nothing
     dep = {}
-    for p in ctx.primes:
+    for p, (c_p, e_p) in finite.items():
         need = None
         for i, c in enumerate(coords):
             if c == 0:
                 continue
-            cp = centers[p][i]
+            cp = c_p[i]
             vc = valuation(cp, p) if cp != 0 else None
-            lo_v = -exps[p] if vc is None else min(vc, -exps[p])
+            lo_v = -e_p if vc is None else min(vc, -e_p)
             lower = lo_v - valuation(c, p)
             need = lower if need is None else max(need, lower)
         dep[p] = max(0, -need)
@@ -791,9 +783,9 @@ def inhom_series(
     # divides n u h - g w t den (t is a p-adic unit); zero y_i passed above
     tests = [
         (j, p, c.numerator * cp.denominator, cp.numerator * c.denominator,
-         valuation(c.denominator * cp.denominator, p) - exps[p])
+         valuation(c.denominator * cp.denominator, p) - finite[p][1])
         for j, p in enumerate(ctx.primes)
-        for c, cp in zip(coords, centers[p])
+        for c, cp in zip(coords, finite[p][0])
         if c != 0
     ]
     # |n| and t den stay below reach over the walk

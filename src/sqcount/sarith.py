@@ -96,6 +96,11 @@ def valuation(x, p: int) -> int:
     return v
 
 
+def min_valuation(entries, p: int):
+    """The least v_p over the nonzero entries, None when every entry is 0."""
+    return min((valuation(x, p) for x in entries if x != 0), default=None)
+
+
 def s_free_part(n: int, ctx: SConfig) -> int:
     """Positive n with every S_f factor removed."""
     n = abs(n)

@@ -24,12 +24,7 @@ from . import __version__
 from .errors import ConfigError
 from .qspace import QuadraticFormS, quadratic_form
 from .sarith import SConfig, TVector
-from .slattice import (
-    SBox,
-    TestFunction,
-    indicator_product_box,
-    indicator_sbox,
-)
+from .slattice import ProductBox, SBox
 
 
 # --- rationals and CSV cells -------------------------------------------------
@@ -240,17 +235,17 @@ def read_testfn(obj) -> tuple:
     raise ConfigError(f"unknown test function kind {kind!r}")
 
 
-def testfn_from_json(obj: dict, ctx: SConfig) -> TestFunction:
+def testfn_from_json(obj: dict, ctx: SConfig) -> SBox | ProductBox:
     kind, fields = read_testfn(obj)
     if kind == "disk":
         radius, t_p, center = fields
-        return indicator_sbox(SBox(TVector(radius, t_p, ctx), center))
+        return SBox(TVector(radius, t_p, ctx), center)
     intervals, exponent, center = fields
     for key, per_prime in (("finite_exponent", exponent), ("finite_center", center)):
         outside = sorted(set(per_prime) - set(ctx.primes))
         if outside:
             raise ConfigError(f"{key} has an entry at {outside[0]}, which is not in S")
-    return indicator_product_box(intervals, exponent, center)
+    return ProductBox(intervals, exponent, center)
 
 
 # --- CSV and manifests ------------------------------------------------------------

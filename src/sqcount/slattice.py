@@ -11,22 +11,23 @@ GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
 wise interval pruning on an LDL decomposition (Fincke-Pohst).
 
-A box has a center per place: one center for a disk (SBox); for a product
-box its real midpoint, whose circumscribed ball only prunes the walk, and
-its own center at each prime.  At the last coordinate of a row its d real
-intervals are cut, then re-tested at the ends on the float real image.
+A test function is a disk (SBox) or a product box (ProductBox), and each
+gives its own center per place (places): one for a disk; for a product box
+its real midpoint, whose circumscribed ball only prunes the walk, and its
+own center at each prime.  At the last coordinate of a row a product box's
+d real intervals are cut, then re-tested at the ends on the float image.
 
 Two front ends share that walk.  enumerate_points builds every point with
-its exact per-place images.  count_points only counts: the last coordinate
-of each row is an interval, counted in closed form, and the origin is
-located once per lattice; the Monte Carlo estimators score each draw with
-it, for both kinds of indicator.
+its exact per-place images.  count_points only counts, the last coordinate
+of each row in closed form; the Monte Carlo estimators score each draw with
+it.  Whether a shape holds the origin depends on the shape alone
+(holds_origin).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,15 +36,16 @@ from . import _linalg as la
 from .errors import (
     ConfigError,
     DegenerateForm,
+    DimensionMismatch,
     InsufficientPadicPrecision,
     RegionTooLarge,
 )
-from .sarith import SConfig, TVector, crt, frac_mod, valuation
+from .sarith import SConfig, TVector, crt, frac_mod, min_valuation, valuation
 
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
 
-# --- boxes and test functions ---------------------------------------------------
+# --- test functions ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -75,50 +77,60 @@ class SBox:
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Indicator test functions: an SBox or a product box.
+class ProductBox:
+    """Real part a product of closed intervals lo < hi, finite part a ball
+    |v_i - c_i|_p <= p^{e_p} per place; a place left out is the unit ball
+    Z_p^d (c_p = 0, e_p = 0), which keeps the support compact."""
 
-    sbox: the indicator of `box`.
-    product-box: real part a product of closed intervals lo < hi, finite
-    part a ball |v_i - c_i|_p <= p^{e_p} per place; an omitted place is the
-    unit ball Z_p^d (c_p = 0, e_p = 0), which keeps the support compact.
-    """
+    intervals: tuple
+    finite_exponent: dict = field(default_factory=dict)
+    finite_center: dict = field(default_factory=dict)
 
-    kind: str
-    box: SBox | None = None
-    intervals: tuple | None = None
-    finite_center: dict | None = None
-    finite_exponent: dict | None = None
+    def __post_init__(self):
+        intervals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.intervals)
+        if not intervals:
+            raise ConfigError("empty product box")
+        if any(hi <= lo for lo, hi in intervals):
+            raise ConfigError("real intervals must have positive length")
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "finite_exponent", dict(self.finite_exponent))
+        object.__setattr__(self, "finite_center", dict(self.finite_center))
 
     def places(self, d: int, primes) -> tuple:
-        """As SBox.places: the real midpoint, and the circumscribed ball
-        widened far past float rounding so that a corner survives."""
-        if self.kind == "sbox":
-            return self.box.places(d, primes)
+        """As SBox.places: the real midpoint, the circumscribed ball widened
+        far past float rounding so that a corner survives, and a ball at
+        every prime, c_p = 0 and e_p = 0 where none is given."""
+        finite = {}
+        for p in primes:
+            c = tuple(Fraction(x) for x in self.finite_center.get(p, (0,) * d))
+            if len(c) != d:
+                raise DimensionMismatch(f"finite center at p={p} has wrong length")
+            finite[p] = c, int(self.finite_exponent.get(p, 0))
         center = tuple((lo + hi) / 2 for lo, hi in self.intervals)
         corner2 = sum(((hi - lo) / 2) ** 2 for lo, hi in self.intervals)
-        return center, float(corner2) * (1 + 1e-9), self.intervals, {
-            p: (self.finite_center.get(p, (0,) * d), self.finite_exponent.get(p, 0))
-            for p in primes
-        }
+        return center, float(corner2) * (1 + 1e-9), self.intervals, finite
+
+    def volume(self, primes) -> Fraction:
+        """Exact Haar volume: the interval lengths times p^{d e_p} per prime."""
+        d = len(self.intervals)
+        v = math.prod((hi - lo for lo, hi in self.intervals), start=Fraction(1))
+        for p, (_, e) in self.places(d, primes)[3].items():
+            v *= Fraction(p) ** (d * e)
+        return v
 
 
-def indicator_sbox(box: SBox) -> TestFunction:
-    return TestFunction(kind="sbox", box=box)
-
-
-def indicator_product_box(intervals, finite_exponent=None, finite_center=None):
-    intervals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
-    if not intervals:
-        raise ConfigError("empty product box")
-    if any(hi <= lo for lo, hi in intervals):
-        raise ConfigError("real intervals must have positive length")
-    return TestFunction(
-        kind="product-box",
-        intervals=intervals,
-        finite_exponent=dict(finite_exponent or {}),
-        finite_center=dict(finite_center or {}),
-    )
+def holds_origin(box, d: int, primes) -> bool:
+    """Whether count_points counts k = 0 on any lattice with zero shift:
+    each finite ball holds 0, and the real test at 0 is the leaf test at
+    n = 0, whose frame has y0 = -center (the same float squares)."""
+    center, t2, intervals, finite = box.places(d, primes)
+    for p, (c, e) in finite.items():
+        v = min_valuation(c, p)
+        if v is not None and v < -e:
+            return False
+    if intervals is None:
+        return sum(float(c) * float(c) for c in center) < t2
+    return all(lo <= 0 <= hi for lo, hi in intervals)
 
 
 # --- lattices ---------------------------------------------------------------------
@@ -159,7 +171,8 @@ def affine_slattice_split(
     bp = {}
     for p in ctx.primes:
         m = la.as_matrix(basis_p[p])
-        if any(valuation(x, p) < 0 for row in m for x in row if x != 0):
+        v = min_valuation((x for row in m for x in row), p)
+        if v is not None and v < 0:
             raise ConfigError(f"basis at p={p} is not p-integral")
         if valuation(la.det(m), p) != 0:
             raise ConfigError(f"basis at p={p} has non-unit determinant")
@@ -179,7 +192,7 @@ def affine_slattice_split(
 def enumerate_points(
     lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ):
-    """All points of the lattice inside the box (an SBox or a TestFunction),
+    """All points of the lattice inside the box (an SBox or a ProductBox),
     sorted by their integer coordinates; the finite-place images are exact."""
     frame = _box_frame(lat, box)
     rem, mod, big_r = frame.rem, frame.mod, frame.big_r
@@ -195,17 +208,12 @@ def enumerate_points(
 
 
 def count_points(
-    lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    homogeneous: bool = False,
+    lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> int:
-    """len(enumerate_points(lat, box, max_candidates)), without the origin
-    when homogeneous, built without a single point: the last coordinate of
-    each row is counted in closed form.  Same budget, same errors."""
-    frame = _box_frame(lat, box)
-    total = _ellipsoid_integer_points(frame, max_candidates)
-    if homogeneous and _origin_enumerated(lat, frame):
-        total -= 1
-    return total
+    """len(enumerate_points(lat, box, max_candidates)), built without a
+    single point: the last coordinate of each row is counted in closed
+    form.  Same budget, same errors."""
+    return _ellipsoid_integer_points(_box_frame(lat, box), max_candidates)
 
 
 @dataclass(frozen=True)
@@ -247,11 +255,8 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
     for p in ctx.primes:
         center_p, tp = finite[p]
         diff = tuple(Fraction(c) - s for c, s in zip(center_p, lat.shift_p[p]))
-        r_p = max(
-            tp,
-            max((-valuation(x, p) for x in diff if x != 0), default=0),
-            0,
-        )
+        v = min_valuation(diff, p)
+        r_p = max(tp, 0 if v is None else -v, 0)
         s_p = r_p - tp
         if lat.depth[p] is not None and s_p > lat.depth[p]:
             raise InsufficientPadicPrecision(
@@ -289,36 +294,6 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
         bb + float(s) - float(c) for bb, s, c in zip(base, lat.shift_inf, center)
     )
     return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, intervals, lat)
-
-
-def _origin_enumerated(lat: AffineSLattice, frame: _BoxFrame) -> bool:
-    """Whether the frame counts the origin: the point whose image is exactly
-    zero at every finite place and below 1e-12 in every real coordinate.
-
-    The exact image k.basis + shift = 0 at a finite place fixes k.  Without
-    finite places the float real image fixes k up to rounding, since the
-    lattice has covolume 1.  So at most one k qualifies.
-    """
-    if lat.ctx.primes:
-        p = lat.ctx.primes[0]
-        k = tuple(-x for x in la.vec_mat(lat.shift_p[p], la.inverse(lat.basis_p[p])))
-    else:
-        k = tuple(
-            Fraction(round(-float(x)))
-            for x in np.asarray(lat.shift_inf) @ np.linalg.inv(lat.basis_inf)
-        )
-    n = []
-    for ki, ri in zip(k, frame.rem):
-        m = ki * frame.big_r
-        if m.denominator != 1 or (m.numerator - ri) % frame.mod:
-            return False
-        n.append((m.numerator - ri) // frame.mod)
-    return (
-        all(x + s == 0 for p in lat.ctx.primes
-            for x, s in zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
-        and all(abs(x) < 1e-12 for x in _real_image(lat, [float(x) for x in k]))
-        and frame.inside(n)
-    )
 
 
 def _real_image(lat: AffineSLattice, k) -> tuple:

@@ -27,14 +27,10 @@ import numpy as np
 from . import _linalg as la
 from .errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
 from .qspace import QuadraticFormS, _jordan_blocks, is_isotropic
-from .sarith import INF, frac_mod, valuation
+from .sarith import INF, frac_mod, min_valuation, valuation
 
 
 # --- p-adic volumes -----------------------------------------------------------
-
-def _min_val(entries, p: int):
-    return min((valuation(x, p) for x in entries if x != 0), default=None)
-
 
 def _block_histogram(block, big_m: int):
     """Counts of Q_block(y) mod big_m over y mod big_m, for a block whose
@@ -78,7 +74,7 @@ def _block_scale(block, p: int) -> int:
     coefficients a, 2b, c of a y1^2 + 2b y1 y2 + c y2^2 (or of a y^2)."""
     if len(block) == 1:
         return valuation(block[0][0], p)
-    return _min_val((block[0][0], 2 * block[0][1], block[1][1]), p)
+    return min_valuation((block[0][0], 2 * block[0][1], block[1][1]), p)
 
 
 def _scaled(block, f: Fraction) -> tuple:
@@ -116,7 +112,7 @@ def padic_quadric_volume(p: int, gram, t: int = 0, a=0, c: int = 0) -> Fraction:
     ball = Fraction(p) ** (d * t)
     s = 2 * t + c
     b = Fraction(p) ** (2 * t) * a
-    lam = min(0, _min_val(tuple(x for row in gram for x in row), p))
+    lam = min(0, min_valuation((x for row in gram for x in row), p))
     if b != 0:
         lam = min(lam, valuation(b, p))
     m = s - lam

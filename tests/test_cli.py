@@ -521,6 +521,39 @@ def test_box_moment_mc_csv_is_pinned(tmp_path):
         "6b1831ec71d0ab1bd4ace87ae9a52631d74619904d29ebe020e0d7b26620d435")
 
 
+@pytest.mark.parametrize("command, args, digest", [
+    ("moment-mc", ["--d", "2", "--primes", "2", "--f", "disk:2"],
+     "19d052b40b1b88268bcf5812e02a8383bea092ae105cc02ac4871fea471b70fa"),
+    ("moment-mc", ["--d", "3", "--primes", "2,3", "--f",
+                   "box:-1..1,-1/2..1,-1..1@2=1"],
+     "06953166e81bb039976c69c4ba46b999f86c995b7799e665f133d5a3be7141d3"),
+    ("moment-mc", ["--d", "2", "--primes", "3", "--f", "disk:2@3=-1"],
+     "c89692d5982ae471755e765cfaaac427a6779d9074e2e936ebeab94fa5492838"),
+    # the origin lies outside this box
+    ("moment-mc", ["--d", "2", "--primes", "2", "--f", "box:1/2..2,-1..1"],
+     "7cf1dcb3d8c4f0e5e57f9ba59e59f8abe8d67f23a1b03461782bbaf25ce9e133"),
+    ("variance", ["--d", "2", "--primes", "2", "--box", "disk:2",
+                  "--threshold", "2"],
+     "5ba6dbd47bece23133f20cf94ac23f868e9dab762660513e1e972a34242fe40a"),
+])
+def test_base_space_csv_is_pinned(command, args, digest, tmp_path):
+    # the base-space transform leaves out the origin, which every draw
+    # holds, exactly when the test function does
+    argv = [command, "--space", "base", *args, "--n", "40", "--seed", "6",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sha256(tmp_path / f"{command}.csv") == digest
+
+
+@pytest.mark.parametrize("command", ["moment-mc", "moment-rhs"])
+def test_depth_at_a_prime_outside_s_exits_2(command, tmp_path, capsys):
+    args = [*without(RUNS[command], "primes"), "--primes", "2"]
+    argv = [command, *args, "--depth", "3=4,2=1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "depth given at 3, which is not in S" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_huge_real_bound_exits_3_naming_max_terms(tmp_path, capsys):
     # the window's progressions are charged to the budget by arithmetic,
     # not by building ranges too long for len()

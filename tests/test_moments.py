@@ -31,9 +31,8 @@ from sqcount.moments import (
     MCEstimate,
     _admissible_walk,
     _expm,
-    _integral,
     _pair_terms,
-    _product_box_data,
+    _series_box,
     _uniform_unit_basis_mod,
     estimate_moments,
     inhom_series,
@@ -44,12 +43,7 @@ from sqcount.moments import (
 )
 from sqcount.sarith import SConfig, TVector, is_in_NS, prime_factors, valuation
 from sqcount.serialize import frac_str
-from sqcount.slattice import (
-    SBox,
-    count_points,
-    indicator_product_box,
-    indicator_sbox,
-)
+from sqcount.slattice import ProductBox, SBox, count_points
 
 S2 = SConfig((2,))
 S23 = SConfig((2, 3))
@@ -143,7 +137,7 @@ class TestSiegelSampler:
         sp = space_spec("base", 2, S0)
         box = SBox(TVector(2.0, {}, S0))
         (est,) = estimate_moments(
-            sp, indicator_sbox(box), (1,), n=20_000, seed=101
+            sp, box, (1,), n=20_000, seed=101
         )
         assert est.sampler_exactness == "exact"
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
@@ -175,7 +169,7 @@ class TestAffineSampler:
         # are scored on the same draws
         for box in boxes:
             e1, e2 = estimate_moments(
-                sp, indicator_sbox(box), (1, 2), n=6000, seed=7
+                sp, box, (1, 2), n=6000, seed=7
             )
             vol = box.volume(2)
             assert abs(e1.mean - vol) <= 4 * e1.stderr
@@ -212,7 +206,7 @@ class TestCongruenceSampler:
         sp = space_spec("congruence", 2, S2, cctx=cctx)
         box = SBox(TVector(2.5, {2: 0}, S2))
         (est,) = estimate_moments(
-            sp, indicator_sbox(box), (1,), n=4000, seed=3
+            sp, box, (1,), n=4000, seed=3
         )
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
 
@@ -222,7 +216,7 @@ class TestMCMCSampler:
         sp = space_spec("affine", 3, S2)
         box = SBox(TVector(1.5, {2: 0}, S2))
         (est,) = estimate_moments(
-            sp, indicator_sbox(box), (1,), n=400, seed=2
+            sp, box, (1,), n=400, seed=2
         )
         assert est.sampler_exactness == "mcmc-approximate"
         # reported, not asserted: the walk should land in the right decade
@@ -319,7 +313,7 @@ class TestBlockWalk:
 class TestEstimatorPlumbing:
     def test_deterministic_given_seed_and_workers(self):
         sp = space_spec("affine", 2, S2)
-        f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
+        f = SBox(TVector(2.0, {2: 0}, S2))
         a = estimate_moments(sp, f, (1,), n=300, seed=42, workers=3)
         b = estimate_moments(sp, f, (1,), n=300, seed=42, workers=3)
         assert a == b
@@ -327,14 +321,14 @@ class TestEstimatorPlumbing:
     def test_orders_share_the_stream(self):
         # adding an order must not consume extra randomness
         sp = space_spec("affine", 2, S2)
-        f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
+        f = SBox(TVector(2.0, {2: 0}, S2))
         (single,) = estimate_moments(sp, f, (1,), n=200, seed=5)
         both = estimate_moments(sp, f, (1, 2), n=200, seed=5)
         assert single.mean == both[0].mean
 
     def test_worker_split_changes_stream_not_distribution(self):
         sp = space_spec("affine", 2, S2)
-        f = indicator_sbox(SBox(TVector(2.0, {2: 0}, S2)))
+        f = SBox(TVector(2.0, {2: 0}, S2))
         (a,) = estimate_moments(sp, f, (1,), n=2000, seed=42, workers=1)
         (b,) = estimate_moments(sp, f, (1,), n=2000, seed=42, workers=4)
         assert a.mean != b.mean
@@ -342,7 +336,7 @@ class TestEstimatorPlumbing:
 
     def test_stderr_is_sample_sd_over_sqrt_n(self):
         sp = space_spec("affine", 2, S2)
-        f = indicator_sbox(SBox(TVector(1.5, {2: 0}, S2)))
+        f = SBox(TVector(1.5, {2: 0}, S2))
         n = 50
         (est,) = estimate_moments(sp, f, (1,), n=n, seed=8)
         # replay the same stream by hand
@@ -355,7 +349,7 @@ class TestEstimatorPlumbing:
 
     def test_validation(self):
         sp = space_spec("affine", 2, S2)
-        f = indicator_sbox(SBox(TVector(1.0, {2: 0}, S2)))
+        f = SBox(TVector(1.0, {2: 0}, S2))
         with pytest.raises(ConfigError):
             estimate_moments(sp, f, (3,), n=100, seed=0)
         with pytest.raises(ConfigError):
@@ -366,16 +360,16 @@ class TestEstimatorPlumbing:
 
 # --- exact pair series -------------------------------------------------------------------
 
-TERN_BOX = indicator_product_box([(-1, 1)] * 3)  # [-1,1]^3 x Z_2^3 over S2
+TERN_BOX = ProductBox([(-1, 1)] * 3)  # [-1,1]^3 x Z_2^3 over S2
 # nonzero centers of several valuations at 2 and 3, a negative exponent at 2
 # and a positive one at 3
-CENTERED_BOX = indicator_product_box(
+CENTERED_BOX = ProductBox(
     [(Fraction(-3, 2), 1), (-1, Fraction(4, 3)), (Fraction(-1, 5), 2)],
     finite_exponent={2: -1, 3: 1},
     finite_center={2: (Fraction(1, 2), 0, Fraction(1, 3)),
                    3: (Fraction(1, 2), 2, Fraction(1, 9))},
 )
-UNIT_CENTER_BOX = indicator_product_box(
+UNIT_CENTER_BOX = ProductBox(
     [(Fraction(-3, 2), 1), (-1, Fraction(4, 3)), (Fraction(-1, 5), 2)],
     finite_exponent={2: -1, 3: 1},
     finite_center={2: (1, 0, Fraction(1, 3)), 3: (Fraction(1, 2), 2, 0)},
@@ -440,8 +434,8 @@ class TestPairSeries:
     def test_worked_leading_terms(self):
         # q=5, S_f={2}, box [-1,1]^3 x Z_2^3: hand-computed leading terms,
         # each as a one-element progression
-        d, ivs, exps, centers = _product_box_data(TERN_BOX, S2)
-        terms = _pair_terms(d, ivs, exps, centers, S2.primes, 1, 8)
+        d, ivs, finite = _series_box(TERN_BOX, S2.primes)
+        terms = _pair_terms(d, ivs, finite, S2.primes, 1, 8)
         cases = {
             (1, Fraction(1)): Fraction(8),
             (1, Fraction(-4)): Fraction(1, 8),
@@ -461,10 +455,10 @@ class TestPairSeries:
         cctx = congruence_context(3, q, (1, 0, 0), S2)
         boxes = [
             TERN_BOX,
-            indicator_product_box(
+            ProductBox(
                 [(Fraction(-1, 2), 1), (-1, 1), (0, 2)], finite_exponent={2: 1}
             ),
-            indicator_product_box(
+            ProductBox(
                 [(-1, 1)] * 3, finite_exponent={2: -1}, finite_center={2: (1, 0, 1)}
             ),
         ]
@@ -508,7 +502,7 @@ class TestPairSeries:
         # real support [1, 6/5]^3 with the 2-adic ball around 1 of radius 1/2:
         # within the truncation only (t, a) = (1, 1) contributes
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
-        f = indicator_product_box(
+        f = ProductBox(
             [(1, Fraction(6, 5))] * 3,
             finite_exponent={2: -1},
             finite_center={2: (1, 1, 1)},
@@ -535,16 +529,16 @@ class TestPairSeries:
     def test_rejects_non_product_functions_and_d2(self):
         cctx3 = congruence_context(3, 5, (1, 0, 0), S2)
         with pytest.raises(NonIndicatorUnsupported):
-            second_moment_rhs(indicator_sbox(SBox(TVector(1.0, {2: 0}, S2))), cctx3)
+            second_moment_rhs(SBox(TVector(1.0, {2: 0}, S2)), cctx3)
         cctx2 = congruence_context(2, 5, (1, 0), S2)
         with pytest.raises(ConfigError):
-            second_moment_rhs(indicator_product_box([(-1, 1)] * 2), cctx2)
+            second_moment_rhs(ProductBox([(-1, 1)] * 2), cctx2)
 
 
 # --- slow oracle of the progression kernel ------------------------------------------------
 
 
-def _slow_pair_term(d, intervals, exps, centers, primes):
+def _slow_pair_term(d, intervals, finite, primes):
     """The pair term at (t, a = n/den) in integers, one term at a time, as
     (numerator, denominator): the per-term kernel that the progression
     kernel _pair_terms replaced, kept as its oracle.
@@ -559,7 +553,8 @@ def _slow_pair_term(d, intervals, exps, centers, primes):
     big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
     ends = tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
     places = tuple(
-        (p, exps[p], min((valuation(c, p) for c in centers[p] if c), default=None))
+        (p, finite[p][1],
+         min((valuation(c, p) for c in finite[p][0] if c), default=None))
         for p in primes
     )
 
@@ -607,8 +602,8 @@ def _slow_pair_series(f, cctx, t_max, real_bound, depth):
     each admitted n through _slow_pair_term, numerators added per
     denominator and the Fractions summed in a pairwise tree."""
     ctx = cctx.ctx
-    d, ivs, exps, centers = _product_box_data(f, ctx)
-    term = _slow_pair_term(d, ivs, exps, centers, ctx.primes)
+    d, ivs, finite = _series_box(f, ctx.primes)
+    term = _slow_pair_term(d, ivs, finite, ctx.primes)
     dep = {p: depth for p in ctx.primes}
     b = Fraction(real_bound)
     by_den = {}
@@ -622,7 +617,7 @@ def _slow_pair_series(f, cctx, t_max, real_bound, depth):
                 if num:
                     used += 1
                     by_den[dnm] = by_den.get(dnm, 0) + num
-    integral = _integral(d, ivs, exps, centers, ctx.primes)
+    integral = f.volume(ctx.primes)
     fractions = [Fraction(num, dnm) for dnm, num in by_den.items()]
     return _slow_tree_sum([integral**2] + fractions), used
 
@@ -640,9 +635,9 @@ def _grid_boxes(d, ctx):
     and 1 in turn at each prime."""
     ivs = GRID_ENDS[:d]
     centers = {p: GRID_CENTERS[p][:d] for p in ctx.primes}
-    yield indicator_product_box(ivs)
+    yield ProductBox(ivs)
     for exps in ({2: -1, 3: 1}, {2: 1, 3: 0}, {2: 0, 3: -1}):
-        yield indicator_product_box(
+        yield ProductBox(
             ivs, finite_exponent={p: exps[p] for p in ctx.primes},
             finite_center=centers,
         )
@@ -697,7 +692,7 @@ class TestProgressionKernel:
     def test_d5_congruence_box_takes_python_ints(self, kernel_dtypes):
         # the moment-rhs defaults on [-1,1]^5: (16 * 384)^5 > 2^62
         cctx = congruence_context(5, 5, (0, 0, 0, 0, 1), S2)
-        f = indicator_product_box([(-1, 1)] * 5)
+        f = ProductBox([(-1, 1)] * 5)
         sv = second_moment_rhs(f, cctx)
         assert kernel_dtypes == [object]
         want, used = _slow_pair_series(f, cctx, 16, 24, DEFAULT_SERIES_DEPTH)
@@ -708,8 +703,8 @@ class TestProgressionKernel:
         # L = 101 exceeds every |n| (at most 4 * 2^2) and t, so only the sum's
         # extra factor puts 101 among the primes of the final reduction
         cctx = congruence_context(3, 5, (0, 0, 1), S2)
-        f = indicator_product_box([(Fraction(-1, 101), Fraction(100, 101)), (-1, 1),
-                                   (Fraction(-50, 101), Fraction(3, 2))])
+        f = ProductBox([(Fraction(-1, 101), Fraction(100, 101)), (-1, 1),
+                        (Fraction(-50, 101), Fraction(3, 2))])
         sv = second_moment_rhs(f, cctx, t_max=6, real_bound=4, depth=2)
         want, _ = _slow_pair_series(f, cctx, 6, 4, 2)
         assert sv.value == want and _in_lowest_terms(sv.value)
@@ -797,7 +792,7 @@ class TestInhomSeries:
         boxes = [
             CENTERED_BOX,
             UNIT_CENTER_BOX,
-            indicator_product_box(
+            ProductBox(
                 [(-3, 3), (Fraction(-3, 2), Fraction(5, 2)), (-2, 2)],
                 finite_exponent={p: 1 for p in ctx.primes},
                 finite_center={p: (Fraction(1, p), 0, 1) for p in ctx.primes},
@@ -822,7 +817,7 @@ class TestInhomSeries:
     def test_tiny_support_picks_out_f_of_y(self):
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
         y = (Fraction(3), Fraction(1), Fraction(2))
-        f = indicator_product_box(
+        f = ProductBox(
             [
                 (Fraction(59, 20), Fraction(61, 20)),
                 (Fraction(19, 20), Fraction(21, 20)),
@@ -844,12 +839,12 @@ class TestInhomSeries:
                 continue
             y = tuple(Fraction(v, 9) for v in k)
             u = Fraction(2)
-            f = indicator_product_box(
+            f = ProductBox(
                 [(-1, 1), (Fraction(-1, 2), Fraction(3, 2)), (0, 2)],
                 finite_exponent={2: 1},
                 finite_center={2: (0, 1, 0)},
             )
-            f_u = indicator_product_box(
+            f_u = ProductBox(
                 [(lo / u, hi / u) for lo, hi in f.intervals],
                 finite_exponent={2: 1 + valuation(u, 2)},
                 finite_center={2: tuple(Fraction(c) / u for c in f.finite_center[2])},
@@ -862,7 +857,7 @@ class TestInhomSeries:
         # y_2 = 0 and the box needs coordinate 2 away from 0: nothing but
         # the integral survives
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
-        f = indicator_product_box([(-1, 1), (Fraction(1, 2), 1), (-1, 1)])
+        f = ProductBox([(-1, 1), (Fraction(1, 2), 1), (-1, 1)])
         sv = inhom_series(f, (Fraction(1), Fraction(0), Fraction(1)), cctx)
         assert sv.value == Fraction(1, 2) * 2 * 2
         assert sv.terms_used == 0 and sv.tail_bound == 0.0
@@ -874,7 +869,7 @@ class TestInhomSeries:
         with pytest.raises(DimensionMismatch):
             inhom_series(TERN_BOX, (1, 2), cctx)
         with pytest.raises(NonIndicatorUnsupported):
-            inhom_series(indicator_sbox(SBox(TVector(1.0, {2: 0}, S2))), (1, 1, 1), cctx)
+            inhom_series(SBox(TVector(1.0, {2: 0}, S2)), (1, 1, 1), cctx)
 
     def test_cross_path_against_pair_series(self):
         # vol(box) * E_y[series(y)] over Haar-like rational y reproduces the
@@ -936,7 +931,7 @@ class TestSeriesBudget:
         # exponent 1 at 2 with an integral y caps the denominators at 2^1;
         # the real window of s = a/t is [-1/3, 1/3], set by y_3 = 3
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
-        f = indicator_product_box([(-1, 1)] * 3, finite_exponent={2: 1})
+        f = ProductBox([(-1, 1)] * 3, finite_exponent={2: 1})
         y = (1, 2, 3)
         third = Fraction(1, 3)
         need = _progression_elements(S2, 5, 40, {2: 1},

@@ -1,4 +1,5 @@
-"""Tests for lattice enumeration, Siegel transforms, and discrepancy.
+"""Tests for lattice enumeration, the origin term of Siegel transforms,
+and discrepancy.
 
 Every lattice is built the way the samplers build them: a float real basis
 and exact p-integral finite bases.  The enumeration engine is checked
@@ -6,8 +7,9 @@ against a naive oracle that scans a rectangular superset of coordinate
 vectors and tests every candidate straight from the definitions, the real
 place in floats and the finite places exactly.  Product boxes are also
 checked against the count through built points: enumerate a support box
-around the box, then test each point.  Hand counts use identity or dyadic
-data, on which the float arithmetic is exact.
+around the box, then test each point.  holds_origin is checked against the
+enumerated points of lattices with zero shift.  Hand counts use identity or
+dyadic data, on which the float arithmetic is exact.
 """
 
 import math
@@ -21,14 +23,12 @@ from sqcount import _linalg as la
 from sqcount.errors import ConfigError, InsufficientPadicPrecision, RegionTooLarge
 from sqcount.sarith import SConfig, TVector, valuation
 from sqcount.slattice import (
-    DEFAULT_MAX_CANDIDATES,
-    LatticePoint,
+    ProductBox,
     SBox,
     affine_slattice_split,
     count_points,
     enumerate_points,
-    indicator_product_box,
-    indicator_sbox,
+    holds_origin,
 )
 
 S0 = SConfig(())
@@ -104,9 +104,8 @@ def naive_scan_radius(lat, b):
 
 def naive_points(lat, b):
     """Independent enumeration: the sorted Z_S-coordinates k of all lattice
-    points in the box, and for each whether it is the origin.  Scans every
-    m / big_r with |m_j| <= m_bound, tests the real ball in floats, then the
-    finite balls exactly."""
+    points in the box.  Scans every m / big_r with |m_j| <= m_bound, tests
+    the real ball in floats, then the finite balls exactly."""
     d, ctx = lat.dim, lat.ctx
     center = tuple(Fraction(c) for c in b.center or (0,) * d)
     big_r, m_bound = naive_scan_radius(lat, b)
@@ -116,7 +115,7 @@ def naive_points(lat, b):
     off = real - np.array([float(c) for c in center])
     inside = (off * off).sum(axis=1) < float(b.t.t_inf) ** 2
     out = []
-    for row, v in zip(m[inside].tolist(), real[inside].tolist()):
+    for row in m[inside].tolist():
         k = tuple(Fraction(mi, big_r) for mi in row)
         images = [
             tuple(x + s for x, s in zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
@@ -127,15 +126,8 @@ def naive_points(lat, b):
             for p, img in zip(ctx.primes, images)
             for x, c in zip(img, center)
         ):
-            origin = all(x == 0 for img in images for x in img) and all(
-                abs(x) < 1e-9 for x in v
-            )
-            out.append((k, origin))
+            out.append(k)
     return sorted(out)
-
-
-def naive_coords(lat, b):
-    return [k for k, _ in naive_points(lat, b)]
 
 
 def coords(points):
@@ -237,13 +229,12 @@ def in_product_box(f, ctx, real, finite) -> bool:
     )
 
 
-def built_points_count(lat, f, homogeneous) -> int:
+def built_points_count(lat, f) -> int:
     """The product-box count through built points: enumerate the support
     box, then test each point."""
     return sum(
         in_product_box(f, lat.ctx, pt.real, pt.finite)
         for pt in enumerate_points(lat, support_box(f, lat.ctx, lat.dim))
-        if not (homogeneous and is_origin(pt))
     )
 
 
@@ -273,14 +264,8 @@ def naive_box_points(lat, f):
             for p in ctx.primes
         }
         if in_product_box(f, ctx, real, finite):
-            out.append((k, is_origin(LatticePoint(k, real, finite))))
+            out.append(k)
     return sorted(out)
-
-
-def counted_points(lat, b, homogeneous, max_candidates=DEFAULT_MAX_CANDIDATES):
-    """The oracle for count_points: enumerate, then drop the origin."""
-    pts = enumerate_points(lat, b, max_candidates)
-    return sum(1 for pt in pts if not (homogeneous and is_origin(pt)))
 
 
 def budget_threshold(count):
@@ -315,7 +300,7 @@ class TestEnumerate:
         pts = enumerate_points(lat, b)
         got = sorted(pt.real for pt in pts)
         assert len(got) == 25
-        assert coords(pts) == naive_coords(lat, b)
+        assert coords(pts) == naive_points(lat, b)
         assert (0.5, 0.5) in got
         assert (-1.0, 1.0) in got
 
@@ -324,7 +309,7 @@ class TestEnumerate:
         b = box(S0, Fraction(5, 2))
         pts = enumerate_points(lat, b)
         assert len(pts) == 21
-        assert coords(pts) == naive_coords(lat, b)
+        assert coords(pts) == naive_points(lat, b)
 
     def test_shifted_empty(self):
         lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
@@ -367,7 +352,7 @@ class TestEnumerate:
             enumerate_points(lat, box(S2, 2, {2: -2}))
         # a product box needs as many digits as a disk
         with pytest.raises(InsufficientPadicPrecision, match="need 2 digits"):
-            count_points(lat, indicator_product_box([(-2, 2)] * 2, {2: -2}))
+            count_points(lat, ProductBox([(-2, 2)] * 2, {2: -2}))
 
     def test_split_mode_rotation(self):
         # a rotated float copy of Z^2 still counts 21 points in the disk
@@ -382,7 +367,7 @@ class TestEnumerate:
         lat = rational_lattice(S2, la.identity(2))
         b = box(S2, Fraction(5, 2), {2: -1})
         pts = enumerate_points(lat, b)
-        assert coords(pts) == naive_coords(lat, b)
+        assert coords(pts) == naive_points(lat, b)
         got = [pt.real for pt in pts]
         assert (2.0, 0.0) in got
         assert (1.0, 0.0) not in got
@@ -414,11 +399,8 @@ class TestEnumerate:
         if (2 * m_bound + 1) ** d > 400_000:
             return False
         expect = naive_points(lat, b)
-        assert coords(enumerate_points(lat, b)) == [k for k, _ in expect]
+        assert coords(enumerate_points(lat, b)) == expect
         assert count_points(lat, b) == len(expect)
-        origins = sum(origin for _, origin in expect)
-        assert origins <= 1
-        assert count_points(lat, b, homogeneous=True) == len(expect) - origins
         return True
 
     def test_involution(self):
@@ -445,15 +427,13 @@ class TestEnumerate:
 
 
 class TestCountPoints:
-    """count_points against len(enumerate_points) minus the origin."""
+    """count_points against len(enumerate_points)."""
 
     def assert_counts_agree(self, lat, b):
-        for homogeneous in (False, True):
-            want = counted_points(lat, b, homogeneous)
-            got = count_points(lat, b, homogeneous=homogeneous)
-            assert got == want, (lat, b, homogeneous)
+        assert count_points(lat, b) == len(enumerate_points(lat, b)), (lat, b)
 
-    def random_box(self, rng, ctx, d):
+    @staticmethod
+    def random_box(rng, ctx, d):
         t_inf = rng.choice([Fraction(2), Fraction(5, 2), Fraction(3)])
         if d == 3:
             t_inf = rng.choice([Fraction(3, 2), Fraction(2)])
@@ -495,19 +475,7 @@ class TestCountPoints:
         for shift in ("none", "lattice"):
             lat = random_split_lattice(rng, S23, 2, shift)
             b = box(S23, 2, {2: 1, 3: 0})
-            assert count_points(lat, b) - count_points(lat, b, homogeneous=True) == 1
-            self.assert_counts_agree(lat, b)
-
-    def test_shifted_exact_lattice_homogeneous(self):
-        basis = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-        b = box(S2, Fraction(5, 2), {2: 1})
-        # a shift of 1/3 is no lattice vector: no origin to drop
-        off = rational_lattice(S2, basis, (Fraction(1, 3), Fraction(0)))
-        assert count_points(off, b, homogeneous=True) == count_points(off, b)
-        # a shift by an S-integral vector keeps the origin in the lattice
-        on = rational_lattice(S2, basis, (Fraction(3, 2), Fraction(-1)))
-        assert count_points(on, b, homogeneous=True) == count_points(on, b) - 1
-        for lat in (off, on):
+            assert sum(map(is_origin, enumerate_points(lat, b))) == 1
             self.assert_counts_agree(lat, b)
 
     def test_one_point_wide_rows(self):
@@ -530,45 +498,28 @@ class TestCountPoints:
         ]
         for lat in lats:
             b = box(lat.ctx, 2, {p: 3 - lat.dim for p in lat.ctx.primes})
-            want = budget_threshold(lambda m: counted_points(lat, b, False, m))
+            want = budget_threshold(lambda m: len(enumerate_points(lat, b, m)))
             assert want > 0
             assert budget_threshold(lambda m: count_points(lat, b, m)) == want
             with pytest.raises(RegionTooLarge, match=f"max_candidates={want - 1}"):
-                count_points(lat, b, want - 1, homogeneous=True)
+                count_points(lat, b, want - 1)
 
 
 class TestSiegel:
     def test_disk_affine_and_homogeneous(self):
         lat = rational_lattice(S0, la.identity(2))
-        f = indicator_sbox(box(S0, Fraction(5, 2)))
+        f = box(S0, Fraction(5, 2))
         assert count_points(lat, f) == 21
-        assert count_points(lat, f, homogeneous=True) == 20
+        assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == 20
 
     def test_shifted_singleton(self):
         lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
-        f = indicator_sbox(box(S0, Fraction(1, 2)))
+        f = box(S0, Fraction(1, 2))
         assert count_points(lat, f) == 1
-        # the lattice misses the origin, so both modes agree
-        assert count_points(lat, f, homogeneous=True) == 1
-
-    def test_affine_minus_homogeneous_is_origin_indicator(self):
-        rng = random.Random(37)
-        for _ in range(10):
-            shift = (
-                Fraction(rng.randint(0, 1)),
-                Fraction(rng.randint(-1, 1), rng.choice([1, 4])),
-            )
-            lat = rational_lattice(S0, la.identity(2), shift)
-            f = indicator_sbox(box(S0, Fraction(7, 2)))
-            diff = count_points(lat, f) - count_points(lat, f, homogeneous=True)
-            has_origin = all(x.denominator == 1 for x in shift)
-            assert diff == (1 if has_origin else 0)
 
     def test_product_box(self):
         lat = rational_lattice(S2, la.identity(2))
-        f = indicator_product_box(
-            [(-1, 1), (-1, 1)], finite_exponent={2: 0}
-        )
+        f = ProductBox([(-1, 1), (-1, 1)], finite_exponent={2: 0})
         # integer points of the closed square: 9 (half-integers excluded
         # by the 2-adic unit ball)
         assert count_points(lat, f) == 9
@@ -615,8 +566,8 @@ class TestDiscrepancy:
         a = box(S0, Fraction(3, 5), center=(Fraction(1, 2),))
         a2 = box(S0, Fraction(7, 10), center=(Fraction(3, 5),))
         # containment of the three intervals
-        assert count_points(lat, indicator_sbox(a1)) == 1
-        assert count_points(lat, indicator_sbox(a)) == 2
+        assert count_points(lat, a1) == 1
+        assert count_points(lat, a) == 2
         d = discrepancy(lat, a)
         d1 = discrepancy(lat, a1)
         d2 = discrepancy(lat, a2)
@@ -629,8 +580,7 @@ class TestCountInSet:
     def test_box_and_indicator_agree(self):
         lat = rational_lattice(S0, la.identity(2))
         b = box(S0, Fraction(5, 2))
-        assert count_points(lat, indicator_sbox(b)) == 21
-        assert len(enumerate_points(lat, b)) == 21
+        assert count_points(lat, b) == len(enumerate_points(lat, b)) == 21
 
 
 class TestProductBox:
@@ -646,16 +596,11 @@ class TestProductBox:
         if (2 * m_bound + 1) ** lat.dim > 400_000:
             return False
         expect = naive_box_points(lat, f)
-        origins = sum(origin for _, origin in expect)
-        assert origins <= 1
-        assert coords(enumerate_points(lat, f)) == [k for k, _ in expect]
+        assert coords(enumerate_points(lat, f)) == expect
+        assert count_points(lat, f) == len(expect)
         # building every point of a large support box is slow
-        built = support.volume(lat.dim) < 1500
-        for homogeneous in (False, True):
-            want = len(expect) - origins * homogeneous
-            assert count_points(lat, f, homogeneous=homogeneous) == want
-            if built:
-                assert built_points_count(lat, f, homogeneous) == want
+        if support.volume(lat.dim) < 1500:
+            assert built_points_count(lat, f) == len(expect)
         return True
 
     @staticmethod
@@ -684,7 +629,7 @@ class TestProductBox:
         }
         if faces:
             centers = {p: tuple(int(c) for c in v) for p, v in centers.items()}
-        return indicator_product_box(intervals, exps, centers)
+        return ProductBox(intervals, exps, centers)
 
     @pytest.mark.parametrize("ctx", [S0, S2, S3, S23])
     @pytest.mark.parametrize("d", [2, 3])
@@ -716,3 +661,44 @@ class TestProductBox:
             lat = rational_lattice(ctx, u, shift)
             cases += self.check(lat, self.random_box(rng, ctx, d, faces=True))
 
+
+class TestHoldsOrigin:
+    """On a lattice with zero shift, count_points - holds_origin counts the
+    enumerated points whose images are not all zero."""
+
+    @pytest.mark.parametrize("ctx", [S0, S2, S23])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_against_the_point_oracle(self, ctx, d):
+        rng = random.Random(500 * d + len(ctx.primes) + sum(ctx.primes))
+        held = {SBox: 0, ProductBox: 0}
+        for case in range(16):
+            if case % 2:
+                lat = random_split_lattice(rng, ctx, d, "none")
+            else:
+                lat = random_rational_lattice(rng, ctx, d, shifted=False)
+            if case % 4 < 2:
+                f = TestCountPoints.random_box(rng, ctx, d)
+            else:
+                f = TestProductBox.random_box(rng, ctx, d)
+            if case % 4 == 3:
+                # stretch the intervals to 0, which often lands on a face
+                f = ProductBox([(min(lo, 0), max(hi, 0)) for lo, hi in f.intervals],
+                               f.finite_exponent, f.finite_center)
+            origin = holds_origin(f, d, ctx.primes)
+            want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
+            assert count_points(lat, f) - origin == want, (lat, f)
+            held[type(f)] += origin
+        # the origin lies inside some of the shapes and outside others
+        assert 0 < sum(held.values()) < 16, held
+
+    def test_origin_on_the_boundary(self):
+        # the open disk misses the origin on its sphere (9/4 + 4 = 25/4 in
+        # floats too), the closed box holds it on a face
+        lat = rational_lattice(S0, la.identity(2))
+        disk = box(S0, Fraction(5, 2), center=(Fraction(3, 2), Fraction(2)))
+        face = ProductBox([(0, 1), (-1, 1)])
+        assert not holds_origin(disk, 2, S0.primes)
+        assert holds_origin(face, 2, S0.primes)
+        for f in (disk, face):
+            want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
+            assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == want
