@@ -24,15 +24,6 @@ def identity(n: int) -> tuple:
     )
 
 
-def mat_mul(a, b) -> tuple:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch("matrix product shape mismatch")
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def vec_mat(v, m) -> tuple:
     if len(v) != len(m):
         raise DimensionMismatch("vector-matrix shape mismatch")

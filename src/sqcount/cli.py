@@ -38,7 +38,6 @@ Exit codes: 0 success, 2 configuration error, 3 budget failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -71,6 +70,7 @@ from .serialize import (
     parse_int as _int,
     parse_real,
     read_form,
+    read_json_object,
     read_testfn,
     testfn_from_json,
     write_csv,
@@ -198,16 +198,6 @@ def _finite(v) -> dict[int, dict]:
             for p, a, c, kappa in fields}
 
 
-def _json_file(path: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return obj
-
-
 def _form(v) -> dict:
     """Form object: "diag:1,1,-1", a JSON file path, or the object itself."""
     if isinstance(v, dict):
@@ -222,7 +212,7 @@ def _form(v) -> dict:
             for i in range(len(entries))
         ]}
     if body.endswith(".json"):
-        return _json_file(body)
+        return read_json_object(body)
     raise ConfigError("expected diag:..., a .json file or a form object")
 
 
@@ -233,7 +223,7 @@ def _testfn(v) -> dict:
         return v
     body = str(v).strip()
     if body.endswith(".json"):
-        return _json_file(body)
+        return read_json_object(body)
     if body.startswith("disk:"):
         radius, _, tail = body[5:].partition("@")
         obj = {"kind": "disk", "radius": frac_str(parse_real(radius))}

@@ -2,22 +2,23 @@
 
 Three homogeneous spaces of S-lattices are sampled: the base space of
 unimodular S-lattices, its affine extension (lattice translates), and the
-congruence space where the translate is pinned to w/q.  Samplers are exact
-for d = 2: the real factor comes from an inverse-CDF rejection sampler on
-the standard fundamental domain composed with a uniform rotation, the
-finite factors from uniform unit-determinant matrices mod p^{k_p}, which
-is Haar to depth k_p.  For d >= 3 the real factor falls back to a matrix
-random walk (step MCMC_STEP, MCMC_BURN_IN steps of burn-in, every
-MCMC_THIN-th state kept) and every estimate is flagged mcmc-approximate;
-d alone picks the sampler.  The walk advances in blocks (the burn-in, then
-each MCMC_THIN steps): a block's normals are one draw and their matrix
-exponentials one stacked product, which is the same chain, bit for bit, as
-stepping one draw at a time.  Each draw is scored by slattice.count_points,
-which counts the lattice points of a disk or a product box without building
-one.  On the base space the origin is a point of every draw, and the
-transform leaves it out: whether the shape holds it is decided once per run
-(slattice.holds_origin).  Both Monte Carlo estimators read the same
-per-draw transform values (_transform_values).
+congruence space where the translate is pinned to w/q.  A draw of any of
+them is one base lattice and a translate; only the translate's law differs
+(_translate).  Samplers are exact for d = 2: the real factor comes from an
+inverse-CDF rejection sampler on the standard fundamental domain composed
+with a uniform rotation, the finite factors from uniform unit-determinant
+matrices mod p^{k_p}, which is Haar to depth k_p.  For d >= 3 the real
+factor falls back to a matrix random walk (step MCMC_STEP, MCMC_BURN_IN
+steps of burn-in, every MCMC_THIN-th state kept) and every estimate is
+flagged mcmc-approximate; d alone picks the sampler.  The walk advances in
+blocks (the burn-in, then each MCMC_THIN steps): a block's normals are one
+draw and their matrix exponentials one stacked product, which is the same
+chain, bit for bit, as stepping one draw at a time.  Each draw is scored by
+slattice.count_points, which counts the lattice points of a disk or a
+product box without building one.  On the base space the origin is a point
+of every draw, and the transform leaves it out: whether the shape holds it
+is decided once per run (slattice.holds_origin).  Both Monte Carlo
+estimators read the same per-draw transform values (_transform_values).
 
 The exact side evaluates the coprime-pair second-moment series and the
 single-orbit series exactly, truncated with rigorous geometric tail bounds
@@ -93,7 +94,9 @@ class SpaceSpec:
 
     kind "base" is the space of unimodular S-lattices Z_S^d g, "affine" adds
     a translate drawn from the torus fiber, "congruence" pins the translate
-    to (w/q) gamma g over the level data in cctx.  depth maps each finite
+    to (w/q) gamma g over the level data in cctx, gamma a uniform level-q
+    coset; as Z_S^d gamma g = Z_S^d g, the coset moves only the translate,
+    so every kind draws the same base lattice g.  depth maps each finite
     place to the sampling resolution k_p.  The real sampler follows from d:
     exact at d = 2, the random walk at d >= 3 (exactness names which).
     """
@@ -278,53 +281,51 @@ def _real_basis_stream(space: SpaceSpec, rng):
             yield g
 
 
+def _translate(space: SpaceSpec, rng) -> tuple:
+    """The draw's translate u, in the coordinates of its base lattice g: the
+    lattice is Z_S^d g + u g, with u_inf a float vector and u_p[p] an exact
+    one.  Base: u = 0.  Affine: a uniform point of the torus fiber, u_inf
+    uniform on the unit cube and each u_p uniform on Z_p^d mod p^{k_p}.
+    Congruence: u = (w/q) gamma, gamma the lift of a uniform element of
+    SL_d(Z/q); as Z_S^d gamma = Z_S^d, the point set Z_S^d gamma g + u g is
+    Z_S^d g + u g, so the coset moves only the translate."""
+    primes = space.ctx.primes
+    if space.kind == "base":
+        zero = (Fraction(0),) * space.d
+        return np.zeros(space.d), dict.fromkeys(primes, zero)
+    if space.kind == "affine":
+        u_inf = rng.random(space.d)
+        return u_inf, {
+            p: tuple(Fraction(int(c))
+                     for c in rng.integers(0, p ** space.depth[p], space.d))
+            for p in primes
+        }
+    cctx = space.cctx
+    gamma = lift_slq_to_slz(sample_slq_uniform(space.d, cctx.q, rng), cctx.q)
+    u = la.vec_mat(tuple(Fraction(c, cctx.q) for c in cctx.w), gamma)
+    return np.array([float(c) for c in u]), dict.fromkeys(primes, u)
+
+
 def lattice_stream(space: SpaceSpec, rng):
     """Generator of lattices distributed per the space's normalized measure.
 
-    At d = 2 the draws are independent; at d >= 3 the random walk burns in
-    one chain and yields every MCMC_THIN-th state, so consecutive draws
-    are only approximately independent.
+    Every draw is one base lattice g (the real basis, then a finite basis
+    at each prime in order) plus the space's translate u g (_translate),
+    drawn after the bases.  At d = 2 the draws are independent; at d >= 3
+    the random walk burns in one chain and yields every MCMC_THIN-th state,
+    so consecutive draws are only approximately independent.
     """
     ctx = space.ctx
-    d = space.d
-    reals = _real_basis_stream(space, rng)
-    for b_real in reals:
-        b_inf = tuple(tuple(float(x) for x in row) for row in b_real)
+    for b_real in _real_basis_stream(space, rng):
         b_p = {
-            p: _uniform_unit_basis_mod(d, p, space.depth[p], rng)
+            p: _uniform_unit_basis_mod(space.d, p, space.depth[p], rng)
             for p in ctx.primes
         }
-        if space.kind == "base":
-            yield affine_slattice_split(ctx, b_inf, b_p, depth=dict(space.depth))
-            continue
-        if space.kind == "affine":
-            u_inf = rng.random(d)
-            shift_inf = tuple(float(x) for x in (u_inf @ b_real))
-            shift_p = {}
-            for p in ctx.primes:
-                u_p = tuple(
-                    Fraction(int(c)) for c in rng.integers(0, p ** space.depth[p], d)
-                )
-                shift_p[p] = la.vec_mat(u_p, b_p[p])
-            yield affine_slattice_split(
-                ctx, b_inf, b_p, shift_inf, shift_p, depth=dict(space.depth)
-            )
-            continue
-        # congruence: right-translate by a uniform lifted level-q coset and
-        # translate the lattice by the pinned point (w/q) gamma g
-        cctx = space.cctx
-        coset = sample_slq_uniform(d, cctx.q, rng)
-        gamma = lift_slq_to_slz(coset, cctx.q)
-        g_real = np.array([[float(x) for x in row] for row in gamma]) @ b_real
-        basis_inf = tuple(tuple(float(x) for x in row) for row in g_real)
-        basis_p = {p: la.mat_mul(gamma, b_p[p]) for p in ctx.primes}
-        w_q = tuple(Fraction(c, cctx.q) for c in cctx.w)
-        shift_inf = tuple(
-            float(x) for x in (np.array([float(c) for c in w_q]) @ g_real)
-        )
-        shift_p = {p: la.vec_mat(w_q, basis_p[p]) for p in ctx.primes}
+        u_inf, u_p = _translate(space, rng)
         yield affine_slattice_split(
-            ctx, basis_inf, basis_p, shift_inf, shift_p, depth=dict(space.depth)
+            ctx, b_real, b_p, u_inf @ b_real,
+            {p: la.vec_mat(u_p[p], b_p[p]) for p in ctx.primes},
+            depth=dict(space.depth),
         )
 
 

@@ -289,16 +289,19 @@ def write_manifest(path, command: str, config: dict, seed, wall_s: float,
     )
 
 
-def load_config(path) -> dict:
-    """Parameter dict from a config file or a previous run's manifest."""
+def read_json_object(path) -> dict:
+    """The JSON object a file holds; an unreadable file, malformed JSON or
+    any other JSON value is a ConfigError naming the path."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if isinstance(obj, dict) and isinstance(obj.get("config"), dict):
-        obj = obj["config"]
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{path} must hold a JSON object")
     return obj
+
+
+def load_config(path) -> dict:
+    """Parameter dict from a config file or a previous run's manifest."""
+    obj = read_json_object(path)
+    return obj["config"] if isinstance(obj.get("config"), dict) else obj

@@ -71,6 +71,8 @@ class SBox:
         closed intervals of a product box (None for a disk), and the balls
         finite[p] = (c_p, e_p).  A disk has one center at every place."""
         center = self.center or (Fraction(0),) * d
+        if len(center) != d:
+            raise DimensionMismatch("disk center has wrong length")
         return center, float(self.t.t_inf) ** 2, None, {
             p: (center, self.t.t_p.get(p, 0)) for p in primes
         }
@@ -174,10 +176,11 @@ def affine_slattice_split(
         v = min_valuation((x for row in m for x in row), p)
         if v is not None and v < 0:
             raise ConfigError(f"basis at p={p} is not p-integral")
-        if valuation(la.det(m), p) != 0:
+        det_p = la.det(m)
+        if det_p == 0 or valuation(det_p, p) != 0:
             raise ConfigError(f"basis at p={p} has non-unit determinant")
         bp[p] = m
-    s_inf = tuple(float(x) for x in (shift_inf or (0.0,) * d))
+    s_inf = tuple(map(float, (0.0,) * d if shift_inf is None else shift_inf))
     sp = {
         p: tuple(Fraction(x) for x in (shift_p or {}).get(p, (0,) * d))
         for p in ctx.primes

@@ -351,6 +351,22 @@ def test_object_file_with_an_unknown_key_names_it(command, key, obj, named,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command, key, name, text", [
+    ("count", "form", "x.json", None),
+    ("moment-mc", "f", "bad.json", '{"kind": "disk",'),
+])
+def test_unreadable_object_file_exits_2_naming_it(command, key, name, text,
+                                                  tmp_path, capsys):
+    # a missing file and malformed JSON read like a bad --config file
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    args = [*without(RUNS[command], key), flag(key), str(path)]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 @pytest.mark.parametrize("command, shift", [
     ("count", ["--xi", "1/3,0"]), ("sweep", ["--w", "1,2"]),
     ("volume", []),
@@ -519,6 +535,22 @@ def test_box_moment_mc_csv_is_pinned(tmp_path):
     assert main(argv) == 0
     assert sha256(tmp_path / "moment-mc.csv") == (
         "6b1831ec71d0ab1bd4ace87ae9a52631d74619904d29ebe020e0d7b26620d435")
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--d", "3", "--q", "5", "--w", "1/2,0,1", "--primes", "2,3", "--f",
+      "box:-1..1,-1..1,-1..1@2=1", "--n", "100", "--seed", "3"],
+     "c0e6a87b2bef1cc6ae97da9551c050c6cf89c4f9af35277894671d8f15899e41"),
+    (["--d", "5", "--q", "5", "--w", "0,0,0,0,1", "--primes", "2", "--f",
+      "box:-1..1,-1..1,-1..1,-1..1,-1..1", "--n", "40", "--seed", "1"],
+     "f633e7b90587536444ece72f06f4601ce535e9960e147d8cc3db896e63b10db2"),
+])
+def test_congruence_moment_mc_csv_is_pinned(args, digest, tmp_path):
+    # d >= 3 congruence boxes, whose draws the level-q coset may move only
+    # by their translate: no count, and so no byte, may depend on the basis
+    argv = ["moment-mc", "--space", "congruence", *args, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "moment-mc.csv") == digest
 
 
 @pytest.mark.parametrize("command, args, digest", [

@@ -15,7 +15,11 @@ import numpy as np
 import pytest
 
 from sqcount import _linalg as la
-from sqcount.congruence import congruence_context
+from sqcount.congruence import (
+    congruence_context,
+    lift_slq_to_slz,
+    sample_slq_uniform,
+)
 from sqcount.errors import (
     ConfigError,
     DimensionMismatch,
@@ -43,7 +47,13 @@ from sqcount.moments import (
 )
 from sqcount.sarith import SConfig, TVector, is_in_NS, prime_factors, valuation
 from sqcount.serialize import frac_str
-from sqcount.slattice import ProductBox, SBox, count_points
+from sqcount.slattice import (
+    ProductBox,
+    SBox,
+    affine_slattice_split,
+    count_points,
+    enumerate_points,
+)
 
 S2 = SConfig((2,))
 S23 = SConfig((2, 3))
@@ -188,18 +198,26 @@ class TestAffineSampler:
 
 class TestCongruenceSampler:
     def test_pinned_point_structure(self):
-        # q * shift * basis^{-1} == w exactly at every finite place, and the
-        # real data is the same product evaluated in floats
+        # the translate is (w/q) gamma in the drawn basis: q * shift_p *
+        # basis_p^{-1} is the integer vector w gamma, here the first row of
+        # gamma, so its entries are coprime; the real shift is that vector
+        # over q times basis_inf, in floats
         cctx = congruence_context(2, 5, (1, 0), S2)
         sp = space_spec("congruence", 2, S2, cctx=cctx)
         stream = lattice_stream(sp, np.random.default_rng(9))
+        residues = set()
         for _ in range(40):
             lat = next(stream)
             rec = la.vec_mat(lat.shift_p[2], la.inverse(lat.basis_p[2]))
-            assert tuple(5 * c for c in rec) == (1, 0)
-            b = lat.basis_inf
-            want = (b[0][0] / 5.0, b[0][1] / 5.0)
-            assert max(abs(a - c) for a, c in zip(lat.shift_inf, want)) < 1e-9
+            u = tuple(5 * c for c in rec)
+            assert all(c.denominator == 1 for c in u)
+            assert math.gcd(*(int(c) for c in u)) == 1
+            residues.add(tuple(int(c) % 5 for c in u))
+            want = np.array([float(c) / 5 for c in u]) @ np.array(lat.basis_inf)
+            tol = 1e-9 * (1 + max(abs(c) for c in u))
+            assert max(abs(a - c) for a, c in zip(lat.shift_inf, want)) < tol
+        # the coset moves the translate off w itself
+        assert len(residues) > 1
 
     def test_first_moment(self):
         cctx = congruence_context(2, 5, (1, 0), S2)
@@ -209,6 +227,57 @@ class TestCongruenceSampler:
             sp, box, (1,), n=4000, seed=3
         )
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
+
+
+class TestCosetMovesOnlyTheTranslate:
+    """Z_S^d gamma g + s is Z_S^d g + s for gamma in SL_d(Z); the congruence
+    sampler relies on it to leave gamma out of the basis.  Each draw of
+    every space, rewritten with basis gamma g at every place and the same
+    shifts, keeps its count and the images of its points."""
+
+    @staticmethod
+    def _shapes(d, ctx):
+        # each 2-adic ball is a congruence on the coordinates that a
+        # change of basis moves
+        center = (Fraction(1, 2),) + (Fraction(0),) * (d - 1)
+        disk = SBox(TVector(3, {2: -1}, ctx), center)
+        box = ProductBox(((-2, 2),) * (d - 1) + ((Fraction(-3, 2), 2),),
+                         {2: -1}, {2: (Fraction(1, 3),) * d})
+        return disk, box
+
+    @staticmethod
+    def _turned(lat, gamma):
+        """The lattice with basis gamma . basis at every place."""
+        return affine_slattice_split(
+            lat.ctx,
+            np.array(gamma, dtype=float) @ np.array(lat.basis_inf),
+            {p: tuple(la.vec_mat(row, b) for row in gamma)
+             for p, b in lat.basis_p.items()},
+            lat.shift_inf, lat.shift_p, depth=lat.depth,
+        )
+
+    @pytest.mark.parametrize("ctx", [S2, S23], ids=["S2", "S23"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["base", "affine", "congruence"])
+    def test_counts_and_points_agree(self, kind, d, ctx):
+        rng = np.random.default_rng(1000 * d + len(ctx.primes))
+        cctx = None
+        if kind == "congruence":
+            cctx = congruence_context(d, 5, (0,) * (d - 1) + (1,), ctx)
+        stream = lattice_stream(space_spec(kind, d, ctx, cctx=cctx), rng)
+        for _ in range(3):
+            lat = next(stream)
+            gamma = lift_slq_to_slz(sample_slq_uniform(d, 5, rng), 5)
+            turned = self._turned(lat, gamma)
+            for f in self._shapes(d, ctx):
+                assert count_points(turned, f) == count_points(lat, f)
+                # the finite images at 2 tell the points apart
+                want = {pt.finite[2]: pt for pt in enumerate_points(lat, f)}
+                got = {pt.finite[2]: pt for pt in enumerate_points(turned, f)}
+                assert got.keys() == want.keys()
+                for key, pt in got.items():
+                    assert pt.finite == want[key].finite
+                    assert np.allclose(pt.real, want[key].real, atol=1e-9)
 
 
 class TestMCMCSampler:

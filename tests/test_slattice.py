@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from sqcount import _linalg as la
-from sqcount.errors import ConfigError, InsufficientPadicPrecision, RegionTooLarge
+from sqcount.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InsufficientPadicPrecision,
+    RegionTooLarge,
+)
 from sqcount.sarith import SConfig, TVector, valuation
 from sqcount.slattice import (
     ProductBox,
@@ -343,6 +348,19 @@ class TestEnumerate:
         affine_slattice_split(S2, la.identity(2), {2: m})
         with pytest.raises(ConfigError, match="basis at p=3 has non-unit determinant"):
             affine_slattice_split(S3, la.identity(2), {3: m})
+        # a singular basis has no valuation to compare; it is refused the same way
+        with pytest.raises(ConfigError, match="basis at p=2 has non-unit determinant"):
+            affine_slattice_split(S2, la.identity(2), {2: ((0, 0), (0, 0))})
+
+    def test_rejects_disk_center_of_wrong_length(self):
+        # a third coordinate would be dropped by the count and read by the
+        # origin test, so both refuse it
+        lat = rational_lattice(S2, la.identity(2))
+        disk = box(S2, 2, center=(0, 0, 5))
+        with pytest.raises(DimensionMismatch, match="disk center"):
+            count_points(lat, disk)
+        with pytest.raises(DimensionMismatch, match="disk center"):
+            holds_origin(disk, 2, S2.primes)
 
     def test_insufficient_depth(self):
         lat = affine_slattice_split(
