@@ -303,9 +303,13 @@ def _parse(key: str, value):
 # --- shared handler plumbing ---------------------------------------------------------
 
 
-def _family(cfg, d: int):
+def _family(cfg, q_form):
+    outside = sorted(set(cfg["finite"]) - set(q_form.ctx.primes))
+    if outside:
+        raise ConfigError(f"finite has a target at {outside[0]}, which is not in S")
     finite = {p: (x["a"], x["c"], x["kappa"]) for p, x in cfg["finite"].items()}
-    return shrinking_family(d, cfg["c_inf"], cfg["kappa_inf"], cfg["a_inf"], finite)
+    return shrinking_family(q_form.dim, cfg["c_inf"], cfg["kappa_inf"],
+                            cfg["a_inf"], finite)
 
 
 def _space(cfg, ctx: SConfig):
@@ -410,7 +414,7 @@ def _cmd_count(cfg, out_dir, t0):
     """one exact count vs its prediction"""
     ctx = SConfig(cfg["primes"])
     q_form = form_from_json(cfg["form"], ctx)
-    family = _family(cfg, q_form.dim)
+    family = _family(cfg, q_form)
     # the manifest records every exponent of the resolved scale
     t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
     target = _target_from_cfg(cfg, ctx, q_form.dim)
@@ -429,7 +433,7 @@ def _cmd_sweep(cfg, out_dir, t0):
     """counts along a T ladder"""
     ctx = SConfig(cfg["primes"])
     q_form = form_from_json(cfg["form"], ctx)
-    family = _family(cfg, q_form.dim)
+    family = _family(cfg, q_form)
     ladder = cfg["ladder"] = [TVector(**t, ctx=ctx) for t in cfg["ladder"]]
     target = _target_from_cfg(cfg, ctx, q_form.dim)
     res = sweep(q_form, target, family, ladder, cfg["max_candidates"])
@@ -448,7 +452,7 @@ def _cmd_volume(cfg, out_dir, t0):
     """real x p-adic quadric volumes"""
     ctx = SConfig(cfg["primes"])
     q_form = form_from_json(cfg["form"], ctx)
-    family = _family(cfg, q_form.dim)
+    family = _family(cfg, q_form)
     t = cfg["t"] = TVector(**cfg["t"], ctx=ctx)
     v_real, err = real_quadric_volume(
         q_form.gram_at(INF), float(t.t_inf), family.real_interval(t.t_inf)

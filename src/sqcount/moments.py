@@ -529,8 +529,9 @@ def _exact_sum(pairs, big, extra: int) -> Fraction:
     with one gcd and never reduces; the sum N/D is reduced once at the end.
     Every prime factor of a den must be at most len(big) - 1 (big is a
     _largest_prime_factors table) or divide extra.  The product P of those
-    primes and extra then holds every prime that N and D can share, and
-    gcd(N mod P, P) finds them without a gcd of N and D themselves.
+    primes and extra, taken by the same pairwise tree, holds every prime
+    that N and D can share, and gcd(N mod P, P) finds them without a gcd of
+    N and D themselves.
     """
     while len(pairs) > 1:
         nxt = []
@@ -541,7 +542,12 @@ def _exact_sum(pairs, big, extra: int) -> Fraction:
             nxt.append(pairs[-1])
         pairs = nxt
     num, den = pairs[0]
-    primes = extra * math.prod(k for k in range(2, len(big)) if big[k] == k)
+    factors = [extra] + [k for k in range(2, len(big)) if big[k] == k]
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + (
+            factors[-1:] if len(factors) % 2 else []
+        )
+    primes = factors[0]
     g = math.gcd(math.gcd(num % primes, primes), den)
     while g > 1:
         num //= g

@@ -128,8 +128,9 @@ class TVector:
     def __post_init__(self):
         if not self.t_inf > 0:
             raise ConfigError("t_inf must be positive")
-        if set(self.t_p) - set(self.ctx.primes):
-            raise ConfigError("exponent for a prime outside S_f")
+        outside = sorted(set(self.t_p) - set(self.ctx.primes))
+        if outside:
+            raise ConfigError(f"exponent given at {outside[0]}, which is not in S")
         object.__setattr__(
             self, "t_p", {p: int(self.t_p.get(p, 0)) for p in self.ctx.primes}
         )

@@ -1,13 +1,13 @@
 """Volumes of quadric slices intersected with S-balls.
 
 Finite places: exact Haar volumes by Hensel reduction of the local density
-over the Jordan blocks of the Gram matrix over Z_p (qspace._jordan_blocks,
-the splitting that also decides isotropy).
+over the Jordan blocks of the Gram matrix over Z_p (qspace._jordan_blocks).
 Solutions whose unit-scale coordinates are not all divisible by p lift
 uniformly from residues mod p (mod 8 at p = 2), so they are counted there;
 the rest are p times a solution of a rescaled form, which the next pass
 handles. The work is O(m) small counts, not a count at the full modulus
-p^m.
+p^m. The same volumes decide isotropy at p: two of them measure the
+primitive zeros of the form, deep enough that Hensel lifts them.
 
 Real place: one Gauss-Legendre product rule over the two eigen-spheres of
 the Gram matrix serves both the volume at finite T, whose integrand is a
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
-from .qspace import QuadraticFormS, _jordan_blocks, is_isotropic
+from .qspace import QuadraticFormS, _jordan_blocks
 from .sarith import INF, frac_mod, min_valuation, valuation
 
 
@@ -326,6 +326,35 @@ def _c_inf(gram_inf) -> tuple[float, float]:
     value, err = _sphere_integral(gram_inf, light_cone)
     scale = 2.0 * (len(gram_inf) - 2)
     return value / scale, err / scale
+
+
+def is_isotropic(q_form: QuadraticFormS, place) -> bool:
+    """Does q represent zero nontrivially at the place?
+
+    Real place: mixed signature, read off the split at p = 3, which is a
+    congruence over Q into 1x1 blocks, so Sylvester's law applies.
+
+    Finite place p: with v the least v_p of the Gram entries, Q' = p^-v Q
+    has the p-integral Gram G' and k = v_p(2 det G'). A primitive x has
+    det(G') x = (x G') adj(G'), so its gradient 2 x G' has valuation at
+    most k, and a primitive zero of Q' mod p^(2k+1) lifts (Hensel). The
+    zeros of Q' mod p^(2k+1) on Z_p^d are Q(x) in p^c Z_p, c = 2k + 1 + v;
+    those on p Z_p^d are p y with Q'(y) = 0 mod p^(2k-1), of volume p^-d
+    times the same count at c - 2. Q is isotropic iff the primitive zeros,
+    the difference, have positive volume.
+    """
+    if not q_form.nondegenerate:
+        raise DegenerateForm("isotropy undefined for degenerate forms")
+    gram = q_form.gram_at(place)
+    if place == INF:
+        signs = {block[0][0] > 0 for block in _jordan_blocks(gram, 3)}
+        return len(signs) == 2
+    p, d = place, q_form.dim
+    v = min_valuation((x for row in gram for x in row), p)
+    c = 2 * (valuation(2 * la.det(gram), p) - d * v) + 1 + v
+    return padic_quadric_volume(p, gram, c=c) > padic_quadric_volume(
+        p, gram, c=c - 2
+    ) / p**d
 
 
 def leading_constant(

@@ -396,6 +396,28 @@ def test_form_gram_at_a_prime_outside_s_exits_2(tmp_path, capsys):
     assert "gram_p has a Gram at 3, which is not in S" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["count", "sweep", "volume"])
+def test_finite_target_at_a_prime_outside_s_exits_2(command, tmp_path, capsys):
+    args = [*without(RUNS[command], "finite"), "--finite", "7:1:2:0"]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert "finite has a target at 7, which is not in S" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command, key, value, prime", [
+    ("count", "t", "10@3=1", 3),
+    ("sweep", "ladder", "20@2=1,5=1", 5),
+    ("moment-mc", "f", "disk:2@3=1", 3),
+])
+def test_exponent_at_a_prime_outside_s_exits_2(command, key, value, prime,
+                                               tmp_path, capsys):
+    args = [*without(RUNS[command], key), flag(key), value]
+    assert main([command, *args, "--out", str(tmp_path)]) == 2
+    assert (f"exponent given at {prime}, which is not in S"
+            in capsys.readouterr().err)
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_float_exponent_from_file_names_its_key(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"f": DISK_T_P}))

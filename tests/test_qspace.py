@@ -1,12 +1,12 @@
-"""Tests for the quadratic form layer.
+"""Tests for the quadratic form layer and the isotropy that volume reads off
+the p-adic density.
 
-The Hilbert symbol and the isotropy criteria are checked against a
-brute-force oracle: depth-first search for primitive solutions of
-x G x^T = 0 mod p^m, with m large enough that a solution mod p^m
-certifies a p-adic solution (Hensel) and absence refutes one. Diagonal
-Grams check the square-class criteria; non-diagonal ones check the
-diagonal that is_isotropic reads off the Jordan splitting, and the real
-signature is checked against numpy's eigenvalues.
+Isotropy is checked against a brute-force oracle: depth-first search for
+primitive solutions of x G x^T = 0 mod p^m, with m large enough that a
+solution mod p^m certifies a p-adic solution (Hensel) and absence refutes
+one. Diagonal and non-diagonal Grams check the finite places, including
+the 2x2 Jordan blocks at p = 2, and the real signature is checked against
+numpy's eigenvalues.
 """
 
 import random
@@ -16,16 +16,10 @@ import numpy as np
 import pytest
 
 from sqcount import _linalg as la
-from sqcount.errors import ConfigError, DegenerateForm, DimensionMismatch
-from sqcount.qspace import (
-    _jordan_blocks,
-    hilbert_symbol,
-    is_isotropic,
-    is_square_qp,
-    legendre_symbol,
-    quadratic_form,
-)
+from sqcount.errors import DegenerateForm, DimensionMismatch
+from sqcount.qspace import _jordan_blocks, quadratic_form
 from sqcount.sarith import INF, SConfig, valuation
+from sqcount.volume import is_isotropic
 
 S23 = SConfig((2, 3))
 S3 = SConfig((3,))
@@ -50,22 +44,6 @@ def value_at(q, v, place):
 
 
 # --- brute-force local solubility oracle ---------------------------------------
-
-
-def _squarefree_part(n: int) -> int:
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2:
-            out *= f
-        f += 1
-    return sign * out * n
 
 
 _oracle_memo = {}
@@ -104,17 +82,6 @@ def primitive_zero_mod_pm(gram, p, m):
     return False
 
 
-def hilbert_bruteforce(a: int, b: int, p: int) -> int:
-    """(a,b)_p via solubility of z^2 = a x^2 + b y^2, squarefree-reduced."""
-    a, b = _squarefree_part(a), _squarefree_part(b)
-    key = (min(a, b), max(a, b), p)
-    if key not in _oracle_memo:
-        m = 2 * valuation(Fraction(4 * a * b), p) + 3
-        ok = primitive_zero_mod_pm(diag_gram((a, b, -1)), p, m)
-        _oracle_memo[key] = 1 if ok else -1
-    return _oracle_memo[key]
-
-
 def isotropic_bruteforce(entries, p) -> bool:
     key = (tuple(sorted(entries)), p)
     if key not in _oracle_memo:
@@ -128,6 +95,23 @@ def isotropic_gram_bruteforce(gram, p) -> bool:
     det G), and a primitive zero mod p^(2k + 1) lifts."""
     k = valuation(2 * la.det(la.as_matrix(gram)), p)
     return primitive_zero_mod_pm(gram, p, 2 * k + 1)
+
+
+def non_diagonal_grams(p, cases=60):
+    """Seeded integer Grams in d = 2-4 with v_p(2 det) <= 3."""
+    rng = random.Random(1900 + p)
+    while cases:
+        d = rng.choice([2, 3, 4])
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        det = la.det(la.as_matrix(g))
+        # a deep determinant only slows the oracle down
+        if det == 0 or valuation(2 * det, p) > 3:
+            continue
+        yield tuple(map(tuple, g))
+        cases -= 1
 
 
 # --- evaluation ------------------------------------------------------------------
@@ -173,99 +157,15 @@ class TestEvalForm:
 
 
 class TestHilbertSymbol:
-    def test_one_left_argument(self):
-        for p in (2, 3, 5):
-            for b in (2, -3, 7, -1):
-                assert hilbert_symbol(1, b, p) == 1
-
-    def test_two_three_at_three(self):
-        assert hilbert_symbol(2, 3, 3) == -1
+    """(a, b)_p = 1 iff <a, b, -1> is isotropic at p, read off is_isotropic."""
 
     def test_minus_one_twice_real(self):
-        # (-1, -1) = -1 at the real place: z^2 + x^2 + y^2 has no real zero,
-        # which is_isotropic decides by signature; the product formula puts
-        # the other -1 at 2
-        assert not is_isotropic(diag_form(S3, 1, 1, 1), INF)
-        assert hilbert_symbol(-1, -1, 2) == -1
-        assert hilbert_symbol(-1, -1, 3) == 1
-
-    def test_against_bruteforce_grid(self):
-        for p in (2, 3, 5):
-            for a in range(-20, 21):
-                for b in range(-20, 21):
-                    if a == 0 or b == 0:
-                        continue
-                    assert hilbert_symbol(a, b, p) == hilbert_bruteforce(a, b, p), (
-                        a, b, p,
-                    )
-
-    def test_symmetry_and_bimultiplicativity(self):
-        rng = random.Random(41)
-        places = [2, 3, 5, 7]
-        nonzero = lambda: Fraction(
-            rng.choice([i for i in range(-30, 31) if i]),
-            rng.randint(1, 12),
-        )
-        for _ in range(200):
-            a, b, c = nonzero(), nonzero(), nonzero()
-            p = rng.choice(places)
-            assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
-            assert hilbert_symbol(a, b * c, p) == hilbert_symbol(
-                a, b, p
-            ) * hilbert_symbol(a, c, p)
-            assert hilbert_symbol(a, -a, p) == 1
-
-    def test_product_formula(self):
-        # over all places of Q the symbols multiply to one; the symbol is 1
-        # at any odd place where both arguments are units, so only primes
-        # dividing 2ab contribute
-        rng = random.Random(43)
-        for _ in range(60):
-            a = rng.choice([i for i in range(-50, 51) if i])
-            b = rng.choice([i for i in range(-50, 51) if i])
-            primes = set()
-            n = 2 * abs(a) * abs(b)
-            f = 2
-            while f * f <= n:
-                if n % f == 0:
-                    primes.add(f)
-                    while n % f == 0:
-                        n //= f
-                f += 1
-            if n > 1:
-                primes.add(n)
-            prod = -1 if a < 0 and b < 0 else 1  # the real place
-            for p in primes:
-                prod *= hilbert_symbol(a, b, p)
-            assert prod == 1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            hilbert_symbol(0, 3, 5)
-
-
-class TestSquareClasses:
-    def test_squares_are_squares(self):
-        rng = random.Random(11)
-        for p in (2, 3, 5, 7):
-            for _ in range(40):
-                r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-                if rng.random() < 0.5:
-                    r = -r
-                assert is_square_qp(r * r, p)
-
-    def test_known_nonsquares_at_two(self):
-        for a in (3, 5, 7, 2, -1):
-            assert not is_square_qp(a, 2)
-        assert is_square_qp(17, 2)
-        assert is_square_qp(Fraction(1, 4), 2)
-
-    def test_odd_residues(self):
-        assert is_square_qp(2, 7)  # 3^2 = 2 mod 7
-        assert not is_square_qp(3, 7)
-        assert not is_square_qp(5, 5)
-        assert legendre_symbol(2, 7) == 1
-        assert legendre_symbol(3, 7) == -1
+        # (-1, -1) = -1 at the real place: z^2 + x^2 + y^2 has no real zero;
+        # the product formula puts the other -1 at 2, and it is 1 at 3
+        q = diag_form(S23, 1, 1, 1)
+        assert not is_isotropic(q, INF)
+        assert not is_isotropic(q, 2)
+        assert is_isotropic(q, 3)
 
 
 # --- isotropy -----------------------------------------------------------------------
@@ -288,6 +188,31 @@ class TestIsotropy:
         for p in (2, 3, 5):
             assert is_isotropic(q, p)
         assert not is_isotropic(q, INF)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rank_five_and_six_are_isotropic(self, p):
+        # every form of rank >= 5 over Q_p is isotropic; the primitive-zero
+        # volume has to find it, deep in the Jordan scales
+        rng = random.Random(2500 + p)
+        ctx = SConfig((p,))
+        cases, deepest = 0, 0
+        while cases < 20:
+            d = rng.choice([5, 6])
+            g = [[Fraction(0)] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    g[i][j] = g[j][i] = Fraction(
+                        rng.randint(-4, 4) * p ** rng.randint(0, 3),
+                        p ** rng.randint(0, 2),
+                    )
+            det = la.det(la.as_matrix(g))
+            if det == 0:
+                continue
+            v = min(valuation(x, p) for row in g for x in row if x)
+            deepest = max(deepest, valuation(2 * det, p) - d * v)
+            assert is_isotropic(quadratic_form(ctx, g), p), (g, p)
+            cases += 1
+        assert deepest >= 8
 
     def test_degenerate_rejected(self):
         q = diag_form(S23, 1, 0, -1)
@@ -328,7 +253,8 @@ class TestIsotropy:
         (((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)), (2, 1)),
     ])
     def test_two_by_two_blocks_at_two(self, gram, split):
-        # (a, b; b, c) with a != 0 enters as diag(a, (ac - b^2) / a)
+        # the split at 2 keeps (a, b; b, c) whole, and the density on it
+        # decides isotropy
         a, b = split
         blocks = [bl for bl in _jordan_blocks(la.as_matrix(gram), 2) if len(bl) == 2]
         assert blocks and blocks[0][0][0] == a
@@ -341,21 +267,10 @@ class TestIsotropy:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_against_bruteforce_non_diagonal(self, p):
-        rng = random.Random(1900 + p)
         ctx = SConfig((p,))
         cases = isotropic = 0
         seen_a = set()
-        while cases < 60:
-            d = rng.choice([2, 3, 4])
-            g = [[0] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(i, d):
-                    g[i][j] = g[j][i] = rng.randint(-3, 3)
-            det = la.det(la.as_matrix(g))
-            # a deep determinant only slows the oracle down
-            if det == 0 or valuation(2 * det, p) > 3:
-                continue
-            gram = tuple(map(tuple, g))
+        for gram in non_diagonal_grams(p):
             got = is_isotropic(quadratic_form(ctx, gram), p)
             assert got == isotropic_gram_bruteforce(gram, p), (gram, p)
             cases += 1
@@ -365,6 +280,19 @@ class TestIsotropy:
         assert 0 < isotropic < cases
         if p == 2:
             assert seen_a == {True, False}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_scaling_keeps_isotropy(self, p):
+        # p^j G has the zeros of G; a negative j makes the least entry
+        # valuation v negative and, for a shallow determinant, the depth c
+        ctx = SConfig((p,))
+        for gram in non_diagonal_grams(p):
+            want = is_isotropic(quadratic_form(ctx, gram), p)
+            for j in (-3, -1, 1, 2):
+                scaled = [[Fraction(p) ** j * x for x in row] for row in gram]
+                assert is_isotropic(quadratic_form(ctx, scaled), p) == want, (
+                    gram, p, j,
+                )
 
     def test_real_signature_of_non_diagonal_grams(self):
         rng = random.Random(23)
