@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fraction, used by the algebraic modules.
+"""Small exact linear algebra over Fraction and int, used by the algebraic
+modules.
 
 Matrices are tuples of row tuples.  Vectors are row vectors throughout the
 package: a lattice point is k @ basis + shift with k a row vector, so
@@ -10,18 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegenerateForm, DimensionMismatch
+from .errors import DimensionMismatch
 
 
 def as_matrix(rows) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> tuple:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def vec_mat(v, m) -> tuple:
@@ -59,23 +53,19 @@ def det(m) -> int | Fraction:
     return result if scale == 1 else Fraction(result, scale**n)
 
 
-def inverse(m) -> tuple:
+def inverse_mod(m, mod: int) -> tuple:
+    """The int matrix m^-1 mod `mod`, for an int matrix m whose determinant
+    is invertible mod `mod`: the adjugate, by cofactors, times det(m)^-1."""
     n = len(m)
-    a = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise DegenerateForm("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    scale = pow(det(m), -1, mod)
+    if n == 1:
+        return ((scale,),)
 
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+        return (-1) ** (i + j) * det(minor)
+
+    # adj(m)[i][j] is the (j, i) cofactor
+    return tuple(
+        tuple(cofactor(j, i) * scale % mod for j in range(n)) for i in range(n)
+    )

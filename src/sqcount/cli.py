@@ -61,7 +61,7 @@ from .moments import (
     space_spec,
     variance_check,
 )
-from .sarith import INF, SConfig, TVector
+from .sarith import INF, SConfig, TVector, require_in_s
 from .serialize import (
     form_from_json,
     frac_str,
@@ -304,9 +304,7 @@ def _parse(key: str, value):
 
 
 def _family(cfg, q_form):
-    outside = sorted(set(cfg["finite"]) - set(q_form.ctx.primes))
-    if outside:
-        raise ConfigError(f"finite has a target at {outside[0]}, which is not in S")
+    require_in_s(cfg["finite"], q_form.ctx.primes, "finite has a target at")
     finite = {p: (x["a"], x["c"], x["kappa"]) for p, x in cfg["finite"].items()}
     return shrinking_family(q_form.dim, cfg["c_inf"], cfg["kappa_inf"],
                             cfg["a_inf"], finite)
@@ -360,10 +358,13 @@ def _digits(n: int) -> int:
     """Decimal digits of n != 0, without a (quadratic-time) int -> str."""
     n = abs(n)
     k = int(math.log10(n))  # floor(log10 n), up to float rounding
-    while 10**k > n:
+    power = 10**k  # the one power built; the fixes below are linear-time
+    while power > n:
         k -= 1
-    while 10 ** (k + 1) <= n:
+        power //= 10
+    while power * 10 <= n:
         k += 1
+        power *= 10
     return k + 1
 
 

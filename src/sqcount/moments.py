@@ -13,7 +13,10 @@ steps of burn-in, every MCMC_THIN-th state kept) and every estimate is
 flagged mcmc-approximate; d alone picks the sampler.  The walk advances in
 blocks (the burn-in, then each MCMC_THIN steps): a block's normals are one
 draw and their matrix exponentials one stacked product, which is the same
-chain, bit for bit, as stepping one draw at a time.  Each draw is scored by
+chain, bit for bit, as stepping one draw at a time.  The finite bases and
+the translate are ints, the translate over one denominator, and the box's
+per-place data are built once per run (slattice.place_box), so a draw
+makes no Fraction.  Each draw is scored by
 slattice.count_points, which counts the lattice points of a disk or a
 product box without building one.  On the base space the origin is a point
 of every draw, and the transform leaves it out: whether the shape holds it
@@ -32,8 +35,8 @@ is constant on the progression (_pair_terms); each term is cut to lowest
 terms and numerators are added per denominator.  An orbit term is t^{-d}
 whenever its point passes the p-adic tests, so the orbit series counts
 those points per t.  Both sums end in one integer tree (_exact_sum) whose
-merges form lcms and never reduce; the total is reduced once, against the
-product of the primes its denominator can hold.
+nodes stay in lowest terms, each merge reduced by a gcd with the gcd of its
+two denominators.
 """
 
 from __future__ import annotations
@@ -53,7 +56,14 @@ from .errors import (
     NonIndicatorUnsupported,
     SearchBudgetExceeded,
 )
-from .sarith import SConfig, is_in_NS, min_valuation, valuation
+from .sarith import (
+    SConfig,
+    is_in_NS,
+    min_valuation,
+    over_one_denominator,
+    require_in_s,
+    valuation,
+)
 from .slattice import (
     DEFAULT_MAX_CANDIDATES,
     ProductBox,
@@ -64,6 +74,7 @@ from .slattice import (
     enumerate_points,  # noqa: F401
     count_points,
     holds_origin,
+    place_box,
 )
 
 SPACE_KINDS = ("base", "affine", "congruence")
@@ -140,9 +151,7 @@ def _depths(depth, primes, default: int, least: int) -> dict[int, int]:
     """The depth at each prime from one int for every prime, a dict p -> k
     (default where a prime is left out) or None; each at least least."""
     depth = dict.fromkeys(primes, depth) if isinstance(depth, int) else depth or {}
-    outside = sorted(set(depth) - set(primes))
-    if outside:
-        raise ConfigError(f"depth given at {outside[0]}, which is not in S")
+    require_in_s(depth, primes, "depth given at")
     dep = {p: int(depth.get(p, default)) for p in primes}
     if any(k < least for k in dep.values()):
         raise ConfigError(f"depth must be >= {least}")
@@ -283,27 +292,28 @@ def _real_basis_stream(space: SpaceSpec, rng):
 
 def _translate(space: SpaceSpec, rng) -> tuple:
     """The draw's translate u, in the coordinates of its base lattice g: the
-    lattice is Z_S^d g + u g, with u_inf a float vector and u_p[p] an exact
-    one.  Base: u = 0.  Affine: a uniform point of the torus fiber, u_inf
-    uniform on the unit cube and each u_p uniform on Z_p^d mod p^{k_p}.
-    Congruence: u = (w/q) gamma, gamma the lift of a uniform element of
-    SL_d(Z/q); as Z_S^d gamma = Z_S^d, the point set Z_S^d gamma g + u g is
-    Z_S^d g + u g, so the coset moves only the translate."""
+    lattice is Z_S^d g + u g, with u_inf a float vector and u_p[p] / den an
+    exact one, u_p[p] int numerators over the int den.  Base: u = 0.
+    Affine: a uniform point of the torus fiber, u_inf uniform on the unit
+    cube and each u_p uniform on Z_p^d mod p^{k_p}.  Congruence: u = (w/q)
+    gamma, gamma the lift of a uniform element of SL_d(Z/q); as Z_S^d gamma
+    = Z_S^d, the point set Z_S^d gamma g + u g is Z_S^d g + u g, so the coset
+    moves only the translate."""
     primes = space.ctx.primes
     if space.kind == "base":
-        zero = (Fraction(0),) * space.d
-        return np.zeros(space.d), dict.fromkeys(primes, zero)
+        return np.zeros(space.d), dict.fromkeys(primes, (0,) * space.d), 1
     if space.kind == "affine":
         u_inf = rng.random(space.d)
         return u_inf, {
-            p: tuple(Fraction(int(c))
-                     for c in rng.integers(0, p ** space.depth[p], space.d))
+            p: tuple(rng.integers(0, p ** space.depth[p], space.d).tolist())
             for p in primes
-        }
+        }, 1
     cctx = space.cctx
     gamma = lift_slq_to_slz(sample_slq_uniform(space.d, cctx.q, rng), cctx.q)
-    u = la.vec_mat(tuple(Fraction(c, cctx.q) for c in cctx.w), gamma)
-    return np.array([float(c) for c in u]), dict.fromkeys(primes, u)
+    w, den = over_one_denominator(cctx.w, cctx.q)
+    u = la.vec_mat(w, gamma)
+    # int / int is the correctly rounded quotient, as float(Fraction) is
+    return np.array([c / den for c in u]), dict.fromkeys(primes, u), den
 
 
 def lattice_stream(space: SpaceSpec, rng):
@@ -311,9 +321,11 @@ def lattice_stream(space: SpaceSpec, rng):
 
     Every draw is one base lattice g (the real basis, then a finite basis
     at each prime in order) plus the space's translate u g (_translate),
-    drawn after the bases.  At d = 2 the draws are independent; at d >= 3
-    the random walk burns in one chain and yields every MCMC_THIN-th state,
-    so consecutive draws are only approximately independent.
+    drawn after the bases.  The finite bases and translates are ints (the
+    translate over one denominator), so a draw makes no Fraction.  At d = 2
+    the draws are independent; at d >= 3 the random walk burns in one chain
+    and yields every MCMC_THIN-th state, so consecutive draws are only
+    approximately independent.
     """
     ctx = space.ctx
     for b_real in _real_basis_stream(space, rng):
@@ -321,11 +333,11 @@ def lattice_stream(space: SpaceSpec, rng):
             p: _uniform_unit_basis_mod(space.d, p, space.depth[p], rng)
             for p in ctx.primes
         }
-        u_inf, u_p = _translate(space, rng)
+        u_inf, u_p, den = _translate(space, rng)
         yield affine_slattice_split(
             ctx, b_real, b_p, u_inf @ b_real,
             {p: la.vec_mat(u_p[p], b_p[p]) for p in ctx.primes},
-            depth=dict(space.depth),
+            depth=dict(space.depth), shift_den=den,
         )
 
 
@@ -341,12 +353,13 @@ def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
     """
     # every base lattice holds the origin; the transform excludes it there
     origin = space.kind == "base" and holds_origin(f, space.d, space.ctx.primes)
+    placed = place_box(f, space.d, space.ctx.primes)
     share, extra = divmod(n, workers)
     children = np.random.SeedSequence(seed).spawn(workers)
     for i, child in enumerate(children):
         stream = lattice_stream(space, np.random.default_rng(child))
         for _ in range(share + (i < extra)):
-            yield count_points(next(stream), f, max_candidates) - origin
+            yield count_points(next(stream), placed, max_candidates) - origin
 
 
 def estimate_moments(
@@ -521,39 +534,32 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den, _normalize=False)
 
 
-def _exact_sum(pairs, big, extra: int) -> Fraction:
-    """The sum of num/den over the (num, den) int pairs, den > 0.
+def _exact_sum(pairs) -> Fraction:
+    """The sum of num/den over an iterable of (num, den) int pairs, den > 0.
 
     Pairwise tree: sequential addition makes the running denominator the lcm
-    of everything seen, which is quadratic pain.  Each merge forms the lcm
-    with one gcd and never reduces; the sum N/D is reduced once at the end.
-    Every prime factor of a den must be at most len(big) - 1 (big is a
-    _largest_prime_factors table) or divide extra.  The product P of those
-    primes and extra, taken by the same pairwise tree, holds every prime
-    that N and D can share, and gcd(N mod P, P) finds them without a gcd of
-    N and D themselves.
+    of everything seen, which is quadratic pain.  Every node is kept in
+    lowest terms.  A prime can cancel in a merge of a/da and b/db only where
+    da and db carry it to the same power, so it divides g = gcd(da, db), and
+    dividing by gcd(num mod g, g) reduces the merge without a gcd of the
+    full-size numerator and denominator.  A pair with nothing to cancel is
+    kept as it is: dividing by 1 would copy both ints.
     """
-    while len(pairs) > 1:
+    nodes = []
+    for num, den in pairs:
+        h = math.gcd(num, den)
+        nodes.append((num // h, den // h) if h > 1 else (num, den))
+    while len(nodes) > 1:
         nxt = []
-        for (a, da), (b, db) in zip(pairs[::2], pairs[1::2]):
+        for (a, da), (b, db) in zip(nodes[::2], nodes[1::2]):
             g = math.gcd(da, db)
-            nxt.append((a * (db // g) + b * (da // g), da // g * db))
-        if len(pairs) % 2:
-            nxt.append(pairs[-1])
-        pairs = nxt
-    num, den = pairs[0]
-    factors = [extra] + [k for k in range(2, len(big)) if big[k] == k]
-    while len(factors) > 1:
-        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + (
-            factors[-1:] if len(factors) % 2 else []
-        )
-    primes = factors[0]
-    g = math.gcd(math.gcd(num % primes, primes), den)
-    while g > 1:
-        num //= g
-        den //= g
-        g = math.gcd(g, num, den)
-    return _coprime_fraction(num, den)
+            num, den = a * (db // g) + b * (da // g), da // g * db
+            h = math.gcd(num % g, g)
+            nxt.append((num // h, den // h) if h > 1 else (num, den))
+        if len(nodes) % 2:
+            nxt.append(nodes[-1])
+        nodes = nxt
+    return _coprime_fraction(*nodes[0])
 
 
 # --- second-moment series ---------------------------------------------------------------
@@ -701,14 +707,14 @@ def second_moment_rhs(
             else:
                 by_den[dnm] = num
                 roots.append(root)
-    big = _largest_prime_factors(max([t_max, *roots]))
+    big = _largest_prime_factors(max(roots, default=1))
     dens = list(by_den)  # insertion order, the order of roots
     order = sorted(range(len(dens)), key=lambda i: big[roots[i]])
     integral = f.volume(ctx.primes)
-    pairs = [(integral.numerator**2, integral.denominator**2)]
-    pairs += [(by_den[dens[i]], dens[i]) for i in order]
-    # the other primes of a denominator divide L or lie in S
-    value = _exact_sum(pairs, big, _scaled_ends(intervals)[0] * math.prod(ctx.primes))
+    value = _exact_sum(itertools.chain(
+        [(integral.numerator**2, integral.denominator**2)],
+        ((by_den[dens[i]], dens[i]) for i in order),
+    ))
     tail = _pair_tail_bound(d, q, float(integral), t_max, float(b), dep, ctx.primes)
     return SeriesValue(value, tail, used, charged, t_max, float(b), dep)
 
@@ -813,9 +819,10 @@ def inhom_series(
         count = len(_admitted(ns, tp, t * den, mods, dt))
         if count:
             hits[t] = hits.get(t, 0) + count
-    pairs = [(base.numerator, base.denominator)]
-    pairs += [(count, t**d) for t, count in hits.items()]
-    value = _exact_sum(pairs, _largest_prime_factors(t_max), base.denominator)
+    value = _exact_sum(itertools.chain(
+        [(base.numerator, base.denominator)],
+        ((count, t**d) for t, count in hits.items()),
+    ))
     # tail: for t > t_max the a-count per denominator D is at most
     # (window length) t D / q + 1
     window = float(w_hi - w_lo)

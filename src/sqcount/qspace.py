@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .errors import ConfigError, DegenerateForm, DimensionMismatch
-from .sarith import INF, SConfig, valuation
+from .sarith import INF, SConfig, require_in_s, valuation
 
 
 # --- form container -----------------------------------------------------------
@@ -59,9 +59,7 @@ def quadratic_form(
     if d < 2:
         raise ConfigError("forms need dim >= 2")
     gram = {INF: la.as_matrix(gram_inf)}
-    for p in gram_p or {}:
-        if p not in ctx.primes:
-            raise ConfigError(f"gram_p has a Gram at {p}, which is not in S")
+    require_in_s(gram_p or {}, ctx.primes, "gram_p has a Gram at")
     for p in ctx.primes:
         gram[p] = la.as_matrix(gram_p[p]) if gram_p and p in gram_p else gram[INF]
     for place, g in gram.items():

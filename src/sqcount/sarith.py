@@ -1,7 +1,8 @@
 """S-arithmetic scalars: places, norms, S-integers.
 
 Also the package's one copy of each elementary number-theory helper: prime
-factorization, CRT, and the residue of a rational mod m.
+factorization, CRT, the residue of a rational mod m, rationals as ints over
+one denominator, and the check that a per-prime key lies in S.
 
 Fix a finite set of primes S_f and write S = {inf} + S_f.  The ring Z_S of
 S-integers consists of rationals whose denominator is a product of primes in
@@ -51,16 +52,33 @@ def crt(a1: int, m1: int, a2: int, m2: int) -> int:
     return (a1 + m1 * ((a2 - a1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
-def frac_mod(x, m: int) -> int:
-    """x mod m for a rational x whose denominator is invertible mod m."""
-    x = Fraction(x)
+def frac_mod(x, m: int, den: int = 1) -> int:
+    """x / den mod m for a rational x and a nonzero int den, whose quotient
+    has a denominator invertible mod m.  An int x makes no Fraction."""
+    x = _rational(x)
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
     try:
-        inv = pow(x.denominator, -1, m)
+        inv = pow(den // g, -1, m)
     except ValueError:
         raise DenominatorNotInvertibleModQ(
-            f"denominator {x.denominator} is not invertible mod {m}"
+            f"denominator {den // g} is not invertible mod {m}"
         ) from None
-    return x.numerator * inv % m
+    return num // g * inv % m
+
+
+def _rational(x):
+    # ints and Fractions as they are; anything else through Fraction
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def over_one_denominator(xs, den: int = 1) -> tuple:
+    """(nums, D): the rationals xs, each divided by the int den > 0, as int
+    numerators over one positive denominator D.  Ints and Fractions are read
+    off without making a Fraction."""
+    xs = [_rational(x) for x in xs]
+    big = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (big // x.denominator) for x in xs), big * den
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,8 @@ class SConfig:
 
 
 def valuation(x, p: int) -> int:
-    """v_p(x) for a nonzero int or Fraction.  Raises on x == 0."""
-    x = Fraction(x)
+    """v_p(x) for a nonzero rational.  Raises on x == 0."""
+    x = _rational(x)
     if x == 0:
         raise ZeroDivisionError("valuation of zero")
     v = 0
@@ -94,6 +112,14 @@ def valuation(x, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+def require_in_s(keys, primes, what: str) -> None:
+    """Raise ConfigError "<what> <p>, which is not in S" for the least key p
+    of a per-prime mapping that is not one of primes."""
+    outside = sorted(set(keys) - set(primes))
+    if outside:
+        raise ConfigError(f"{what} {outside[0]}, which is not in S")
 
 
 def min_valuation(entries, p: int):
@@ -128,9 +154,7 @@ class TVector:
     def __post_init__(self):
         if not self.t_inf > 0:
             raise ConfigError("t_inf must be positive")
-        outside = sorted(set(self.t_p) - set(self.ctx.primes))
-        if outside:
-            raise ConfigError(f"exponent given at {outside[0]}, which is not in S")
+        require_in_s(self.t_p, self.ctx.primes, "exponent given at")
         object.__setattr__(
             self, "t_p", {p: int(self.t_p.get(p, 0)) for p in self.ctx.primes}
         )

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .qspace import QuadraticFormS, quadratic_form
-from .sarith import SConfig, TVector
+from .sarith import SConfig, TVector, require_in_s
 from .slattice import ProductBox, SBox
 
 
@@ -242,9 +242,7 @@ def testfn_from_json(obj: dict, ctx: SConfig) -> SBox | ProductBox:
         return SBox(TVector(radius, t_p, ctx), center)
     intervals, exponent, center = fields
     for key, per_prime in (("finite_exponent", exponent), ("finite_center", center)):
-        outside = sorted(set(per_prime) - set(ctx.primes))
-        if outside:
-            raise ConfigError(f"{key} has an entry at {outside[0]}, which is not in S")
+        require_in_s(per_prime, ctx.primes, f"{key} has an entry at")
     return ProductBox(intervals, exponent, center)
 
 

@@ -1,15 +1,21 @@
 """Affine S-lattices and point counting inside S-adic boxes.
 
 A lattice is Z_S^d . basis + shift, stored per place.  The real basis and
-shift carry floats (Haar samples); the finite-place bases stay rational and
-p-integral with unit determinant, tagged with the sampled digit depth, and
-the finite-place shifts are rational.
+shift carry floats (Haar samples).  Each finite-place basis and shift is
+held as int numerators over one positive int denominator: the bases are
+p-integral with unit determinant (their denominators are prime to p),
+tagged with the sampled digit depth, and a shift may have any denominator.
+affine_slattice_split reads rational input into that form once.
 
 Enumeration reduces the finite-place ball conditions to one congruence
 class mod M per coordinate (the ultrametric makes multiplication by a
 GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
-wise interval pruning on an LDL decomposition (Fincke-Pohst).
+wise interval pruning on an LDL decomposition (Fincke-Pohst).  The
+reduction is done in integers: valuations of int numerators, and where a
+congruence is needed the basis inverted mod p^s by its adjugate.  A box's
+own per-place data (place_box) are built once per run, so counting a
+sampled lattice makes no Fraction.
 
 A test function is a disk (SBox) or a product box (ProductBox), and each
 gives its own center per place (places): one for a disk; for a product box
@@ -40,7 +46,15 @@ from .errors import (
     InsufficientPadicPrecision,
     RegionTooLarge,
 )
-from .sarith import SConfig, TVector, crt, frac_mod, min_valuation, valuation
+from .sarith import (
+    SConfig,
+    TVector,
+    crt,
+    frac_mod,
+    min_valuation,
+    over_one_denominator,
+    valuation,
+)
 
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
@@ -121,6 +135,48 @@ class ProductBox:
         return v
 
 
+@dataclass(frozen=True)
+class PlacedBox:
+    """A box as the count reads it, built once for many lattices (place_box):
+    the real center in floats, the real ball t2, for a product box each
+    closed interval as the float interval (lo, hi) that holds the same
+    floats and its (length, |midpoint|) in floats, and at each prime
+    finite[p] = (nums, den, e_p), the center as int numerators over one
+    denominator."""
+
+    center: tuple
+    t2: float
+    intervals: tuple | None
+    spans: tuple | None
+    finite: dict
+
+
+def place_box(box, d: int, primes) -> PlacedBox:
+    """The PlacedBox of an SBox or a ProductBox, from its places."""
+    center, t2, intervals, finite = box.places(d, primes)
+    spans = None
+    if intervals is not None:
+        spans = tuple((float(hi - lo), abs(float(hi + lo) / 2))
+                      for lo, hi in intervals)
+        intervals = tuple(map(_float_bounds, intervals))
+    return PlacedBox(
+        tuple(float(c) for c in center), t2, intervals, spans,
+        {p: (*over_one_denominator(c), e) for p, (c, e) in finite.items()},
+    )
+
+
+def _float_bounds(interval) -> tuple:
+    """(a, b): the least float a >= lo and the greatest float b <= hi, so a
+    float x lies in [lo, hi] exactly when a <= x <= b."""
+    lo, hi = interval
+    a, b = float(lo), float(hi)
+    if a < lo:
+        a = math.nextafter(a, math.inf)
+    if b > hi:
+        b = math.nextafter(b, -math.inf)
+    return a, b
+
+
 def holds_origin(box, d: int, primes) -> bool:
     """Whether count_points counts k = 0 on any lattice with zero shift:
     each finite ball holds 0, and the real test at 0 is the leaf test at
@@ -140,7 +196,10 @@ def holds_origin(box, d: int, primes) -> bool:
 
 @dataclass(frozen=True)
 class AffineSLattice:
-    """Z_S^d @ basis + shift, per place; see the module docstring."""
+    """Z_S^d @ basis + shift, per place; see the module docstring.
+
+    basis_p[p] = (rows, den) and shift_p[p] = (nums, den): int numerators
+    over one positive int denominator, prime to p for a basis."""
 
     dim: int
     ctx: SConfig
@@ -162,9 +221,12 @@ class LatticePoint:
 
 def affine_slattice_split(
     ctx: SConfig, basis_inf, basis_p, shift_inf=None, shift_p=None,
-    depth=None,
+    depth=None, shift_den: int = 1,
 ) -> AffineSLattice:
-    """A lattice with a float real basis and exact p-integral finite bases."""
+    """A lattice with a float real basis and exact p-integral finite bases.
+    The finite shift at p is shift_p[p] / shift_den.  Each finite basis and
+    shift, int or rational, is read once into int numerators over one
+    denominator; int input makes no Fraction."""
     d = len(basis_inf)
     b_inf = tuple(tuple(float(x) for x in row) for row in basis_inf)
     det = float(np.linalg.det(b_inf))
@@ -172,17 +234,18 @@ def affine_slattice_split(
         raise ConfigError(f"real basis determinant {det} is not +-1")
     bp = {}
     for p in ctx.primes:
-        m = la.as_matrix(basis_p[p])
-        v = min_valuation((x for row in m for x in row), p)
-        if v is not None and v < 0:
+        # the entries are in lowest terms, so p divides the common
+        # denominator exactly when some entry has p in its own
+        nums, den = over_one_denominator(x for row in basis_p[p] for x in row)
+        if den % p == 0:
             raise ConfigError(f"basis at p={p} is not p-integral")
-        det_p = la.det(m)
-        if det_p == 0 or valuation(det_p, p) != 0:
+        rows = tuple(nums[i:i + d] for i in range(0, len(nums), d))
+        if la.det(rows) % p == 0:
             raise ConfigError(f"basis at p={p} has non-unit determinant")
-        bp[p] = m
+        bp[p] = rows, den
     s_inf = tuple(map(float, (0.0,) * d if shift_inf is None else shift_inf))
     sp = {
-        p: tuple(Fraction(x) for x in (shift_p or {}).get(p, (0,) * d))
+        p: over_one_denominator((shift_p or {}).get(p, (0,) * d), shift_den)
         for p in ctx.primes
     }
     dep = {p: (depth or {}).get(p) for p in ctx.primes}
@@ -195,8 +258,9 @@ def affine_slattice_split(
 def enumerate_points(
     lat: AffineSLattice, box, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ):
-    """All points of the lattice inside the box (an SBox or a ProductBox),
-    sorted by their integer coordinates; the finite-place images are exact."""
+    """All points of the lattice inside the box (an SBox, a ProductBox or
+    its PlacedBox), sorted by their integer coordinates; the finite-place
+    images are exact."""
     frame = _box_frame(lat, box)
     rem, mod, big_r = frame.rem, frame.mod, frame.big_r
     ns = []
@@ -233,12 +297,14 @@ class _BoxFrame:
     y0: tuple
     t2: float
     intervals: tuple | None
+    spans: tuple | None
     lat: AffineSLattice
 
     def inside(self, n) -> bool:
         """The leaf test at n: the open ball of a disk, or each coordinate
         of the float real image, computed as _make_point computes it (float
-        k_i is (rem_i + mod n_i) / big_r), in a closed product-box interval."""
+        k_i is (rem_i + mod n_i) / big_r), in a closed product-box interval
+        (PlacedBox.intervals)."""
         if self.intervals is None:
             return _leaf_ok(n, self.b, self.y0, self.t2)
         real = _real_image(self.lat, [
@@ -250,41 +316,49 @@ class _BoxFrame:
 def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
     d = lat.dim
     ctx = lat.ctx
-    center, t2, intervals, finite = box.places(d, ctx.primes)
+    if not isinstance(box, PlacedBox):
+        box = place_box(box, d, ctx.primes)
     # finite places: k in w_p + p^{-e_p} Z_p^d componentwise, where w_p =
     # (c_p - shift_p) basis_p^-1 has the p-adic norm of c_p - shift_p, as
-    # basis_p is in GL_d(Z_p); w_p itself is needed only for a congruence
+    # basis_p is in GL_d(Z_p); w_p itself is needed only for a congruence.
+    # c_p - shift_p is diff / den, in ints.
     residues = {}
     for p in ctx.primes:
-        center_p, tp = finite[p]
-        diff = tuple(Fraction(c) - s for c, s in zip(center_p, lat.shift_p[p]))
+        c_num, c_den, tp = box.finite[p]
+        s_num, s_den = lat.shift_p[p]
+        diff = tuple(c * s_den - s * c_den for c, s in zip(c_num, s_num))
+        den = c_den * s_den
         v = min_valuation(diff, p)
-        r_p = max(tp, 0 if v is None else -v, 0)
+        r_p = max(tp, 0 if v is None else valuation(den, p) - v, 0)
         s_p = r_p - tp
         if lat.depth[p] is not None and s_p > lat.depth[p]:
             raise InsufficientPadicPrecision(
                 f"need {s_p} digits at p={p}, sampled {lat.depth[p]}"
             )
-        w = la.vec_mat(diff, la.inverse(lat.basis_p[p])) if s_p else None
-        residues[p] = (r_p, s_p, w)
+        residues[p] = (r_p, s_p, diff, den)
     big_r = 1
     for p in ctx.primes:
         big_r *= p ** residues[p][0]
-    # CRT the per-coordinate congruences m = R w mod p^{s_p}
+    # CRT the per-coordinate congruences m = R w mod p^{s_p}.  R (c_p -
+    # shift_p) is p-integral, and R w = R (c_p - shift_p) b_den b_num^-1
+    # mod p^{s_p} for basis_p = b_num / b_den.
     mod = 1
     rem = [0] * d
     for p in ctx.primes:
-        r_p, s_p, w = residues[p]
-        pe = p**s_p
-        if pe == 1:
+        r_p, s_p, diff, den = residues[p]
+        if not s_p:
             continue
+        pe = p**s_p
+        b_num, b_den = lat.basis_p[p]
+        x = [frac_mod(big_r * b_den * c, pe, den) for c in diff]
+        w = la.vec_mat(x, la.inverse_mod(b_num, pe))
         for i in range(d):
-            rem[i] = crt(rem[i], mod, frac_mod(big_r * w[i], pe), pe)
+            rem[i] = crt(rem[i], mod, w[i] % pe, pe)
         mod *= pe
     # real place: v(n) = n . B + y0 with m = rem + mod * n.  The scale
     # mod / big_r is prod p^-e_p; the walk needs its square a normal float.
     if not (big_r < mod << 500 and mod < big_r << 500):
-        exps = ", ".join(f"{p}={finite[p][1]}" for p in ctx.primes)
+        exps = ", ".join(f"{p}={box.finite[p][2]}" for p in ctx.primes)
         raise ConfigError(f"finite exponents {exps} are out of range: prod "
                           "p^-e_p must lie between 2^-500 and 2^500")
     scale = mod / big_r
@@ -293,10 +367,9 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
         sum(rem[i] / big_r * float(lat.basis_inf[i][j]) for i in range(d))
         for j in range(d)
     ]
-    y0 = tuple(
-        bb + float(s) - float(c) for bb, s, c in zip(base, lat.shift_inf, center)
-    )
-    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, intervals, lat)
+    y0 = tuple(bb + s - c for bb, s, c in zip(base, lat.shift_inf, box.center))
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, box.t2, box.intervals,
+                     box.spans, lat)
 
 
 def _real_image(lat: AffineSLattice, k) -> tuple:
@@ -309,13 +382,11 @@ def _real_image(lat: AffineSLattice, k) -> tuple:
 
 def _make_point(lat: AffineSLattice, k) -> LatticePoint:
     real = _real_image(lat, [float(x) for x in k])
-    finite = {
-        p: tuple(
-            x + s
-            for x, s in zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p])
-        )
-        for p in lat.ctx.primes
-    }
+    finite = {}
+    for p in lat.ctx.primes:
+        (b_num, b_den), (s_num, s_den) = lat.basis_p[p], lat.shift_p[p]
+        finite[p] = tuple(x / b_den + Fraction(s, s_den)
+                          for x, s in zip(la.vec_mat(k, b_num), s_num))
     return LatticePoint(k, real, finite)
 
 
@@ -349,10 +420,10 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         reach = [abs(c) + math.sqrt(t2 * sum(row[i] ** 2 for row in binv)) + 2
                  for i, c in enumerate(nstar)]
         width = [
-            (1 + 1e-9) * float(hi - lo) / 2 + 1e-9 * (
+            (1 + 1e-9) * length / 2 + 1e-9 * (
                 sum(r * abs(row[j]) for r, row in zip(reach, b))
-                + abs(frame.lat.shift_inf[j]) + abs(float(hi + lo) / 2))
-            for j, (lo, hi) in enumerate(box)
+                + abs(frame.lat.shift_inf[j]) + mid)
+            for j, (length, mid) in enumerate(frame.spans)
         ]
 
     def leaf_in(nv, rem, offset) -> bool:

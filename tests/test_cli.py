@@ -147,6 +147,15 @@ def test_digit_count_at_powers_of_ten():
             assert _digits(n) == len(str(abs(n))), n
 
 
+@pytest.mark.parametrize("k", [1, 15, 16, 17, 22, 4300, 81100])
+def test_digit_count_next_to_large_powers_of_ten(k):
+    # 81,100 digits is the size of rhs_p23's numerator; from k = 15 on,
+    # float log10(10^k - 1) rounds up to k, so the downward fix-up runs
+    power = 10**k
+    assert _digits(power - 1) == k
+    assert _digits(power) == _digits(power + 1) == k + 1
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     for command in ("moment-mc", "variance"):
         args = RUNS[command][:-2]

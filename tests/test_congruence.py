@@ -23,6 +23,7 @@ from sqcount.errors import (
     NotInSLq,
 )
 from sqcount.sarith import SConfig, frac_mod, gcd_S
+from test_linalg import identity
 from test_sarith import sl_group_order
 
 S0 = SConfig(())
@@ -149,7 +150,7 @@ class TestOrbitInvariant:
                 k[i] += Fraction(
                     rng.randint(-8, 8), rng.choice([1, 2, 4])
                 )
-            gamma = [list(r) for r in la.identity(3)]
+            gamma = [list(r) for r in identity(3)]
             for _ in range(4):
                 i, j = rng.randrange(3), rng.randrange(3)
                 if i == j:

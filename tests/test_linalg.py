@@ -1,4 +1,5 @@
-"""The fraction-free determinant against Gaussian elimination over Fraction."""
+"""The fraction-free determinant against Gaussian elimination over Fraction,
+and the inverse mod m against Gauss-Jordan over Fraction."""
 
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sqcount import _linalg as la
+from sqcount.sarith import frac_mod
 
 
 def oracle_det(m) -> Fraction:
@@ -27,6 +29,29 @@ def oracle_det(m) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= f * a[col][c]
     return result
+
+
+def identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def oracle_inverse(m) -> tuple:
+    """Gauss-Jordan over Fraction, pivoting on the first nonzero entry."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + list(identity(n)[i])
+         for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def random_int_matrix(rnd, n, size):
@@ -68,3 +93,21 @@ def test_large_entries_stay_exact():
     m = ((10**40 + 1, 10**39), (3 * 10**41, 10**40 - 7))
     assert la.det(m) == oracle_det(m)
     assert la.det(la.as_matrix(m)) == oracle_det(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_mod_is_the_rational_inverse_mod_m(n):
+    rnd = random.Random(20 + n)
+    seen = 0
+    for _ in range(300):
+        p = rnd.choice((2, 3, 5))
+        mod = p ** rnd.randint(1, 4)
+        m = random_int_matrix(rnd, n, 9)
+        if la.det(m) % p == 0:
+            continue
+        seen += 1
+        inv = la.inverse_mod(m, mod)
+        want = oracle_inverse(m)
+        assert inv == tuple(tuple(frac_mod(x, mod) for x in row) for row in want)
+        assert all(0 <= x < mod for row in inv for x in row)
+    assert seen > 50

@@ -54,6 +54,8 @@ from sqcount.slattice import (
     count_points,
     enumerate_points,
 )
+from test_linalg import oracle_inverse
+from test_slattice import exact_basis, exact_shift
 
 S2 = SConfig((2,))
 S23 = SConfig((2, 3))
@@ -160,7 +162,8 @@ class TestSiegelSampler:
         seen = set()
         for _ in range(200):
             lat = next(stream)
-            m = lat.basis_p[2]
+            m, den = lat.basis_p[2]
+            assert den == 1
             assert all(0 <= x < 8 for row in m for x in row)
             assert la.det(m) % 2 != 0
             seen.add(tuple(tuple(x % 2 for x in row) for row in m))
@@ -192,7 +195,7 @@ class TestAffineSampler:
         stream = lattice_stream(sp, np.random.default_rng(12))
         for _ in range(30):
             lat = next(stream)
-            coords = la.vec_mat(lat.shift_p[2], la.inverse(lat.basis_p[2]))
+            coords = la.vec_mat(exact_shift(lat, 2), oracle_inverse(exact_basis(lat, 2)))
             assert all(c == 0 or valuation(c, 2) >= 0 for c in coords)
 
 
@@ -208,7 +211,7 @@ class TestCongruenceSampler:
         residues = set()
         for _ in range(40):
             lat = next(stream)
-            rec = la.vec_mat(lat.shift_p[2], la.inverse(lat.basis_p[2]))
+            rec = la.vec_mat(exact_shift(lat, 2), oracle_inverse(exact_basis(lat, 2)))
             u = tuple(5 * c for c in rec)
             assert all(c.denominator == 1 for c in u)
             assert math.gcd(*(int(c) for c in u)) == 1
@@ -251,9 +254,10 @@ class TestCosetMovesOnlyTheTranslate:
         return affine_slattice_split(
             lat.ctx,
             np.array(gamma, dtype=float) @ np.array(lat.basis_inf),
-            {p: tuple(la.vec_mat(row, b) for row in gamma)
-             for p, b in lat.basis_p.items()},
-            lat.shift_inf, lat.shift_p, depth=lat.depth,
+            {p: tuple(la.vec_mat(row, exact_basis(lat, p)) for row in gamma)
+             for p in lat.ctx.primes},
+            lat.shift_inf, {p: exact_shift(lat, p) for p in lat.ctx.primes},
+            depth=lat.depth,
         )
 
     @pytest.mark.parametrize("ctx", [S2, S23], ids=["S2", "S23"])
@@ -278,6 +282,57 @@ class TestCosetMovesOnlyTheTranslate:
                 for key, pt in got.items():
                     assert pt.finite == want[key].finite
                     assert np.allclose(pt.real, want[key].real, atol=1e-9)
+
+
+class TestNoFractionPerDraw:
+    """Drawing and counting a lattice makes no Fraction: the Fractions a
+    run makes do not grow with its number of draws.  Fraction.__new__
+    (and, from Python 3.12, the constructor of arithmetic results) is
+    patched with a counter."""
+
+    @staticmethod
+    def fractions_made(monkeypatch, space, f, n) -> int:
+        made = 0
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted)
+            if hasattr(Fraction, "_from_coprime_ints"):
+                coprime = Fraction._from_coprime_ints
+
+                def counted_coprime(cls, num, den):
+                    nonlocal made
+                    made += 1
+                    return coprime(num, den)
+
+                m.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+            estimate_moments(space, f, (1, 2), n=n, seed=3)
+        return made
+
+    @pytest.mark.parametrize("case", ["congruence-d2", "affine-d3", "affine-box"])
+    def test_fractions_do_not_grow_with_draws(self, case, monkeypatch):
+        if case == "congruence-d2":
+            # mc_cong2's space and shape
+            cctx = congruence_context(2, 5, (0, 1), S23)
+            space = space_spec("congruence", 2, S23, cctx=cctx)
+            f = SBox(TVector(3, {2: 1}, S23))
+        elif case == "affine-d3":
+            # mc_aff3's
+            space, f = space_spec("affine", 3, S2), SBox(TVector(2, {}, S2))
+        else:
+            # a product box whose finite center has negative valuation, so
+            # that each draw solves its congruence mod 2^s
+            space = space_spec("affine", 2, S23)
+            f = ProductBox([(Fraction(-3, 2), 2), (Fraction(-1, 10), 1)],
+                           {2: -1, 3: 0}, {2: (Fraction(1, 4), 0)})
+        few = self.fractions_made(monkeypatch, space, f, 4)
+        many = self.fractions_made(monkeypatch, space, f, 24)
+        assert few == many
 
 
 class TestMCMCSampler:
@@ -363,7 +418,7 @@ class TestBlockWalk:
             rng.integers(0, 2 ** sp.depth[2], d)
             assert np.array_equal(np.array(lat.basis_inf), g)
             assert np.array_equal(np.array(lat.shift_inf), u_inf @ g)
-            assert lat.basis_p[2] == la.as_matrix(b_p)
+            assert lat.basis_p[2] == (b_p, 1)
 
     def test_stacked_expm_is_the_single_expm(self):
         m = MCMC_STEP * np.random.default_rng(3).standard_normal((7, 3, 3))
@@ -732,12 +787,34 @@ def sum_inputs(monkeypatch):
     seen = []
     add = moments._exact_sum
 
-    def spy(pairs, big, extra):
+    def spy(pairs):
         seen.append(list(pairs))
-        return add(pairs, big, extra)
+        return add(seen[-1])
 
     monkeypatch.setattr(moments, "_exact_sum", spy)
     return seen
+
+
+def _oracle_exact_sum(pairs, big, extra: int) -> Fraction:
+    """The sum as the lcm tree that never reduces, cut once at the end by
+    the product of the primes up to len(big) - 1 and of extra, which must
+    hold every prime of every den."""
+    while len(pairs) > 1:
+        nxt = []
+        for (a, da), (b, db) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(da, db)
+            nxt.append((a * (db // g) + b * (da // g), da // g * db))
+        if len(pairs) % 2:
+            nxt.append(pairs[-1])
+        pairs = nxt
+    num, den = pairs[0]
+    primes = extra * math.prod(k for k in range(2, len(big)) if big[k] == k)
+    g = math.gcd(math.gcd(num % primes, primes), den)
+    while g > 1:
+        num //= g
+        den //= g
+        g = math.gcd(g, num, den)
+    return Fraction(num, den)
 
 
 def _in_lowest_terms(v: Fraction) -> bool:
@@ -769,8 +846,8 @@ class TestProgressionKernel:
         assert sv.terms_used == used == 773
 
     def test_interval_denominator_above_every_n(self, kernel_dtypes):
-        # L = 101 exceeds every |n| (at most 4 * 2^2) and t, so only the sum's
-        # extra factor puts 101 among the primes of the final reduction
+        # L = 101 exceeds every |n| (at most 4 * 2^2) and t; no table of
+        # small primes holds it, and the sum keeps its power right
         cctx = congruence_context(3, 5, (0, 0, 1), S2)
         f = ProductBox([(Fraction(-1, 101), Fraction(100, 101)), (-1, 1),
                         (Fraction(-50, 101), Fraction(3, 2))])
@@ -790,20 +867,36 @@ class TestProgressionKernel:
         assert sv.value == _slow_pair_series(TERN_BOX, cctx, t_max, 6, 2)[0]
         assert _in_lowest_terms(sv.value)
 
-    def test_exact_sum_reduces_by_the_extra_primes(self):
-        # 50/202 + 51/202 = 1/2: 101 is past the prime table (up to 2) and
-        # only the extra factor names it
-        big = moments._largest_prime_factors(3)
-        v = moments._exact_sum([(50, 202), (51, 202)], big, 101)
+    def test_exact_sum_reduces_each_merge(self):
+        # 50/202 + 51/202 = 1/2: 101 cancels where both carry it once
+        v = moments._exact_sum([(50, 202), (51, 202)])
         assert (v.numerator, v.denominator) == (1, 2)
-        # the lcm tree gives 11/12 as it is, but 4/4 for four quarters:
-        # the final reduction removes 2 twice over
-        v = moments._exact_sum([(1, 6), (1, 3), (5, 12)], big, 1)
+        # leaves are reduced (2/12 is 1/6); four quarters cancel 2 twice,
+        # once in each level's merge
+        v = moments._exact_sum([(2, 12), (1, 3), (5, 12)])
         assert (v.numerator, v.denominator) == (11, 12)
-        v = moments._exact_sum([(1, 4)] * 4, big, 1)
+        v = moments._exact_sum([(1, 4)] * 4)
         assert (v.numerator, v.denominator) == (1, 1)
-        v = moments._exact_sum([(3, 8), (-3, 8)], big, 1)
+        v = moments._exact_sum([(3, 8), (-3, 8)])
         assert (v.numerator, v.denominator) == (0, 1)
+        v = moments._exact_sum([(0, 7)])
+        assert (v.numerator, v.denominator) == (0, 1)
+
+    def test_exact_sum_against_the_final_reduction(self):
+        # random pair lists whose denominators share small primes to
+        # unequal and equal powers, against the tree that never reduced
+        # and cut the total once by the primes its denominator can hold
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            pairs = []
+            for _ in range(int(rng.integers(1, 40))):
+                den = math.prod(int(p) ** int(rng.integers(0, 4))
+                                for p in (2, 3, 5, 7, 101))
+                pairs.append((int(rng.integers(-10**6, 10**6)), den))
+            got = moments._exact_sum(pairs)
+            want = _oracle_exact_sum(pairs, moments._largest_prime_factors(7), 101)
+            assert got == want == sum(Fraction(a, b) for a, b in pairs)
+            assert _in_lowest_terms(got)
 
 
 # --- single-orbit series -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from sqcount.errors import DegenerateForm, DimensionMismatch
 from sqcount.qspace import _jordan_blocks, quadratic_form
 from sqcount.sarith import INF, SConfig, valuation
 from sqcount.volume import is_isotropic
+from test_linalg import identity
 
 S23 = SConfig((2, 3))
 S3 = SConfig((3,))
@@ -131,7 +132,7 @@ class TestEvalForm:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            quadratic_form(S23, [[1, 0], [0, 1]], gram_p={3: la.identity(3)})
+            quadratic_form(S23, [[1, 0], [0, 1]], gram_p={3: identity(3)})
         with pytest.raises(DimensionMismatch):
             quadratic_form(S23, [[1, 2], [0, 1]])
 

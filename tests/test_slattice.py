@@ -26,15 +26,20 @@ from sqcount.errors import (
     InsufficientPadicPrecision,
     RegionTooLarge,
 )
-from sqcount.sarith import SConfig, TVector, valuation
+from sqcount.sarith import SConfig, TVector, crt, frac_mod, min_valuation, valuation
 from sqcount.slattice import (
     ProductBox,
     SBox,
+    _box_frame,
+    _BoxFrame,
+    _ellipsoid_integer_points,
     affine_slattice_split,
     count_points,
     enumerate_points,
     holds_origin,
+    place_box,
 )
+from test_linalg import identity, oracle_inverse
 
 S0 = SConfig(())
 S2 = SConfig((2,))
@@ -55,6 +60,18 @@ def rational_lattice(ctx, basis, shift=None):
         ctx, basis, {p: basis for p in ctx.primes},
         shift, {p: shift for p in ctx.primes},
     )
+
+
+def exact_basis(lat, p) -> tuple:
+    """The finite basis at p as a Fraction matrix."""
+    rows, den = lat.basis_p[p]
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def exact_shift(lat, p) -> tuple:
+    """The finite shift at p as a Fraction vector."""
+    nums, den = lat.shift_p[p]
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def in_padic_ball(x, c, p, e) -> bool:
@@ -78,7 +95,7 @@ def _denominator_exponent(lat, b, center, p):
     """Upper bound on the power of p in denominators of coordinates k with
     image inside the box: v_p(k_j) >= lo + gmin for every candidate."""
     tp = b.t.t_p.get(p, 0)
-    ginv = la.inverse(lat.basis_p[p])
+    ginv = oracle_inverse(exact_basis(lat, p))
     gmin = min(
         (valuation(x, p) for row in ginv for x in row if x), default=0
     )
@@ -87,8 +104,9 @@ def _denominator_exponent(lat, b, center, p):
         cand = [-tp]
         if center[i]:
             cand.append(valuation(center[i], p))
-        if lat.shift_p[p][i]:
-            cand.append(valuation(lat.shift_p[p][i], p))
+        shift = exact_shift(lat, p)
+        if shift[i]:
+            cand.append(valuation(shift[i], p))
         lo = min(lo, min(cand))
     return max(0, -(lo + min(0, gmin)))
 
@@ -123,7 +141,8 @@ def naive_points(lat, b):
     for row in m[inside].tolist():
         k = tuple(Fraction(mi, big_r) for mi in row)
         images = [
-            tuple(x + s for x, s in zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
+            tuple(x + s for x, s in
+                  zip(la.vec_mat(k, exact_basis(lat, p)), exact_shift(lat, p)))
             for p in ctx.primes
         ]
         if all(
@@ -141,7 +160,7 @@ def coords(points):
 
 def random_rational_lattice(rng, ctx, d, shifted=True):
     """Sheared Z^d with a rational shift, p-integral at every prime of ctx."""
-    u = [list(r) for r in la.identity(d)]
+    u = [list(r) for r in identity(d)]
     # shear denominators must avoid ctx primes (basis stays p-integral)
     shear_pool = [0, 1, -1, 2, Fraction(1, 5)]
     if 2 not in ctx.primes:
@@ -265,7 +284,7 @@ def naive_box_points(lat, f):
         )
         finite = {
             p: tuple(x + s for x, s in
-                     zip(la.vec_mat(k, lat.basis_p[p]), lat.shift_p[p]))
+                     zip(la.vec_mat(k, exact_basis(lat, p)), exact_shift(lat, p)))
             for p in ctx.primes
         }
         if in_product_box(f, ctx, real, finite):
@@ -300,7 +319,7 @@ class TestEnumerate:
     def test_half_integer_grid(self):
         # Z_S^2 with S_f={2}: the ball of Euclidean radius 3/2 at depth
         # t_2 = 1 holds the half-integer grid; direct scan gives 25 points
-        lat = rational_lattice(S2, la.identity(2))
+        lat = rational_lattice(S2, identity(2))
         b = box(S2, Fraction(3, 2), {2: 1})
         pts = enumerate_points(lat, b)
         got = sorted(pt.real for pt in pts)
@@ -310,26 +329,26 @@ class TestEnumerate:
         assert (-1.0, 1.0) in got
 
     def test_integer_disk_21(self):
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         b = box(S0, Fraction(5, 2))
         pts = enumerate_points(lat, b)
         assert len(pts) == 21
         assert coords(pts) == naive_points(lat, b)
 
     def test_shifted_empty(self):
-        lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
+        lat = rational_lattice(S0, identity(2), shift=(Fraction(1, 4), 0))
         b = box(S0, Fraction(1, 8))
         assert enumerate_points(lat, b) == []
 
     def test_deterministic_order(self):
-        lat = rational_lattice(S2, la.identity(2))
+        lat = rational_lattice(S2, identity(2))
         b = box(S2, Fraction(3, 2), {2: 1})
         first = [p.coords for p in enumerate_points(lat, b)]
         second = [p.coords for p in enumerate_points(lat, b)]
         assert first == second == sorted(first)
 
     def test_budget(self):
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         with pytest.raises(RegionTooLarge):
             enumerate_points(lat, box(S0, 1000), max_candidates=100)
 
@@ -345,17 +364,17 @@ class TestEnumerate:
             affine_slattice_split(S0, [[2.0, 0.0], [0.0, 1.0]], {})
         # determinant 3 is a unit at 2 but not at 3
         m = ((3, 1), (0, 1))
-        affine_slattice_split(S2, la.identity(2), {2: m})
+        affine_slattice_split(S2, identity(2), {2: m})
         with pytest.raises(ConfigError, match="basis at p=3 has non-unit determinant"):
-            affine_slattice_split(S3, la.identity(2), {3: m})
+            affine_slattice_split(S3, identity(2), {3: m})
         # a singular basis has no valuation to compare; it is refused the same way
         with pytest.raises(ConfigError, match="basis at p=2 has non-unit determinant"):
-            affine_slattice_split(S2, la.identity(2), {2: ((0, 0), (0, 0))})
+            affine_slattice_split(S2, identity(2), {2: ((0, 0), (0, 0))})
 
     def test_rejects_disk_center_of_wrong_length(self):
         # a third coordinate would be dropped by the count and read by the
         # origin test, so both refuse it
-        lat = rational_lattice(S2, la.identity(2))
+        lat = rational_lattice(S2, identity(2))
         disk = box(S2, 2, center=(0, 0, 5))
         with pytest.raises(DimensionMismatch, match="disk center"):
             count_points(lat, disk)
@@ -364,7 +383,7 @@ class TestEnumerate:
 
     def test_insufficient_depth(self):
         lat = affine_slattice_split(
-            S2, la.identity(2), {2: la.identity(2)}, depth={2: 1}
+            S2, identity(2), {2: identity(2)}, depth={2: 1}
         )
         with pytest.raises(InsufficientPadicPrecision):
             enumerate_points(lat, box(S2, 2, {2: -2}))
@@ -382,7 +401,7 @@ class TestEnumerate:
 
     def test_negative_depth_box(self):
         # t_2 = -1: only even-denominator-free points k = 0 mod 2
-        lat = rational_lattice(S2, la.identity(2))
+        lat = rational_lattice(S2, identity(2))
         b = box(S2, Fraction(5, 2), {2: -1})
         pts = enumerate_points(lat, b)
         assert coords(pts) == naive_points(lat, b)
@@ -498,7 +517,7 @@ class TestCountPoints:
 
     def test_one_point_wide_rows(self):
         # Z^2 in the disk of radius 5/4: the rows n1 = +-1 hold one point
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         assert count_points(lat, box(S0, Fraction(5, 4))) == 5
         # a long first basis vector leaves at most one point in every row
         long = rational_lattice(S0, ((3, 1), (2, 1)))
@@ -509,7 +528,7 @@ class TestCountPoints:
     def test_same_budget_threshold(self):
         rng = random.Random(13)
         lats = [
-            rational_lattice(S0, la.identity(2)),
+            rational_lattice(S0, identity(2)),
             random_rational_lattice(rng, S2, 2),
             random_split_lattice(rng, S2, 2, "none"),
             random_split_lattice(rng, S23, 3, "random"),
@@ -525,18 +544,18 @@ class TestCountPoints:
 
 class TestSiegel:
     def test_disk_affine_and_homogeneous(self):
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         f = box(S0, Fraction(5, 2))
         assert count_points(lat, f) == 21
         assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == 20
 
     def test_shifted_singleton(self):
-        lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
+        lat = rational_lattice(S0, identity(2), shift=(Fraction(1, 4), 0))
         f = box(S0, Fraction(1, 2))
         assert count_points(lat, f) == 1
 
     def test_product_box(self):
-        lat = rational_lattice(S2, la.identity(2))
+        lat = rational_lattice(S2, identity(2))
         f = ProductBox([(-1, 1), (-1, 1)], finite_exponent={2: 0})
         # integer points of the closed square: 9 (half-integers excluded
         # by the 2-adic unit ball)
@@ -545,19 +564,19 @@ class TestSiegel:
 
 class TestDiscrepancy:
     def test_disk_value(self):
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         d = discrepancy(lat, box(S0, Fraction(5, 2)))
         assert abs(d - abs(21 - 6.25 * math.pi)) < 1e-9
 
     def test_empty_zero_volume(self):
-        lat = rational_lattice(S0, la.identity(2), shift=(Fraction(1, 4), 0))
+        lat = rational_lattice(S0, identity(2), shift=(Fraction(1, 4), 0))
         d = discrepancy(lat, box(S0, Fraction(1, 8)))
         assert abs(d - math.pi / 64) < 1e-12
 
     def test_corrected_inequality_random_triples(self):
         rng = random.Random(41)
         lat_pool = [
-            rational_lattice(S0, la.identity(2)),
+            rational_lattice(S0, identity(2)),
             rational_lattice(
                 S0, ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))),
                 (Fraction(1, 3), Fraction(0)),
@@ -596,7 +615,7 @@ class TestDiscrepancy:
 
 class TestCountInSet:
     def test_box_and_indicator_agree(self):
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         b = box(S0, Fraction(5, 2))
         assert count_points(lat, b) == len(enumerate_points(lat, b)) == 21
 
@@ -670,7 +689,7 @@ class TestProductBox:
         rng = random.Random(400 * d + len(ctx.primes) + sum(ctx.primes))
         cases = 0
         while cases < 8:
-            u = [list(r) for r in la.identity(d)]
+            u = [list(r) for r in identity(d)]
             for _ in range(3):
                 i, j = rng.sample(range(d), 2)
                 c = rng.choice([1, -1, 2])
@@ -712,7 +731,7 @@ class TestHoldsOrigin:
     def test_origin_on_the_boundary(self):
         # the open disk misses the origin on its sphere (9/4 + 4 = 25/4 in
         # floats too), the closed box holds it on a face
-        lat = rational_lattice(S0, la.identity(2))
+        lat = rational_lattice(S0, identity(2))
         disk = box(S0, Fraction(5, 2), center=(Fraction(3, 2), Fraction(2)))
         face = ProductBox([(0, 1), (-1, 1)])
         assert not holds_origin(disk, 2, S0.primes)
@@ -720,3 +739,196 @@ class TestHoldsOrigin:
         for f in (disk, face):
             want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
             assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == want
+
+
+# --- the integer frame against the Fraction code it replaced --------------------------
+
+
+def oracle_split(ctx, basis_p, shift_p, d):
+    """The finite bases and shifts as Fraction matrices and vectors, read
+    and checked as the Fraction code read them."""
+    bases, shifts = {}, {}
+    for p in ctx.primes:
+        m = la.as_matrix(basis_p[p])
+        v = min_valuation((x for row in m for x in row), p)
+        if v is not None and v < 0:
+            raise ConfigError(f"basis at p={p} is not p-integral")
+        det_p = la.det(m)
+        if det_p == 0 or valuation(det_p, p) != 0:
+            raise ConfigError(f"basis at p={p} has non-unit determinant")
+        bases[p] = m
+        shifts[p] = tuple(Fraction(x) for x in shift_p.get(p, (0,) * d))
+    return bases, shifts
+
+
+def oracle_frame(lat, box, bases, shifts) -> _BoxFrame:
+    """_box_frame in Fraction arithmetic: v_p of c_p - shift_p on Fractions,
+    w_p = (c_p - shift_p) basis_p^-1 by Gauss-Jordan, each residue by
+    frac_mod of a Fraction; the real frame from the exact box ends."""
+    d, ctx = lat.dim, lat.ctx
+    center, t2, intervals, finite = box.places(d, ctx.primes)
+    residues = {}
+    for p in ctx.primes:
+        center_p, tp = finite[p]
+        diff = tuple(Fraction(c) - s for c, s in zip(center_p, shifts[p]))
+        v = min_valuation(diff, p)
+        r_p = max(tp, 0 if v is None else -v, 0)
+        s_p = r_p - tp
+        if lat.depth[p] is not None and s_p > lat.depth[p]:
+            raise InsufficientPadicPrecision(
+                f"need {s_p} digits at p={p}, sampled {lat.depth[p]}")
+        w = la.vec_mat(diff, oracle_inverse(bases[p])) if s_p else None
+        residues[p] = (r_p, s_p, w)
+    big_r = math.prod(p ** residues[p][0] for p in ctx.primes)
+    mod = 1
+    rem = [0] * d
+    for p in ctx.primes:
+        _, s_p, w = residues[p]
+        pe = p**s_p
+        if pe == 1:
+            continue
+        for i in range(d):
+            rem[i] = crt(rem[i], mod, frac_mod(big_r * w[i], pe), pe)
+        mod *= pe
+    scale = mod / big_r
+    b = tuple(tuple(scale * float(x) for x in row) for row in lat.basis_inf)
+    base = [sum(rem[i] / big_r * float(lat.basis_inf[i][j]) for i in range(d))
+            for j in range(d)]
+    y0 = tuple(bb + float(s) - float(c)
+               for bb, s, c in zip(base, lat.shift_inf, center))
+    spans = None
+    if intervals is not None:
+        spans = tuple((float(hi - lo), abs(float(hi + lo) / 2))
+                      for lo, hi in intervals)
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, intervals, spans, lat)
+
+
+class TestIntegerFrame:
+    """The finite data held as ints over one denominator, and the frame
+    built from them in integers, against the Fraction code: the same
+    rationals, the same (big_r, mod, rem) and real frame, and the same
+    count as a walk of the Fraction frame, whose product-box leaf test
+    compares floats with the exact ends."""
+
+    PRIMES = (2, 3, 5)
+
+    @classmethod
+    def rational(cls, rng, p, size):
+        """A random rational whose denominator is prime to p: 1, a prime
+        outside S, or another prime of S."""
+        den = rng.choice([1, 1, 7, 11] + [q for q in cls.PRIMES if q != p])
+        return Fraction(rng.randint(-size, size), den)
+
+    @classmethod
+    def basis(cls, rng, p, d):
+        """A rational basis at p with denominators prime to p; about one in
+        five is singular or has a non-unit determinant, one in ten is not
+        p-integral."""
+        roll = rng.random()
+        if roll < 0.1:
+            m = [[cls.rational(rng, p, 4) for _ in range(d)] for _ in range(d)]
+            m[rng.randrange(d)][rng.randrange(d)] = Fraction(1, p * rng.choice([1, 7]))
+            return m
+        while True:
+            m = [[cls.rational(rng, p, 4) for _ in range(d)] for _ in range(d)]
+            det = la.det(la.as_matrix(m))
+            unit = det != 0 and valuation(det, p) == 0
+            if roll < 0.3:
+                if rng.random() < 0.3:
+                    m[1] = list(m[0])  # singular
+                    return m
+                if not unit:
+                    return m
+            elif unit:
+                return m
+
+    @classmethod
+    def shift(cls, rng, p, d):
+        """p-power denominators, denominators prime to S, or both."""
+        return tuple(
+            Fraction(rng.randint(-9, 9),
+                     rng.choice([1, p, p**2, p**3, 7, 13, 7 * p**2]))
+            for _ in range(d)
+        )
+
+    @classmethod
+    def shape(cls, rng, ctx, d):
+        """A disk or a product box whose finite centers often have negative
+        valuation and whose exponents are often negative, so that the
+        congruence branch (s_p > 0) runs."""
+        t_p = {p: rng.choice([-2, -1, 0, 1]) for p in ctx.primes}
+        centers = {
+            p: tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 1, p, p * p, 3 * p]))
+                     for _ in range(d))
+            for p in ctx.primes
+        }
+        if rng.random() < 0.5:
+            radius = Fraction(rng.randint(3, 6), 2)
+            # a disk has one center at every place
+            center = next(iter(centers.values()), (0,) * d)
+            return SBox(TVector(radius, t_p, ctx), center)
+        intervals = []
+        for _ in range(d):
+            lo = Fraction(rng.randint(-6, 2), rng.choice([1, 3, 10]))
+            intervals.append((lo, lo + Fraction(rng.randint(1, 6), rng.choice([1, 2, 7]))))
+        return ProductBox(intervals, t_p, centers)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_against_the_fraction_frame(self, d):
+        rng = random.Random(600 + d)
+        branches = refused = cases = 0
+        while cases < 40:
+            primes = tuple(p for p in self.PRIMES if rng.random() < 0.6)
+            ctx = SConfig(primes)
+            g = random_split_lattice(rng, S0, d, "random")
+            basis_p = {p: self.basis(rng, p, d) for p in primes}
+            shift_p = {p: self.shift(rng, p, d) for p in primes}
+            try:
+                bases, shifts = oracle_split(ctx, basis_p, shift_p, d)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    affine_slattice_split(ctx, g.basis_inf, basis_p,
+                                          g.shift_inf, shift_p)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            lat = affine_slattice_split(ctx, g.basis_inf, basis_p, g.shift_inf,
+                                        shift_p)
+            for p in primes:
+                assert exact_basis(lat, p) == bases[p]
+                assert exact_shift(lat, p) == shifts[p]
+                assert lat.basis_p[p][1] % p != 0
+            f = self.shape(rng, ctx, d)
+            frame, want = _box_frame(lat, f), oracle_frame(lat, f, bases, shifts)
+            assert (frame.big_r, frame.mod, frame.rem) == (want.big_r, want.mod, want.rem)
+            assert (frame.b, frame.y0, frame.t2) == (want.b, want.y0, want.t2)
+            try:
+                n = _ellipsoid_integer_points(want, 20_000)
+            except RegionTooLarge:
+                with pytest.raises(RegionTooLarge):
+                    count_points(lat, f, 20_000)
+            else:
+                assert count_points(lat, f, 20_000) == n
+                assert count_points(lat, place_box(f, d, primes), 20_000) == n
+            branches += frame.mod > 1
+            cases += 1
+        assert branches >= 10 and refused >= 5, (branches, refused)
+
+    def test_shift_over_a_common_denominator(self):
+        # shift_den divides every finite shift; its numerators may be ints
+        g = identity(2)
+        lat = affine_slattice_split(S23, g, {2: g, 3: g}, None,
+                                    {2: (1, 4), 3: (Fraction(1, 2), 0)}, shift_den=15)
+        assert exact_shift(lat, 2) == (Fraction(1, 15), Fraction(4, 15))
+        assert exact_shift(lat, 3) == (Fraction(1, 30), 0)
+
+    def test_float_interval_ends(self):
+        # each float end is the nearest float inside the exact end: float(1/3)
+        # lies below 1/3 and float(11/10) above 11/10, float(-1/3) inside
+        f = ProductBox([(Fraction(1, 3), Fraction(11, 10)), (Fraction(-1, 3), 1)])
+        (lo, hi), (lo2, hi2) = place_box(f, 2, ()).intervals
+        assert lo != float(Fraction(1, 3)) and hi != float(Fraction(11, 10))
+        for end, x in ((Fraction(1, 3), lo), (Fraction(-1, 3), lo2)):
+            assert Fraction(x) >= end > Fraction(math.nextafter(x, -math.inf))
+        for end, x in ((Fraction(11, 10), hi), (Fraction(1), hi2)):
+            assert Fraction(x) <= end < Fraction(math.nextafter(x, math.inf))

@@ -33,6 +33,7 @@ from sqcount.volume import (
     padic_quadric_volume,
     real_quadric_volume,
 )
+from test_linalg import identity
 
 F = Fraction
 S0 = SConfig(())
@@ -615,7 +616,7 @@ class TestLeadingConstant:
 
     def test_rational_rotation_invariance(self):
         # a rational orthogonal U leaves the eigenvalues, hence c_Q, alone
-        u = [list(row) for row in la.identity(4)]
+        u = [list(row) for row in identity(4)]
         u[1][1], u[1][2], u[2][1], u[2][2] = F(3, 5), F(-4, 5), F(4, 5), F(3, 5)
         g = diag_gram((1, 2, 3, -7))
         rotated = mat_mul(mat_mul(u, g), tuple(zip(*u)))
