@@ -13,11 +13,16 @@ a cached class table. That keeps T_inf in the hundreds and |x|_p <= p^2
 well inside desk budgets where the naive candidate set has ~10^9 points.
 
 The leading coordinates are walked as rows: a head (the first d-2
-coordinates) with every in-ball value of the (d-1)-th. Rows are batched
-into numpy passes of a bounded number of candidate elements, so memory
-stays flat as T grows; the max_candidates budget is charged row by row,
-in head order, before a batch is counted, so it fails at the same row
-whatever the batching.
+coordinates) with every in-ball value of the (d-1)-th, found by floor
+arithmetic. The walk has two stages. Stage 1 touches every (head, x)
+prefix with a few int64 operations: it charges the max_candidates budget
+row by row, in head order, and a root of the discriminant taken from
+above drops most prefixes whose window holds no integer, which in a
+narrow window is nearly all of them. Stage 2 buffers the rest and runs
+the exact window, the ball clip and the class tables on them in batches.
+Both stages work on a bounded number of elements at a time, so memory
+stays flat as T grows, and the budget fails at the same row whatever the
+batching.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from .volume import check_family_range, leading_constant
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
 MAX_VALUE_MODULUS = 4096
-# candidate (row, x) elements per numpy pass of the fiber counter. Larger
-# passes run no faster and leave more heap behind for later stages: at 2^14
-# the peak RSS of a d=4 `count` run rose by about 2 MB, at 2^13 not at all.
+# (head, x) prefixes per stage-1 pass of the fiber counter, and candidates
+# per stage-2 batch. On the benchmark's count workload (count_d4, sweep_d3),
+# 2^12 runs about 10% slower than 2^13 and has 0.9 MB less peak RSS, and
+# 2^14 runs 10-20% faster with 1.7 MB more: stage 2 keeps nearly every
+# candidate through the exact test, so a batch holds some 20 live arrays.
 _CHUNK_ELEMENTS = 1 << 13
 
 
@@ -130,21 +137,20 @@ def interval_at(family: ShrinkingFamily, t: TVector) -> SInterval:
 
 # --- the integer fiber counter --------------------------------------------------
 
+def _root_from_above(x):
+    """s with isqrt(x) <= s <= isqrt(x) + 1, for int64 arrays 0 <= x < 2^62.
+
+    There the float root is within 2^-21 of sqrt(x), so lifting it by 2^-18
+    before truncating never lands below isqrt(x), and lands on isqrt(x) + 1
+    only for x just below a perfect square.
+    """
+    return (np.sqrt(x.astype(np.float64)) + 2.0**-18).astype(np.int64)
+
+
 def _visqrt(x):
-    """Vectorized floor(sqrt(x)) for nonnegative int64 arrays, exact."""
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s = np.maximum(s, 0)
-    while True:
-        over = s * s > x
-        if not np.any(over):
-            break
-        s[over] -= 1
-    while True:
-        under = (s + 1) ** 2 <= x
-        if not np.any(under):
-            break
-        s[under] += 1
-    return s
+    """Vectorized floor(sqrt(x)) for int64 arrays 0 <= x < 2^62, exact."""
+    s = _root_from_above(x)
+    return s - (s * s > x)
 
 
 def _strict_floor(x: Fraction) -> int:
@@ -251,13 +257,6 @@ def _build_instance(
     return _Instance(gp, gm, rho, l_mod, ball2, w_lo, w_hi, m_val, c_val)
 
 
-def _progression(lo: int, hi: int, residue: int, step: int):
-    start = lo + (residue - lo) % step
-    if start > hi:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(start, hi + 1, step, dtype=np.int64)
-
-
 class _ClassTables:
     """Per-period prefix sums of the admissible last-coordinate classes.
 
@@ -314,6 +313,52 @@ class _ClassTables:
         return int(np.sum(np.where(hi >= lo, c_hi - c_lo, 0)))
 
 
+def _disc_gap(a: int, w_lo: int, w_hi: int) -> int:
+    """disc_hi - disc_lo for the window [w_lo, w_hi] of a n^2 + b n + c,
+    capped at 2^62: the guard keeps |disc_hi| below 2^62, so the capped gap
+    leaves disc_lo negative wherever the true one is, and in int64."""
+    return min(4 * a * (w_hi - w_lo + 1), 1 << 62)
+
+
+def _head_coeffs(h, gram):
+    """(b_h, c_hx, c_h) of the rows h of j heads under the d x d Gram: in
+    W = a n_d^2 + (b_h + b_x x) n_d + c_h + c_hx x + c_xx x^2, the parts
+    that depend on the head, x = n_{d-1}."""
+    j = h.shape[1]
+    return (2 * (h @ gram[-1, :j]), 2 * (h @ gram[j, :j]),
+            np.einsum("ri,ik,rk->r", h, gram[:j, :j], h))
+
+
+def _disc_coeffs(a: int, w_hi: int, b_x: int, c_xx: int, head):
+    """(A, B, C) with disc_hi = b^2 - 4 a (c - w_hi) = (A x + B) x + C on
+    the rows with head coefficients head = (b_h, c_hx, c_h) (_head_coeffs):
+    one quadratic in x per row.
+
+    In int64 the quadratic is exact wherever _count_instance's guard holds:
+    there |b_h| + |b_x x| <= max_b and |c_h| + |c_hx x| + |c_xx x^2| <=
+    max_c, so each of A x^2, B x and C, and each partial sum of them, is at
+    most max_disc < 2^62.
+    """
+    b_h, c_hx, c_h = head
+    return (b_x * b_x - 4 * a * c_xx, 2 * b_x * b_h - 4 * a * c_hx,
+            b_h * b_h - 4 * a * (c_h - w_hi))
+
+
+def _row_disc(coeffs, x, lens):
+    """disc_hi of consecutive prefixes x, lens[r] of them on row r, from
+    the rows' (A, B, C) (_disc_coeffs)."""
+    big_a, big_b, big_c = coeffs
+    return (big_a * x + np.repeat(big_b, lens)) * x + np.repeat(big_c, lens)
+
+
+def _may_hold_square(disc_hi, gap: int):
+    """Indices of the prefixes whose (disc_hi - gap, disc_hi] may hold a
+    square: every one that does (_window_pieces' exact test), and a few
+    just below a perfect square, where the root from above overshoots."""
+    s_o = _root_from_above(np.maximum(disc_hi, 0))
+    return np.flatnonzero((disc_hi >= 0) & (s_o * s_o > disc_hi - gap))
+
+
 def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
     """(keep, lo, hi): the prefixes, given by their coefficients b and c,
     whose window {n : w_lo <= a n^2 + b n + c <= w_hi} holds an integer, and
@@ -343,9 +388,7 @@ def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
     else:
         disc_hi = b * b - 4 * a * (c - w_hi)
         s_o = _visqrt(np.maximum(disc_hi, 0))
-        # the guard keeps |disc_hi| below 2^62, so a gap capped at 2^62
-        # leaves disc_lo negative wherever the true one is, and in int64
-        disc_lo = disc_hi - min(4 * a * (w_hi - w_lo + 1), 1 << 62)
+        disc_lo = disc_hi - _disc_gap(a, w_lo, w_hi)
         keep = np.flatnonzero((disc_hi >= 0) & (s_o * s_o > disc_lo))
         b, s_o, disc_lo = b[keep], s_o[keep], disc_lo[keep]
         cut = disc_lo >= 0
@@ -361,33 +404,54 @@ def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
     return keep[some], lo[:, some], hi[:, some]
 
 
-def _count_instance(inst: _Instance, max_candidates: int) -> int:
+class FiberCount(int):
+    """An exact count that also carries its budget use: charged is the
+    number of (head, x) prefixes it charged to max_candidates."""
+
+    def __new__(cls, n: int, charged: int):
+        self = super().__new__(cls, n)
+        self.charged = charged
+        return self
+
+
+def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     """Exact point count of one instance, batched over head rows.
 
     A row is a fixed head (the first d-2 coordinates) together with the
-    progression of the (d-1)-th coordinate x inside the ball; each (head, x)
-    prefix leaves the last coordinate n_d, on which the form is a quadratic
-    (or linear) a n_d^2 + b n_d + c. Heads come in itertools.product order,
-    in chunks of about _CHUNK_ELEMENTS prefixes, so one numpy pass covers
-    many rows and memory stays bounded. Each chunk charges its row lengths
-    to the budget, in row order, before it counts anything: RegionTooLarge
-    reports the running prefix total at the first row that crosses
-    max_candidates. A chunk is then counted in two stages:
+    progression x0 + l k of the (d-1)-th coordinate x inside the ball; each
+    (head, x) prefix leaves the last coordinate n_d, on which the form is a
+    quadratic (or linear) a n_d^2 + b n_d + c. Heads come in
+    itertools.product order, in blocks of _CHUNK_ELEMENTS / 16 heads whose
+    per-row data (the x range, the head's share of b and c) is computed
+    once; a block's rows are then walked in chunks of about _CHUNK_ELEMENTS
+    prefixes, and a prefix is counted in two stages:
 
-    1. every prefix: the real window alone gives the n_d pieces
-       (_window_pieces), and prefixes whose pieces hold no integer drop out,
-       which in a narrow window is nearly all of them;
-    2. the kept prefixes only: the pieces are clipped to the ball, and the
+    1. every prefix, a few int64 operations. Each row's k range follows
+       from the ball by floor arithmetic and is charged to the budget, in
+       row order, before anything in the block is counted, so
+       RegionTooLarge reports the running prefix total at the first row
+       that crosses max_candidates. For a > 0, disc_hi = b^2 - 4 a (c -
+       w_hi) is one quadratic in x per row (_disc_coeffs, _row_disc), and
+       its root from above s (_root_from_above: isqrt(disc_hi) <= s <=
+       isqrt(disc_hi) + 1) keeps the prefix when s^2 > disc_lo
+       (_may_hold_square). That keeps every prefix that _window_pieces'
+       exact test keeps, plus a few next to perfect squares. For a == 0
+       every prefix goes on.
+    2. the candidates, buffered across the block's chunks and flushed when
+       the buffer reaches _CHUNK_ELEMENTS and at the block's end: the exact
+       window pieces (_window_pieces), clipped to the ball, and the
        congruence class tables count the admissible n_d on both pieces in
        one lookup.
+
+    The count carries the prefixes charged to the budget (FiberCount).
     """
     if inst.empty:
-        return 0
+        return FiberCount(0, 0)
     d = len(inst.gram)
     g = inst.gram
     big_n = _strict_floor(inst.ball2)
     if big_n < 0:
-        return 0
+        return FiberCount(0, 0)
     if big_n > (1 << 50):
         raise RegionTooLarge(
             f"squared scaled real radius {big_n} exceeds the fiber counter's "
@@ -424,67 +488,101 @@ def _count_instance(inst: _Instance, max_candidates: int) -> int:
             f"ball reaches scaled coordinate {n_max} (times r, the points' "
             f"common denominator), and this form and target admit {admit}"
         )
-    m_big = math.lcm(inst.l_mod, inst.m_val)
-    tables = _ClassTables(inst, m_big)
-    m_val = inst.m_val
-    axes = [
-        _progression(-n_max, n_max, inst.rho[i], inst.l_mod)
-        for i in range(d - 1)
-    ]
+    tables = _ClassTables(inst, math.lcm(inst.l_mod, inst.m_val))
+    m_val, step, j = inst.m_val, inst.l_mod, d - 2
+    # coordinate i runs over rho_i + step Z inside [-n_max, n_max]
+    axes = [range(-n_max + (r + n_max) % step, n_max + 1, step)
+            for r in inst.rho[:d - 1]]
+    heads = itertools.product(*axes[:j])
+    x0 = axes[j].start
     # W(n) = a n_d^2 + b n_d + c with, for head h and x = n_{d-1},
     # b = b_h + b_x x and c = c_h + c_hx x + c_xx x^2; the congruence Gram
     # gives the same shape mod m_val, computed on h and x reduced mod m_val
     # so that its products stay small whatever the real Gram's guard allows
-    j = d - 2
     g_arr = sign * np.array(g, dtype=np.int64)
     gm_arr = np.array(inst.gram_mix, dtype=np.int64) % m_val
     b_x, c_xx = 2 * int(g_arr[d - 1, j]), int(g_arr[j, j])
     bm_x, cm_xx = 2 * int(gm_arr[d - 1, j]), int(gm_arr[j, j])
-    x_axis = axes[j]
-    heads = itertools.product(*(ax.tolist() for ax in axes[:j]))
-    per_chunk = max(1, _CHUNK_ELEMENTS // max(len(x_axis), 1))
-    total = 0
-    seen = 0
-    while block := list(itertools.islice(heads, per_chunk)):
+    gap = _disc_gap(a, w_lo, w_hi)
+    # the candidates of the current head block, as their rows (columns of
+    # the block's coef) and their x, until stage 2 counts them
+    buf_row, buf_x = [], []
+
+    def stage_2(coef):
+        row, x = np.concatenate(buf_row), np.concatenate(buf_x)
+        buf_row.clear()
+        buf_x.clear()
+        b_h, c_hx, c_h = coef[:3, row]
+        keep, lo, hi = _window_pieces(a, b_h + b_x * x,
+                                      c_h + (c_hx + c_xx * x) * x,
+                                      w_lo, w_hi, n_max)
+        if len(keep) == 0:
+            return 0
+        (s_head, bm_h, cm_hx, cm_h), x = coef[3:, row[keep]], x[keep]
+        sb = _visqrt(big_n - s_head - x * x)
+        lo, hi = np.maximum(lo, -sb), np.minimum(hi, sb)
+        xm = x % m_val
+        b_mix = (bm_h + bm_x * xm) % m_val
+        c_mix = (cm_h + (cm_hx + cm_xx * xm) * xm) % m_val
+        return tables.count(tables.ids_for(b_mix, c_mix), lo, hi)
+
+    # a head block's 16 or so per-row arrays then hold about as many values
+    # as one of a chunk's per-prefix arrays
+    per_block = max(1, _CHUNK_ELEMENTS // 16)
+    total = seen = buffered = 0
+    while block := list(itertools.islice(heads, per_block)):
         h = np.array(block, dtype=np.int64).reshape(len(block), j)
         s_head = np.einsum("ri,ri->r", h, h)
         inside = s_head <= big_n
         h, s_head = h[inside], s_head[inside]
         lim = _visqrt(big_n - s_head)
-        in_row = np.abs(x_axis) <= lim[:, None]
-        lens = in_row.sum(axis=1)
-        cum = seen + np.cumsum(lens)
-        over = (cum > max_candidates) & (lens > 0)
-        if np.any(over):
+        # the row's x = x0 + step k with |x| <= lim: k_lo <= k <= k_hi
+        k_lo = -((lim + x0) // step)
+        lens = np.maximum((lim - x0) // step - k_lo + 1, 0)
+        ends = np.cumsum(lens)
+        if len(ends) == 0 or ends[-1] == 0:
+            continue
+        if seen + ends[-1] > max_candidates:
+            over = np.searchsorted(ends, max_candidates - seen, side="right")
             raise RegionTooLarge(
-                f"fiber counter budget exceeded ({int(cum[np.argmax(over)])} "
-                f"prefixes, more than max_candidates={max_candidates}); "
-                "raise max_candidates"
+                "fiber counter budget exceeded "
+                f"({seen + int(ends[over])} prefixes, more than "
+                f"max_candidates={max_candidates}); raise max_candidates"
             )
-        if len(cum) == 0 or cum[-1] == seen:
-            continue
-        seen = int(cum[-1])
-        row, col = np.nonzero(in_row)
-        x = x_axis[col]
-        b_h = 2 * (h @ g_arr[d - 1, :j])
-        c_h = np.einsum("ri,ik,rk->r", h, g_arr[:j, :j], h)
-        c_hx = 2 * (h @ g_arr[j, :j])
-        b = b_h[row] + b_x * x
-        c = c_h[row] + c_hx[row] * x + c_xx * x * x
-        keep, lo, hi = _window_pieces(a, b, c, w_lo, w_hi, n_max)
-        if len(keep) == 0:
-            continue
-        row, x = row[keep], x[keep]
-        sb = _visqrt(big_n - s_head[row] - x * x)
-        lo, hi = np.maximum(lo, -sb), np.minimum(hi, sb)
-        hm, xm = h % m_val, x % m_val
-        bm_h = (2 * (hm @ gm_arr[d - 1, :j])) % m_val
-        cm_h = np.einsum("ri,ik,rk->r", hm, gm_arr[:j, :j], hm) % m_val
-        cm_hx = (2 * (hm @ gm_arr[j, :j])) % m_val
-        b_mix = (bm_h[row] + bm_x * xm) % m_val
-        c_mix = (cm_h[row] + cm_hx[row] * xm + cm_xx * xm * xm) % m_val
-        total += tables.count(tables.ids_for(b_mix, c_mix), lo, hi)
-    return total
+        head = _head_coeffs(h, g_arr)
+        coef = np.stack([*head, s_head, *_head_coeffs(h % m_val, gm_arr)])
+        big_a, big_b, big_c = _disc_coeffs(a, w_hi, b_x, c_xx, head)
+        starts = ends - lens
+        # the block's i-th prefix, in row r, has k = k_lo[r] + i - starts[r]
+        x_row = x0 + step * (k_lo - starts)
+        r0 = 0
+        while r0 < len(lens):
+            # a chunk: the rows from r0 on that end within _CHUNK_ELEMENTS
+            # prefixes of its start, and at least one row
+            i0 = int(starts[r0])
+            r1 = max(r0 + 1, int(np.searchsorted(ends, i0 + _CHUNK_ELEMENTS,
+                                                 side="right")))
+            n, n_rows = int(ends[r1 - 1]) - i0, lens[r0:r1]
+            x = np.repeat(x_row[r0:r1], n_rows) + step * np.arange(i0, i0 + n)
+            if a:
+                cand = _may_hold_square(
+                    _row_disc((big_a, big_b[r0:r1], big_c[r0:r1]), x, n_rows),
+                    gap)
+                x = x[cand]
+            else:
+                cand = np.arange(n)
+            r0 = r1
+            if buffered and buffered + len(x) > _CHUNK_ELEMENTS:
+                total += stage_2(coef)
+                buffered = 0
+            buf_row.append(np.searchsorted(ends, i0 + cand, side="right"))
+            buf_x.append(x)
+            buffered += len(x)
+        if buffered:
+            total += stage_2(coef)
+            buffered = 0
+        seen += int(ends[-1])
+    return FiberCount(total, seen)
 
 
 # --- raw counters ----------------------------------------------------------------
@@ -501,7 +599,7 @@ def _depth_scale(ctx: SConfig, t: TVector) -> int:
 def congruence_count(
     cctx: CongruenceContext, q_form: QuadraticFormS, interval: SInterval,
     t: TVector, max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> int:
+) -> FiberCount:
     """#{k in q Z_S^d + w : Q(k) in interval, k in B_T}, exactly."""
     if q_form.dim != cctx.d:
         raise DimensionMismatch("form dimension mismatch")
@@ -517,7 +615,7 @@ def congruence_count(
 def inhom_count(
     q_form: QuadraticFormS, xi, interval: SInterval, t: TVector,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> int:
+) -> FiberCount:
     """#{x in Z_S^d + xi : Q(x) in interval, x in B_T}, exactly."""
     xi = tuple(Fraction(x) for x in xi)
     if len(xi) != q_form.dim:
@@ -537,6 +635,7 @@ def inhom_count(
 @dataclass(frozen=True)
 class CountResult:
     n: int
+    charged: int
     prediction: float
     ratio: float
     t: TVector
@@ -544,7 +643,7 @@ class CountResult:
     wall_ms: float
 
 
-def _result(n: int, q_form: QuadraticFormS, family: ShrinkingFamily,
+def _result(n: FiberCount, q_form: QuadraticFormS, family: ShrinkingFamily,
             interval: SInterval, t: TVector, q_power: int,
             start: float) -> CountResult:
     """n with the prediction c_Q vol(I) |T|^(d-2) / q_power, c_Q at t_p."""
@@ -552,7 +651,8 @@ def _result(n: int, q_form: QuadraticFormS, family: ShrinkingFamily,
     pred = c_q * interval.volume() * t.size() ** (q_form.dim - 2) / q_power
     ratio = n / pred if pred > 0 else math.nan
     wall = (time.perf_counter() - start) * 1000.0
-    return CountResult(n, pred, ratio, t, interval.volume(), wall)
+    return CountResult(int(n), n.charged, pred, ratio, t, interval.volume(),
+                       wall)
 
 
 def count_congruence(

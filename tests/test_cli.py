@@ -498,6 +498,29 @@ def test_series_manifest_records_its_budget_use(command, charged, tmp_path, caps
     assert f"max_terms={charged - 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, charged", [("count", 1250),
+                                              ("sweep", [1811, 7242])])
+def test_fiber_manifest_records_its_budget_use(command, charged, tmp_path,
+                                               capsys):
+    # (n1, n2) prefixes in the open ball, one entry per rung for a sweep; each
+    # rung is charged on its own, so the largest charge is exactly the budget
+    # that runs, and one less exits 3
+    first = tmp_path / "first"
+    assert main([command, *RUNS[command], "--out", str(first)]) == 0
+    manifest = first / f"{command}_manifest.json"
+    results = json.loads(manifest.read_text(encoding="utf-8"))["results"]
+    assert results["candidates_charged"] == charged
+    assert results["max_candidates"] == 5_000_000
+    peak = max(charged) if command == "sweep" else charged
+    argv = [command, *RUNS[command], "--max-candidates", str(peak)]
+    assert main([*argv, "--out", str(tmp_path / "tight")]) == 0
+    assert (sha256(tmp_path / "tight" / f"{command}.csv")
+            == sha256(first / f"{command}.csv"))
+    argv[-1] = str(peak - 1)
+    assert main([*argv, "--out", str(tmp_path / "short")]) == 3
+    assert f"max_candidates={peak - 1}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("threshold", "1e200", "threshold 1e+200"),  # threshold^2 overflows
     ("box", "disk:1e200", "box's volume"),  # the disk's area overflows

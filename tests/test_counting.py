@@ -439,14 +439,16 @@ class TestChunkInvariance:
             for count in self._cases():
                 for budget in self.BUDGETS:
                     try:
-                        got.append(count(budget))
+                        n = count(budget)
+                        got.append((int(n), n.charged))
                     except RegionTooLarge as exc:
                         got.append(str(exc))
             outcomes.append(got)
         assert all(got == outcomes[0] for got in outcomes[1:])
         kinds = {type(x) for x in outcomes[0]}
-        assert kinds == {int, str}
-        assert any(x > 0 for x in outcomes[0] if isinstance(x, int))
+        assert kinds == {tuple, str}
+        assert any(n > 0 for n, _ in
+                   (x for x in outcomes[0] if isinstance(x, tuple)))
         live = [i for i in instances if not i.empty]
         assert {len(i.rho) for i in live} == {3, 4}
         assert {i.l_mod for i in live} >= {1, 5, 10}
@@ -476,7 +478,8 @@ class TestBudgetThreshold:
         want = inhom_count(q, xi, iv, t)
         for chunk in TestChunkInvariance.CHUNKINGS:
             monkeypatch.setattr(counting, "_CHUNK_ELEMENTS", chunk)
-            assert inhom_count(q, xi, iv, t, max_candidates=prefixes) == want
+            got = inhom_count(q, xi, iv, t, max_candidates=prefixes)
+            assert (got, got.charged) == (want, prefixes)
             with pytest.raises(RegionTooLarge) as err:
                 inhom_count(q, xi, iv, t, max_candidates=prefixes - 1)
             assert str(err.value) == (
@@ -494,8 +497,10 @@ class TestWindowFilter:
     # a 21^3 oracle grid. Per form, the narrow window holds one value w and
     # the 3-adic target asks Q = w mod 3; the wide window holds every value
     # in the ball; the shell (60, 90) has window pieces outside the ball.
-    # The narrow window keeps a prefix of the linear (zero-diagonal) form
-    # with odds about 1/|b|, so at this scale it keeps far more of them.
+    # In the narrow window the root prefilter sends few prefixes of the
+    # quadratic form on to the exact test, while the linear (zero-diagonal)
+    # form has no prefilter; the exact test keeps a prefix of the linear
+    # form with odds about 1/|b|, so at this scale it keeps far more of them.
     # On the zero-diagonal form, w = 4 lets the prefixes with b == 0 and
     # n1 prime to 3 count every n3 of the ball in the wide window.
     T = tv(10, {3: 0}, S3)
@@ -510,13 +515,16 @@ class TestWindowFilter:
         real = {"narrow": (w - Fraction(1, 2), w + Fraction(1, 2)),
                 "wide": (-1000, 1000), "shell": (60, 90)}[window]
         iv = SInterval(real, {3: (Fraction(w), 1)})
-        seen = {"prefixes": 0, "kept": 0, "clipped_empty": 0}
+        # the budget is charged with the (n1, n2) in the open ball |n| < 10
+        charged = sum(n1 * n1 + n2 * n2 < 100
+                      for n1 in range(-10, 11) for n2 in range(-10, 11))
+        seen = {"reached": 0, "kept": 0, "clipped_empty": 0}
         pieces, table_count = counting._window_pieces, counting._ClassTables.count
 
         def pieces_spy(a, b, *args):
             assert (a == 0) == (form == "zero_diag")
             keep, lo, hi = pieces(a, b, *args)
-            seen["prefixes"] += len(b)
+            seen["reached"] += len(b)
             seen["kept"] += len(keep)
             return keep, lo, hi
 
@@ -529,9 +537,15 @@ class TestWindowFilter:
         got = inhom_count(q, (0, 0, 0), iv, self.T)
         assert got == oracle_count(q, iv, self.T) > 0
         if window == "narrow":
-            assert 0 < seen["kept"] < narrow_share * seen["prefixes"]
+            assert 0 < seen["kept"] < narrow_share * charged
+            if form == "zero_diag":
+                assert seen["reached"] == charged
+            else:
+                # 20 of the 305 have a square in the root window, and the
+                # pieces of 6 of those hold an integer n3
+                assert seen["kept"] <= seen["reached"] < 0.1 * charged
         elif window == "wide":
-            assert seen["kept"] == seen["prefixes"] > 0
+            assert seen["kept"] == seen["reached"] == charged > 0
         else:
             assert seen["clipped_empty"] > 0
 
@@ -542,6 +556,107 @@ class TestWindowFilter:
         q = quadratic_form(S0, ((1, 0, 0), (0, 1, 0), (0, 0, 3)))
         iv = SInterval((-m - 1, m + 1), {})
         assert inhom_count(q, (0, 0, 0), iv, tv(Fraction(1, 2))) == 1
+
+
+class TestStageOneKernels:
+    """Oracles for the two kernels that stage 1 runs on every prefix."""
+
+    def test_root_from_above_never_undershoots_isqrt(self):
+        rng = random.Random(20261020)
+        ks = [*range(2**31 - 64, 2**31), *range(2**17 - 8, 2**17 + 8), 1, 2, 3]
+        xs = [0, *(k * k + e for k in ks for e in (-1, 0, 1)),
+              *(rng.randrange(1 << 62) for _ in range(20000))]
+        arr = np.array(xs, dtype=np.int64)
+        above = counting._root_from_above(arr).tolist()
+        exact = counting._visqrt(arr).tolist()
+        for x, s_o, s in zip(xs, above, exact):
+            assert math.isqrt(x) <= s_o <= math.isqrt(x) + 1, x
+            assert s == math.isqrt(x), x
+
+    def test_prefilter_keeps_every_square_window(self):
+        # superset of the exact test; an extra only where the root from
+        # above overshoots to isqrt + 1
+        rng = random.Random(7)
+        ks = [rng.randrange(1, 2**31) for _ in range(3000)]
+        disc = [*(k * k + rng.randint(-3, 3) for k in ks),
+                *(rng.randrange(-(1 << 62), 1 << 62) for _ in range(3000))]
+        for gap in (1, 4, 4 * 35, 1 << 20, 1 << 62):
+            got = set(counting._may_hold_square(
+                np.array(disc, dtype=np.int64), gap).tolist())
+            for i, dh in enumerate(disc):
+                r = math.isqrt(max(dh, 0))
+                if dh >= 0 and r * r > dh - gap:
+                    assert i in got, (dh, gap)
+                elif i in got:
+                    assert dh >= 0 and (r + 1) ** 2 > dh - gap, (dh, gap)
+
+    def test_row_disc_is_the_direct_discriminant(self):
+        rng = random.Random(404)
+        for _ in range(200):
+            a, c_xx = rng.randint(0, 60), rng.randint(-60, 60)
+            b_x, w_hi = 2 * rng.randint(-60, 60), rng.randint(-10**6, 10**6)
+            lens = [rng.randint(0, 6) for _ in range(rng.randint(1, 8))]
+            head = [[rng.randint(-10**5, 10**5) for _ in lens] for _ in range(3)]
+            x = [rng.randint(-10**4, 10**4) for _ in range(sum(lens))]
+            coeffs = counting._disc_coeffs(
+                a, w_hi, b_x, c_xx, tuple(np.array(v) for v in head))
+            got = counting._row_disc(coeffs, np.array(x, dtype=np.int64),
+                                     np.array(lens))
+            rows = [r for r, n in enumerate(lens) for _ in range(n)]
+            b_h, c_hx, c_h = ([v[r] for r in rows] for v in head)
+            want = [(bh + b_x * xi) ** 2
+                    - 4 * a * (ch + chx * xi + c_xx * xi * xi - w_hi)
+                    for bh, chx, ch, xi in zip(b_h, c_hx, c_h, x)]
+            assert got.tolist() == want
+
+    def test_count_near_the_64_bit_guard_matches_the_oracle(self):
+        # in the ball |n| < 7/2 this form's discriminant bound is
+        # 624 K^2 - 4 K ~ 2^61.3; doubling the form multiplies it by 4 and
+        # crosses the guard's 2^62
+        k = 1 << 26
+        gram = ((k, 0, k), (0, 2 * k, k), (k, k, -k))
+        q = quadratic_form(S0, gram)
+        iv = SInterval((-3 * k, 3 * k), {})
+        t = tv(Fraction(7, 2))
+        assert inhom_count(q, (0, 0, 0), iv, t) == oracle_count(q, iv, t) > 0
+        double = quadratic_form(S0, tuple(tuple(2 * v for v in row)
+                                          for row in gram))
+        with pytest.raises(RegionTooLarge, match="64-bit range"):
+            inhom_count(double, (0, 0, 0), SInterval((-6 * k, 6 * k), {}), t)
+
+
+class TestStageTwoFlush:
+    def test_several_flushes_count_like_one(self, monkeypatch):
+        # the benchmark's d = 3 form at T = 200: about 1% of its (n1, n2)
+        # prefixes are candidates, and a small buffer flushes many times
+        q = quadratic_form(S23, ((1, 0, 0), (0, 1, 0), (0, 0, -2)))
+        cctx = congruence_context(3, 5, (1, 2, 0), S23)
+        t = tv(200, {2: 1, 3: 1}, S23)
+        iv = interval_at(shrinking_family(3, 1), t)
+        calls, flushes = [0], []
+        pieces = counting._window_pieces
+
+        def pieces_spy(*args):
+            calls[0] += 1
+            return pieces(*args)
+
+        monkeypatch.setattr(counting, "_window_pieces", pieces_spy)
+        outcomes = []
+        for chunk in (1, 64, sys.maxsize):
+            monkeypatch.setattr(counting, "_CHUNK_ELEMENTS", chunk)
+            calls[0] = 0
+            n = congruence_count(cctx, q, iv, t)
+            flushes.append(calls[0])
+            got = [(int(n), n.charged)]
+            for budget in (n.charged - 1, n.charged // 2):
+                with pytest.raises(RegionTooLarge) as err:
+                    congruence_count(cctx, q, iv, t, budget)
+                got.append(str(err.value))
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0][0] == 432
+        assert flushes[2] == 1
+        assert flushes[0] > flushes[1] > 1
 
 
 class TestBenchmarkCounts:
