@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import ConfigError
 
 
 def as_matrix(rows) -> tuple:
@@ -20,7 +20,7 @@ def as_matrix(rows) -> tuple:
 
 def vec_mat(v, m) -> tuple:
     if len(v) != len(m):
-        raise DimensionMismatch("vector-matrix shape mismatch")
+        raise ConfigError("vector-matrix shape mismatch")
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 

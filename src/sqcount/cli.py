@@ -53,7 +53,7 @@ from .counting import (
     shrinking_family,
     sweep,
 )
-from .errors import BudgetError, ConfigError, DimensionMismatch
+from .errors import BudgetError, ConfigError
 from .moments import (
     estimate_moments,
     inhom_series,
@@ -337,7 +337,7 @@ def _test_function(obj, ctx: SConfig, d: int, source: str):
                        for p, c in f.finite_center.items())
     for what, v in vectors.items():
         if v is not None and len(v) != d:
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"{what} has {len(v)} coordinates, {source} has {d}")
     return f
 

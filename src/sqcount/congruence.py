@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import ConfigError, DimensionMismatch, InvariantViolation, NotInSLq
+from .errors import ConfigError
 from .sarith import SConfig, crt, gcd_S, is_in_NS, prime_factors
 
 
@@ -38,7 +38,7 @@ def congruence_context(d: int, q: int, w, ctx: SConfig) -> CongruenceContext:
         raise ConfigError(f"level q={q} must be coprime to the finite places")
     coords = tuple(Fraction(x) for x in w)
     if len(coords) != d:
-        raise DimensionMismatch("shift vector length != d")
+        raise ConfigError("shift vector length != d")
     if gcd_S(q, coords, ctx) != 1:
         raise ConfigError("gcd_S(q, w) must be 1")
     return CongruenceContext(d, q, coords, ctx)
@@ -63,7 +63,7 @@ def _unit_coefficients(col: list[int], q: int) -> list[int]:
                 picks.setdefault(i, []).append(p)
                 break
         else:
-            raise NotInSLq("column is not primitive mod q")
+            raise ConfigError("column is not primitive mod q")
     coeffs = [0] * n
     for i, marked in picks.items():
         r, m = 0, 1
@@ -139,7 +139,7 @@ def lift_slq_to_slz(m, q: int):
     d = len(m)
     a = [[int(x) % q for x in row] for row in m]
     if la.det(a) % q != 1 % q:
-        raise NotInSLq("determinant is not 1 mod q")
+        raise ConfigError("determinant is not 1 mod q")
     left, right = [], []
 
     def rowop(i, j, c):
@@ -195,9 +195,9 @@ def lift_slq_to_slz(m, q: int):
         mul_right_elem(i, j, centered(c), "R")
     lifted = tuple(tuple(row) for row in out)
     if la.det(lifted) != 1:
-        raise InvariantViolation("lift lost determinant 1")
+        raise ConfigError("lift lost determinant 1")
     if any(
         (lifted[i][j] - int(m[i][j])) % q for i in range(d) for j in range(d)
     ):
-        raise InvariantViolation("lift is not congruent to the input")
+        raise ConfigError("lift is not congruent to the input")
     return lifted

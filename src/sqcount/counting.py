@@ -36,10 +36,11 @@ from fractions import Fraction
 import numpy as np
 
 from .congruence import CongruenceContext
-from .errors import ConfigError, DimensionMismatch, RegionTooLarge
+from .errors import BudgetError, ConfigError
 from .qspace import QuadraticFormS
 from .sarith import (
-    INF, SConfig, TVector, crt, frac_mod, s_free_part, valuation,
+    INF, SConfig, TVector, crt, frac_mod, over_one_denominator, s_free_part,
+    valuation,
 )
 from .volume import check_family_range, leading_constant
 
@@ -198,7 +199,7 @@ def _value_congruences(q_form: QuadraticFormS, r_hat: int, interval: SInterval):
     gram_mix = [[0] * d for _ in range(d)]
     for p, (a_p, e_p) in interval.finite.items():
         gram = q_form.gram_at(p)
-        d_p = math.lcm(*[Fraction(x).denominator for row in gram for x in row])
+        nums, d_p = over_one_denominator(x for row in gram for x in row)
         target = Fraction(d_p) * r_hat * r_hat * a_p
         exp = e_p + valuation(Fraction(d_p) * r_hat * r_hat, p)
         if target != 0 and valuation(target, p) < 0:
@@ -212,7 +213,7 @@ def _value_congruences(q_form: QuadraticFormS, r_hat: int, interval: SInterval):
         c_val = crt(c_val, m_val, frac_mod(target, pe), pe)
         for i in range(d):
             for j in range(d):
-                g = int(Fraction(gram[i][j]) * d_p) % pe
+                g = nums[i * d + j] % pe
                 gram_mix[i][j] = crt(gram_mix[i][j], m_val, g, pe)
         m_val *= pe
     return m_val, c_val, tuple(tuple(row) for row in gram_mix)
@@ -224,10 +225,9 @@ def _build_instance(
 ) -> _Instance:
     """Common construction: points x = n / r_hat with n = xi_scaled mod l_mod."""
     d = q_form.dim
-    gram = q_form.gram_at(INF)
-    dens = [Fraction(x).denominator for row in gram for x in row]
-    d_scale = math.lcm(*dens)
-    gi = [[int(Fraction(x) * d_scale) for x in row] for row in gram]
+    nums, d_scale = over_one_denominator(
+        x for row in q_form.gram_at(INF) for x in row)
+    gi = [nums[i * d:(i + 1) * d] for i in range(d)]
     rho = tuple(frac_mod(x, l_mod) for x in xi_scaled)
     ball2 = (Fraction(t_inf) * r_hat) ** 2
     scale = Fraction(d_scale) * r_hat * r_hat
@@ -238,7 +238,7 @@ def _build_instance(
         return _Instance((), (), rho, l_mod, ball2, 0, -1, 1, 0, empty=True)
     m_val, c_val, gram_mix = vc
     if m_val > MAX_VALUE_MODULUS or math.lcm(l_mod, m_val) > MAX_VALUE_MODULUS:
-        raise RegionTooLarge(
+        raise BudgetError(
             f"p-adic value modulus {m_val} (x lattice modulus {l_mod}) "
             f"exceeds the fiber counter's limit of {MAX_VALUE_MODULUS}"
         )
@@ -429,7 +429,7 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     1. every prefix, a few int64 operations. Each row's k range follows
        from the ball by floor arithmetic and is charged to the budget, in
        row order, before anything in the block is counted, so
-       RegionTooLarge reports the running prefix total at the first row
+       BudgetError reports the running prefix total at the first row
        that crosses max_candidates. For a > 0, disc_hi = b^2 - 4 a (c -
        w_hi) is one quadratic in x per row (_disc_coeffs, _row_disc), and
        its root from above s (_root_from_above: isqrt(disc_hi) <= s <=
@@ -453,7 +453,7 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     if big_n < 0:
         return FiberCount(0, 0)
     if big_n > (1 << 50):
-        raise RegionTooLarge(
+        raise BudgetError(
             f"squared scaled real radius {big_n} exceeds the fiber counter's "
             "limit of 2^50"
         )
@@ -483,7 +483,7 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if max_disc(mid, w) < 1 << 62 else (lo, mid)
         admit = f"at most {lo}" if lo >= 0 else "none"
-        raise RegionTooLarge(
+        raise BudgetError(
             "fiber counter coefficients exceed the 64-bit range: the real "
             f"ball reaches scaled coordinate {n_max} (times r, the points' "
             f"common denominator), and this form and target admit {admit}"
@@ -544,7 +544,7 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
             continue
         if seen + ends[-1] > max_candidates:
             over = np.searchsorted(ends, max_candidates - seen, side="right")
-            raise RegionTooLarge(
+            raise BudgetError(
                 "fiber counter budget exceeded "
                 f"({seen + int(ends[over])} prefixes, more than "
                 f"max_candidates={max_candidates}); raise max_candidates"
@@ -602,7 +602,7 @@ def congruence_count(
 ) -> FiberCount:
     """#{k in q Z_S^d + w : Q(k) in interval, k in B_T}, exactly."""
     if q_form.dim != cctx.d:
-        raise DimensionMismatch("form dimension mismatch")
+        raise ConfigError("form dimension mismatch")
     r = _depth_scale(cctx.ctx, t)
     # n = r k runs over n = r w mod q
     inst = _build_instance(
@@ -619,7 +619,7 @@ def inhom_count(
     """#{x in Z_S^d + xi : Q(x) in interval, x in B_T}, exactly."""
     xi = tuple(Fraction(x) for x in xi)
     if len(xi) != q_form.dim:
-        raise DimensionMismatch("shift dimension mismatch")
+        raise ConfigError("shift dimension mismatch")
     r = _depth_scale(q_form.ctx, t)
     # l_mod is the prime-to-S part of the denominators of xi; S-place poles
     # of xi need no special casing because Z_S shifts can absorb them

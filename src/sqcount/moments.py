@@ -50,12 +50,7 @@ import numpy as np
 
 from . import _linalg as la
 from .congruence import CongruenceContext, lift_slq_to_slz, sample_slq_uniform
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NonIndicatorUnsupported,
-    SearchBudgetExceeded,
-)
+from .errors import BudgetError, ConfigError
 from .sarith import (
     SConfig,
     is_in_NS,
@@ -138,7 +133,7 @@ def space_spec(
         if cctx is None:
             raise ConfigError("congruence space needs a CongruenceContext")
         if cctx.d != d:
-            raise DimensionMismatch(f"cctx has d={cctx.d}, space has d={d}")
+            raise ConfigError(f"cctx has d={cctx.d}, space has d={d}")
         if cctx.ctx != ctx:
             raise ConfigError("cctx uses a different set of finite places")
     elif cctx is not None:
@@ -426,10 +421,17 @@ def variance_check(
         bound = vol / threshold**2
     except OverflowError:
         bound = 0.0
+    except ZeroDivisionError:  # threshold^2 underflows to 0
+        bound = math.inf
     if not bound > 0:
         raise ConfigError(
             f"threshold {threshold!r} is too large: vol / threshold^2 "
             "rounds to 0"
+        )
+    if bound == math.inf:
+        raise ConfigError(
+            f"threshold {threshold!r} is too small: vol / threshold^2 "
+            "overflows a float"
         )
     hits = sum(
         abs(count - vol) > threshold
@@ -446,7 +448,7 @@ def variance_check(
 def _series_box(f, primes) -> tuple:
     """(d, intervals, finite) of a product box, as ProductBox.places."""
     if not isinstance(f, ProductBox):
-        raise NonIndicatorUnsupported(
+        raise ConfigError(
             "series evaluation needs an indicator of a product S-box"
         )
     d = len(f.intervals)
@@ -467,13 +469,6 @@ def _largest_prime_factors(n_max: int) -> list[int]:
         if not big[p]:  # no smaller prime divides p
             big[p::p] = [p] * (n_max // p)
     return big
-
-
-def _scaled_ends(intervals):
-    """(L, ends): L the lcm of the endpoints' denominators, ends the
-    endpoints times L, as ints."""
-    big_l = math.lcm(*(x.denominator for iv in intervals for x in iv))
-    return big_l, tuple((int(lo * big_l), int(hi * big_l)) for lo, hi in intervals)
 
 
 def _int_dtype(bound: int):
@@ -507,7 +502,7 @@ def _admissible_walk(t_max, q, ctx, depth, window, max_terms, what):
             # charged before the range is built: len() of a huge range overflows
             budget -= max(0, (last - first) // q + 1)
             if budget < 0:
-                raise SearchBudgetExceeded(
+                raise BudgetError(
                     f"{what} budget exceeded (more than max_terms={max_terms} "
                     "terms); raise max_terms"
                 )
@@ -604,11 +599,11 @@ def _pair_terms(d, intervals, finite, primes, t_max, n_max):
     term at a = n/den in lowest terms.  n_max bounds |n| and t den over the
     walk; the dtype follows from it once (_int_dtype).
 
-    With the box's endpoints scaled by L (_scaled_ends) and g = |n|,
-    coordinate i contributes the overlap of [A_i g, B_i g] with the image of
-    [A_i, B_i] under x -> x t den/n, whose ends are A_i and B_i times
-    sign(n) t den, both over the common denominator L t g.  At p the balls
-    B(c/t, p^e) and B(c/a, p^{e+v_p(a)}) are nested or disjoint.  Each
+    With the box's endpoints scaled by L, the lcm of their denominators,
+    and g = |n|, coordinate i contributes the overlap of [A_i g, B_i g] with
+    the image of [A_i, B_i] under x -> x t den/n, whose ends are A_i and B_i
+    times sign(n) t den, both over the common denominator L t g.  At p the
+    balls B(c/t, p^e) and B(c/a, p^{e+v_p(a)}) are nested or disjoint.  Each
     coordinate gives p^{e + min(0, v_p(a))} = p^{e - m_p}, because m_p > 0
     forces p not to divide n: the S-adic factor prod p^{d(e - m_p)} is one
     constant per progression.  A nonzero center c puts the balls apart when
@@ -616,7 +611,8 @@ def _pair_terms(d, intervals, finite, primes, t_max, n_max):
     -e - max(0, v_p(a)), that is when p^r does not divide n - t den,
     r = -e - v_p(c); the smallest v_p(c) decides.  finite[p] = (c, e).
     """
-    big_l, ends = _scaled_ends(intervals)
+    nums, big_l = over_one_denominator(x for iv in intervals for x in iv)
+    ends = tuple(zip(nums[::2], nums[1::2]))
     tests = []
     for p in primes:
         c, e = finite[p]
@@ -748,7 +744,7 @@ def inhom_series(
         raise ConfigError("need t_max >= 1")
     coords = tuple(Fraction(c) for c in y)
     if len(coords) != d:
-        raise DimensionMismatch("y has wrong dimension")
+        raise ConfigError("y has wrong dimension")
     if all(c == 0 for c in coords):
         raise ConfigError("y must be nonzero")
     base = f.volume(ctx.primes)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import ConfigError, DegenerateForm, DimensionMismatch
+from .errors import ConfigError
 from .sarith import INF, SConfig, require_in_s, valuation
 
 
@@ -64,7 +64,7 @@ def quadratic_form(
         gram[p] = la.as_matrix(gram_p[p]) if gram_p and p in gram_p else gram[INF]
     for place, g in gram.items():
         if len(g) != d or not _is_symmetric(g):
-            raise DimensionMismatch(f"Gram at place {place} not symmetric {d}x{d}")
+            raise ConfigError(f"Gram at place {place} not symmetric {d}x{d}")
     nondeg = all(la.det(g) != 0 for g in gram.values())
     return QuadraticFormS(d, ctx, gram, nondeg)
 
@@ -103,7 +103,7 @@ def _jordan_blocks(gram, p: int):
                 ):
                     best, best_v, diag_hit = (i, j), v, (i == j)
         if best is None:
-            raise DegenerateForm("zero block in Jordan splitting")
+            raise ConfigError("zero block in Jordan splitting")
         i, j = best
         if i == j:
             for k in active:

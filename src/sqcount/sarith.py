@@ -20,11 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ConfigError,
-    DenominatorNotInvertibleModQ,
-    NonSUnitDenominator,
-)
+from .errors import ConfigError
 
 INF = float("inf")
 
@@ -61,7 +57,7 @@ def frac_mod(x, m: int, den: int = 1) -> int:
     try:
         inv = pow(den // g, -1, m)
     except ValueError:
-        raise DenominatorNotInvertibleModQ(
+        raise ConfigError(
             f"denominator {den // g} is not invertible mod {m}"
         ) from None
     return num // g * inv % m
@@ -136,10 +132,6 @@ def s_free_part(n: int, ctx: SConfig) -> int:
     return n
 
 
-def is_s_unit_denominator(den: int, ctx: SConfig) -> bool:
-    return s_free_part(den, ctx) == 1
-
-
 @dataclass(frozen=True)
 class TVector:
     """Box scales: real radius t_inf > 0 and one integer exponent per prime.
@@ -187,13 +179,11 @@ def gcd_S(q: int, k, ctx: SConfig) -> int:
     Scale k by an S-unit to an integer vector k'; the result gcd(q, gcd(k'))
     does not depend on the choice because q is coprime to every S_f prime.
     """
-    coords = tuple(Fraction(c) for c in k)
+    ints, scale = over_one_denominator(k)
     if not is_in_NS(q, ctx):
         raise ConfigError(f"q={q} not in N_S")
-    if all(c == 0 for c in coords):
+    if not any(ints):
         raise ConfigError("gcd_S of the zero vector")
-    scale = math.lcm(*(c.denominator for c in coords))
-    if not is_s_unit_denominator(scale, ctx):
-        raise NonSUnitDenominator("vector entries are not S-integral")
-    ints = [int(c * scale) for c in coords]
+    if s_free_part(scale, ctx) != 1:
+        raise ConfigError("vector entries are not S-integral")
     return math.gcd(q, math.gcd(*ints))

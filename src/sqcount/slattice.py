@@ -39,13 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg as la
-from .errors import (
-    ConfigError,
-    DegenerateForm,
-    DimensionMismatch,
-    InsufficientPadicPrecision,
-    RegionTooLarge,
-)
+from .errors import BudgetError, ConfigError
 from .sarith import (
     SConfig,
     TVector,
@@ -86,8 +80,15 @@ class SBox:
         finite[p] = (c_p, e_p).  A disk has one center at every place."""
         center = self.center or (Fraction(0),) * d
         if len(center) != d:
-            raise DimensionMismatch("disk center has wrong length")
-        return center, float(self.t.t_inf) ** 2, None, {
+            raise ConfigError("disk center has wrong length")
+        try:
+            t2 = float(self.t.t_inf) ** 2
+        except OverflowError:
+            raise ConfigError(
+                f"disk radius {float(self.t.t_inf)!r} is too large: its "
+                "square overflows a float"
+            ) from None
+        return center, t2, None, {
             p: (center, self.t.t_p.get(p, 0)) for p in primes
         }
 
@@ -120,11 +121,19 @@ class ProductBox:
         for p in primes:
             c = tuple(Fraction(x) for x in self.finite_center.get(p, (0,) * d))
             if len(c) != d:
-                raise DimensionMismatch(f"finite center at p={p} has wrong length")
+                raise ConfigError(f"finite center at p={p} has wrong length")
             finite[p] = c, int(self.finite_exponent.get(p, 0))
         center = tuple((lo + hi) / 2 for lo, hi in self.intervals)
         corner2 = sum(((hi - lo) / 2) ** 2 for lo, hi in self.intervals)
-        return center, float(corner2) * (1 + 1e-9), self.intervals, finite
+        try:
+            t2 = float(corner2) * (1 + 1e-9)
+        except OverflowError:
+            lo, hi = max(self.intervals, key=lambda iv: iv[1] - iv[0])
+            raise ConfigError(
+                f"real interval {float(lo)!r}..{float(hi)!r} is too long: "
+                "the box's corner overflows a float"
+            ) from None
+        return center, t2, self.intervals, finite
 
     def volume(self, primes) -> Fraction:
         """Exact Haar volume: the interval lengths times p^{d e_p} per prime."""
@@ -332,7 +341,7 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
         r_p = max(tp, 0 if v is None else valuation(den, p) - v, 0)
         s_p = r_p - tp
         if lat.depth[p] is not None and s_p > lat.depth[p]:
-            raise InsufficientPadicPrecision(
+            raise ConfigError(
                 f"need {s_p} digits at p={p}, sampled {lat.depth[p]}"
             )
         residues[p] = (r_p, s_p, diff, den)
@@ -461,7 +470,7 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         hi = math.floor(center + half)
         left -= max(0, hi - lo + 1)
         if left < 0:
-            raise RegionTooLarge(
+            raise BudgetError(
                 f"enumeration budget exceeded (more than max_candidates="
                 f"{max_candidates} candidates); raise max_candidates"
             )
@@ -509,7 +518,7 @@ def _ldl(h):
     for j in range(d):
         s = h[j][j] - sum(diag[k] * lower[j][k] * lower[j][k] for k in range(j))
         if s <= 0.0:
-            raise DegenerateForm("lattice Gram not positive definite")
+            raise ConfigError("lattice Gram not positive definite")
         diag[j] = s
         for i in range(j + 1, d):
             lower[i][j] = (

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg as la
-from .errors import AnisotropicForm, ConfigError, DegenerateForm, FamilyOutOfRange
+from .errors import ConfigError
 from .qspace import QuadraticFormS, _jordan_blocks
 from .sarith import INF, frac_mod, min_valuation, valuation
 
@@ -107,7 +107,7 @@ def padic_quadric_volume(p: int, gram, t: int = 0, a=0, c: int = 0) -> Fraction:
     gram = la.as_matrix(gram)
     d = len(gram)
     if la.det(gram) == 0:
-        raise DegenerateForm("form is degenerate")
+        raise ConfigError("form is degenerate")
     a = Fraction(a)
     ball = Fraction(p) ** (d * t)
     s = 2 * t + c
@@ -208,9 +208,9 @@ def _sphere_integral(gram, integrand, width=lambda n: 1) -> tuple[float, float]:
     between the last two rules, floored at float rounding."""
     mu = np.linalg.eigvalsh(np.array(gram, dtype=float))
     if min(abs(mu)) < 1e-12 * max(abs(mu)):
-        raise DegenerateForm("real Gram matrix is singular")
+        raise ConfigError("real Gram matrix is singular")
     if mu[0] > 0 or mu[-1] < 0:
-        raise AnisotropicForm("real form must be indefinite")
+        raise ConfigError("real form must be indefinite")
     lam, nu = mu[mu > 0], -mu[mu < 0]
     p, q = len(lam), len(nu)
 
@@ -262,7 +262,12 @@ def real_quadric_volume(gram_inf, t_inf: float, interval) -> tuple[float, float]
     alpha, beta = float(interval[0]), float(interval[1])
     if beta <= alpha:
         return 0.0, 0.0
-    t2 = float(t_inf) ** 2
+    try:
+        t2 = float(t_inf) ** 2
+    except OverflowError:
+        raise ConfigError(
+            f"t_inf = {t_inf!r} is too large: its square overflows a float"
+        ) from None
     fixed = [c for c in (-alpha, -beta) if c > 0.0]
 
     def s_nodes(n):
@@ -299,18 +304,18 @@ def real_quadric_volume(gram_inf, t_inf: float, interval) -> tuple[float, float]
 def check_family_range(d: int, family) -> None:
     if d < 3:
         # kappa_inf < d - 2 and the main term c_Q vol(I) T^(d-2) need d >= 3
-        raise FamilyOutOfRange(
+        raise ConfigError(
             f"shrinking targets need a form in d >= 3 variables, got d = {d}"
         )
     if not 0 <= family.kappa_inf < d - 2:
-        raise FamilyOutOfRange(
+        raise ConfigError(
             f"kappa_inf = {family.kappa_inf} outside [0, {d - 2})"
         )
     for p, part in family.finite.items():
         if part.kappa not in (0, 1):
-            raise FamilyOutOfRange(f"kappa_{p} must be 0 or 1")
+            raise ConfigError(f"kappa_{p} must be 0 or 1")
         if d == 3 and part.kappa != 0:
-            raise FamilyOutOfRange("kappa_p must be 0 in dimension 3")
+            raise ConfigError("kappa_p must be 0 in dimension 3")
 
 
 def _c_inf(gram_inf) -> tuple[float, float]:
@@ -344,7 +349,7 @@ def is_isotropic(q_form: QuadraticFormS, place) -> bool:
     the difference, have positive volume.
     """
     if not q_form.nondegenerate:
-        raise DegenerateForm("isotropy undefined for degenerate forms")
+        raise ConfigError("isotropy undefined for degenerate forms")
     gram = q_form.gram_at(place)
     if place == INF:
         signs = {block[0][0] > 0 for block in _jordan_blocks(gram, 3)}
@@ -370,11 +375,11 @@ def leading_constant(
     if d < 3:
         raise ConfigError("leading constant needs d >= 3")
     if not q_form.nondegenerate:
-        raise DegenerateForm("form is degenerate")
+        raise ConfigError("form is degenerate")
     for place in (INF, *q_form.ctx.primes):
         if not is_isotropic(q_form, place):
             at = "the real place" if place == INF else f"p = {place}"
-            raise AnisotropicForm(
+            raise ConfigError(
                 f"form is anisotropic at {at}; c_Q needs isotropy at every "
                 "place of S"
             )

@@ -533,6 +533,25 @@ def test_huge_variance_input_exits_2_naming_it(key, value, named, tmp_path,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    # threshold^2 underflows to 0
+    ("variance --space affine --d 2 --primes 2 --box disk:2 "
+     "--threshold 1e-300 --n 5 --seed 1", "threshold 1e-300"),
+    # the disk's radius^2 overflows
+    ("moment-mc --space base --d 2 --primes 2 --f disk:1e200 --n 5 --seed 1",
+     "disk radius 1e+200"),
+    # the box's circumscribed radius^2 overflows
+    ("moment-mc --space base --d 2 --primes 2 --f box:-1e200..1e200,-1..1 "
+     "--n 5 --seed 1", "real interval -1e+200..1e+200"),
+    # the real ball's radius^2 overflows
+    ("volume --form diag:1,1,-1 --primes 2 --c-inf 1 --t 1e200",
+     "t_inf = 1e+200"),
+], ids=["threshold", "disk", "box", "volume"])
+def test_float_range_input_exits_2_naming_it(args, named, tmp_path, capsys):
+    assert main([*args.split(), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_huge_finite_exponent_exits_2_naming_it(tmp_path, capsys):
     # the real place would see the lattice scaled by 2^-2000
     argv = ["moment-mc", "--space", "affine", "--d", "2", "--primes", "2",

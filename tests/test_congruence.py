@@ -16,12 +16,7 @@ import pytest
 
 from sqcount import _linalg as la
 from sqcount.congruence import congruence_context, lift_slq_to_slz, sample_slq_uniform
-from sqcount.errors import (
-    ConfigError,
-    DenominatorNotInvertibleModQ,
-    NonSUnitDenominator,
-    NotInSLq,
-)
+from sqcount.errors import ConfigError
 from sqcount.sarith import SConfig, frac_mod, gcd_S
 from test_linalg import identity
 from test_sarith import sl_group_order
@@ -58,7 +53,7 @@ class TestReduce:
         assert frac_mod(Fraction(3), 1) == 0
 
     def test_bad_denominator(self):
-        with pytest.raises(DenominatorNotInvertibleModQ):
+        with pytest.raises(ConfigError, match="not invertible mod 5"):
             frac_mod(Fraction(1, 5), 5)
         with pytest.raises(ConfigError):
             frac_mod(Fraction(1, 6), 9)
@@ -120,7 +115,7 @@ class TestLift:
             assert tuple(tuple(x % q for x in row) for row in lifted) == m
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(NotInSLq):
+        with pytest.raises(ConfigError, match="determinant is not 1 mod q"):
             lift_slq_to_slz(((2, 0), (0, 2)), 5)
 
 
@@ -179,7 +174,7 @@ class TestContextValidation:
             congruence_context(2, 5, (5, 10), S0)
 
     def test_shift_not_s_integral(self):
-        with pytest.raises(NonSUnitDenominator):
+        with pytest.raises(ConfigError, match="not S-integral"):
             congruence_context(2, 3, (Fraction(1, 5), 1), S2)
 
     def test_dimension(self):

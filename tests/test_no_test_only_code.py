@@ -1,5 +1,5 @@
 """Every function, class, method and module-level name in src/sqcount has a
-caller in the package.
+caller in the package, and every exception class a handler in the CLI.
 
 Code whose only callers are tests is deleted rather than kept. This scan
 stops it from growing back. A top-level definition, which is a function,
@@ -12,6 +12,7 @@ body, the package reaches its name as an attribute.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -101,3 +102,28 @@ def test_allowlist_names_existing_definitions():
     defined = {name for tree in _modules().values()
                for name, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _caught_by_main() -> set:
+    """The names in the except clauses of cli.main."""
+    main = next(node for node in _modules()["cli"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    return {name.id
+            for handler in ast.walk(main)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+
+
+def test_every_exception_class_maps_to_an_exit_code():
+    # cli.main turns each error class into an exit code; a class that no
+    # handler names is told apart only by tests
+    defined = set()
+    for module in _modules():
+        mod = importlib.import_module("sqcount" if module == "__init__"
+                                      else f"sqcount.{module}")
+        defined |= {name for name, obj in vars(mod).items()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == mod.__name__}
+    assert {"ConfigError", "BudgetError"} <= defined  # the scan sees them
+    uncaught = sorted(defined - _caught_by_main())
+    assert not uncaught, "never caught by cli.main: " + ", ".join(uncaught)
