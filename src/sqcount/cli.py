@@ -426,7 +426,8 @@ def _cmd_count(cfg, out_dir, t0):
         res = count_congruence(target, q_form, family, t, budget)
     _emit("count", cfg, out_dir, _count_header(ctx), [_count_row(res, ctx)], [
         f"N = {res.n}, prediction = {res.prediction!r}, ratio = {res.ratio!r}",
-    ], results={"wall_ms": res.wall_ms, "candidates_charged": res.charged,
+    ], results={"wall_ms": res.wall_ms, "c_q_error": res.c_q_error,
+                "candidates_charged": res.charged,
                 "max_candidates": budget}, t0=t0)
     return 0
 
@@ -447,6 +448,7 @@ def _cmd_sweep(cfg, out_dir, t0):
         summary.append(f"fitted residual exponent delta_hat = {res.delta_hat!r}")
     _emit("sweep", cfg, out_dir, _count_header(ctx), rows, summary,
           results={"delta_hat": res.delta_hat,
+                   "c_q_error": [r.c_q_error for r in res.results],
                    "candidates_charged": [r.charged for r in res.results],
                    "max_candidates": cfg["max_candidates"]}, t0=t0)
     return 0

@@ -14,12 +14,16 @@ well inside desk budgets where the naive candidate set has ~10^9 points.
 
 The leading coordinates are walked as rows: a head (the first d-2
 coordinates) with every in-ball value of the (d-1)-th, found by floor
-arithmetic. The walk has two stages. Stage 1 touches every (head, x)
-prefix with a few int64 operations: it charges the max_candidates budget
-row by row, in head order, and a root of the discriminant taken from
-above drops most prefixes whose window holds no integer, which in a
-narrow window is nearly all of them. Stage 2 buffers the rest and runs
-the exact window, the ball clip and the class tables on them in batches.
+arithmetic. On a prefix the form is a n^2 + 2 b' n + c in the last
+coordinate n (an integer Gram makes the linear coefficient even), so for
+a > 0 the real window is a shell for u' = a n + b': a (W - w) = u'^2 -
+(b'^2 - a (c - w)). The walk has two stages. Stage 1 touches every (head,
+x) prefix with a few int64 operations: it charges the max_candidates
+budget row by row, in head order, and a root of b'^2 - a (c - w_hi) taken
+from above drops most prefixes whose shell holds no square, which in a
+narrow window is nearly all of them; for a = 1 each such square is a u'
+with an integer n. Stage 2 buffers the rest and runs the exact window,
+the ball clip and the class tables on them in batches.
 Both stages work on a bounded number of elements at a time, so memory
 stays flat as T grows, and the budget fails at the same row whatever the
 batching.
@@ -305,43 +309,54 @@ class _ClassTables:
     def count(self, ids, lo, hi) -> int:
         """Sum over pieces k and rows i of #{n in [lo[k, i], hi[k, i]] :
         class ids[i] ok}; an empty piece counts 0."""
-        m = self.m_big
         ks = self._tot_arr[ids]
-        lo1 = lo - 1
-        c_hi = ks * (hi // m - 1) + self._cum_arr[ids, hi % m]
-        c_lo = ks * (lo1 // m - 1) + self._cum_arr[ids, lo1 % m]
-        return int(np.sum(np.where(hi >= lo, c_hi - c_lo, 0)))
+
+        def c(x):
+            q, r = _divmod(x, self.m_big)
+            return ks * (q - 1) + self._cum_arr[ids, r]
+
+        return int(np.sum(np.where(hi >= lo, c(hi) - c(lo - 1), 0)))
+
+
+def _divmod(x, m: int):
+    """(x // m, x mod m) for an int64 array x and an int m > 0; numpy's
+    int64 % by a scalar is about four times slower than the floor division
+    and product it is rebuilt from here."""
+    q = x // m
+    return q, x - q * m
 
 
 def _disc_gap(a: int, w_lo: int, w_hi: int) -> int:
-    """disc_hi - disc_lo for the window [w_lo, w_hi] of a n^2 + b n + c,
-    capped at 2^62: the guard keeps |disc_hi| below 2^62, so the capped gap
-    leaves disc_lo negative wherever the true one is, and in int64."""
-    return min(4 * a * (w_hi - w_lo + 1), 1 << 62)
+    """disc_hi - disc_lo for the window [w_lo, w_hi] of a n^2 + 2 b' n + c,
+    disc = b'^2 - a (c - w) at w = w_hi and w = w_lo - 1. Where
+    _count_instance's guard holds, 4 a w < 2^62 for w = max(|w_lo|, |w_hi|,
+    1) and |disc_hi| < 2^60, so the gap a (w_hi - w_lo + 1) <= 2 a w + a is
+    below 2^62 and disc_lo stays in int64."""
+    return a * (w_hi - w_lo + 1)
 
 
 def _head_coeffs(h, gram):
-    """(b_h, c_hx, c_h) of the rows h of j heads under the d x d Gram: in
-    W = a n_d^2 + (b_h + b_x x) n_d + c_h + c_hx x + c_xx x^2, the parts
+    """(b'_h, c_hx, c_h) of the rows h of j heads under the d x d Gram: in
+    W = a n_d^2 + 2 (b'_h + b_x x) n_d + c_h + c_hx x + c_xx x^2, the parts
     that depend on the head, x = n_{d-1}."""
     j = h.shape[1]
-    return (2 * (h @ gram[-1, :j]), 2 * (h @ gram[j, :j]),
+    return (h @ gram[-1, :j], 2 * (h @ gram[j, :j]),
             np.einsum("ri,ik,rk->r", h, gram[:j, :j], h))
 
 
 def _disc_coeffs(a: int, w_hi: int, b_x: int, c_xx: int, head):
-    """(A, B, C) with disc_hi = b^2 - 4 a (c - w_hi) = (A x + B) x + C on
-    the rows with head coefficients head = (b_h, c_hx, c_h) (_head_coeffs):
-    one quadratic in x per row.
+    """(A, B, C) with disc_hi = b'^2 - a (c - w_hi) = (A x + B) x + C on
+    the rows with head coefficients head = (b'_h, c_hx, c_h)
+    (_head_coeffs), b' = b'_h + b_x x: one quadratic in x per row.
 
     In int64 the quadratic is exact wherever _count_instance's guard holds:
-    there |b_h| + |b_x x| <= max_b and |c_h| + |c_hx x| + |c_xx x^2| <=
-    max_c, so each of A x^2, B x and C, and each partial sum of them, is at
-    most max_disc < 2^62.
+    there 2 (|b'_h| + |b_x x|) <= max_b and |c_h| + |c_hx x| + |c_xx x^2|
+    <= max_c, so each of 4 A x^2, 4 B x and 4 C, and each partial sum of
+    them, is at most max_disc < 2^62.
     """
     b_h, c_hx, c_h = head
-    return (b_x * b_x - 4 * a * c_xx, 2 * b_x * b_h - 4 * a * c_hx,
-            b_h * b_h - 4 * a * (c_h - w_hi))
+    return (b_x * b_x - a * c_xx, 2 * b_x * b_h - a * c_hx,
+            b_h * b_h - a * (c_h - w_hi))
 
 
 def _row_disc(coeffs, x, lens):
@@ -360,21 +375,25 @@ def _may_hold_square(disc_hi, gap: int):
 
 
 def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
-    """(keep, lo, hi): the prefixes, given by their coefficients b and c,
-    whose window {n : w_lo <= a n^2 + b n + c <= w_hi} holds an integer, and
-    on each kept prefix that window as two pieces [lo[k], hi[k]], k = 0, 1,
-    of shape (2, len(keep)); an empty piece has lo > hi.
+    """(keep, lo, hi): the prefixes, given by their half linear coefficients
+    b = b' and c, whose window {n : w_lo <= a n^2 + 2 b' n + c <= w_hi}
+    holds an integer, and on each kept prefix that window as two pieces
+    [lo[k], hi[k]], k = 0, 1, of shape (2, len(keep)); an empty piece has
+    lo > hi.
 
-    a >= 0. For a > 0, n is in the window iff u = 2 a n + b has
-    sqrt(disc_lo) < |u| <= sqrt(disc_hi): a piece on either side of the
-    vertex, or one piece when disc_lo < 0. An integer u needs a square in
-    (disc_lo, disc_hi], which one exact square root per prefix tests, so
-    the pieces are solved only on the prefixes that pass. For a == 0 the
-    window is linear in n and is one piece; a prefix with b == 0 and c in
-    the window holds every n, and [-unbounded, unbounded] stands for it.
+    a >= 0. For a > 0, n is in the window iff u' = a n + b' has
+    sqrt(disc_lo) < |u'| <= sqrt(disc_hi), disc = b'^2 - a (c - w) at
+    w_hi and at w_lo - 1: a piece on either side of the vertex, or one
+    piece when disc_lo < 0. An integer u' needs a square in (disc_lo,
+    disc_hi], which one exact square root per prefix tests, so the pieces
+    are solved only on the prefixes that pass; for a = 1 every prefix that
+    passes holds an integer n. For a == 0 the window is linear in n, with
+    coefficient 2 b', and is one piece; a prefix with b' == 0 and c in the
+    window holds every n, and [-unbounded, unbounded] stands for it.
     """
     if a == 0:
         keep = np.arange(len(b))
+        b = 2 * b
         nz = b != 0
         lin_lo = np.where(b > 0, w_lo - c, w_hi - c)
         lin_hi = np.where(b > 0, w_hi - c, w_lo - c)
@@ -386,17 +405,17 @@ def _window_pieces(a: int, b, c, w_lo: int, w_hi: int, unbounded: int):
         lo = np.stack([lo1, np.ones_like(lo1)])
         hi = np.stack([hi1, np.zeros_like(hi1)])
     else:
-        disc_hi = b * b - 4 * a * (c - w_hi)
+        disc_hi = b * b - a * (c - w_hi)
         s_o = _visqrt(np.maximum(disc_hi, 0))
         disc_lo = disc_hi - _disc_gap(a, w_lo, w_hi)
         keep = np.flatnonzero((disc_hi >= 0) & (s_o * s_o > disc_lo))
         b, s_o, disc_lo = b[keep], s_o[keep], disc_lo[keep]
         cut = disc_lo >= 0
         s_e = _visqrt(np.maximum(disc_lo, 0))
-        o_lo = -((b + s_o) // (2 * a))
-        o_hi = (-b + s_o) // (2 * a)
-        e_lo = -((b + s_e) // (2 * a))
-        e_hi = (-b + s_e) // (2 * a)
+        o_lo = -((b + s_o) // a)
+        o_hi = (-b + s_o) // a
+        e_lo = -((b + s_e) // a)
+        e_hi = (-b + s_e) // a
         lo = np.stack([o_lo, np.where(cut, np.maximum(e_hi + 1, o_lo), 1)])
         hi = np.stack([np.where(cut, np.minimum(e_lo - 1, o_hi), o_hi),
                        np.where(cut, o_hi, 0)])
@@ -420,9 +439,9 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     A row is a fixed head (the first d-2 coordinates) together with the
     progression x0 + l k of the (d-1)-th coordinate x inside the ball; each
     (head, x) prefix leaves the last coordinate n_d, on which the form is a
-    quadratic (or linear) a n_d^2 + b n_d + c. Heads come in
+    quadratic (or linear) a n_d^2 + 2 b' n_d + c. Heads come in
     itertools.product order, in blocks of _CHUNK_ELEMENTS / 16 heads whose
-    per-row data (the x range, the head's share of b and c) is computed
+    per-row data (the x range, the head's share of b' and c) is computed
     once; a block's rows are then walked in chunks of about _CHUNK_ELEMENTS
     prefixes, and a prefix is counted in two stages:
 
@@ -430,13 +449,15 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
        from the ball by floor arithmetic and is charged to the budget, in
        row order, before anything in the block is counted, so
        BudgetError reports the running prefix total at the first row
-       that crosses max_candidates. For a > 0, disc_hi = b^2 - 4 a (c -
-       w_hi) is one quadratic in x per row (_disc_coeffs, _row_disc), and
-       its root from above s (_root_from_above: isqrt(disc_hi) <= s <=
-       isqrt(disc_hi) + 1) keeps the prefix when s^2 > disc_lo
-       (_may_hold_square). That keeps every prefix that _window_pieces'
-       exact test keeps, plus a few next to perfect squares. For a == 0
-       every prefix goes on.
+       that crosses max_candidates. For a > 0, u' = a n_d + b' must have
+       disc_lo < u'^2 <= disc_hi, where disc_hi = b'^2 - a (c - w_hi) is
+       one quadratic in x per row (_disc_coeffs, _row_disc) and disc_lo =
+       disc_hi - a (w_hi - w_lo + 1) (_disc_gap). Its root from above s
+       (_root_from_above: isqrt(disc_hi) <= s <= isqrt(disc_hi) + 1) keeps
+       the prefix when s^2 > disc_lo (_may_hold_square). That keeps every
+       prefix that _window_pieces' exact test keeps, plus a few next to
+       perfect squares; for a = 1 every square is a u' with an integer
+       n_d. For a == 0 every prefix goes on.
     2. the candidates, buffered across the block's chunks and flushed when
        the buffer reaches _CHUNK_ELEMENTS and at the block's end: the exact
        window pieces (_window_pieces), clipped to the ball, and the
@@ -465,7 +486,8 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     abs_g = [[abs(v) for v in row] for row in g]
 
     def max_disc(n, w):
-        # bound on |b^2 - 4 a (c - w_hi)| over prefixes with coordinates <= n
+        # bound on |b^2 - 4 a (c - w_hi)| = 4 |disc_hi| over prefixes with
+        # coordinates <= n
         max_b = 2 * n * sum(abs_g[d - 1])
         max_c = n * n * sum(map(sum, abs_g))
         return max_b * max_b + 4 * max(a, 1) * (max_c + w)
@@ -495,36 +517,45 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
             for r in inst.rho[:d - 1]]
     heads = itertools.product(*axes[:j])
     x0 = axes[j].start
-    # W(n) = a n_d^2 + b n_d + c with, for head h and x = n_{d-1},
-    # b = b_h + b_x x and c = c_h + c_hx x + c_xx x^2; the congruence Gram
+    # W(n) = a n_d^2 + 2 b' n_d + c with, for head h and x = n_{d-1},
+    # b' = b'_h + b_x x and c = c_h + c_hx x + c_xx x^2; the congruence Gram
     # gives the same shape mod m_val, computed on h and x reduced mod m_val
     # so that its products stay small whatever the real Gram's guard allows
     g_arr = sign * np.array(g, dtype=np.int64)
     gm_arr = np.array(inst.gram_mix, dtype=np.int64) % m_val
-    b_x, c_xx = 2 * int(g_arr[d - 1, j]), int(g_arr[j, j])
-    bm_x, cm_xx = 2 * int(gm_arr[d - 1, j]), int(gm_arr[j, j])
+    b_x, c_xx = int(g_arr[d - 1, j]), int(g_arr[j, j])
+    bm_x, cm_xx = int(gm_arr[d - 1, j]), int(gm_arr[j, j])
     gap = _disc_gap(a, w_lo, w_hi)
     # the candidates of the current head block, as their rows (columns of
     # the block's coef) and their x, until stage 2 counts them
     buf_row, buf_x = [], []
 
+    # stage 2's per-candidate arrays, each made where it is used, so that
+    # they are freed before the class tables' own (2, n) arrays are made
+    def real_coeffs(head, x):
+        b_h, c_hx, c_h = head
+        return b_h + b_x * x, c_h + (c_hx + c_xx * x) * x
+
+    def mix_classes(head, x):
+        # the class tables take the full linear coefficient 2 b' mod m_val
+        bm_h, cm_hx, cm_h = head
+        xm = _divmod(x, m_val)[1]
+        return tables.ids_for(_divmod(2 * (bm_h + bm_x * xm), m_val)[1],
+                              _divmod(cm_h + (cm_hx + cm_xx * xm) * xm,
+                                      m_val)[1])
+
     def stage_2(coef):
         row, x = np.concatenate(buf_row), np.concatenate(buf_x)
         buf_row.clear()
         buf_x.clear()
-        b_h, c_hx, c_h = coef[:3, row]
-        keep, lo, hi = _window_pieces(a, b_h + b_x * x,
-                                      c_h + (c_hx + c_xx * x) * x,
+        keep, lo, hi = _window_pieces(a, *real_coeffs(coef[:3, row], x),
                                       w_lo, w_hi, n_max)
         if len(keep) == 0:
             return 0
-        (s_head, bm_h, cm_hx, cm_h), x = coef[3:, row[keep]], x[keep]
-        sb = _visqrt(big_n - s_head - x * x)
+        row, x = row[keep], x[keep]
+        sb = _visqrt(big_n - coef[3, row] - x * x)
         lo, hi = np.maximum(lo, -sb), np.minimum(hi, sb)
-        xm = x % m_val
-        b_mix = (bm_h + bm_x * xm) % m_val
-        c_mix = (cm_h + (cm_hx + cm_xx * xm) * xm) % m_val
-        return tables.count(tables.ids_for(b_mix, c_mix), lo, hi)
+        return tables.count(mix_classes(coef[4:, row], x), lo, hi)
 
     # a head block's 16 or so per-row arrays then hold about as many values
     # as one of a chunk's per-prefix arrays
@@ -637,6 +668,7 @@ class CountResult:
     n: int
     charged: int
     prediction: float
+    c_q_error: float  # error bound on c_Q, the prediction's leading constant
     ratio: float
     t: TVector
     vol_interval: float
@@ -647,12 +679,12 @@ def _result(n: FiberCount, q_form: QuadraticFormS, family: ShrinkingFamily,
             interval: SInterval, t: TVector, q_power: int,
             start: float) -> CountResult:
     """n with the prediction c_Q vol(I) |T|^(d-2) / q_power, c_Q at t_p."""
-    c_q, _ = leading_constant(q_form, family, t_p=t.t_p)
+    c_q, c_q_error = leading_constant(q_form, family, t_p=t.t_p)
     pred = c_q * interval.volume() * t.size() ** (q_form.dim - 2) / q_power
     ratio = n / pred if pred > 0 else math.nan
     wall = (time.perf_counter() - start) * 1000.0
-    return CountResult(int(n), n.charged, pred, ratio, t, interval.volume(),
-                       wall)
+    return CountResult(int(n), n.charged, pred, c_q_error, ratio, t,
+                       interval.volume(), wall)
 
 
 def count_congruence(

@@ -15,6 +15,10 @@ from pathlib import Path
 import pytest
 
 from sqcount.cli import _COMMANDS, _KEYS, _digits, main
+from sqcount.counting import shrinking_family
+from sqcount.qspace import quadratic_form
+from sqcount.sarith import SConfig
+from sqcount.volume import leading_constant
 
 BOX3 = "box:-1..1,-1..1,-1..1"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -519,6 +523,24 @@ def test_fiber_manifest_records_its_budget_use(command, charged, tmp_path,
     argv[-1] = str(peak - 1)
     assert main([*argv, "--out", str(tmp_path / "short")]) == 3
     assert f"max_candidates={peak - 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, gram, t_p", [
+    ("count", ((1, 0, 0), (0, 1, 0), (0, 0, -1)), {2: 1}),
+    ("sweep", ((1, 0, 0), (0, 1, 0), (0, 0, -2)), {2: 1, 3: 1}),
+])
+def test_fiber_manifest_records_the_c_q_error(command, gram, t_p, tmp_path):
+    # the error bound of c_Q behind each prediction, one entry per rung for
+    # a sweep; the CSV keeps its columns
+    assert main([command, *RUNS[command], "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / f"{command}_manifest.json"
+    results = json.loads(manifest.read_text(encoding="utf-8"))["results"]
+    q_form = quadratic_form(SConfig(tuple(t_p)), gram)
+    _, err = leading_constant(q_form, shrinking_family(3, 1), t_p=t_p)
+    assert err > 0
+    assert results["c_q_error"] == ([err, err] if command == "sweep" else err)
+    header = (tmp_path / f"{command}.csv").read_text().splitlines()[0]
+    assert "c_q" not in header
 
 
 @pytest.mark.parametrize("key, value, named", [

@@ -536,8 +536,8 @@ class TestWindowFilter:
             if form == "zero_diag":
                 assert seen["reached"] == charged
             else:
-                # 20 of the 305 have a square in the root window, and the
-                # pieces of 6 of those hold an integer n3
+                # 6 of the 305 have a square in the root window; with a = 1
+                # each square is a root a n3 + b' of an integer n3
                 assert seen["kept"] <= seen["reached"] < 0.1 * charged
         elif window == "wide":
             assert seen["kept"] == seen["reached"] == charged > 0
@@ -546,7 +546,7 @@ class TestWindowFilter:
 
     def test_widest_window_the_guard_admits(self):
         # only the origin is in the ball; 12 M = 2^62 - 4 is just inside the
-        # 64-bit guard, while the window's disc gap 12 (2 M + 1) is past 2^63
+        # 64-bit guard, and the window's disc gap 3 (2 M + 1) is about 2^61
         m = (2**60 - 1) // 3
         q = quadratic_form(S0, ((1, 0, 0), (0, 1, 0), (0, 0, 3)))
         iv = SInterval((-m - 1, m + 1), {})
@@ -589,7 +589,7 @@ class TestStageOneKernels:
         rng = random.Random(404)
         for _ in range(200):
             a, c_xx = rng.randint(0, 60), rng.randint(-60, 60)
-            b_x, w_hi = 2 * rng.randint(-60, 60), rng.randint(-10**6, 10**6)
+            b_x, w_hi = rng.randint(-60, 60), rng.randint(-10**6, 10**6)
             lens = [rng.randint(0, 6) for _ in range(rng.randint(1, 8))]
             head = [[rng.randint(-10**5, 10**5) for _ in lens] for _ in range(3)]
             x = [rng.randint(-10**4, 10**4) for _ in range(sum(lens))]
@@ -600,7 +600,7 @@ class TestStageOneKernels:
             rows = [r for r, n in enumerate(lens) for _ in range(n)]
             b_h, c_hx, c_h = ([v[r] for r in rows] for v in head)
             want = [(bh + b_x * xi) ** 2
-                    - 4 * a * (ch + chx * xi + c_xx * xi * xi - w_hi)
+                    - a * (ch + chx * xi + c_xx * xi * xi - w_hi)
                     for bh, chx, ch, xi in zip(b_h, c_hx, c_h, x)]
             assert got.tolist() == want
 
@@ -655,22 +655,52 @@ class TestStageTwoFlush:
 
 
 class TestBenchmarkCounts:
-    """The counts of the benchmark's count workload (perfbench), pinned."""
+    """The counts of the benchmark's count workload (perfbench), pinned,
+    with the prefixes each charges to max_candidates and the prefixes that
+    reach stage 2 (_window_pieces) and are kept there."""
 
-    def test_count_d4(self):
+    @staticmethod
+    def spy_on_stage_2(monkeypatch):
+        seen = {"reached": 0, "kept": 0}
+        pieces = counting._window_pieces
+
+        def pieces_spy(a, b, *args):
+            keep, lo, hi = pieces(a, b, *args)
+            seen["reached"] += len(b)
+            seen["kept"] += len(keep)
+            return keep, lo, hi
+
+        monkeypatch.setattr(counting, "_window_pieces", pieces_spy)
+        return seen
+
+    def test_count_d4(self, monkeypatch):
+        # a = 1: every square in a prefix's root window is a n4 + b' for an
+        # integer n4, so each prefix that reaches stage 2 holds a point of
+        # the real window (the window of the full discriminant 4 b'^2 - 4 a
+        # (c - w) also holds odd squares, on 256,444 prefixes)
+        seen = self.spy_on_stage_2(monkeypatch)
         q = quadratic_form(S2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                                 (0, 0, 0, -1)))
         t = tv(30, {2: 1}, S2)
         iv = interval_at(shrinking_family(4, 1), t)
-        assert inhom_count(q, (Fraction(1, 3), 0, 0, 0), iv, t) == 11462
+        got = inhom_count(q, (Fraction(1, 3), 0, 0, 0), iv, t)
+        assert (got, got.charged) == (11462, 904_752)
+        assert seen == {"reached": 130_596, "kept": 130_596}
 
-    def test_sweep_d3(self):
+    def test_sweep_d3(self, monkeypatch):
+        # a = 2: a square in the root window is a root 2 n3 + b' only when
+        # its parity is that of b', so about half of the prefixes that
+        # reach stage 2 are dropped there (the full discriminant's window
+        # holds a square on 118,609 prefixes)
+        seen = self.spy_on_stage_2(monkeypatch)
         q = quadratic_form(S23, ((1, 0, 0), (0, 1, 0), (0, 0, -2)))
         cctx = congruence_context(3, 5, (1, 2, 0), S23)
         fam = shrinking_family(3, 1)
         ladder = [tv(t_inf, {2: 1, 3: 1}, S23) for t_inf in (200, 400, 800)]
         got = [congruence_count(cctx, q, interval_at(fam, t), t) for t in ladder]
         assert got == [432, 950, 2064]
+        assert [n.charged for n in got] == [180_951, 723_831, 2_895_292]
+        assert seen == {"reached": 70_916, "kept": 35_128}
 
     def test_few_sweep_d3_prefixes_reach_the_class_tables(self, monkeypatch):
         # a deterministic work count: of the ~2.9M (n1, n2) prefixes that the
