@@ -12,11 +12,14 @@ factor falls back to a matrix random walk (step MCMC_STEP, MCMC_BURN_IN
 steps of burn-in, every MCMC_THIN-th state kept) and every estimate is
 flagged mcmc-approximate; d alone picks the sampler.  The walk advances in
 blocks (the burn-in, then each MCMC_THIN steps): a block's normals are one
-draw and their matrix exponentials one stacked product, which is the same
-chain, bit for bit, as stepping one draw at a time.  The finite bases and
-the translate are ints, the translate over one denominator, and the box's
-per-place data are built once per run (slattice.place_box), so a draw
-makes no Fraction.  Each draw is scored by
+draw and their matrix exponentials one stacked product, multiplied into the
+basis one at a time, and the basis is renormalised and size-reduced once
+per MCMC_THIN steps.  Reduction changes the basis, never the lattice, so
+the lattices are those of the chain that reduces after every step, up to
+float rounding, to which either chain is chaotically sensitive.  The
+finite bases and the translate are ints, the translate over one
+denominator, and the box's per-place data are built once per run
+(slattice.place_box), so a draw makes no Fraction.  Each draw is scored by
 slattice.count_points, which counts the lattice points of a disk or a
 product box without building one.  On the base space the origin is a point
 of every draw, and the transform leaves it out: whether the shape holds it
@@ -216,42 +219,54 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 
 def _size_reduce(g: np.ndarray) -> np.ndarray:
-    # one pairwise reduction sweep; left-multiplication by SL_d(Z) only,
-    # so the lattice (and the coset) is unchanged.  norms[i] is g[i] @ g[i],
-    # recomputed only when row i changes.  g comes in with det > 0, so the
-    # sorted rows have det < 0 exactly when the sort is an odd permutation
+    # sort and sweep until a sweep changes no row; left-multiplication by
+    # SL_d(Z) only, so the lattice (and the coset) is unchanged.  norms[i] is
+    # g[i] @ g[i], recomputed only when row i changes.  A change is kept only
+    # when it shortens its row, so each sweep that changes a row lowers the
+    # sum of the norms strictly, and the loop ends, in floats too.  g comes in
+    # with det > 0, so the sorted rows have det < 0 exactly when the sort is
+    # an odd permutation; negating the shortest row then keeps the order
     d = len(g)
     norms = [float(row.dot(row)) for row in g]
-    order = sorted(range(d), key=norms.__getitem__)
-    g = g[order]
-    norms = [norms[i] for i in order]
-    if sum(order[j] > order[i] for i in range(d) for j in range(i)) % 2:
-        g[:2] = g[1::-1]
-        norms[:2] = norms[1::-1]
-    for i in range(d):
-        for j in range(d):
-            if i == j or norms[j] == 0.0:
-                continue
-            mu = round(float(g[i].dot(g[j])) / norms[j])
-            if mu:
-                g[i] -= mu * g[j]
-                norms[i] = float(g[i].dot(g[i]))
+    changed = True
+    while changed:
+        order = sorted(range(d), key=norms.__getitem__)
+        g = g[order]
+        norms = [norms[i] for i in order]
+        if sum(order[j] > order[i] for i in range(d) for j in range(i)) % 2:
+            g[0] = -g[0]
+        changed = False
+        for i in range(d):
+            for j in range(d):
+                if i == j or norms[j] == 0.0:
+                    continue
+                mu = round(float(g[i].dot(g[j])) / norms[j])
+                if mu:
+                    row = g[i] - mu * g[j]
+                    norm = float(row.dot(row))
+                    if norm < norms[i]:
+                        g[i] = row
+                        norms[i] = norm
+                        changed = True
     return g
 
 
 def _mcmc_steps(g: np.ndarray, eps: float, steps: int, rng) -> np.ndarray:
     """steps walk steps from g: right-multiply by exp(eps x), x a traceless
-    Gaussian, renormalise to det 1 and size-reduce.  The steps' normals are
-    one draw and their exponentials one stacked product; only the
-    multiplication into g runs step by step."""
+    Gaussian.  The steps' normals are one draw and their exponentials one
+    stacked product, multiplied into g one at a time.  After every
+    MCMC_THIN steps, and after the last, g is renormalised to det 1 and
+    size-reduced once: reduction changes the basis, never the lattice, so
+    the lattices are those of the chain that reduces after every step."""
     d = len(g)
     x = rng.standard_normal((steps, d, d))
     x -= (np.trace(x, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
     x *= eps
-    for e in _expm(x):
+    for k, e in enumerate(_expm(x), 1):
         g = g @ e
-        g = g / abs(np.linalg.det(g)) ** (1.0 / d)
-        g = _size_reduce(g)
+        if k % MCMC_THIN == 0 or k == steps:
+            g = g / abs(np.linalg.det(g)) ** (1.0 / d)
+            g = _size_reduce(g)
     return g
 
 

@@ -6,6 +6,7 @@ Stochastic assertions use fixed seeds and 4-sigma tolerances; the seeds
 were checked against neighbors, nothing is tuned beyond that.
 """
 
+import copy
 import hashlib
 import math
 import sys
@@ -30,8 +31,10 @@ from sqcount.moments import (
     MCEstimate,
     _admissible_walk,
     _expm,
+    _mcmc_steps,
     _pair_terms,
     _series_box,
+    _size_reduce,
     _uniform_unit_basis_mod,
     estimate_moments,
     inhom_series,
@@ -332,15 +335,19 @@ class TestNoFractionPerDraw:
 
 class TestMCMCSampler:
     def test_flagged_and_reported(self):
+        # ten independent chains, each within 4 stderr of vol(f), and so is
+        # their pooled mean
         sp = space_spec("affine", 3, S2)
         box = SBox(TVector(1.5, {2: 0}, S2))
-        (est,) = estimate_moments(
-            sp, box, (1,), n=400, seed=2
-        )
-        assert est.sampler_exactness == "mcmc-approximate"
-        # reported, not asserted: the walk should land in the right decade
-        rel_err = abs(est.mean - box.volume(3)) / box.volume(3)
-        assert rel_err < 0.5
+        vol = box.volume(3)
+        means, variances = [], []
+        for seed in range(1, 11):
+            (est,) = estimate_moments(sp, box, (1,), n=400, seed=seed)
+            assert est.sampler_exactness == "mcmc-approximate"
+            assert abs(est.mean - vol) < 4 * est.stderr, seed
+            means.append(est.mean)
+            variances.append(est.stderr**2)
+        assert abs(sum(means) / 10 - vol) < 4 * math.sqrt(sum(variances)) / 10
 
     def test_base_lattice_is_unimodular(self):
         sp = space_spec("base", 3, S2)
@@ -392,26 +399,49 @@ def _mcmc_step(g, eps, rng):
     return _oracle_size_reduce(g)
 
 
+def _same_lattice(a, b):
+    """b = delta a with delta integral up to rounding and det +-1."""
+    delta = b @ np.linalg.inv(a)
+    near = np.round(delta)
+    return (np.abs(delta - near).max() < 1e-8
+            and abs(round(np.linalg.det(near))) == 1)
+
+
+def _walk_product(d, steps, rng):
+    """The unreduced product of steps walk steps from the identity, det 1."""
+    x = rng.standard_normal((steps, d, d))
+    x -= (np.trace(x, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    g = np.eye(d)
+    for e in _expm(MCMC_STEP * x):
+        g = g @ e
+    return g / np.linalg.det(g) ** (1.0 / d)
+
+
 class TestBlockWalk:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("seed", [6, 901])
     def test_affine_stream_is_the_per_step_chain(self, d, seed):
-        # lattice_stream makes the finite and shift draws between blocks;
-        # the oracle walks step by step and makes the same draws in between
+        # from each block's start, the block and MCMC_THIN oracle steps on
+        # the same normals reach the same lattice; only the basis differs,
+        # as the block size-reduces once.  lattice_stream makes the finite
+        # and shift draws between blocks; the oracle makes the same draws
         sp = space_spec("affine", d, S2)
         stream = lattice_stream(sp, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        g = np.eye(d)
-        for _ in range(MCMC_BURN_IN):
-            g = _mcmc_step(g, MCMC_STEP, rng)
+        g = _mcmc_steps(np.eye(d), MCMC_STEP, MCMC_BURN_IN, rng)
         for _ in range(4):
+            block_rng = copy.deepcopy(rng)
+            block = _mcmc_steps(g, MCMC_STEP, MCMC_THIN, block_rng)
             for _ in range(MCMC_THIN):
                 g = _mcmc_step(g, MCMC_STEP, rng)
+            assert block_rng.bit_generator.state == rng.bit_generator.state
+            assert _same_lattice(g, block)
             lat = next(stream)
             b_p = _uniform_unit_basis_mod(d, 2, sp.depth[2], rng)
             u_inf = rng.random(d)
             rng.integers(0, 2 ** sp.depth[2], d)
-            assert np.array_equal(np.array(lat.basis_inf), g)
+            g = np.array(lat.basis_inf)
+            assert np.array_equal(g, block)
             assert np.array_equal(np.array(lat.shift_inf), u_inf @ g)
             assert lat.basis_p[2] == (b_p, 1)
 
@@ -424,6 +454,25 @@ class TestBlockWalk:
     def test_stacked_expm_inverts(self):
         m = MCMC_STEP * np.random.default_rng(4).standard_normal((5, 4, 4))
         assert np.allclose(_expm(m) @ _expm(-m), np.eye(4), rtol=0, atol=1e-12)
+
+
+class TestSizeReduce:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("steps", [30, 100])
+    def test_reduced_sorted_and_the_same_lattice(self, d, steps):
+        g = _walk_product(d, steps, np.random.default_rng(10 * d + steps))
+        out = _size_reduce(g)
+        norms = [float(row @ row) for row in out]
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    assert round(float(out[i] @ out[j]) / norms[j]) == 0
+        assert norms == sorted(norms)
+        assert np.linalg.det(out) > 0
+        # g = delta out with delta integral of det 1 (both dets are > 0);
+        # this inverts the reduced side, as g itself reaches condition
+        # number 1e12 at d = 5 after 100 steps
+        assert _same_lattice(out, g)
 
 
 # --- estimator plumbing ------------------------------------------------------------------
