@@ -76,7 +76,12 @@ from .serialize import (
     write_csv,
     write_manifest,
 )
-from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES, SBox
+from .slattice import (
+    DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES,
+    SBox,
+    place_box,
+    sampler_depth,
+)
 from .volume import leading_constant, padic_quadric_volume, real_quadric_volume
 
 
@@ -284,8 +289,7 @@ _KEYS = {
     "threshold": _Key(_float, "exceedance threshold"),
     "order": _Key(_orders, "moment orders: 1, 2, or 1,2"),
     "n": _Key(_int, "number of draws"),
-    "depth": _Key(_depth, "p-adic depth k or p=k[,...] (sampler depth; for "
-                          "moment-rhs the series denominator depth)"),
+    "depth": _Key(_depth, "series denominator depth k or p=k[,...]"),
     "threads": _Key(_at_least(1), "worker streams"),
     "t_max": _Key(_int, "series truncation t_max"),
     "real_bound": _Key(_float, "real-place bound of the series"),
@@ -322,7 +326,7 @@ def _space(cfg, ctx: SConfig):
         if given:
             raise ConfigError(f"--space {kind} takes no {' or '.join(given)} "
                               "(only --space congruence does)")
-    return space_spec(kind, d, ctx, cctx, cfg["depth"])
+    return space_spec(kind, d, ctx, cctx)
 
 
 def _test_function(obj, ctx: SConfig, d: int, source: str):
@@ -374,6 +378,12 @@ def _exact_summary(value: Fraction) -> str:
     return (f"{float(value)!r} (exact value in the CSV: "
             f"{_digits(value.numerator)}-digit numerator, "
             f"{_digits(value.denominator)}-digit denominator)")
+
+
+def _sampler_results(f, space) -> dict:
+    """The finite digits each draw read, k_p at every prime, for the
+    manifest."""
+    return {"sampler_depth": sampler_depth(place_box(f, space.d, space.ctx.primes))}
 
 
 def _series_budget(sv, cfg) -> dict:
@@ -517,7 +527,8 @@ def _cmd_moment_mc(cfg, out_dir, t0):
         f"{est.sampler_exactness})"
         for order, est in zip(orders, estimates)
     ]
-    _emit("moment-mc", cfg, out_dir, header, rows, summary, seed=seed, t0=t0)
+    _emit("moment-mc", cfg, out_dir, header, rows, summary, seed=seed,
+          results=_sampler_results(f, space), t0=t0)
     return 0
 
 
@@ -565,7 +576,7 @@ def _cmd_variance(cfg, out_dir, t0):
         f"P(|count - vol| > {threshold!r}) = "
         f"{check.empirical_prob!r} vs bound {check.bound!r} "
         f"(binomial stderr {check.stderr:.3g})",
-    ], seed=seed, t0=t0)
+    ], seed=seed, results=_sampler_results(f, space), t0=t0)
     return 0
 
 
@@ -599,7 +610,6 @@ def _command(handler, **keys):
 
 
 _FAMILY = {"c_inf": _REQ, "kappa_inf": 0.0, "a_inf": "0", "finite": {}}
-_SAMPLING = {"depth": None, "threads": 1}
 
 _COMMANDS = {
     "count": _command(
@@ -613,14 +623,14 @@ _COMMANDS = {
     "moment-mc": _command(
         _cmd_moment_mc, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         f=_REQ, order="1,2", n=10_000, seed=_REQ,
-        max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
+        max_candidates=ENUM_MAX_CANDIDATES, threads=1),
     "moment-rhs": _command(
         _cmd_moment_rhs, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, t_max=16,
         real_bound=24.0, depth=None, max_terms=5_000_000),
     "variance": _command(
         _cmd_variance, space=_REQ, d=_REQ, q=None, w=None, primes=_REQ,
         box=_REQ, threshold=_REQ, n=10_000, seed=_REQ,
-        max_candidates=ENUM_MAX_CANDIDATES, **_SAMPLING),
+        max_candidates=ENUM_MAX_CANDIDATES, threads=1),
     "orbit": _command(
         _cmd_orbit, primes=_REQ, q=_REQ, w=_REQ, f=_REQ, y=_REQ, t_max=32,
         max_terms=5_000_000),

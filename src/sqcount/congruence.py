@@ -1,8 +1,10 @@
 """Congruence-level combinatorics for shifted S-lattices.
 
-The level data (d, q, w) of a congruence space, and uniform sampling and
-exact lifting of SL_d(Z/q), which the congruence-space sampler composes
-into a random level-q coset.
+The level data (d, q, w) of a congruence space; the one finite Haar kernel,
+a uniform matrix mod m with a unit determinant (unit_matrix_mod), which
+draws the finite bases at m = p^k and, with one row scaled, a uniform
+element of SL_d(Z/q); and the exact lift of SL_d(Z/q) to SL_d(Z), which
+the congruence-space sampler composes into a random level-q coset.
 """
 
 from __future__ import annotations
@@ -44,7 +46,29 @@ def congruence_context(d: int, q: int, w, ctx: SConfig) -> CongruenceContext:
     return CongruenceContext(d, q, coords, ctx)
 
 
-# --- uniform sampling over SL_d(Z/q) ------------------------------------------
+# --- uniform sampling over GL_d(Z/m) and SL_d(Z/q) ---------------------------
+
+def unit_matrix_mod(d: int, m: int, rng) -> tuple:
+    """Uniform element of GL_d(Z/m), as int rows in [0, m): entries uniform
+    mod m, redrawn until the determinant is prime to m.  At m = p^k it is
+    Haar on GL_d(Z_p) read to k digits.  rng is a numpy Generator."""
+    while True:
+        rows = tuple(map(tuple, rng.integers(0, m, size=(d, d)).tolist()))
+        if math.gcd(la.det(rows), m) == 1:
+            return rows
+
+
+def sample_slq_uniform(d: int, q: int, rng):
+    """Uniform element of SL_d(Z/q): a uniform h in GL_d(Z/q) with row 0
+    scaled by det(h)^{-1}.  That map sends {diag(u, 1, ...) g : u a unit}
+    to g for each g in SL_d(Z/q), and nothing else, so every g has the same
+    number of preimages."""
+    h = unit_matrix_mod(d, q, rng)
+    u = pow(la.det(h), -1, q)
+    return (tuple(u * x % q for x in h[0]),) + h[1:]
+
+
+# --- exact lifting to SL_d(Z) -------------------------------------------------
 
 def _unit_coefficients(col: list[int], q: int) -> list[int]:
     """Coefficients c_1..c_{n-1} with col[0] + sum c_i col[i] a unit mod q.
@@ -73,64 +97,6 @@ def _unit_coefficients(col: list[int], q: int) -> list[int]:
         coeffs[i] = r
     return coeffs[1:]
 
-
-def _complete_first_row_mod_q(v, q: int):
-    """Some g in SL_d(Z/q) whose first row is the primitive row v.
-
-    A column operation E (adding multiples of later coordinates into the
-    first) turns v into a row with unit pivot u; that row completes to the
-    triangular g' = [[u, v_1, ...], [0, u^{-1}, 0, ...], e_3, ...]; then
-    g = g' E^{-1} has first row v E E^{-1} = v and determinant 1.
-    """
-    d = len(v)
-    c = _unit_coefficients(list(v), q)
-    u = (v[0] + sum(ci * vi for ci, vi in zip(c, v[1:]))) % q
-    gp = [[0] * d for _ in range(d)]
-    gp[0] = [u] + [x % q for x in v[1:]]
-    gp[1][1] = pow(u, -1, q)
-    for i in range(2, d):
-        gp[i][i] = 1
-    einv = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for j, cj in enumerate(c, start=1):
-        einv[j][0] = (-cj) % q
-    return tuple(
-        tuple(
-            sum(gp[i][k] * einv[k][j] for k in range(d)) % q for j in range(d)
-        )
-        for i in range(d)
-    )
-
-
-def sample_slq_uniform(d: int, q: int, rng):
-    """Uniform element of SL_d(Z/q).
-
-    First row uniform over primitive rows, then a uniform element of the
-    stabilizer of e_1 (free column times SL_{d-1}), recursively.  rng is a
-    numpy Generator.
-    """
-    if q < 2:
-        raise ConfigError("need q >= 2")
-    if d == 1:
-        return ((1 % q,),)
-    while True:
-        v = tuple(int(rng.integers(q)) for _ in range(d))
-        if math.gcd(*v, q) == 1:
-            break
-    g_v = _complete_first_row_mod_q(v, q)
-    h = [[0] * d for _ in range(d)]
-    h[0][0] = 1
-    sub = sample_slq_uniform(d - 1, q, rng)
-    for i in range(1, d):
-        h[i][0] = int(rng.integers(q))
-        for j in range(1, d):
-            h[i][j] = sub[i - 1][j - 1]
-    return tuple(
-        tuple(sum(h[i][k] * g_v[k][j] for k in range(d)) % q for j in range(d))
-        for i in range(d)
-    )
-
-
-# --- exact lifting to SL_d(Z) -------------------------------------------------
 
 def lift_slq_to_slz(m, q: int):
     """Lift of SL_d(Z/q) to SL_d(Z): factor into elementary matrices over

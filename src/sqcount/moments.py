@@ -7,7 +7,9 @@ them is one base lattice and a translate; only the translate's law differs
 (_translate).  Samplers are exact for d = 2: the real factor comes from an
 inverse-CDF rejection sampler on the standard fundamental domain composed
 with a uniform rotation, the finite factors from uniform unit-determinant
-matrices mod p^{k_p}, which is Haar to depth k_p.  For d >= 3 the real
+matrices mod p^{k_p} (congruence.unit_matrix_mod), which is Haar to depth
+k_p, the digits the run's box reads at p (slattice.sampler_depth); so the
+draw is exact for the box, and k_p = 0 draws nothing.  For d >= 3 the real
 factor falls back to a matrix random walk (step MCMC_STEP, MCMC_BURN_IN
 steps of burn-in, every MCMC_THIN-th state kept) and every estimate is
 flagged mcmc-approximate; d alone picks the sampler.  The walk advances in
@@ -46,16 +48,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _linalg as la
-from .congruence import CongruenceContext, lift_slq_to_slz, sample_slq_uniform
+from .congruence import (
+    CongruenceContext,
+    lift_slq_to_slz,
+    sample_slq_uniform,
+    unit_matrix_mod,
+)
 from .errors import BudgetError, ConfigError
 from .sarith import (
     SConfig,
+    frac_mod,
     is_in_NS,
     min_valuation,
     over_one_denominator,
@@ -73,12 +81,10 @@ from .slattice import (
     count_points,
     holds_origin,
     place_box,
+    sampler_depth,
 )
 
 SPACE_KINDS = ("base", "affine", "congruence")
-
-# finite sampler resolution: exact Haar on the unit group mod p^DEPTH
-DEFAULT_SAMPLER_DEPTH = 8
 
 # real-factor random walk for d >= 3: step size, burn-in steps, and the
 # number of steps between yielded states
@@ -105,16 +111,15 @@ class SpaceSpec:
     a translate drawn from the torus fiber, "congruence" pins the translate
     to (w/q) gamma g over the level data in cctx, gamma a uniform level-q
     coset; as Z_S^d gamma g = Z_S^d g, the coset moves only the translate,
-    so every kind draws the same base lattice g.  depth maps each finite
-    place to the sampling resolution k_p.  The real sampler follows from d:
-    exact at d = 2, the random walk at d >= 3 (exactness names which).
+    so every kind draws the same base lattice g.  The real sampler follows
+    from d: exact at d = 2, the random walk at d >= 3 (exactness names
+    which).
     """
 
     kind: str
     d: int
     ctx: SConfig
     cctx: CongruenceContext | None = None
-    depth: dict[int, int] = field(default_factory=dict)
 
     @property
     def exactness(self) -> str:
@@ -126,7 +131,6 @@ def space_spec(
     d: int,
     ctx: SConfig,
     cctx: CongruenceContext | None = None,
-    depth: dict[int, int] | int | None = None,
 ) -> SpaceSpec:
     if kind not in SPACE_KINDS:
         raise ConfigError(f"unknown space kind {kind!r}")
@@ -141,18 +145,17 @@ def space_spec(
             raise ConfigError("cctx uses a different set of finite places")
     elif cctx is not None:
         raise ConfigError(f"{kind} space takes no CongruenceContext")
-    dep = _depths(depth, ctx.primes, DEFAULT_SAMPLER_DEPTH, 1)
-    return SpaceSpec(kind, d, ctx, cctx, dep)
+    return SpaceSpec(kind, d, ctx, cctx)
 
 
-def _depths(depth, primes, default: int, least: int) -> dict[int, int]:
+def _depths(depth, primes, default: int) -> dict[int, int]:
     """The depth at each prime from one int for every prime, a dict p -> k
-    (default where a prime is left out) or None; each at least least."""
+    (default where a prime is left out) or None; each at least 0."""
     depth = dict.fromkeys(primes, depth) if isinstance(depth, int) else depth or {}
     require_in_s(depth, primes, "depth given at")
     dep = {p: int(depth.get(p, default)) for p in primes}
-    if any(k < least for k in dep.values()):
-        raise ConfigError(f"depth must be >= {least}")
+    if any(k < 0 for k in dep.values()):
+        raise ConfigError("depth must be >= 0")
     return dep
 
 
@@ -270,22 +273,6 @@ def _mcmc_steps(g: np.ndarray, eps: float, steps: int, rng) -> np.ndarray:
     return g
 
 
-# --- finite-factor sampler --------------------------------------------------------------
-
-
-def _uniform_unit_basis_mod(d: int, p: int, k: int, rng) -> tuple:
-    """Uniform d x d matrix mod p^k with unit determinant, as int rows.
-
-    Haar on the p-adic unit group truncated at depth k: entries uniform mod
-    p^k, rejected until the determinant is a p-unit.
-    """
-    mod = p**k
-    while True:
-        rows = tuple(map(tuple, rng.integers(0, mod, size=(d, d)).tolist()))
-        if la.det(rows) % p != 0:
-            return rows
-
-
 # --- lattice sampler --------------------------------------------------------------------
 
 
@@ -300,54 +287,58 @@ def _real_basis_stream(space: SpaceSpec, rng):
             yield g
 
 
-def _translate(space: SpaceSpec, rng) -> tuple:
+def _translate(space: SpaceSpec, depth, rng) -> tuple:
     """The draw's translate u, in the coordinates of its base lattice g: the
     lattice is Z_S^d g + u g, with u_inf a float vector and u_p[p] / den an
     exact one, u_p[p] int numerators over the int den.  Base: u = 0.
     Affine: a uniform point of the torus fiber, u_inf uniform on the unit
-    cube and each u_p uniform on Z_p^d mod p^{k_p}.  Congruence: u = (w/q)
-    gamma, gamma the lift of a uniform element of SL_d(Z/q); as Z_S^d gamma
-    = Z_S^d, the point set Z_S^d gamma g + u g is Z_S^d g + u g, so the coset
-    moves only the translate."""
+    cube and each u_p uniform on Z_p^d mod p^{depth[p]}.  Congruence: u =
+    (w/q) gamma, gamma the lift of a uniform element of SL_d(Z/q); as Z_S^d
+    gamma = Z_S^d, the point set Z_S^d gamma g + u g is Z_S^d g + u g, so
+    the coset moves only the translate.  w is read as its int residue mod
+    q, which moves w/q by a vector of Z_S^d, so u is p-integral at every p
+    of S, as sampler_depth needs."""
     primes = space.ctx.primes
     if space.kind == "base":
         return np.zeros(space.d), dict.fromkeys(primes, (0,) * space.d), 1
     if space.kind == "affine":
         u_inf = rng.random(space.d)
         return u_inf, {
-            p: tuple(rng.integers(0, p ** space.depth[p], space.d).tolist())
+            p: tuple(rng.integers(0, p ** depth[p], space.d).tolist())
+            if depth[p] else (0,) * space.d
             for p in primes
         }, 1
-    cctx = space.cctx
-    gamma = lift_slq_to_slz(sample_slq_uniform(space.d, cctx.q, rng), cctx.q)
-    w, den = over_one_denominator(cctx.w, cctx.q)
-    u = la.vec_mat(w, gamma)
+    q = space.cctx.q
+    gamma = lift_slq_to_slz(sample_slq_uniform(space.d, q, rng), q)
+    u = la.vec_mat([frac_mod(x, q) for x in space.cctx.w], gamma)
     # int / int is the correctly rounded quotient, as float(Fraction) is
-    return np.array([c / den for c in u]), dict.fromkeys(primes, u), den
+    return np.array([c / q for c in u]), dict.fromkeys(primes, u), q
 
 
-def lattice_stream(space: SpaceSpec, rng):
-    """Generator of lattices distributed per the space's normalized measure.
+def lattice_stream(space: SpaceSpec, depth: dict[int, int], rng):
+    """Generator of lattices distributed per the space's normalized measure,
+    drawn to depth[p] digits at each prime p.
 
     Every draw is one base lattice g (the real basis, then a finite basis
-    at each prime in order) plus the space's translate u g (_translate),
-    drawn after the bases.  The finite bases and translates are ints (the
-    translate over one denominator), so a draw makes no Fraction.  At d = 2
-    the draws are independent; at d >= 3 the random walk burns in one chain
-    and yields every MCMC_THIN-th state, so consecutive draws are only
-    approximately independent.
+    at each prime in order, the identity where depth[p] = 0) plus the
+    space's translate u g (_translate), drawn after the bases.  The finite
+    bases and translates are ints (the translate over one denominator), so
+    a draw makes no Fraction.  At d = 2 the draws are independent; at d >= 3
+    the random walk burns in one chain and yields every MCMC_THIN-th state,
+    so consecutive draws are only approximately independent.
     """
-    ctx = space.ctx
+    ctx, d = space.ctx, space.d
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     for b_real in _real_basis_stream(space, rng):
         b_p = {
-            p: _uniform_unit_basis_mod(space.d, p, space.depth[p], rng)
+            p: unit_matrix_mod(d, p ** depth[p], rng) if depth[p] else identity
             for p in ctx.primes
         }
-        u_inf, u_p, den = _translate(space, rng)
+        u_inf, u_p, den = _translate(space, depth, rng)
         yield affine_slattice_split(
             ctx, b_real, b_p, u_inf @ b_real,
             {p: la.vec_mat(u_p[p], b_p[p]) for p in ctx.primes},
-            depth=dict(space.depth), shift_den=den,
+            depth=depth, shift_den=den,
         )
 
 
@@ -364,10 +355,11 @@ def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
     # every base lattice holds the origin; the transform excludes it there
     origin = space.kind == "base" and holds_origin(f, space.d, space.ctx.primes)
     placed = place_box(f, space.d, space.ctx.primes)
+    depth = sampler_depth(placed)
     share, extra = divmod(n, workers)
     children = np.random.SeedSequence(seed).spawn(workers)
     for i, child in enumerate(children):
-        stream = lattice_stream(space, np.random.default_rng(child))
+        stream = lattice_stream(space, depth, np.random.default_rng(child))
         for _ in range(share + (i < extra)):
             yield count_points(next(stream), placed, max_candidates) - origin
 
@@ -698,7 +690,7 @@ def second_moment_rhs(
         raise ConfigError("the pair series needs d >= 3")
     if t_max < 1 or real_bound < 1:
         raise ConfigError("need t_max >= 1 and real_bound >= 1")
-    dep = _depths(depth, ctx.primes, DEFAULT_SERIES_DEPTH, 0)
+    dep = _depths(depth, ctx.primes, DEFAULT_SERIES_DEPTH)
     b = Fraction(real_bound)
     den_max = math.prod(p**k for p, k in dep.items())
     terms = _pair_terms(d, intervals, finite, ctx.primes, t_max,

@@ -5,7 +5,9 @@ shift carry floats (Haar samples).  Each finite-place basis and shift is
 held as int numerators over one positive int denominator: the bases are
 p-integral with unit determinant (their denominators are prime to p),
 tagged with the sampled digit depth, and a shift may have any denominator.
-affine_slattice_split reads rational input into that form once.
+affine_slattice_split reads rational input into that form once.  For a
+p-integral shift the digits a count reads depend on the box alone
+(sampler_depth); a lattice drawn shallower than that is refused.
 
 Enumeration reduces the finite-place ball conditions to one congruence
 class mod M per coordinate (the ultrametric makes multiplication by a
@@ -174,6 +176,22 @@ def place_box(box, d: int, primes) -> PlacedBox:
     )
 
 
+def sampler_depth(box: PlacedBox) -> dict[int, int]:
+    """k_p = max(e_p, -v_p(c_p), 0) - e_p, the digits of a finite basis and
+    shift that a count of the box reads at each prime p: _box_frame's s_p
+    for any p-integral shift, as c_p - shift then has valuation v_p(c_p)
+    where that is negative and is p-integral otherwise."""
+    return {p: _radius(nums, den, e, p) - e
+            for p, (nums, den, e) in box.finite.items()}
+
+
+def _radius(nums, den, e: int, p: int) -> int:
+    """r_p = max(e, -v_p(x), 0) for the vector x = nums / den: the scale
+    p^{r_p} that makes the ball x + p^{-e} Z_p^d integral."""
+    v = min_valuation(nums, p)
+    return max(e, 0 if v is None else valuation(den, p) - v, 0)
+
+
 def _float_bounds(interval) -> tuple:
     """(a, b): the least float a >= lo and the greatest float b <= hi, so a
     float x lies in [lo, hi] exactly when a <= x <= b."""
@@ -337,8 +355,7 @@ def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
         s_num, s_den = lat.shift_p[p]
         diff = tuple(c * s_den - s * c_den for c, s in zip(c_num, s_num))
         den = c_den * s_den
-        v = min_valuation(diff, p)
-        r_p = max(tp, 0 if v is None else valuation(den, p) - v, 0)
+        r_p = _radius(diff, den, tp, p)
         s_p = r_p - tp
         if lat.depth[p] is not None and s_p > lat.depth[p]:
             raise ConfigError(

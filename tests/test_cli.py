@@ -52,10 +52,10 @@ CONFIG_KEYS = {
     "sweep": "a_inf c_inf finite form kappa_inf ladder max_candidates primes q "
              "w xi",
     "volume": "a_inf c_inf finite form kappa_inf leading primes t",
-    "moment-mc": "d depth f max_candidates n order primes q seed space threads w",
+    "moment-mc": "d f max_candidates n order primes q seed space threads w",
     "moment-rhs": "depth f max_terms primes q real_bound t_max w",
-    "variance": "box d depth max_candidates n primes q seed space threads "
-                "threshold w",
+    "variance": "box d max_candidates n primes q seed space threads threshold "
+                "w",
     "orbit": "f max_terms primes q t_max w y",
 }
 
@@ -105,7 +105,7 @@ def test_readme_examples_are_the_tested_runs():
 def test_config_keys_are_pinned():
     keys = {name: sorted(defaults) for name, (_, defaults, _) in _COMMANDS.items()}
     assert keys == {name: sorted(k.split()) for name, k in CONFIG_KEYS.items()}
-    assert sum(len(k) for k in keys.values()) == 69
+    assert sum(len(k) for k in keys.values()) == 67
 
 
 def test_every_parser_key_belongs_to_a_command():
@@ -210,13 +210,17 @@ def test_manifest_with_sampler_keys_exits_2_on_replay(tmp_path, capsys):
     ("volume", {"method": "standardized-integral", "n_grid": None,
                 "n_samples": 400_000, "seed": None}),
     ("sweep", {"budget_s": None}),
+    ("moment-mc", {"depth": None}),
+    ("variance", {"depth": None}),
 ])
 def test_manifest_with_ladder_keys_exits_2_on_replay(command, old_keys,
                                                     tmp_path, capsys):
     # manifests written while c_Q came from a T ladder carry the first two
     # sets of keys; those written while vol_real came from a midpoint grid
     # or Monte Carlo carry the third; sweep manifests written while sweep
-    # took a wall-clock budget carry the fourth
+    # took a wall-clock budget carry the fourth; moment-mc and variance
+    # manifests written while the sampler depth was a setting carry the
+    # last two
     assert main([command, *RUNS[command], "--out", str(tmp_path)]) == 0
     manifest = tmp_path / f"{command}_manifest.json"
     recorded = json.loads(manifest.read_text(encoding="utf-8"))
@@ -543,6 +547,38 @@ def test_fiber_manifest_records_the_c_q_error(command, gram, t_p, tmp_path):
     assert "c_q" not in header
 
 
+@pytest.mark.parametrize("command, key, shape", [
+    ("moment-mc", "f", {"kind": "disk", "radius": "2", "center": ["1/4", "0"],
+                        "t_p": {"2": 1}}),
+    ("variance", "box", {"kind": "disk", "radius": "2",
+                         "center": ["1/4", "0"], "t_p": {"2": 1}}),
+])
+def test_sampler_manifest_records_the_digits_read(command, key, shape,
+                                                   tmp_path):
+    # a disk 2^-1 Z_2^2 about a center of 2-adic valuation -2 reads one
+    # digit of each finite basis and shift: k_2 = max(1, 2, 0) - 1
+    config = tmp_path / "shape.json"
+    config.write_text(json.dumps({key: shape}))
+    args = without(RUNS[command], key)
+    argv = [command, *args, "--config", str(config), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = tmp_path / f"{command}_manifest.json"
+    results = json.loads(manifest.read_text(encoding="utf-8"))["results"]
+    assert results["sampler_depth"] == {"2": 1}
+
+
+def test_deep_center_is_sampled_to_its_depth(tmp_path):
+    # the box reads 9 digits at 2; a fixed sampler depth of 8 made this run
+    # exit 2 with "need 9 digits at p=2, sampled 8"
+    argv = ["moment-mc", "--space", "affine", "--d", "2", "--primes", "2",
+            "--f", "disk:2@2=-9", "--n", "5", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = tmp_path / "moment-mc_manifest.json"
+    results = json.loads(manifest.read_text(encoding="utf-8"))["results"]
+    assert results["sampler_depth"] == {"2": 9}
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("threshold", "1e200", "threshold 1e+200"),  # threshold^2 overflows
     ("box", "disk:1e200", "box's volume"),  # the disk's area overflows
@@ -629,16 +665,16 @@ def test_box_moment_mc_csv_is_pinned(tmp_path):
             "--out", str(tmp_path)]
     assert main(argv) == 0
     assert sha256(tmp_path / "moment-mc.csv") == (
-        "6b1831ec71d0ab1bd4ace87ae9a52631d74619904d29ebe020e0d7b26620d435")
+        "9d2c011db50a3640039c50386d10a80d8a760437229db14caaebc7d9fe212202")
 
 
 @pytest.mark.parametrize("args, digest", [
     (["--d", "3", "--q", "5", "--w", "1/2,0,1", "--primes", "2,3", "--f",
       "box:-1..1,-1..1,-1..1@2=1", "--n", "100", "--seed", "3"],
-     "84a83cda6120fedff8adf7356edf7bfb16efd7b0df7b15d0222648ad5e164b36"),
+     "53b081ce309d97b4a8f5ff585921bdf4f1ec5292c496c05f778a07c84c4b1ccc"),
     (["--d", "5", "--q", "5", "--w", "0,0,0,0,1", "--primes", "2", "--f",
       "box:-1..1,-1..1,-1..1,-1..1,-1..1", "--n", "40", "--seed", "1"],
-     "de18963fa00c7bf8b10e8829354f346eb205c42edf7e5ef356df726f8e1dc0e4"),
+     "71a29c9f4826d938869f77fafe0e1a6078be097f01c6d8d2d98444980db50d13"),
 ])
 def test_congruence_moment_mc_csv_is_pinned(args, digest, tmp_path):
     # d >= 3 congruence boxes, whose draws the level-q coset may move only
@@ -650,18 +686,18 @@ def test_congruence_moment_mc_csv_is_pinned(args, digest, tmp_path):
 
 @pytest.mark.parametrize("command, args, digest", [
     ("moment-mc", ["--d", "2", "--primes", "2", "--f", "disk:2"],
-     "19d052b40b1b88268bcf5812e02a8383bea092ae105cc02ac4871fea471b70fa"),
+     "cd4e319c76df1d956554ce0fe662a707a6c67e0ec2883a013546cbdc000f8b6e"),
     ("moment-mc", ["--d", "3", "--primes", "2,3", "--f",
                    "box:-1..1,-1/2..1,-1..1@2=1"],
-     "41210e2f6d2c9a36fa9115c628d1ea503faf519633d74129b207eb550b071d97"),
+     "a4cfa2c250f0443f8b9f6e528ac9249dddf518988cb754c0dbb11847867e2bd6"),
     ("moment-mc", ["--d", "2", "--primes", "3", "--f", "disk:2@3=-1"],
-     "c89692d5982ae471755e765cfaaac427a6779d9074e2e936ebeab94fa5492838"),
+     "9f5eb92bf4156ed383af05c10f346cf02fe8f5e3d3c49036ddd72f3e64dd9e67"),
     # the origin lies outside this box
     ("moment-mc", ["--d", "2", "--primes", "2", "--f", "box:1/2..2,-1..1"],
-     "7cf1dcb3d8c4f0e5e57f9ba59e59f8abe8d67f23a1b03461782bbaf25ce9e133"),
+     "457442d64ef15da48364eca5bf8463622444d43ed19b2b7a7db34813bdac0208"),
     ("variance", ["--d", "2", "--primes", "2", "--box", "disk:2",
                   "--threshold", "2"],
-     "5ba6dbd47bece23133f20cf94ac23f868e9dab762660513e1e972a34242fe40a"),
+     "d2900fcc0d6fca649d31cac4595db7a183bf9d31a1d594d4a89a4fa3ccd963ca"),
 ])
 def test_base_space_csv_is_pinned(command, args, digest, tmp_path):
     # the base-space transform leaves out the origin, which every draw
@@ -672,7 +708,7 @@ def test_base_space_csv_is_pinned(command, args, digest, tmp_path):
     assert sha256(tmp_path / f"{command}.csv") == digest
 
 
-@pytest.mark.parametrize("command", ["moment-mc", "moment-rhs"])
+@pytest.mark.parametrize("command", ["moment-rhs"])
 def test_depth_at_a_prime_outside_s_exits_2(command, tmp_path, capsys):
     args = [*without(RUNS[command], "primes"), "--primes", "2"]
     argv = [command, *args, "--depth", "3=4,2=1", "--out", str(tmp_path)]

@@ -20,6 +20,7 @@ from sqcount.congruence import (
     congruence_context,
     lift_slq_to_slz,
     sample_slq_uniform,
+    unit_matrix_mod,
 )
 from sqcount.errors import BudgetError, ConfigError
 from sqcount import moments
@@ -35,7 +36,6 @@ from sqcount.moments import (
     _pair_terms,
     _series_box,
     _size_reduce,
-    _uniform_unit_basis_mod,
     estimate_moments,
     inhom_series,
     lattice_stream,
@@ -43,21 +43,39 @@ from sqcount.moments import (
     space_spec,
     variance_check,
 )
-from sqcount.sarith import SConfig, TVector, is_in_NS, prime_factors, valuation
+from sqcount.sarith import (
+    SConfig,
+    TVector,
+    frac_mod,
+    is_in_NS,
+    prime_factors,
+    valuation,
+)
 from sqcount.serialize import frac_str
 from sqcount.slattice import (
     ProductBox,
+    _box_frame,
     SBox,
     affine_slattice_split,
     count_points,
     enumerate_points,
+    place_box,
+    sampler_depth,
 )
-from test_linalg import oracle_inverse
+from test_linalg import identity, oracle_inverse
 from test_slattice import exact_basis, exact_shift
 
 S2 = SConfig((2,))
 S23 = SConfig((2, 3))
 S0 = SConfig(())
+
+
+def _depth(space, *shapes):
+    """The sampler depth that reads every shape exactly: at each prime the
+    largest k_p of the shapes (the one k_p of estimate_moments for one)."""
+    depths = [sampler_depth(place_box(f, space.d, space.ctx.primes))
+              for f in shapes]
+    return {p: max((k[p] for k in depths), default=0) for p in space.ctx.primes}
 
 
 # --- space specifications ----------------------------------------------------------------
@@ -84,13 +102,6 @@ class TestSpaceSpec:
         assert space_spec("base", 2, S2).exactness == "exact"
         for d in (3, 4):
             assert space_spec("base", d, S2).exactness == "mcmc-approximate"
-
-    def test_depth_validation(self):
-        assert space_spec("base", 2, S2, depth=4).depth == {2: 4}
-        with pytest.raises(ConfigError):
-            space_spec("base", 2, S2, depth={3: 4})
-        with pytest.raises(ConfigError):
-            space_spec("base", 2, S2, depth={2: 0})
 
 
 # --- samplers ----------------------------------------------------------------------------
@@ -125,7 +136,7 @@ class TestSiegelSampler:
     def test_shortest_vector_ks_against_oracle(self):
         # main path: sample lattices, reduce the float basis
         sp = space_spec("base", 2, S0)
-        stream = lattice_stream(sp, np.random.default_rng(20240501))
+        stream = lattice_stream(sp, {}, np.random.default_rng(20240501))
         n = 20_000
         main = [_shortest_norm_2d(next(stream).basis_inf) for _ in range(n)]
         # oracle: on the fundamental domain the shortest vector of the
@@ -153,10 +164,13 @@ class TestSiegelSampler:
         assert abs(est.mean - box.volume(2)) <= 4 * est.stderr
 
     def test_finite_sampler_exact_to_depth(self):
-        # base lattices over S_f={2}: the finite basis is uniform mod 2^k,
-        # so det mod 2 is always a unit and entries are depth-bounded
-        sp = space_spec("base", 2, S2, depth=3)
-        stream = lattice_stream(sp, np.random.default_rng(4))
+        # base lattices over S_f={2} for a ball 2^3 Z_2^2, which reads 3
+        # digits: the finite basis is uniform mod 2^3, so det mod 2 is
+        # always a unit and entries are depth-bounded
+        sp = space_spec("base", 2, S2)
+        depth = _depth(sp, SBox(TVector(1, {2: -3}, S2)))
+        assert depth == {2: 3}
+        stream = lattice_stream(sp, depth, np.random.default_rng(4))
         seen = set()
         for _ in range(200):
             lat = next(stream)
@@ -189,8 +203,11 @@ class TestAffineSampler:
     def test_shift_lies_in_lattice_cell(self):
         # the translate is u.g with u drawn from the fundamental cell, so
         # undoing the basis recovers p-integral coordinates
+        # a center of 2-adic valuation -2 reads two digits of the shift
         sp = space_spec("affine", 2, S2)
-        stream = lattice_stream(sp, np.random.default_rng(12))
+        depth = _depth(sp, SBox(TVector(2, {2: 0}, S2), (Fraction(1, 4), 0)))
+        assert depth == {2: 2}
+        stream = lattice_stream(sp, depth, np.random.default_rng(12))
         for _ in range(30):
             lat = next(stream)
             coords = la.vec_mat(exact_shift(lat, 2), oracle_inverse(exact_basis(lat, 2)))
@@ -205,7 +222,7 @@ class TestCongruenceSampler:
         # over q times basis_inf, in floats
         cctx = congruence_context(2, 5, (1, 0), S2)
         sp = space_spec("congruence", 2, S2, cctx=cctx)
-        stream = lattice_stream(sp, np.random.default_rng(9))
+        stream = lattice_stream(sp, {2: 2}, np.random.default_rng(9))
         residues = set()
         for _ in range(40):
             lat = next(stream)
@@ -266,7 +283,8 @@ class TestCosetMovesOnlyTheTranslate:
         cctx = None
         if kind == "congruence":
             cctx = congruence_context(d, 5, (0,) * (d - 1) + (1,), ctx)
-        stream = lattice_stream(space_spec(kind, d, ctx, cctx=cctx), rng)
+        space = space_spec(kind, d, ctx, cctx=cctx)
+        stream = lattice_stream(space, _depth(space, *self._shapes(d, ctx)), rng)
         for _ in range(3):
             lat = next(stream)
             gamma = lift_slq_to_slz(sample_slq_uniform(d, 5, rng), 5)
@@ -280,6 +298,67 @@ class TestCosetMovesOnlyTheTranslate:
                 for key, pt in got.items():
                     assert pt.finite == want[key].finite
                     assert np.allclose(pt.real, want[key].real, atol=1e-9)
+
+
+class TestSamplerDepth:
+    """k_p = sampler_depth of a shape is the s_p that _box_frame reads off a
+    draw of every space, and a draw cut to k_p digits at each prime (basis
+    and shift mod p^{k_p}, the identity and 0 where k_p = 0) keeps its
+    count.  Random disks and product boxes with rational centers over
+    S = {2, 3}, e_p from -3 to 1, congruence shifts w with 2 and 3 in their
+    denominators; each lattice is drawn two digits deeper than k_p."""
+
+    @staticmethod
+    def _rational(rng, dens=(1, 2, 3, 4, 5, 6, 8, 9, 12)):
+        return Fraction(int(rng.integers(-12, 13)), int(rng.choice(dens)))
+
+    def _shape(self, d, rng):
+        exps = {p: int(rng.integers(-3, 2)) for p in S23.primes}
+        if rng.random() < 0.5:
+            center = tuple(self._rational(rng) for _ in range(d))
+            return SBox(TVector(1.25, exps, S23), center)
+        intervals = []
+        for _ in range(d):
+            lo = self._rational(rng)
+            intervals.append((lo, lo + Fraction(int(rng.integers(2, 9)), 4)))
+        centers = {p: tuple(self._rational(rng) for _ in range(d))
+                   for p in S23.primes if rng.random() < 0.7}
+        return ProductBox(intervals, exps, centers)
+
+    @staticmethod
+    def _cut(lat, depth):
+        """The lattice with each finite basis and shift read to depth[p]
+        digits."""
+        d = lat.dim
+        bases, shifts = {}, {}
+        for p, k in depth.items():
+            bases[p] = tuple(tuple(frac_mod(x, p**k) for x in row)
+                             for row in exact_basis(lat, p)) if k else identity(d)
+            shifts[p] = tuple(frac_mod(x, p**k) for x in exact_shift(lat, p))
+        return affine_slattice_split(lat.ctx, lat.basis_inf, bases,
+                                     lat.shift_inf, shifts, depth=depth)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["base", "affine", "congruence"])
+    def test_depth_is_the_digits_the_count_reads(self, kind, d):
+        rng = np.random.default_rng(100 * d + moments.SPACE_KINDS.index(kind))
+        read_digits = 0
+        for _ in range(12):
+            cctx = None
+            if kind == "congruence":
+                w = tuple(self._rational(rng, (1, 2, 3, 4, 6, 9))
+                          for _ in range(d - 1)) + (1,)
+                cctx = congruence_context(d, 5, w, S23)
+            space = space_spec(kind, d, S23, cctx=cctx)
+            f = self._shape(d, rng)
+            depth = _depth(space, f)
+            deeper = {p: k + 2 for p, k in depth.items()}
+            lat = next(lattice_stream(space, deeper, rng))
+            frame = _box_frame(lat, f)
+            assert {p: valuation(frame.mod, p) for p in S23.primes} == depth
+            assert count_points(self._cut(lat, depth), f) == count_points(lat, f)
+            read_digits += any(depth.values())
+        assert read_digits > 0
 
 
 class TestNoFractionPerDraw:
@@ -351,7 +430,7 @@ class TestMCMCSampler:
 
     def test_base_lattice_is_unimodular(self):
         sp = space_spec("base", 3, S2)
-        lat = next(lattice_stream(sp, np.random.default_rng(6)))
+        lat = next(lattice_stream(sp, {2: 0}, np.random.default_rng(6)))
         det = np.linalg.det(np.array(lat.basis_inf))
         assert abs(abs(det) - 1.0) < 1e-8
 
@@ -424,26 +503,29 @@ class TestBlockWalk:
         # from each block's start, the block and MCMC_THIN oracle steps on
         # the same normals reach the same lattice; only the basis differs,
         # as the block size-reduces once.  lattice_stream makes the finite
-        # and shift draws between blocks; the oracle makes the same draws
+        # and shift draws between blocks, to the box's depth k: none at
+        # k = 0 (identity basis, zero shift); the oracle makes the same draws
         sp = space_spec("affine", d, S2)
-        stream = lattice_stream(sp, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        g = _mcmc_steps(np.eye(d), MCMC_STEP, MCMC_BURN_IN, rng)
-        for _ in range(4):
-            block_rng = copy.deepcopy(rng)
-            block = _mcmc_steps(g, MCMC_STEP, MCMC_THIN, block_rng)
-            for _ in range(MCMC_THIN):
-                g = _mcmc_step(g, MCMC_STEP, rng)
-            assert block_rng.bit_generator.state == rng.bit_generator.state
-            assert _same_lattice(g, block)
-            lat = next(stream)
-            b_p = _uniform_unit_basis_mod(d, 2, sp.depth[2], rng)
-            u_inf = rng.random(d)
-            rng.integers(0, 2 ** sp.depth[2], d)
-            g = np.array(lat.basis_inf)
-            assert np.array_equal(g, block)
-            assert np.array_equal(np.array(lat.shift_inf), u_inf @ g)
-            assert lat.basis_p[2] == (b_p, 1)
+        for k in (0, 2):
+            stream = lattice_stream(sp, {2: k}, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            g = _mcmc_steps(np.eye(d), MCMC_STEP, MCMC_BURN_IN, rng)
+            for _ in range(4):
+                block_rng = copy.deepcopy(rng)
+                block = _mcmc_steps(g, MCMC_STEP, MCMC_THIN, block_rng)
+                for _ in range(MCMC_THIN):
+                    g = _mcmc_step(g, MCMC_STEP, rng)
+                assert block_rng.bit_generator.state == rng.bit_generator.state
+                assert _same_lattice(g, block)
+                lat = next(stream)
+                b_p = unit_matrix_mod(d, 2**k, rng) if k else identity(d)
+                u_inf = rng.random(d)
+                u_p = rng.integers(0, 2**k, d).tolist() if k else [0] * d
+                g = np.array(lat.basis_inf)
+                assert np.array_equal(g, block)
+                assert np.array_equal(np.array(lat.shift_inf), u_inf @ g)
+                assert lat.basis_p[2] == (b_p, 1)
+                assert lat.shift_p[2] == (la.vec_mat(u_p, b_p), 1)
 
     def test_stacked_expm_is_the_single_expm(self):
         m = MCMC_STEP * np.random.default_rng(3).standard_normal((7, 3, 3))
@@ -508,7 +590,8 @@ class TestEstimatorPlumbing:
         n = 50
         (est,) = estimate_moments(sp, f, (1,), n=n, seed=8)
         # replay the same stream by hand
-        stream = lattice_stream(sp, np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]))
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
+        stream = lattice_stream(sp, _depth(sp, f), rng)
         vals = [count_points(next(stream), f) for _ in range(n)]
         mean = sum(vals) / n
         sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1))
