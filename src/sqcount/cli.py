@@ -329,23 +329,6 @@ def _space(cfg, ctx: SConfig):
     return space_spec(kind, d, ctx, cctx)
 
 
-def _test_function(obj, ctx: SConfig, d: int, source: str):
-    """The test function of obj, checked to have the d coordinates that
-    source ("w" or "the space") gives the run."""
-    f = testfn_from_json(obj, ctx)
-    if isinstance(f, SBox):
-        vectors = {"test function": f.center}
-    else:
-        vectors = {"test function": f.intervals}
-        vectors.update((f"finite_center at {p} of the test function", c)
-                       for p, c in f.finite_center.items())
-    for what, v in vectors.items():
-        if v is not None and len(v) != d:
-            raise ConfigError(
-                f"{what} has {len(v)} coordinates, {source} has {d}")
-    return f
-
-
 def _count_header(ctx: SConfig):
     return ["t_inf"] + [f"t_{p}" for p in ctx.primes] + [
         "n", "vol_interval", "prediction", "ratio",
@@ -511,7 +494,7 @@ def _cmd_moment_mc(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     seed = cfg["seed"]
     space = _space(cfg, ctx)
-    f = _test_function(cfg["f"], ctx, space.d, "the space")
+    f = testfn_from_json(cfg["f"], ctx)
     orders = cfg["order"]
     estimates = estimate_moments(
         space, f, orders, cfg["n"], seed, cfg["threads"], cfg["max_candidates"]
@@ -537,7 +520,7 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     w = cfg["w"]
     cctx = congruence_context(len(w), cfg["q"], w, ctx)
-    f = _test_function(cfg["f"], ctx, cctx.d, "w")
+    f = testfn_from_json(cfg["f"], ctx)
     sv = second_moment_rhs(
         f, cctx, cfg["t_max"], cfg["real_bound"], cfg["depth"], cfg["max_terms"]
     )
@@ -558,7 +541,7 @@ def _cmd_variance(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     seed = cfg["seed"]
     space = _space(cfg, ctx)
-    f = _test_function(cfg["box"], ctx, space.d, "the space")
+    f = testfn_from_json(cfg["box"], ctx)
     if not isinstance(f, SBox):
         raise ConfigError("variance needs a disk:R box")
     threshold = cfg["threshold"]
@@ -585,7 +568,7 @@ def _cmd_orbit(cfg, out_dir, t0):
     ctx = SConfig(cfg["primes"])
     w = cfg["w"]
     cctx = congruence_context(len(w), cfg["q"], w, ctx)
-    f = _test_function(cfg["f"], ctx, cctx.d, "w")
+    f = testfn_from_json(cfg["f"], ctx)
     sv = inhom_series(f, cfg["y"], cctx, cfg["t_max"], cfg["max_terms"])
     header = ["q", "t_max", "value", "value_float", "tail_bound", "terms_used"]
     rows = [[cctx.q, sv.t_max, sv.value, float(sv.value), sv.tail_bound,

@@ -78,7 +78,6 @@ class ShrinkingFamily:
     `finite` default to the unit target Z_p.
     """
 
-    d: int
     c_inf: Fraction | float
     kappa_inf: float
     a_inf: Fraction | float
@@ -111,7 +110,7 @@ def shrinking_family(
             a, c, kappa = part
             part = FinitePart(Fraction(a), int(c), int(kappa))
         parts[int(p)] = part
-    fam = ShrinkingFamily(d, c_inf, float(kappa_inf), a_inf, parts)
+    fam = ShrinkingFamily(c_inf, float(kappa_inf), a_inf, parts)
     check_family_range(d, fam)
     return fam
 

@@ -72,6 +72,7 @@ from .sarith import (
 )
 from .slattice import (
     DEFAULT_MAX_CANDIDATES,
+    PlacedBox,
     ProductBox,
     SBox,
     affine_slattice_split,
@@ -353,8 +354,8 @@ def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
     so the values depend on (seed, workers) but not on scheduling.
     """
     # every base lattice holds the origin; the transform excludes it there
-    origin = space.kind == "base" and holds_origin(f, space.d, space.ctx.primes)
     placed = place_box(f, space.d, space.ctx.primes)
+    origin = space.kind == "base" and holds_origin(placed)
     depth = sampler_depth(placed)
     share, extra = divmod(n, workers)
     children = np.random.SeedSequence(seed).spawn(workers)
@@ -452,15 +453,14 @@ def variance_check(
 # --- exact series: shared box plumbing --------------------------------------------------
 
 
-def _series_box(f, primes) -> tuple:
-    """(d, intervals, finite) of a product box, as ProductBox.places."""
-    if not isinstance(f, ProductBox):
+def _series_box(f, cctx: CongruenceContext) -> PlacedBox:
+    """f placed in the level's d coordinates; the series read product boxes."""
+    box = place_box(f, cctx.d, cctx.ctx.primes)
+    if box.exact_intervals is None:
         raise ConfigError(
             "series evaluation needs an indicator of a product S-box"
         )
-    d = len(f.intervals)
-    _, _, intervals, finite = f.places(d, primes)
-    return d, intervals, finite
+    return box
 
 
 def _scaled_interval(lo: Fraction, hi: Fraction, s: Fraction):
@@ -600,7 +600,7 @@ def _pair_tail_bound(d, q, vol_sup, t_max, b, depth, primes) -> float:
     return vol_sup * (piece_t + piece_b + piece_d)
 
 
-def _pair_terms(d, intervals, finite, primes, t_max, n_max):
+def _pair_terms(box: PlacedBox, primes, t_max, n_max):
     """The pair kernel: a function of one progression (t, den, ms, ns, tp) of
     the walk that yields its nonzero terms as (num, den, |n|), num/den the
     term at a = n/den in lowest terms.  n_max bounds |n| and t den over the
@@ -616,16 +616,17 @@ def _pair_terms(d, intervals, finite, primes, t_max, n_max):
     constant per progression.  A nonzero center c puts the balls apart when
     v_p(c/t - c/a) = v_p(c) + v_p(n - t den) - v_p(n) is below
     -e - max(0, v_p(a)), that is when p^r does not divide n - t den,
-    r = -e - v_p(c); the smallest v_p(c) decides.  finite[p] = (c, e).
+    r = -e - v_p(c); the smallest v_p(c) decides.
     """
-    nums, big_l = over_one_denominator(x for iv in intervals for x in iv)
+    d = len(box.center)
+    nums, big_l = over_one_denominator(x for iv in box.exact_intervals for x in iv)
     ends = tuple(zip(nums[::2], nums[1::2]))
     tests = []
     for p in primes:
-        c, e = finite[p]
-        v = min_valuation(c, p)
-        if v is not None and v < -e:
-            tests.append((p ** (-e - v), 1, 1))
+        c_num, c_den, e = box.finite[p]
+        v = min_valuation(c_num, p)
+        if v is not None and v - valuation(c_den, p) < -e:
+            tests.append((p ** (valuation(c_den, p) - v - e), 1, 1))
     reach = max(2 * max(abs(x) for iv in ends for x in iv), big_l * t_max) * n_max
     dt = _int_dtype(max([reach**d] + [mod for mod, _, _ in tests]))
 
@@ -645,7 +646,7 @@ def _pair_terms(d, intervals, finite, primes, t_max, n_max):
         g = g[keep]
         up = down = 1
         for p, m in zip(primes, ms):
-            k = d * (finite[p][1] - m)
+            k = d * (box.finite[p][2] - m)
             if k > 0:
                 up *= p**k
             else:
@@ -683,9 +684,8 @@ def second_moment_rhs(
     everything cut, valid for d >= 3 where the full series converges
     absolutely.
     """
-    ctx = cctx.ctx
-    q = cctx.q
-    d, intervals, finite = _series_box(f, ctx.primes)
+    ctx, q, d = cctx.ctx, cctx.q, cctx.d
+    box = _series_box(f, cctx)
     if d < 3:
         raise ConfigError("the pair series needs d >= 3")
     if t_max < 1 or real_bound < 1:
@@ -693,7 +693,7 @@ def second_moment_rhs(
     dep = _depths(depth, ctx.primes, DEFAULT_SERIES_DEPTH)
     b = Fraction(real_bound)
     den_max = math.prod(p**k for p, k in dep.items())
-    terms = _pair_terms(d, intervals, finite, ctx.primes, t_max,
+    terms = _pair_terms(box, ctx.primes, t_max,
                         max(math.ceil(b * den_max), t_max * den_max))
     walk = _admissible_walk(
         t_max, q, ctx, dep, lambda t: (-b, b), max_terms, "pair series"
@@ -742,30 +742,29 @@ def inhom_series(
     tested, in integers; every term that passes them is t^{-d}, so the
     series is summed as (number of such a) / t^d, one fraction per t.
     """
-    ctx = cctx.ctx
-    q = cctx.q
-    d, intervals, finite = _series_box(f, ctx.primes)
+    ctx, q, d = cctx.ctx, cctx.q, cctx.d
+    box = _series_box(f, cctx)
     if d < 3:
         raise ConfigError("the orbit series needs d >= 3")
     if t_max < 1:
         raise ConfigError("need t_max >= 1")
     coords = tuple(Fraction(c) for c in y)
     if len(coords) != d:
-        raise ConfigError("y has wrong dimension")
+        raise ConfigError(f"y has {len(coords)} coordinates, w has {d}")
     if all(c == 0 for c in coords):
         raise ConfigError("y must be nonzero")
     base = f.volume(ctx.primes)
 
-    # coordinates where y vanishes gate the whole series
+    # coordinates where y vanishes gate the whole series; the center at p
+    # is g / h, int numerators over one denominator
     for i, c in enumerate(coords):
         if c != 0:
             continue
-        lo, hi = intervals[i]
+        lo, hi = box.exact_intervals[i]
         if not lo <= 0 <= hi:
             return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
-        for p, (c_p, e_p) in finite.items():
-            cp = c_p[i]
-            if cp != 0 and -valuation(cp, p) > e_p:
+        for p, (g, h, e_p) in box.finite.items():
+            if g[i] and valuation(h, p) - valuation(g[i], p) > e_p:
                 return SeriesValue(base, 0.0, 0, 0, t_max, (0.0, 0.0), {})
 
     # real window for s = a/t: intersection of I_i / y_i over nonzero y_i
@@ -773,7 +772,7 @@ def inhom_series(
     for i, c in enumerate(coords):
         if c == 0:
             continue
-        a_i, b_i = _scaled_interval(*intervals[i], c)
+        a_i, b_i = _scaled_interval(*box.exact_intervals[i], c)
         w_lo = a_i if w_lo is None else max(w_lo, a_i)
         w_hi = b_i if w_hi is None else min(w_hi, b_i)
     if w_lo > w_hi:
@@ -782,26 +781,26 @@ def inhom_series(
     # denominator cap: v_p(a) >= min(v_p(c_j), -e_p) - v_p(y_j) is necessary
     # for the finite conditions, so deeper denominators contribute nothing
     dep = {}
-    for p, (c_p, e_p) in finite.items():
+    for p, (g, h, e_p) in box.finite.items():
         need = None
         for i, c in enumerate(coords):
             if c == 0:
                 continue
-            cp = c_p[i]
-            vc = valuation(cp, p) if cp != 0 else None
+            vc = valuation(g[i], p) - valuation(h, p) if g[i] else None
             lo_v = -e_p if vc is None else min(vc, -e_p)
             lower = lo_v - valuation(c, p)
             need = lower if need is None else max(need, lower)
         dep[p] = max(0, -need)
 
-    # p-adic conditions in integers: with y_i = u/w and c_i = g/h, the point
-    # (n / (t den)) y_i lies in c_i + p^{-e} Z_p iff p^{m_p + v_p(w h) - e}
-    # divides n u h - g w t den (t is a p-adic unit); zero y_i passed above
+    # p-adic conditions in integers: with y_i = u/w and c_i = g_i/h, the
+    # point (n / (t den)) y_i lies in c_i + p^{-e} Z_p iff
+    # p^{m_p + v_p(w h) - e} divides n u h - g_i w t den (t is a p-adic
+    # unit); zero y_i passed above.  box.finite runs over ctx.primes in order
     tests = [
-        (j, p, c.numerator * cp.denominator, cp.numerator * c.denominator,
-         valuation(c.denominator * cp.denominator, p) - finite[p][1])
-        for j, p in enumerate(ctx.primes)
-        for c, cp in zip(coords, finite[p][0])
+        (j, p, c.numerator * h, g_i * c.denominator,
+         valuation(c.denominator * h, p) - e)
+        for j, (p, (g, h, e)) in enumerate(box.finite.items())
+        for c, g_i in zip(coords, g)
         if c != 0
     ]
     # |n| and t den stay below reach over the walk

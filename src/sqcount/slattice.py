@@ -19,16 +19,19 @@ congruence is needed the basis inverted mod p^s by its adjugate.  A box's
 own per-place data (place_box) are built once per run, so counting a
 sampled lattice makes no Fraction.
 
-A test function is a disk (SBox) or a product box (ProductBox), and each
-gives its own center per place (places): one for a disk; for a product box
-its real midpoint, whose circumscribed ball only prunes the walk, and its
-own center at each prime.  At the last coordinate of a row a product box's
-d real intervals are cut, then re-tested at the ends on the float image.
+A test function is a disk (SBox) or a product box (ProductBox).  Only
+place_box reads a shape's fields: it checks that each of the shape's
+vectors has d coordinates and builds the PlacedBox that the count, the
+origin test, the sampler depth and the exact series of moments read.  It
+gives a center per place: one for a disk; for a product box its real
+midpoint, whose circumscribed ball only prunes the walk, and its own
+center at each prime.  At the last coordinate of a row a product box's d
+real intervals are cut, then re-tested at the ends on the float image.
 
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts, the last coordinate
 of each row in closed form; the Monte Carlo estimators score each draw with
-it.  Whether a shape holds the origin depends on the shape alone
+it.  Whether a shape holds the origin depends on the placed shape alone
 (holds_origin).
 """
 
@@ -76,24 +79,6 @@ class SBox:
             v *= float(p) ** (d * tp)
         return v
 
-    def places(self, d: int, primes) -> tuple:
-        """(center, t2, intervals, finite): the real ball of radius^2 t2, the
-        closed intervals of a product box (None for a disk), and the balls
-        finite[p] = (c_p, e_p).  A disk has one center at every place."""
-        center = self.center or (Fraction(0),) * d
-        if len(center) != d:
-            raise ConfigError("disk center has wrong length")
-        try:
-            t2 = float(self.t.t_inf) ** 2
-        except OverflowError:
-            raise ConfigError(
-                f"disk radius {float(self.t.t_inf)!r} is too large: its "
-                "square overflows a float"
-            ) from None
-        return center, t2, None, {
-            p: (center, self.t.t_p.get(p, 0)) for p in primes
-        }
-
 
 @dataclass(frozen=True)
 class ProductBox:
@@ -115,63 +100,77 @@ class ProductBox:
         object.__setattr__(self, "finite_exponent", dict(self.finite_exponent))
         object.__setattr__(self, "finite_center", dict(self.finite_center))
 
-    def places(self, d: int, primes) -> tuple:
-        """As SBox.places: the real midpoint, the circumscribed ball widened
-        far past float rounding so that a corner survives, and a ball at
-        every prime, c_p = 0 and e_p = 0 where none is given."""
-        finite = {}
-        for p in primes:
-            c = tuple(Fraction(x) for x in self.finite_center.get(p, (0,) * d))
-            if len(c) != d:
-                raise ConfigError(f"finite center at p={p} has wrong length")
-            finite[p] = c, int(self.finite_exponent.get(p, 0))
-        center = tuple((lo + hi) / 2 for lo, hi in self.intervals)
-        corner2 = sum(((hi - lo) / 2) ** 2 for lo, hi in self.intervals)
-        try:
-            t2 = float(corner2) * (1 + 1e-9)
-        except OverflowError:
-            lo, hi = max(self.intervals, key=lambda iv: iv[1] - iv[0])
-            raise ConfigError(
-                f"real interval {float(lo)!r}..{float(hi)!r} is too long: "
-                "the box's corner overflows a float"
-            ) from None
-        return center, t2, self.intervals, finite
-
     def volume(self, primes) -> Fraction:
         """Exact Haar volume: the interval lengths times p^{d e_p} per prime."""
         d = len(self.intervals)
         v = math.prod((hi - lo for lo, hi in self.intervals), start=Fraction(1))
-        for p, (_, e) in self.places(d, primes)[3].items():
-            v *= Fraction(p) ** (d * e)
+        for p in primes:
+            v *= Fraction(p) ** (d * int(self.finite_exponent.get(p, 0)))
         return v
 
 
 @dataclass(frozen=True)
 class PlacedBox:
-    """A box as the count reads it, built once for many lattices (place_box):
-    the real center in floats, the real ball t2, for a product box each
-    closed interval as the float interval (lo, hi) that holds the same
-    floats and its (length, |midpoint|) in floats, and at each prime
-    finite[p] = (nums, den, e_p), the center as int numerators over one
-    denominator."""
+    """A test function as every consumer reads it, built once per run
+    (place_box): the real center in floats and the real ball t2; for a
+    product box each closed interval exactly (exact_intervals), as the float
+    interval that holds the same floats (intervals) and as its (length,
+    |midpoint|) in floats (spans), all None for a disk; and at each prime
+    finite[p] = (nums, den, e_p), the center as ints over one denominator."""
 
     center: tuple
     t2: float
+    exact_intervals: tuple | None
     intervals: tuple | None
     spans: tuple | None
     finite: dict
 
 
 def place_box(box, d: int, primes) -> PlacedBox:
-    """The PlacedBox of an SBox or a ProductBox, from its places."""
-    center, t2, intervals, finite = box.places(d, primes)
-    spans = None
-    if intervals is not None:
+    """The PlacedBox of an SBox or a ProductBox in d coordinates, the one
+    reader of a shape's fields.  A disk has one center at every place; a
+    product box its real midpoint, whose circumscribed ball (widened far
+    past float rounding, so that a corner survives) only prunes the walk,
+    and a ball at every prime, c_p = 0 and e_p = 0 where none is given."""
+    if isinstance(box, SBox):
+        exact, center = None, box.center or (0,) * d
+        real = "test function center", center
+        finite = {p: (center, box.t.t_p.get(p, 0)) for p in primes}
+    else:
+        exact = box.intervals
+        real = "test function real part", exact
+        center = tuple((lo + hi) / 2 for lo, hi in exact)
+        finite = {p: (box.finite_center.get(p, (0,) * d),
+                      int(box.finite_exponent.get(p, 0))) for p in primes}
+    named = [(f"finite_center at {p} of the test function", c)
+             for p, (c, _) in finite.items()]
+    for what, v in [real, *named]:
+        if len(v) != d:
+            raise ConfigError(f"{what} has {len(v)} coordinates, not d = {d}")
+    spans = intervals = None
+    if exact is None:
+        try:
+            t2 = float(box.t.t_inf) ** 2
+        except OverflowError:
+            raise ConfigError(
+                f"disk radius {float(box.t.t_inf)!r} is too large: its "
+                "square overflows a float"
+            ) from None
+    else:
+        corner2 = sum(((hi - lo) / 2) ** 2 for lo, hi in exact)
+        try:
+            t2 = float(corner2) * (1 + 1e-9)
+        except OverflowError:
+            lo, hi = max(exact, key=lambda iv: iv[1] - iv[0])
+            raise ConfigError(
+                f"real interval {float(lo)!r}..{float(hi)!r} is too long: "
+                "the box's corner overflows a float"
+            ) from None
         spans = tuple((float(hi - lo), abs(float(hi + lo) / 2))
-                      for lo, hi in intervals)
-        intervals = tuple(map(_float_bounds, intervals))
+                      for lo, hi in exact)
+        intervals = tuple(map(_float_bounds, exact))
     return PlacedBox(
-        tuple(float(c) for c in center), t2, intervals, spans,
+        tuple(float(c) for c in center), t2, exact, intervals, spans,
         {p: (*over_one_denominator(c), e) for p, (c, e) in finite.items()},
     )
 
@@ -204,18 +203,18 @@ def _float_bounds(interval) -> tuple:
     return a, b
 
 
-def holds_origin(box, d: int, primes) -> bool:
+def holds_origin(box: PlacedBox) -> bool:
     """Whether count_points counts k = 0 on any lattice with zero shift:
-    each finite ball holds 0, and the real test at 0 is the leaf test at
-    n = 0, whose frame has y0 = -center (the same float squares)."""
-    center, t2, intervals, finite = box.places(d, primes)
-    for p, (c, e) in finite.items():
-        v = min_valuation(c, p)
-        if v is not None and v < -e:
+    each finite ball holds 0, that is v_p(c_p) >= -e_p, and the real test
+    at 0 is the leaf test at n = 0, whose frame has y0 = -center (the same
+    float squares)."""
+    for p, (nums, den, e) in box.finite.items():
+        v = min_valuation(nums, p)
+        if v is not None and v - valuation(den, p) < -e:
             return False
-    if intervals is None:
-        return sum(float(c) * float(c) for c in center) < t2
-    return all(lo <= 0 <= hi for lo, hi in intervals)
+    if box.intervals is None:
+        return sum(c * c for c in box.center) < box.t2
+    return all(lo <= 0 <= hi for lo, hi in box.intervals)
 
 
 # --- lattices ---------------------------------------------------------------------

@@ -328,17 +328,19 @@ def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
 
 
 @pytest.mark.parametrize("command, key, value, extra, named", [
-    ("moment-mc", "f", BOX3, [], "test function has 3 coordinates, the space has 2"),
+    ("moment-mc", "f", BOX3, [],
+     "test function real part has 3 coordinates, not d = 2"),
     ("moment-mc", "f", {"kind": "box", "intervals": [[-1, 1]] * 2,
                         "finite_center": {"2": ["1/2"]}}, [],
-     "finite_center at 2 of the test function has 1 coordinates, "
-     "the space has 2"),
+     "finite_center at 2 of the test function has 1 coordinates, not d = 2"),
     ("variance", "box", {"kind": "disk", "radius": "2", "center": ["0", "0", "1/2"]},
-     [], "test function has 3 coordinates, the space has 2"),
+     [], "test function center has 3 coordinates, not d = 2"),
     ("orbit", "f", "box:-1..1,-1..1,-1..1,-1..1", ["--y", "1,2,3,4"],
-     "test function has 4 coordinates, w has 3"),
+     "test function real part has 4 coordinates, not d = 3"),
     ("moment-rhs", "f", "box:-1..1,-1..1", [],
-     "test function has 2 coordinates, w has 3"),
+     "test function real part has 2 coordinates, not d = 3"),
+    # the point y of the orbit series is held to the same rule
+    ("orbit", "y", "1,2", [], "y has 2 coordinates, w has 3"),
 ])
 def test_test_function_of_another_dimension_exits_2(command, key, value, extra,
                                                      named, tmp_path, capsys):

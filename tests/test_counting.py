@@ -923,7 +923,7 @@ class TestSweep:
 
     def test_family_range_checked(self):
         q = quadratic_form(S3, TERN)
-        bad = ShrinkingFamily(3, 1, 1.0, 0, {})
+        bad = ShrinkingFamily(1, 1.0, 0, {})
         with pytest.raises(ConfigError, match=r"kappa_inf = 1.0 outside \[0, 1\)"):
             sweep(q, (0, 0, 0), bad, [tv(5.0, {3: 0}, S3)])
 

@@ -34,7 +34,6 @@ from sqcount.moments import (
     _expm,
     _mcmc_steps,
     _pair_terms,
-    _series_box,
     _size_reduce,
     estimate_moments,
     inhom_series,
@@ -685,8 +684,7 @@ class TestPairSeries:
     def test_worked_leading_terms(self):
         # q=5, S_f={2}, box [-1,1]^3 x Z_2^3: hand-computed leading terms,
         # each as a one-element progression
-        d, ivs, finite = _series_box(TERN_BOX, S2.primes)
-        terms = _pair_terms(d, ivs, finite, S2.primes, 1, 8)
+        terms = _pair_terms(place_box(TERN_BOX, 3, S2.primes), S2.primes, 1, 8)
         cases = {
             (1, Fraction(1)): Fraction(8),
             (1, Fraction(-4)): Fraction(1, 8),
@@ -852,9 +850,10 @@ def _slow_pair_series(f, cctx, t_max, real_bound, depth):
     """(value, terms used) of second_moment_rhs, term by term: the same walk,
     each admitted n through _slow_pair_term, numerators added per
     denominator and the Fractions summed in a pairwise tree."""
-    ctx = cctx.ctx
-    d, ivs, finite = _series_box(f, ctx.primes)
-    term = _slow_pair_term(d, ivs, finite, ctx.primes)
+    ctx, d = cctx.ctx, cctx.d
+    finite = {p: (f.finite_center.get(p, (0,) * d), f.finite_exponent.get(p, 0))
+              for p in ctx.primes}
+    term = _slow_pair_term(d, f.intervals, finite, ctx.primes)
     dep = {p: depth for p in ctx.primes}
     b = Fraction(real_bound)
     by_den = {}
@@ -1155,7 +1154,7 @@ class TestInhomSeries:
         cctx = congruence_context(3, 5, (1, 0, 0), S2)
         with pytest.raises(ConfigError):
             inhom_series(TERN_BOX, (0, 0, 0), cctx)
-        with pytest.raises(ConfigError, match="y has wrong dimension"):
+        with pytest.raises(ConfigError, match="y has 2 coordinates, w has 3"):
             inhom_series(TERN_BOX, (1, 2), cctx)
         with pytest.raises(ConfigError, match="indicator of a product S-box"):
             inhom_series(SBox(TVector(1.0, {2: 0}, S2)), (1, 1, 1), cctx)

@@ -368,13 +368,14 @@ class TestEnumerate:
 
     def test_rejects_disk_center_of_wrong_length(self):
         # a third coordinate would be dropped by the count and read by the
-        # origin test, so both refuse it
+        # origin test; placing the disk refuses it for both
         lat = rational_lattice(S2, identity(2))
         disk = box(S2, 2, center=(0, 0, 5))
-        with pytest.raises(ConfigError, match="disk center"):
+        message = "test function center has 3 coordinates, not d = 2"
+        with pytest.raises(ConfigError, match=message):
             count_points(lat, disk)
-        with pytest.raises(ConfigError, match="disk center"):
-            holds_origin(disk, 2, S2.primes)
+        with pytest.raises(ConfigError, match=message):
+            place_box(disk, 2, S2.primes)
 
     def test_insufficient_depth(self):
         lat = affine_slattice_split(
@@ -542,7 +543,7 @@ class TestSiegel:
         lat = rational_lattice(S0, identity(2))
         f = box(S0, Fraction(5, 2))
         assert count_points(lat, f) == 21
-        assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == 20
+        assert count_points(lat, f) - holds_origin(place_box(f, 2, S0.primes)) == 20
 
     def test_shifted_singleton(self):
         lat = rational_lattice(S0, identity(2), shift=(Fraction(1, 4), 0))
@@ -716,7 +717,7 @@ class TestHoldsOrigin:
                 # stretch the intervals to 0, which often lands on a face
                 f = ProductBox([(min(lo, 0), max(hi, 0)) for lo, hi in f.intervals],
                                f.finite_exponent, f.finite_center)
-            origin = holds_origin(f, d, ctx.primes)
+            origin = holds_origin(place_box(f, d, ctx.primes))
             want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
             assert count_points(lat, f) - origin == want, (lat, f)
             held[type(f)] += origin
@@ -729,11 +730,26 @@ class TestHoldsOrigin:
         lat = rational_lattice(S0, identity(2))
         disk = box(S0, Fraction(5, 2), center=(Fraction(3, 2), Fraction(2)))
         face = ProductBox([(0, 1), (-1, 1)])
-        assert not holds_origin(disk, 2, S0.primes)
-        assert holds_origin(face, 2, S0.primes)
+        assert not holds_origin(place_box(disk, 2, S0.primes))
+        assert holds_origin(place_box(face, 2, S0.primes))
         for f in (disk, face):
             want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
-            assert count_points(lat, f) - holds_origin(f, 2, S0.primes) == want
+            origin = holds_origin(place_box(f, 2, S0.primes))
+            assert count_points(lat, f) - origin == want
+
+    @pytest.mark.parametrize("e", [-2, -1, 0, 1, 2])
+    def test_center_whose_denominator_carries_p(self, e):
+        # the center (1/2, 1/4) is (2, 1) / 4 at p = 2: min v_2(nums) = 0
+        # and v_2(den) = 2, so the ball c + 2^-e Z_2^2 holds 0 iff e >= 2
+        center = (Fraction(1, 2), Fraction(1, 4))
+        disk = box(S2, 3, {2: e}, center)
+        square = ProductBox([(-2, 2)] * 2, {2: e}, {2: center})
+        lat = rational_lattice(S2, identity(2))
+        for f in (disk, square):
+            origin = holds_origin(place_box(f, 2, S2.primes))
+            assert origin == (e >= 2)
+            want = sum(not is_origin(pt) for pt in enumerate_points(lat, f))
+            assert count_points(lat, f) - origin == want
 
 
 # --- the integer frame against the Fraction code it replaced --------------------------
@@ -761,11 +777,11 @@ def oracle_frame(lat, box, bases, shifts) -> _BoxFrame:
     w_p = (c_p - shift_p) basis_p^-1 by Gauss-Jordan, each residue by
     frac_mod of a Fraction; the real frame from the exact box ends."""
     d, ctx = lat.dim, lat.ctx
-    center, t2, intervals, finite = box.places(d, ctx.primes)
+    placed = place_box(box, d, ctx.primes)
     residues = {}
     for p in ctx.primes:
-        center_p, tp = finite[p]
-        diff = tuple(Fraction(c) - s for c, s in zip(center_p, shifts[p]))
+        nums, den, tp = placed.finite[p]
+        diff = tuple(Fraction(c, den) - s for c, s in zip(nums, shifts[p]))
         v = min_valuation(diff, p)
         r_p = max(tp, 0 if v is None else -v, 0)
         s_p = r_p - tp
@@ -789,13 +805,10 @@ def oracle_frame(lat, box, bases, shifts) -> _BoxFrame:
     b = tuple(tuple(scale * float(x) for x in row) for row in lat.basis_inf)
     base = [sum(rem[i] / big_r * float(lat.basis_inf[i][j]) for i in range(d))
             for j in range(d)]
-    y0 = tuple(bb + float(s) - float(c)
-               for bb, s, c in zip(base, lat.shift_inf, center))
-    spans = None
-    if intervals is not None:
-        spans = tuple((float(hi - lo), abs(float(hi + lo) / 2))
-                      for lo, hi in intervals)
-    return _BoxFrame(big_r, mod, tuple(rem), b, y0, t2, intervals, spans, lat)
+    y0 = tuple(bb + float(s) - c
+               for bb, s, c in zip(base, lat.shift_inf, placed.center))
+    return _BoxFrame(big_r, mod, tuple(rem), b, y0, placed.t2,
+                     placed.exact_intervals, placed.spans, lat)
 
 
 class TestIntegerFrame:
