@@ -76,12 +76,7 @@ from .serialize import (
     write_csv,
     write_manifest,
 )
-from .slattice import (
-    DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES,
-    SBox,
-    place_box,
-    sampler_depth,
-)
+from .slattice import DEFAULT_MAX_CANDIDATES as ENUM_MAX_CANDIDATES
 from .volume import leading_constant, padic_quadric_volume, real_quadric_volume
 
 
@@ -363,12 +358,6 @@ def _exact_summary(value: Fraction) -> str:
             f"{_digits(value.denominator)}-digit denominator)")
 
 
-def _sampler_results(f, space) -> dict:
-    """The finite digits each draw read, k_p at every prime, for the
-    manifest."""
-    return {"sampler_depth": sampler_depth(place_box(f, space.d, space.ctx.primes))}
-
-
 def _series_budget(sv, cfg) -> dict:
     """How much of max_terms a series walk used, for the manifest."""
     return {"terms_charged": sv.terms_charged, "max_terms": cfg["max_terms"]}
@@ -511,7 +500,7 @@ def _cmd_moment_mc(cfg, out_dir, t0):
         for order, est in zip(orders, estimates)
     ]
     _emit("moment-mc", cfg, out_dir, header, rows, summary, seed=seed,
-          results=_sampler_results(f, space), t0=t0)
+          results={"sampler_depth": estimates[0].sampler_depth}, t0=t0)
     return 0
 
 
@@ -542,24 +531,21 @@ def _cmd_variance(cfg, out_dir, t0):
     seed = cfg["seed"]
     space = _space(cfg, ctx)
     f = testfn_from_json(cfg["box"], ctx)
-    if not isinstance(f, SBox):
-        raise ConfigError("variance needs a disk:R box")
     threshold = cfg["threshold"]
     check = variance_check(
         space, f, threshold, cfg["n"], seed, cfg["threads"],
         cfg["max_candidates"],
     )
-    vol = f.volume(space.d)
     header = ["space", "d", "volume", "threshold", "empirical_prob", "bound",
               "stderr", "observed_constant", "n", "seed"]
-    rows = [[space.kind, space.d, vol, threshold,
+    rows = [[space.kind, space.d, check.volume, threshold,
              check.empirical_prob, check.bound, check.stderr,
              check.observed_constant, check.n_samples, check.seed]]
     _emit("variance", cfg, out_dir, header, rows, [
         f"P(|count - vol| > {threshold!r}) = "
         f"{check.empirical_prob!r} vs bound {check.bound!r} "
         f"(binomial stderr {check.stderr:.3g})",
-    ], seed=seed, results=_sampler_results(f, space), t0=t0)
+    ], seed=seed, results={"sampler_depth": check.sampler_depth}, t0=t0)
     return 0
 
 

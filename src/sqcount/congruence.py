@@ -40,7 +40,7 @@ def congruence_context(d: int, q: int, w, ctx: SConfig) -> CongruenceContext:
         raise ConfigError(f"level q={q} must be coprime to the finite places")
     coords = tuple(Fraction(x) for x in w)
     if len(coords) != d:
-        raise ConfigError("shift vector length != d")
+        raise ConfigError(f"w has {len(coords)} coordinates, not d = {d}")
     if gcd_S(q, coords, ctx) != 1:
         raise ConfigError("gcd_S(q, w) must be 1")
     return CongruenceContext(d, q, coords, ctx)

@@ -632,7 +632,7 @@ def congruence_count(
 ) -> FiberCount:
     """#{k in q Z_S^d + w : Q(k) in interval, k in B_T}, exactly."""
     if q_form.dim != cctx.d:
-        raise ConfigError("form dimension mismatch")
+        raise ConfigError(f"w has {cctx.d} coordinates, not d = {q_form.dim}")
     r = _depth_scale(cctx.ctx, t)
     # n = r k runs over n = r w mod q
     inst = _build_instance(
@@ -649,7 +649,7 @@ def inhom_count(
     """#{x in Z_S^d + xi : Q(x) in interval, x in B_T}, exactly."""
     xi = tuple(Fraction(x) for x in xi)
     if len(xi) != q_form.dim:
-        raise ConfigError("shift dimension mismatch")
+        raise ConfigError(f"xi has {len(xi)} coordinates, not d = {q_form.dim}")
     r = _depth_scale(q_form.ctx, t)
     # l_mod is the prime-to-S part of the denominators of xi; S-place poles
     # of xi need no special casing because Z_S shifts can absorb them

@@ -167,6 +167,7 @@ class MCEstimate:
     n_samples: int
     seed: int
     sampler_exactness: str
+    sampler_depth: dict[int, int]  # k_p, the digits each draw read at p
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,8 @@ class VarianceCheck:
     observed_constant: float
     n_samples: int
     seed: int
+    sampler_depth: dict[int, int]  # k_p, the digits each draw read at p
+    volume: float  # the disk's Haar volume
 
 
 # --- real-factor samplers ---------------------------------------------------------------
@@ -326,9 +329,14 @@ def lattice_stream(space: SpaceSpec, depth: dict[int, int], rng):
     bases and translates are ints (the translate over one denominator), so
     a draw makes no Fraction.  At d = 2 the draws are independent; at d >= 3
     the random walk burns in one chain and yields every MCMC_THIN-th state,
-    so consecutive draws are only approximately independent.
+    so consecutive draws are only approximately independent.  Digits are
+    int64 draws, so p^depth[p] > 2^63 is refused before the first draw.
     """
     ctx, d = space.ctx, space.d
+    for p in ctx.primes:
+        if p ** min(depth[p], 64) > 2**63:  # p^64 > 2^63, and stays cheap
+            raise ConfigError(f"cannot draw {depth[p]} digits at p={p}: the "
+                              f"sampler draws int64, and {p}^{depth[p]} > 2^63")
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     for b_real in _real_basis_stream(space, rng):
         b_p = {
@@ -347,7 +355,8 @@ def lattice_stream(space: SpaceSpec, depth: dict[int, int], rng):
 
 
 def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
-    """The Siegel transform of f on each of n draws, one int per draw.
+    """(k_p at each prime, the Siegel transform of f on each of n draws): f
+    is placed once, and the values come lazily, one int per draw.
 
     Each worker gets an independent substream spawned from the master seed
     and its share of n; the workers' draws come one worker after another,
@@ -358,11 +367,11 @@ def _transform_values(space: SpaceSpec, f, n, seed, workers, max_candidates):
     origin = space.kind == "base" and holds_origin(placed)
     depth = sampler_depth(placed)
     share, extra = divmod(n, workers)
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for i, child in enumerate(children):
-        stream = lattice_stream(space, depth, np.random.default_rng(child))
-        for _ in range(share + (i < extra)):
-            yield count_points(next(stream), placed, max_candidates) - origin
+    streams = (lattice_stream(space, depth, np.random.default_rng(child))
+               for child in np.random.SeedSequence(seed).spawn(workers))
+    return depth, (count_points(next(stream), placed, max_candidates) - origin
+                   for i, stream in enumerate(streams)
+                   for _ in range(share + (i < extra)))
 
 
 def estimate_moments(
@@ -388,7 +397,8 @@ def estimate_moments(
         raise ConfigError("need 1 <= workers <= n")
     sums = [0.0] * len(orders)
     sq_sums = [0.0] * len(orders)
-    for count in _transform_values(space, f, n, seed, workers, max_candidates):
+    depth, values = _transform_values(space, f, n, seed, workers, max_candidates)
+    for count in values:
         for j, order in enumerate(orders):
             v = float(count) ** order
             sums[j] += v
@@ -397,7 +407,8 @@ def estimate_moments(
     for total, sq_total in zip(sums, sq_sums):
         mean = total / n
         var = max(0.0, (sq_total - n * mean * mean) / (n - 1))
-        out.append(MCEstimate(mean, math.sqrt(var / n), n, seed, space.exactness))
+        out.append(MCEstimate(mean, math.sqrt(var / n), n, seed,
+                              space.exactness, depth))
     return out
 
 
@@ -417,6 +428,8 @@ def variance_check(
     not pinned down here; observed_constant = empirical/bound is reported
     for the record, never asserted.
     """
+    if not isinstance(box, SBox):
+        raise ConfigError("variance needs a disk:R box")
     if not threshold > 0:
         raise ConfigError("threshold must be positive")
     if n < 1 or not 1 <= workers <= n:
@@ -441,13 +454,13 @@ def variance_check(
             f"threshold {threshold!r} is too small: vol / threshold^2 "
             "overflows a float"
         )
-    hits = sum(
-        abs(count - vol) > threshold
-        for count in _transform_values(space, box, n, seed, workers, max_candidates)
-    )
+    depth, values = _transform_values(space, box, n, seed, workers,
+                                      max_candidates)
+    hits = sum(abs(count - vol) > threshold for count in values)
     empirical = hits / n
     stderr = math.sqrt(empirical * (1.0 - empirical) / n)
-    return VarianceCheck(empirical, bound, stderr, empirical / bound, n, seed)
+    return VarianceCheck(empirical, bound, stderr, empirical / bound, n, seed,
+                         depth, vol)
 
 
 # --- exact series: shared box plumbing --------------------------------------------------

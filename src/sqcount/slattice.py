@@ -13,11 +13,12 @@ Enumeration reduces the finite-place ball conditions to one congruence
 class mod M per coordinate (the ultrametric makes multiplication by a
 GL_d(Z_p) basis norm-preserving, so the conditions transfer to the
 Z_S-coordinates directly), then walks the real ellipsoid with coordinate
-wise interval pruning on an LDL decomposition (Fincke-Pohst).  The
-reduction is done in integers: valuations of int numerators, and where a
-congruence is needed the basis inverted mod p^s by its adjugate.  A box's
-own per-place data (place_box) are built once per run, so counting a
-sampled lattice makes no Fraction.
+wise interval pruning on the LDL decomposition of its Gram, read off
+numpy's Cholesky factor (Fincke-Pohst).  The reduction is done in
+integers: valuations of int numerators, and where a congruence is needed
+the basis inverted mod p^s by its adjugate.  A box's own per-place data
+(place_box) are built once per run, so counting a sampled lattice makes no
+Fraction.
 
 A test function is a disk (SBox) or a product box (ProductBox).  Only
 place_box reads a shape's fields: it checks that each of the shape's
@@ -332,7 +333,10 @@ class _BoxFrame:
         k_i is (rem_i + mod n_i) / big_r), in a closed product-box interval
         (PlacedBox.intervals)."""
         if self.intervals is None:
-            return _leaf_ok(n, self.b, self.y0, self.t2)
+            d = len(n)
+            v = [sum(n[i] * self.b[i][j] for i in range(d)) + self.y0[j]
+                 for j in range(d)]
+            return sum(x * x for x in v) < self.t2
         real = _real_image(self.lat, [
             (r + self.mod * x) / self.big_r for r, x in zip(self.rem, n)
         ])
@@ -417,8 +421,9 @@ def _make_point(lat: AffineSLattice, k) -> LatticePoint:
 
 def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int:
     """Number of integer n with ||n.b + y0||^2 < t2, or for a product box
-    with n inside the frame's intervals, via LDL with interval pruning
-    (Fincke-Pohst); each n is appended to `out` when a list is given.
+    with n inside the frame's intervals, via LDL (from numpy's Cholesky
+    factor of b b^T) with interval pruning (Fincke-Pohst); each n is
+    appended to `out` when a list is given.
 
     The recursion peels the last coordinate first; bounds at each level are
     slightly loosened and every leaf is re-tested with the frame's own test.
@@ -428,11 +433,18 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
     """
     b, y0, t2, box = frame.b, frame.y0, frame.t2, frame.intervals
     d = len(b)
-    h = [[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)] for i in range(d)]
+    bm = np.array(b)
+    try:
+        # b b^T = L D L^T: D the squared diagonal of the Cholesky factor, L
+        # that factor with each column divided by its diagonal entry
+        chol = np.linalg.cholesky(bm @ bm.T)
+        binv = np.linalg.inv(bm)
+    except np.linalg.LinAlgError:
+        raise ConfigError("lattice Gram not positive definite") from None
+    root = np.diagonal(chol)
+    diag, lower = (root**2).tolist(), (chol / root).tolist()
     # affine center: n* = -y0 . b^{-1}
-    binv = np.linalg.inv(b).tolist()
-    nstar = tuple(-sum(y0[i] * binv[i][j] for i in range(d)) for j in range(d))
-    diag, lower = _ldl(h)
+    nstar = (-np.array(y0) @ binv).tolist()
     # a level's remaining radius^2 below this has left the ellipsoid
     rem_floor = -1e-9 * t2
     n = [0] * d
@@ -442,14 +454,10 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         # a bound on the terms of the coordinate's float images, the walk's
         # and the point's, far past their rounding, so that the cut at the
         # leaf keeps every n[0] that the leaf test accepts.
-        reach = [abs(c) + math.sqrt(t2 * sum(row[i] ** 2 for row in binv)) + 2
-                 for i, c in enumerate(nstar)]
-        width = [
-            (1 + 1e-9) * length / 2 + 1e-9 * (
-                sum(r * abs(row[j]) for r, row in zip(reach, b))
-                + abs(frame.lat.shift_inf[j]) + mid)
-            for j, (length, mid) in enumerate(frame.spans)
-        ]
+        reach = np.abs(nstar) + np.sqrt(t2 * (binv**2).sum(axis=0)) + 2
+        length, mid = np.transpose(frame.spans)
+        width = ((1 + 1e-9) * length / 2 + 1e-9 * (
+            reach @ np.abs(bm) + np.abs(frame.lat.shift_inf) + mid)).tolist()
 
     def leaf_in(nv, rem, offset) -> bool:
         # a disk's new_rem against its tolerance, then the frame's test
@@ -522,29 +530,3 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         return found
 
     return recurse(d - 1, t2)
-
-
-def _ldl(h):
-    """h = L D L^T with L unit lower triangular, in floats."""
-    d = len(h)
-    lower = [[0.0] * d for _ in range(d)]
-    diag = [0.0] * d
-    for i in range(d):
-        lower[i][i] = 1.0
-    for j in range(d):
-        s = h[j][j] - sum(diag[k] * lower[j][k] * lower[j][k] for k in range(j))
-        if s <= 0.0:
-            raise ConfigError("lattice Gram not positive definite")
-        diag[j] = s
-        for i in range(j + 1, d):
-            lower[i][j] = (
-                h[i][j] - sum(diag[k] * lower[i][k] * lower[j][k] for k in range(j))
-            ) / diag[j]
-    return diag, lower
-
-
-def _leaf_ok(n, b, y0, t2) -> bool:
-    d = len(n)
-    v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
-    s = sum(x * x for x in v)
-    return s < t2

@@ -341,10 +341,18 @@ def test_malformed_value_exits_2_naming_the_key(command, key, value, via,
      "test function real part has 2 coordinates, not d = 3"),
     # the point y of the orbit series is held to the same rule
     ("orbit", "y", "1,2", [], "y has 2 coordinates, w has 3"),
+    # so are the shifts xi and w of a count and the w of a congruence space
+    ("count", "xi", "1/3,0", [], "xi has 2 coordinates, not d = 3"),
+    ("count", "w", "0,1", ["--q", "3"], "w has 2 coordinates, not d = 3"),
+    ("moment-mc", "w", "0,1,2", [], "w has 3 coordinates, not d = 2"),
 ])
 def test_test_function_of_another_dimension_exits_2(command, key, value, extra,
                                                      named, tmp_path, capsys):
-    args = [*without(without(RUNS[command], key), "y"), *extra]
+    # extra may bring its own --y, or --q and --w in place of RUNS' --xi
+    args = RUNS[command]
+    for dropped in (key, "y", "xi"):
+        args = without(args, dropped)
+    args = [*args, *extra]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     argv = [command, *args, "--config", str(config), "--out", str(tmp_path)]
@@ -606,7 +614,16 @@ def test_huge_variance_input_exits_2_naming_it(key, value, named, tmp_path,
     # the real ball's radius^2 overflows
     ("volume --form diag:1,1,-1 --primes 2 --c-inf 1 --t 1e200",
      "t_inf = 1e+200"),
-], ids=["threshold", "disk", "box", "volume"])
+    # the box reads k_p digits, and the sampler's int64 draw needs p^k_p <=
+    # 2^63: 3^40, 2^64 and 2^2000 are past it
+    ("moment-mc --space base --d 2 --primes 3 --f box:-1..1,-1..1@3=-40 "
+     "--n 5 --seed 1", "cannot draw 40 digits at p=3"),
+    ("variance --space affine --d 2 --primes 2 --box disk:1@2=-64 "
+     "--threshold 1 --n 5 --seed 1", "cannot draw 64 digits at p=2"),
+    ("moment-mc --space affine --d 2 --primes 2 --f disk:2@2=-2000 "
+     "--n 5 --seed 1", "cannot draw 2000 digits at p=2"),
+], ids=["threshold", "disk", "box", "volume", "deep-box", "deep-variance",
+        "deep-disk"])
 def test_float_range_input_exits_2_naming_it(args, named, tmp_path, capsys):
     assert main([*args.split(), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err

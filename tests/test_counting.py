@@ -873,7 +873,7 @@ class TestGuards:
         cctx = congruence_context(3, 2, (1, 1, 0), S0)
         fam = shrinking_family(3, 1)
         t = tv(3.0)
-        with pytest.raises(ConfigError, match="form dimension mismatch"):
+        with pytest.raises(ConfigError, match="w has 3 coordinates, not d = 2"):
             congruence_count(cctx, q, interval_at(fam, t), t)
 
 

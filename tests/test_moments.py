@@ -359,6 +359,17 @@ class TestSamplerDepth:
             read_digits += any(depth.values())
         assert read_digits > 0
 
+    @pytest.mark.parametrize("p, most", [(2, 63), (3, 39)])
+    def test_depth_past_int64_is_refused_before_a_draw(self, p, most):
+        # the digits are int64 draws: p^most <= 2^63 < p^(most + 1)
+        space = space_spec("affine", 2, SConfig((p,)))
+        lat = next(lattice_stream(space, {p: most}, np.random.default_rng(1)))
+        assert lat.depth == {p: most}
+        stream = lattice_stream(space, {p: most + 1}, np.random.default_rng(1))
+        with pytest.raises(ConfigError,
+                           match=f"cannot draw {most + 1} digits at p={p}"):
+            next(stream)
+
 
 class TestNoFractionPerDraw:
     """Drawing and counting a lattice makes no Fraction: the Fractions a
@@ -1327,3 +1338,5 @@ class TestVarianceCheck:
         box = SBox(TVector(1.0, {2: 0}, S2))
         with pytest.raises(ConfigError):
             variance_check(sp, box, 0.0, n=10, seed=0)
+        with pytest.raises(ConfigError, match="variance needs a disk:R box"):
+            variance_check(sp, ProductBox(((-1, 1), (-1, 1))), 0.0, n=10, seed=0)

@@ -8,7 +8,9 @@ outside its own body, its name appears in its own module, another module
 of the package imports it by name, or the package reaches it as an
 attribute. A local variable of the same name in another module does not
 count. A method other than a dunder counts as used when, outside its own
-body, the package reaches its name as an attribute.
+body, the package reaches its name as an attribute. A name imported into
+a module must be used there, or the import would keep its definition
+looking used.
 """
 
 import ast
@@ -21,6 +23,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqcount"
 # definitions kept without a caller in the package, each with its reason
 ALLOWED = {
     "main": "console-script entry point declared in pyproject.toml",
+}
+
+# (module, name) of imports kept without a use in the module, each with its
+# reason
+UNUSED_IMPORTS = {
+    ("moments", "enumerate_points"):
+        "perfbench/test_perfbench.py checks that the tracer rewraps it",
 }
 
 
@@ -79,6 +88,33 @@ def test_every_definition_has_a_package_caller():
         and attributes[name] == _attributes(node)[name]
     ]
     assert not unused, "defined but never used in src/sqcount: " + ", ".join(unused)
+
+
+def _unused_imports(modules) -> dict:
+    """(module, name) -> line of every name an import binds in a module
+    where no other line uses it; `from __future__` imports bind none."""
+    unused = {}
+    for module, tree in modules.items():
+        names = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if not names[name]:
+                        unused[module, name] = node.lineno
+    return unused
+
+
+def test_every_import_is_used():
+    unused = _unused_imports(_modules())
+    stale = [key for key in UNUSED_IMPORTS if key not in unused]
+    assert not stale, f"exempt imports that are used or gone: {stale}"
+    extra = [f"{module}.py:{line} {name}"
+             for (module, name), line in sorted(unused.items())
+             if (module, name) not in UNUSED_IMPORTS]
+    assert not extra, "imported but never used in src/sqcount: " + ", ".join(extra)
 
 
 def test_every_method_has_a_package_caller():

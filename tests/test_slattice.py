@@ -752,6 +752,69 @@ class TestHoldsOrigin:
             assert count_points(lat, f) - origin == want
 
 
+class TestSkewedBases:
+    """The walk's set-up (the LDL from numpy's Cholesky factor, the center
+    n* and a box's reach and width) on bases far from orthogonal, where a
+    wrong factor or center misses points: both front ends against the
+    naive scans, on a disk and on a product box.  The real shift is small,
+    so that the row n = 0 of a long last vector passes near the boxes."""
+
+    @staticmethod
+    def lattice(rng, g):
+        return affine_slattice_split(
+            S0, g, {}, [rng.uniform(-0.25, 0.25) for _ in g])
+
+    @staticmethod
+    def check(lat, disk, f):
+        expect = naive_points(lat, disk)
+        assert expect
+        assert coords(enumerate_points(lat, disk)) == expect
+        assert count_points(lat, disk) == len(expect)
+        expect = naive_box_points(lat, f)
+        assert expect
+        assert coords(enumerate_points(lat, f)) == expect
+        assert count_points(lat, f) == len(expect)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_siegel_shapes(self, k, order):
+        # (y^-1/2, 0), (x y^-1/2, y^1/2) at y = 10^k, in either order: Gram
+        # condition 10^2k
+        rng = random.Random(k)
+        y, x = 10.0**k, rng.uniform(-0.5, 0.5)
+        g = [[y**-0.5, 0.0], [x * y**-0.5, y**0.5]]
+        lat = self.lattice(rng, g[::order])
+        disk = box(S0, 1, {}, (Fraction(1, 3), Fraction(-1, 3)))
+        f = ProductBox(((Fraction(-1, 2), 1), (-1, Fraction(3, 4))))
+        self.check(lat, disk, f)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
+    def test_sheared_d3(self, order):
+        # rows 0.1 e0, 0.1 e1 and 100 e2 sheared by non-integral multiples
+        # of the ones before, in either order: Gram condition about 4e6
+        rng = random.Random(5)
+        g = [[0.1, 0.0, 0.0], [0.15, 0.1, 0.0], [0.37, -0.23, 100.0]][::order]
+        assert 1e5 < np.linalg.cond(np.array(g) @ np.transpose(g)) < 1e7
+        lat = self.lattice(rng, g)
+        disk = box(S0, 1, {}, (Fraction(1, 4), 0, Fraction(-1, 3)))
+        f = ProductBox(((Fraction(-1, 2), Fraction(1, 2)),) * 3)
+        self.check(lat, disk, f)
+
+    def test_a_singular_frame_is_a_config_error(self):
+        # the Cholesky factor of b b^T rounds to positive: only the inverse
+        # of b fails
+        lat = rational_lattice(S0, identity(2))
+        b = ((0.1, 0.3), (0.2, 0.6))
+        frame = _BoxFrame(1, 1, (0, 0), b, (0.0, 0.0), 1.0, None, None, lat)
+        with pytest.raises(ConfigError, match="lattice Gram not positive definite"):
+            _ellipsoid_integer_points(frame, 100)
+        # an exactly singular Gram fails in the Cholesky step
+        frame = _BoxFrame(1, 1, (0, 0), ((1.0, 1.0), (1.0, 1.0)), (0.0, 0.0),
+                          1.0, None, None, lat)
+        with pytest.raises(ConfigError, match="lattice Gram not positive definite"):
+            _ellipsoid_integer_points(frame, 100)
+
+
 # --- the integer frame against the Fraction code it replaced --------------------------
 
 
