@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import _linalg as la
 from .errors import ConfigError
@@ -70,6 +71,12 @@ def sample_slq_uniform(d: int, q: int, rng):
 
 # --- exact lifting to SL_d(Z) -------------------------------------------------
 
+@cache
+def _level_primes(q: int) -> list[int]:
+    """prime_factors(q), once per level: a lift reads it d times a draw."""
+    return prime_factors(q)
+
+
 def _unit_coefficients(col: list[int], q: int) -> list[int]:
     """Coefficients c_1..c_{n-1} with col[0] + sum c_i col[i] a unit mod q.
 
@@ -78,7 +85,7 @@ def _unit_coefficients(col: list[int], q: int) -> list[int]:
     """
     n = len(col)
     picks = {}
-    primes = prime_factors(q)
+    primes = _level_primes(q)
     for p in primes:
         if col[0] % p != 0:
             continue

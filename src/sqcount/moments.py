@@ -329,14 +329,16 @@ def lattice_stream(space: SpaceSpec, depth: dict[int, int], rng):
     bases and translates are ints (the translate over one denominator), so
     a draw makes no Fraction.  At d = 2 the draws are independent; at d >= 3
     the random walk burns in one chain and yields every MCMC_THIN-th state,
-    so consecutive draws are only approximately independent.  Digits are
-    int64 draws, so p^depth[p] > 2^63 is refused before the first draw.
+    so consecutive draws are only approximately independent.  Digits and
+    level-q entries are int64 draws: p^depth[p] or q > 2^63 is refused first.
     """
     ctx, d = space.ctx, space.d
     for p in ctx.primes:
         if p ** min(depth[p], 64) > 2**63:  # p^64 > 2^63, and stays cheap
             raise ConfigError(f"cannot draw {depth[p]} digits at p={p}: the "
                               f"sampler draws int64, and {p}^{depth[p]} > 2^63")
+    if space.cctx is not None and space.cctx.q > 2**63:
+        raise ConfigError(f"level q={space.cctx.q} > 2^63: the sampler draws int64")
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     for b_real in _real_basis_stream(space, rng):
         b_p = {

@@ -26,8 +26,9 @@ vectors has d coordinates and builds the PlacedBox that the count, the
 origin test, the sampler depth and the exact series of moments read.  It
 gives a center per place: one for a disk; for a product box its real
 midpoint, whose circumscribed ball only prunes the walk, and its own
-center at each prime.  At the last coordinate of a row a product box's d
-real intervals are cut, then re-tested at the ends on the float image.
+center at each prime.  Each shape closes a row of the walk its own way,
+picked once per count: a disk tests the open ball, a product box cuts the
+row by its d real intervals and tests them on the float image.
 
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts, the last coordinate
@@ -207,8 +208,8 @@ def _float_bounds(interval) -> tuple:
 def holds_origin(box: PlacedBox) -> bool:
     """Whether count_points counts k = 0 on any lattice with zero shift:
     each finite ball holds 0, that is v_p(c_p) >= -e_p, and the real test
-    at 0 is the leaf test at n = 0, whose frame has y0 = -center (the same
-    float squares)."""
+    at 0 is the disk's or the box's leaf test at n = 0, whose frame has
+    y0 = -center (the same float squares)."""
     for p, (nums, den, e) in box.finite.items():
         v = min_valuation(nums, p)
         if v is not None and v - valuation(den, p) < -e:
@@ -313,9 +314,9 @@ def count_points(
 @dataclass(frozen=True)
 class _BoxFrame:
     """A box seen from the lattice: the points inside are k = m / big_r with
-    m = rem + mod * n, n an integer vector with ||n.b + y0||^2 < t2 (a disk)
-    or with its real image inside `intervals` (a product box, whose ball t2
-    only prunes the walk)."""
+    m = rem + mod * n, n an integer vector with ||n.b + y0||^2 < t2 (a disk,
+    intervals and spans None) or with its real image inside `intervals` (a
+    product box, whose ball t2 only prunes the walk)."""
 
     big_r: int
     mod: int
@@ -326,21 +327,6 @@ class _BoxFrame:
     intervals: tuple | None
     spans: tuple | None
     lat: AffineSLattice
-
-    def inside(self, n) -> bool:
-        """The leaf test at n: the open ball of a disk, or each coordinate
-        of the float real image, computed as _make_point computes it (float
-        k_i is (rem_i + mod n_i) / big_r), in a closed product-box interval
-        (PlacedBox.intervals)."""
-        if self.intervals is None:
-            d = len(n)
-            v = [sum(n[i] * self.b[i][j] for i in range(d)) + self.y0[j]
-                 for j in range(d)]
-            return sum(x * x for x in v) < self.t2
-        real = _real_image(self.lat, [
-            (r + self.mod * x) / self.big_r for r, x in zip(self.rem, n)
-        ])
-        return all(lo <= x <= hi for x, (lo, hi) in zip(real, self.intervals))
 
 
 def _box_frame(lat: AffineSLattice, box) -> _BoxFrame:
@@ -426,10 +412,10 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
     appended to `out` when a list is given.
 
     The recursion peels the last coordinate first; bounds at each level are
-    slightly loosened and every leaf is re-tested with the frame's own test.
-    The loosened range of every level, the leaf level included, is charged
-    to the max_candidates budget.  Without `out` the leaf level is counted
-    in closed form instead of point by point.
+    slightly loosened and charged to the max_candidates budget, the leaf
+    level's too.  Each row is then closed by the shape's cut and leaf test,
+    picked once.  Without `out` the leaf level is counted in closed form
+    instead of point by point.
     """
     b, y0, t2, box = frame.b, frame.y0, frame.t2, frame.intervals
     d = len(b)
@@ -449,7 +435,19 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
     rem_floor = -1e-9 * t2
     n = [0] * d
     left = max_candidates
-    if box is not None:
+    # the shape's row closer: cut the loosened range of n[0], test a leaf
+    if box is None:
+        def cut(lo, hi):
+            return lo, hi
+
+        def leaf_in(nv, rem, offset) -> bool:
+            # new_rem against its tolerance, then the open ball
+            if rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
+                return False
+            n[0] = nv
+            v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
+            return sum(x * x for x in v) < t2
+    else:
         # The walk keeps |n_i| < reach[i].  Widen each half-width by 1e-9 of
         # a bound on the terms of the coordinate's float images, the walk's
         # and the point's, far past their rounding, so that the cut at the
@@ -459,23 +457,25 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         width = ((1 + 1e-9) * length / 2 + 1e-9 * (
             reach @ np.abs(bm) + np.abs(frame.lat.shift_inf) + mid)).tolist()
 
-    def leaf_in(nv, rem, offset) -> bool:
-        # a disk's new_rem against its tolerance, then the frame's test
-        if box is None and rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
-            return False
-        n[0] = nv
-        return frame.inside(n)
+        def cut(lo, hi):
+            # coordinate j of v = n.b + y0 is c + n[0] * s on the row
+            for j in range(d):
+                s = b[0][j]
+                if s:
+                    c = sum(n[i] * b[i][j] for i in range(1, d)) + y0[j]
+                    ends = (-width[j] - c) / s, (width[j] - c) / s
+                    lo = max(lo, math.ceil(min(ends)))
+                    hi = min(hi, math.floor(max(ends)))
+            return lo, hi
 
-    def box_cut(lo, hi):
-        # coordinate j of v = n.b + y0 is c + n[0] * s on the row
-        for j in range(d):
-            s = b[0][j]
-            if s:
-                c = sum(n[i] * b[i][j] for i in range(1, d)) + y0[j]
-                ends = (-width[j] - c) / s, (width[j] - c) / s
-                lo = max(lo, math.ceil(min(ends)))
-                hi = min(hi, math.floor(max(ends)))
-        return lo, hi
+        def leaf_in(nv, rem, offset) -> bool:
+            # the float real image as _make_point computes it (float k_i is
+            # (rem_i + mod n_i) / big_r), in the closed PlacedBox.intervals
+            n[0] = nv
+            real = _real_image(frame.lat, [
+                (r + frame.mod * x) / frame.big_r for r, x in zip(frame.rem, n)
+            ])
+            return all(lo <= x <= hi for x, (lo, hi) in zip(real, box))
 
     def recurse(level, rem) -> int:
         # In the LDL expansion Q(n - n*) = sum_i d_i (z_i + sum_{j>i} L_ji z_j)^2
@@ -499,8 +499,7 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
                 f"{max_candidates} candidates); raise max_candidates"
             )
         if level == 0:
-            if box is not None:
-                lo, hi = box_cut(lo, hi)
+            lo, hi = cut(lo, hi)
             if out is None:
                 # The leaf test holds on an interval of n[0].  For a disk,
                 # new_rem is concave and ||n.b + y0||^2 convex in n[0], and

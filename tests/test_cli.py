@@ -622,11 +622,24 @@ def test_huge_variance_input_exits_2_naming_it(key, value, named, tmp_path,
      "--threshold 1 --n 5 --seed 1", "cannot draw 64 digits at p=2"),
     ("moment-mc --space affine --d 2 --primes 2 --f disk:2@2=-2000 "
      "--n 5 --seed 1", "cannot draw 2000 digits at p=2"),
+    # a level-q entry is an int64 draw too: q = 5^28 > 2^63
+    ("moment-mc --space congruence --d 2 --q 37252902984619140625 --w 0,1 "
+     "--primes 2 --f disk:2 --n 5 --seed 1", "level q=37252902984619140625"),
+    ("variance --space congruence --d 2 --q 37252902984619140625 --w 0,1 "
+     "--primes 2 --box disk:2 --threshold 1 --n 5 --seed 1",
+     "level q=37252902984619140625"),
 ], ids=["threshold", "disk", "box", "volume", "deep-box", "deep-variance",
-        "deep-disk"])
+        "deep-disk", "wide-level", "wide-level-variance"])
 def test_float_range_input_exits_2_naming_it(args, named, tmp_path, capsys):
     assert main([*args.split(), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_series_at_a_level_past_int64_runs(tmp_path):
+    # the series draws nothing, so q = 5^28 is no int64 draw there
+    argv = ["moment-rhs", "--q", "37252902984619140625", "--w", "0,0,1",
+            "--primes", "2", "--f", "box:-1..1,-1..1,-1..1", "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_huge_finite_exponent_exits_2_naming_it(tmp_path, capsys):

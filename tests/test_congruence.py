@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from sqcount import _linalg as la
+from sqcount import congruence
 from sqcount.congruence import congruence_context, lift_slq_to_slz, sample_slq_uniform
 from sqcount.errors import ConfigError
-from sqcount.sarith import SConfig, frac_mod, gcd_S
+from sqcount.sarith import SConfig, frac_mod, gcd_S, prime_factors
 from test_linalg import identity
 from test_sarith import sl_group_order
 
@@ -117,6 +118,17 @@ class TestLift:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ConfigError, match="determinant is not 1 mod q"):
             lift_slq_to_slz(((2, 0), (0, 2)), 5)
+
+    def test_factors_each_level_once(self, monkeypatch):
+        # a lift reads q's primes at every column; 50 draws factor q once
+        calls = []
+        monkeypatch.setattr(congruence, "prime_factors",
+                            lambda q: calls.append(q) or prime_factors(q))
+        rng = np.random.default_rng(1001)
+        for _ in range(50):
+            m = sample_slq_uniform(3, 1001, rng)
+            assert la.det(la.as_matrix(lift_slq_to_slz(m, 1001))) == 1
+        assert calls.count(1001) <= 1
 
 
 class TestOrbitInvariant:

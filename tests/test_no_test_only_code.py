@@ -10,7 +10,8 @@ attribute. A local variable of the same name in another module does not
 count. A method other than a dunder counts as used when, outside its own
 body, the package reaches its name as an attribute. A name imported into
 a module must be used there, or the import would keep its definition
-looking used.
+looking used. A function defined inside another must be named again in
+that function, outside its own body.
 """
 
 import ast
@@ -132,6 +133,20 @@ def test_every_method_has_a_package_caller():
         and attributes[node.name] == _attributes(node)[node.name]
     ]
     assert not unused, "methods never called in src/sqcount: " + ", ".join(unused)
+
+
+def test_every_nested_function_is_called():
+    # a nested def is reachable only from its enclosing function
+    uncalled = [
+        f"{module}.py:{inner.lineno} {outer.name}.{inner.name}"
+        for module, tree in _modules().items()
+        for outer in ast.walk(tree)
+        if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer)
+        if isinstance(inner, ast.FunctionDef) and inner is not outer
+        and _names(outer)[inner.name] == _names(inner)[inner.name]
+    ]
+    assert not uncalled, "nested functions never called: " + ", ".join(uncalled)
 
 
 def test_allowlist_names_existing_definitions():
