@@ -336,26 +336,13 @@ def _count_row(res, ctx: SConfig):
     ]
 
 
-def _digits(n: int) -> int:
-    """Decimal digits of n != 0, without a (quadratic-time) int -> str."""
-    n = abs(n)
-    k = int(math.log10(n))  # floor(log10 n), up to float rounding
-    power = 10**k  # the one power built; the fixes below are linear-time
-    while power > n:
-        k -= 1
-        power //= 10
-    while power * 10 <= n:
-        k += 1
-        power *= 10
-    return k + 1
-
-
-def _exact_summary(value: Fraction) -> str:
-    """Float value and digit counts of an exact series value; the exact
-    value itself, which can run to 10^5 digits, goes to the CSV only."""
+def _exact_summary(value: Fraction, text: str) -> str:
+    """Float value and digit counts of an exact series value, counted on its
+    CSV rendering `text` (frac_str); the exact value itself, which can run
+    to 10^5 digits, goes to the CSV only."""
+    num, _, den = text.lstrip("-").partition("/")
     return (f"{float(value)!r} (exact value in the CSV: "
-            f"{_digits(value.numerator)}-digit numerator, "
-            f"{_digits(value.denominator)}-digit denominator)")
+            f"{len(num)}-digit numerator, {len(den) or 1}-digit denominator)")
 
 
 def _series_budget(sv, cfg) -> dict:
@@ -386,10 +373,10 @@ def _target_from_cfg(cfg, ctx, d):
     has_cong = cfg["q"] is not None
     if has_cong == (cfg["xi"] is not None):
         raise ConfigError("need exactly one of --q/--w or --xi")
+    if has_cong != (cfg["w"] is not None):
+        raise ConfigError("--q needs --w" if has_cong else "--w needs --q")
     if not has_cong:
         return cfg["xi"]
-    if cfg["w"] is None:
-        raise ConfigError("--q needs --w")
     return congruence_context(d, cfg["q"], cfg["w"], ctx)
 
 
@@ -516,10 +503,11 @@ def _cmd_moment_rhs(cfg, out_dir, t0):
     cfg["depth"] = sv.depth
     header = ["q", "t_max", "real_bound", "value", "value_float",
               "tail_bound", "terms_used"]
-    rows = [[cctx.q, sv.t_max, sv.real_bound, sv.value, float(sv.value),
+    text = frac_str(sv.value)
+    rows = [[cctx.q, sv.t_max, sv.real_bound, text, float(sv.value),
              sv.tail_bound, sv.terms_used]]
     _emit("moment-rhs", cfg, out_dir, header, rows, [
-        f"series value ~ {_exact_summary(sv.value)}",
+        f"series value ~ {_exact_summary(sv.value, text)}",
         f"tail bound = {sv.tail_bound!r} over {sv.terms_used} pair terms",
     ], results=_series_budget(sv, cfg), t0=t0)
     return 0
@@ -557,10 +545,11 @@ def _cmd_orbit(cfg, out_dir, t0):
     f = testfn_from_json(cfg["f"], ctx)
     sv = inhom_series(f, cfg["y"], cctx, cfg["t_max"], cfg["max_terms"])
     header = ["q", "t_max", "value", "value_float", "tail_bound", "terms_used"]
-    rows = [[cctx.q, sv.t_max, sv.value, float(sv.value), sv.tail_bound,
+    text = frac_str(sv.value)
+    rows = [[cctx.q, sv.t_max, text, float(sv.value), sv.tail_bound,
              sv.terms_used]]
     _emit("orbit", cfg, out_dir, header, rows, [
-        f"orbital series ~ {_exact_summary(sv.value)} "
+        f"orbital series ~ {_exact_summary(sv.value, text)} "
         f"(tail <= {sv.tail_bound:.3g}, {sv.terms_used} terms)",
     ], results=_series_budget(sv, cfg), t0=t0)
     return 0

@@ -470,8 +470,6 @@ def _count_instance(inst: _Instance, max_candidates: int) -> FiberCount:
     d = len(inst.gram)
     g = inst.gram
     big_n = _strict_floor(inst.ball2)
-    if big_n < 0:
-        return FiberCount(0, 0)
     if big_n > (1 << 50):
         raise BudgetError(
             f"squared scaled real radius {big_n} exceeds the fiber counter's "

@@ -111,8 +111,6 @@ def cell(x) -> str:
     """Deterministic CSV cell rendering."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, Fraction):
         return frac_str(x)
     if isinstance(x, (np.floating, float)):
@@ -129,10 +127,6 @@ def jsonable(x):
         return frac_str(x)
     if isinstance(x, TVector):
         return {"t_inf": frac_str(x.t_inf), "t_p": jsonable(x.t_p)}
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -28,7 +28,8 @@ gives a center per place: one for a disk; for a product box its real
 midpoint, whose circumscribed ball only prunes the walk, and its own
 center at each prime.  Each shape closes a row of the walk its own way,
 picked once per count: a disk tests the open ball, a product box cuts the
-row by its d real intervals and tests them on the float image.
+row by its d real intervals and tests them on the float image; that test
+alone accepts a leaf.
 
 Two front ends share that walk.  enumerate_points builds every point with
 its exact per-place images.  count_points only counts, the last coordinate
@@ -414,8 +415,8 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
     The recursion peels the last coordinate first; bounds at each level are
     slightly loosened and charged to the max_candidates budget, the leaf
     level's too.  Each row is then closed by the shape's cut and leaf test,
-    picked once.  Without `out` the leaf level is counted in closed form
-    instead of point by point.
+    picked once; the leaf test alone decides membership.  Without `out` the
+    leaf level is counted in closed form instead of point by point.
     """
     b, y0, t2, box = frame.b, frame.y0, frame.t2, frame.intervals
     d = len(b)
@@ -431,8 +432,6 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
     diag, lower = (root**2).tolist(), (chol / root).tolist()
     # affine center: n* = -y0 . b^{-1}
     nstar = (-np.array(y0) @ binv).tolist()
-    # a level's remaining radius^2 below this has left the ellipsoid
-    rem_floor = -1e-9 * t2
     n = [0] * d
     left = max_candidates
     # the shape's row closer: cut the loosened range of n[0], test a leaf
@@ -440,10 +439,7 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         def cut(lo, hi):
             return lo, hi
 
-        def leaf_in(nv, rem, offset) -> bool:
-            # new_rem against its tolerance, then the open ball
-            if rem - diag[0] * (nv - nstar[0] + offset) ** 2 < rem_floor:
-                return False
+        def leaf_in(nv) -> bool:
             n[0] = nv
             v = [sum(n[i] * b[i][j] for i in range(d)) + y0[j] for j in range(d)]
             return sum(x * x for x in v) < t2
@@ -468,7 +464,7 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
                     hi = min(hi, math.floor(max(ends)))
             return lo, hi
 
-        def leaf_in(nv, rem, offset) -> bool:
+        def leaf_in(nv) -> bool:
             # the float real image as _make_point computes it (float k_i is
             # (rem_i + mod n_i) / big_r), in the closed PlacedBox.intervals
             n[0] = nv
@@ -484,7 +480,7 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
         # remaining radius^2 `rem`.
         nonlocal left
         offset = sum(lower[j][level] * (n[j] - nstar[j]) for j in range(level + 1, d))
-        # d_level * (z_level + offset)^2 <= rem
+        # d_level * (z_level + offset)^2 <= rem, so none when rem < 0
         bound2 = rem / diag[level]
         if bound2 < 0:
             return 0
@@ -502,28 +498,25 @@ def _ellipsoid_integer_points(frame: _BoxFrame, max_candidates, out=None) -> int
             lo, hi = cut(lo, hi)
             if out is None:
                 # The leaf test holds on an interval of n[0].  For a disk,
-                # new_rem is concave and ||n.b + y0||^2 convex in n[0], and
-                # at an interior integer each sits past its worse endpoint
-                # by at least d_0 resp. ||b_0||^2, far above float rounding.
-                # For a box, each float operation of a real image coordinate
-                # is monotone in n[0].  So trim the loosened ends and count
-                # what is left.
-                while lo <= hi and not leaf_in(lo, rem, offset):
+                # ||n.b + y0||^2 is convex in n[0], and at an interior
+                # integer it sits below its worse endpoint by at least
+                # ||b_0||^2, far above float rounding.  For a box, each
+                # float operation of a real image coordinate is monotone in
+                # n[0].  So trim the loosened ends and count what is left.
+                while lo <= hi and not leaf_in(lo):
                     lo += 1
-                while hi > lo and not leaf_in(hi, rem, offset):
+                while hi > lo and not leaf_in(hi):
                     hi -= 1
                 return max(0, hi - lo + 1)
             found = 0
             for nv in range(lo, hi + 1):
-                if leaf_in(nv, rem, offset):
+                if leaf_in(nv):
                     out.append(tuple(n))
                     found += 1
             return found
         found = 0
         for nv in range(lo, hi + 1):
             new_rem = rem - diag[level] * (nv - nstar[level] + offset) ** 2
-            if new_rem < rem_floor:
-                continue
             n[level] = nv
             found += recurse(level - 1, new_rem)
         return found

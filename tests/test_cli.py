@@ -7,21 +7,26 @@ byte. Exit code 2 marks a configuration error, 3 an exhausted budget.
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sqcount.cli import _COMMANDS, _KEYS, _digits, main
+from sqcount.cli import _COMMANDS, _KEYS, _exact_summary, main
 from sqcount.counting import shrinking_family
 from sqcount.qspace import quadratic_form
 from sqcount.sarith import SConfig
+from sqcount.serialize import frac_str
 from sqcount.volume import leading_constant
 
 BOX3 = "box:-1..1,-1..1,-1..1"
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # one small config per subcommand; together they run in about a second
 RUNS = {
@@ -135,6 +140,19 @@ def test_run_then_replay_from_manifest(command, tmp_path, capsys):
     assert sha256(again / f"{command}.csv") == recorded["csv_sha256"]
 
 
+def test_count_at_a_level_writes_its_sweep_rung(tmp_path, capsys):
+    # count with --q/--w runs the congruence counter; on the sweep's first
+    # rung it writes that rung's row
+    rung = RUNS["sweep"][RUNS["sweep"].index("--ladder") + 1].partition(";")[0]
+    args = [*without(RUNS["sweep"], "ladder"), "--t", rung]
+    assert main(["count", *args, "--out", str(tmp_path / "count")]) == 0
+    assert capsys.readouterr().out.startswith("N = 30, ")
+    assert main(["sweep", *RUNS["sweep"], "--out", str(tmp_path / "sweep")]) == 0
+    count_csv = (tmp_path / "count" / "count.csv").read_text().splitlines()
+    sweep_csv = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert count_csv == sweep_csv[:2]
+
+
 def test_large_exact_value_goes_to_csv_and_summary_prints_digits(tmp_path, capsys):
     assert main(["moment-rhs", *RUNS["moment-rhs"], "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -145,19 +163,26 @@ def test_large_exact_value_goes_to_csv_and_summary_prints_digits(tmp_path, capsy
     assert len(out) < 1000
 
 
-def test_digit_count_at_powers_of_ten():
-    for k in range(300):
-        for n in (10**k, 10**k + 1, 10 ** (k + 1) - 1, -(10**k)):
-            assert _digits(n) == len(str(abs(n))), n
+@pytest.mark.parametrize("value, num_digits, den_digits", [
+    (Fraction(-123, 4567), 3, 4),
+    (Fraction(10**20), 21, 1),
+    (Fraction(10**15, 999), 16, 3),
+])
+def test_summary_counts_the_digits_of_the_csv_value(value, num_digits, den_digits):
+    summary = _exact_summary(value, frac_str(value))
+    assert summary == (f"{float(value)!r} (exact value in the CSV: "
+                       f"{num_digits}-digit numerator, "
+                       f"{den_digits}-digit denominator)")
 
 
-@pytest.mark.parametrize("k", [1, 15, 16, 17, 22, 4300, 81100])
-def test_digit_count_next_to_large_powers_of_ten(k):
-    # 81,100 digits is the size of rhs_p23's numerator; from k = 15 on,
-    # float log10(10^k - 1) rounds up to k, so the downward fix-up runs
-    power = 10**k
-    assert _digits(power - 1) == k
-    assert _digits(power) == _digits(power + 1) == k + 1
+def test_documented_entry_point_lists_every_command():
+    # README's PYTHONPATH=src python -m sqcount.cli --help, from the root
+    run = subprocess.run([sys.executable, "-m", "sqcount.cli", "--help"],
+                         cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    for command in _COMMANDS:
+        assert re.search(rf"^\s+{re.escape(command)}\s", run.stdout, re.M), command
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
@@ -259,6 +284,14 @@ def test_sampler_flag_exits_2(tmp_path, capsys):
     ("moment-mc", ["--space", "congruence-y", "--d", "2", "--primes", "2",
                    "--f", "disk:2", "--n", "20", "--seed", "1"],
      "unknown space kind 'congruence-y'"),
+    # count and sweep take a shift xi or a level (q, w), whole
+    ("count", [*RUNS["count"], "--w", "0,0,1"], "--w needs --q"),
+    ("sweep", ["--form", "diag:1,1,-1", "--primes", "2", "--xi", "1/3,0,0",
+               "--w", "5,5,5", "--c-inf", "1", "--ladder", "10@2=1;20@2=1"],
+     "--w needs --q"),
+    ("count", [*without(RUNS["count"], "xi"), "--q", "5"], "--q needs --w"),
+    ("count", [*RUNS["count"], "--q", "5", "--w", "0,0,1"],
+     "need exactly one of --q/--w or --xi"),
 ])
 def test_space_and_level_keys_must_agree(command, args, rejected, tmp_path, capsys):
     assert main([command, *args, "--out", str(tmp_path)]) == 2
